@@ -1,0 +1,85 @@
+"""Satisfiable sign cells over an ordered list of atoms, each with a witness.
+
+A sign cell over atoms a0..a(n-1) (one per {atom, negated atom} pair) is a
+complete truth-value choice per atom, written as a mask whose bit i is the
+sign of ai. Every formula over those atoms is constant on each cell, so the
+satisfiable cells, one solver witness each, stand for all assignments. This
+is the one enumerator behind extraction (one trigger per cell), guard
+minimization (unsatisfiable cells are don't-cares), the engine's
+``random-cell`` policy (a seeded pick among cells) and run sets (cells are
+the alphabet of runs).
+
+Enumeration is a depth-first search over partial sign vectors. A prefix the
+solver finds unsatisfiable is pruned with all its completions, and a prefix
+the parent's witness already satisfies needs no query, so the work follows
+the number of satisfiable cells rather than 2^n. Each cell's witness is the
+solver's model of the full cell conjunction.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+from . import solver
+from .formulas import And, Assignment, Atom, Formula, LinearAtom, VarSet, conj
+
+Cell = tuple[int, Assignment]  # (sign mask, witness)
+
+# cell tables keyed by (atom keys, variable names)
+_cache: dict[tuple, tuple[Cell, ...]] = {}
+
+
+def polarity_classes(atoms: Iterable[LinearAtom]) -> list[LinearAtom]:
+    """One representative per {atom, negated atom} pair, in canonical order."""
+    reps: dict[tuple, LinearAtom] = {}
+    for a in atoms:
+        rep = a.polarity_rep()
+        reps.setdefault(rep.key(), rep)
+    return [reps[k] for k in sorted(reps)]
+
+
+def _literal(a: LinearAtom, positive: bool) -> Formula:
+    return Atom(a) if positive else Atom(a.negated())
+
+
+def cell_formula(atoms: Sequence[LinearAtom], mask: int) -> Formula:
+    """Conjunction asserting each atom positively (bit set) or negatively."""
+    return conj([_literal(a, bool((mask >> i) & 1)) for i, a in enumerate(atoms)])
+
+
+def sign_mask(atoms: Sequence[LinearAtom], a: Assignment) -> int:
+    """The mask of the cell that contains the assignment ``a``."""
+    return sum(1 << i for i, atom in enumerate(atoms) if atom.holds(a.values))
+
+
+def satisfiable_cells(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[Cell, ...]:
+    """All satisfiable cells over ``atoms`` as (mask, witness), by ascending mask."""
+    key = (tuple(a.key() for a in atoms), vars.names)
+    cells = _cache.get(key)
+    if cells is not None:
+        return cells
+    found: list[Cell] = []
+    # prefix witnesses must cover every atom's variables, not just ``vars``
+    everything = VarSet(tuple(set(vars.names).union(*(a.variables() for a in atoms))))
+
+    # queries pass the plain conjunction: check_sat canonicalizes it anyway,
+    # so the leaf query is check_sat(cell_formula(atoms, mask), vars)
+    def descend(i: int, mask: int, literals: list[Formula], witness: Assignment) -> None:
+        # the prefix over atoms[:i] is satisfiable, and ``witness`` satisfies it
+        if i == len(atoms):
+            found.append((mask, solver.check_sat(And(tuple(literals)), vars).model))
+            return
+        for positive in (False, True):
+            prefix = literals + [_literal(atoms[i], positive)]
+            inside = witness
+            if atoms[i].holds(witness.values) != positive:
+                inside = solver.check_sat(And(tuple(prefix)), everything).model
+                if inside is None:
+                    continue
+            descend(i + 1, mask | (positive << i), prefix, inside)
+
+    descend(0, 0, [], Assignment({v: Fraction(0) for v in everything.names}))
+    cells = tuple(sorted(found, key=lambda cell: cell[0]))
+    _cache[key] = cells
+    return cells

@@ -2,7 +2,9 @@
 
 Subcommands: validate, run, graph, check, repair. Exit codes: 0 for success
 (or a Safe verdict), 1 when a violation is found or the model is
-unrepairable, 2 for usage/parse errors, 3 for internal errors.
+unrepairable, 2 for usage errors (unreadable files, parse errors, unknown
+object names, over-large or invalid objects and properties, bad run
+settings), 3 for internal errors.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from typing import Optional
 from . import engine
 from .compose import compose_all
 from .dsl import ParseError, ScenarioScript, insert_object, parse_model
-from .extract import extract_graph, simplify_graph
+from .extract import ExtractionError, extract_graph, simplify_graph
 from .formulas import to_infix
-from .graphs import Model, ObjectGraph, to_dot, to_json_dict
+from .graphs import Model, ObjectGraph, UnknownObjectError, to_dot, to_json_dict
 from .verify import (
     Counterexample,
+    InvalidPropertyError,
     RepairUnsoundError,
     Safe,
     UnrepairableError,
@@ -185,7 +188,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, KeyError, ValueError) as err:
+    except (ParseError, OSError, UnknownObjectError, ExtractionError, InvalidPropertyError,
+            engine.ConfigError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
     except UnrepairableError as err:

@@ -38,6 +38,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import solver
+from .cells import polarity_classes
 from .formulas import (
     FALSE,
     TRUE,
@@ -56,7 +57,7 @@ from .formulas import (
     to_infix,
     variables_of,
 )
-from .graphs import Edge, Model, NamedObject, ObjectGraph
+from .graphs import Edge, GraphError, Model, NamedObject, ObjectGraph
 from .minimize import boolean_minimize
 
 
@@ -138,22 +139,15 @@ class PredicateSet:
         return iter(self.atoms)
 
     def __contains__(self, a: LinearAtom) -> bool:
-        return _polarity_rep(a).key() in {x.key() for x in self.atoms}
-
-
-def _polarity_rep(a: LinearAtom) -> LinearAtom:
-    b = a.negated()
-    return a if a.key() <= b.key() else b
+        return a.polarity_rep().key() in {x.key() for x in self.atoms}
 
 
 def collect_predicates(script: ScenarioScript) -> PredicateSet:
     """All predicates appearing in sync formulas or if conditions."""
-    found: dict[tuple, LinearAtom] = {}
+    found: list[LinearAtom] = []
 
     def take(f: Formula) -> None:
-        for a in atoms_of(f):
-            rep = _polarity_rep(a)
-            found.setdefault(rep.key(), rep)
+        found.extend(atoms_of(f))
 
     def walk(stmts: list) -> None:
         for st in stmts:
@@ -169,7 +163,7 @@ def collect_predicates(script: ScenarioScript) -> PredicateSet:
                 walk(st.body)
 
     walk(script.body)
-    return PredicateSet(tuple(found[k] for k in sorted(found)))
+    return PredicateSet(tuple(polarity_classes(found)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +273,10 @@ class _Parser:
         self.expect("}")
         if self.peek().kind != "eof":
             raise self.fail("trailing input after model")
-        return Model(self.vars, tuple(objects))
+        try:
+            return Model(self.vars, tuple(objects))
+        except GraphError as err:
+            raise self.fail(str(err)) from None
 
     def object_decl(self) -> NamedObject:
         self.expect("object")
@@ -415,8 +412,7 @@ class _Parser:
         coeffs: dict[str, Fraction] = dict(lhs_coeffs)
         for v, c in rhs_coeffs.items():
             coeffs[v] = coeffs.get(v, Fraction(0)) - c
-            if coeffs[v] == 0:
-                del coeffs[v]
+        coeffs = {v: c for v, c in coeffs.items() if c}
         const = rhs_const - lhs_const
         if not coeffs:
             return TRUE if _constant_holds(rel, const) else FALSE
@@ -444,8 +440,8 @@ class _Parser:
             if self.peek().text == "/":
                 self.next()
                 den = self.peek()
-                if den.kind != "num":
-                    raise self.fail("expected denominator")
+                if den.kind != "num" or int(den.text) == 0:
+                    raise self.fail("expected a nonzero denominator")
                 value /= int(self.next().text)
             if self.peek().text == "*":
                 self.next()

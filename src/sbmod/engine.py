@@ -10,10 +10,14 @@ Two selection policies:
 
 * ``first-model``: the solver's deterministic model every time. Stable, but
   replays a single run.
-* ``random-cell``: first pick (seeded) a satisfiable sign cell over the atoms
-  of the current declarations, then solve inside it. Runs vary across seeds
-  but stay reproducible, and coverage spreads across qualitatively different
-  behaviors instead of hugging one boundary.
+* ``random-cell``: list the satisfiable sign cells over the atoms of the
+  current declarations (``cells.satisfiable_cells``), keep those whose
+  witness is requested and not blocked, and pick one uniformly with the
+  seeded generator; its witness is the event. The selection formula is
+  constant on each cell, so this is exact. Runs vary across seeds but stay
+  reproducible, and coverage spreads across qualitatively different
+  behaviors instead of hugging one boundary. Above 12 atoms the policy falls
+  back to the solver's model.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import solver
+from .cells import polarity_classes, satisfiable_cells
 from .dsl import ScenarioScript
 from .extract import ScriptState, initial_state, step_script
 from .formulas import (
@@ -39,11 +44,15 @@ from .formulas import (
     negate,
 )
 from .graphs import Model, ObjectGraph
-from .minimize import cell_formula
 
 FIRST_MODEL = "first-model"
 RANDOM_CELL = "random-cell"
 POLICIES = (FIRST_MODEL, RANDOM_CELL)
+_MAX_CELL_ATOMS = 12
+
+
+class ConfigError(ValueError):
+    """An execution setting is out of range."""
 
 
 @dataclass(frozen=True)
@@ -54,9 +63,9 @@ class ExecutionConfig:
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+            raise ConfigError("max_steps must be at least 1")
         if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
+            raise ConfigError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
 
 
 @dataclass(frozen=True)
@@ -104,25 +113,11 @@ def select_event(
     if policy == FIRST_MODEL or rng is None:
         return first.model.restricted_to(vars)
 
-    atoms = atoms_of(base)
-    if atoms and len(atoms) <= 12:
-        n = len(atoms)
-        tried: set[int] = set()
-        for _ in range(64):
-            mask = rng.getrandbits(n)
-            if mask in tried:
-                continue
-            tried.add(mask)
-            probe = solver.check_sat(conj([base, cell_formula(atoms, mask)]), vars)
-            if probe.is_sat:
-                return probe.model.restricted_to(vars)
-        masks = list(range(1 << n))
-        rng.shuffle(masks)
-        for mask in masks:
-            probe = solver.check_sat(conj([base, cell_formula(atoms, mask)]), vars)
-            if probe.is_sat:
-                return probe.model.restricted_to(vars)
-    return first.model.restricted_to(vars)
+    atoms = polarity_classes(atoms_of(base))
+    if not atoms or len(atoms) > _MAX_CELL_ATOMS:
+        return first.model.restricted_to(vars)
+    inside = [w for _, w in satisfiable_cells(atoms, vars) if evaluate(base, w)]
+    return inside[rng.randrange(len(inside))].restricted_to(vars)
 
 
 _ObjState = Union[ScriptState, str]

@@ -6,13 +6,14 @@ satisfies its request-or-waitfor condition, then runs straight-line code
 (branching on the assignment) to the next sync point. Program location fully
 determines the state, which is what makes extraction terminate.
 
-The extraction half explores, at every reachable state, each complete sign
-assignment over the script's collected predicates. Each satisfiable cell is
-concretized by the solver and triggered through the interpreter, recording a
-cell-guarded edge. Enumerating complete sign assignments (rather than only
-positive predicate subsets) keeps cells pairwise disjoint, so every branch
-that is reachable under some cell gets explored and the extracted graph
-simulates the script exactly, in both directions.
+The extraction half explores, at every reachable state, each satisfiable
+complete sign assignment over the script's collected predicates, as listed
+with a solver witness each by ``cells.satisfiable_cells``. Each witness is
+triggered through the interpreter, recording a cell-guarded edge.
+Enumerating complete sign assignments (rather than only positive predicate
+subsets) keeps cells pairwise disjoint, so every branch that is reachable
+under some cell gets explored and the extracted graph simulates the script
+exactly, in both directions.
 
 Self-loops where the object does not wake are left implicit in the extracted
 graph; composition and export materialize them as one complement-guard loop.
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import solver
+from .cells import cell_formula, satisfiable_cells
 from .dsl import IfStmt, LoopStmt, PredicateSet, ScenarioScript, SyncStmt, collect_predicates
 from .formulas import (
     FALSE,
@@ -34,7 +35,7 @@ from .formulas import (
     evaluate,
 )
 from .graphs import ObjectGraph
-from .minimize import boolean_minimize, cell_formula
+from .minimize import boolean_minimize
 
 END_LOCATION = -1
 
@@ -127,10 +128,9 @@ def step_script(s: ScriptState, a: Assignment) -> ScriptState:
     condition the object does not wake and the state is returned unchanged.
     A finished script absorbs everything.
     """
-    if s.ended:
-        return s
     sync = s.sync()
-    assert sync is not None
+    if sync is None:
+        return s
     if not evaluate(sync.wake(), a):
         return s
     frames = _continuations(s.script)[sync.uid]
@@ -155,10 +155,10 @@ def extract_graph(
 ) -> ObjectGraph:
     """Breadth-first extraction of a script's underlying transition graph.
 
-    At each discovered state, all 2^|P| sign cells over the script's
-    predicate set P are enumerated; satisfiable cells are concretized and
-    triggered through the interpreter. Edges carry the cell conjunctions as
-    guards (merge them afterwards with ``simplify_graph``).
+    At each discovered state, every satisfiable sign cell over the script's
+    predicate set P is triggered through the interpreter by its witness.
+    Edges carry the cell conjunctions as guards (merge them afterwards with
+    ``simplify_graph``).
     """
     predicates = collect_predicates(script)
     if len(predicates) > max_predicates:
@@ -172,11 +172,7 @@ def extract_graph(
     if stats is not None:
         stats.predicates = predicates
 
-    cells: list[tuple[Formula, Optional[Assignment]]] = []
-    for mask in range(1 << len(atoms)):
-        guard = cell_formula(atoms, mask)
-        result = solver.check_sat(guard, vars)
-        cells.append((guard, result.model))
+    cells = [(cell_formula(atoms, mask), model) for mask, model in satisfiable_cells(atoms, vars)]
 
     start = initial_state(script)
     states: dict[int, ScriptState] = {start.location: start}
@@ -202,13 +198,7 @@ def extract_graph(
             labels_w[state.name] = sync.waitfor
             if sync.bad:
                 bad.add(state.name)
-        examined = 0
-        satisfiable = 0
         for guard, model in cells:
-            examined += 1
-            if model is None:
-                continue
-            satisfiable += 1
             if sync is None or not evaluate(sync.wake(), model):
                 continue  # no wake: implicit self-loop, not recorded
             nxt = step_script(state, model)
@@ -217,8 +207,8 @@ def extract_graph(
                 states[nxt.location] = nxt
                 order.append(nxt)
         if stats is not None:
-            stats.cells_per_state[state.name] = examined
-            stats.satisfiable_cells_per_state[state.name] = satisfiable
+            stats.cells_per_state[state.name] = 1 << len(atoms)
+            stats.satisfiable_cells_per_state[state.name] = len(cells)
 
     return ObjectGraph.make(
         states=[s.name for s in order],

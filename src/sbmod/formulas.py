@@ -84,6 +84,11 @@ class LinearAtom:
     def negated(self) -> "LinearAtom":
         return LinearAtom(self.coeffs, _NEGATE_REL[self.rel], self.const)
 
+    def polarity_rep(self) -> "LinearAtom":
+        """The representative of {self, negated self}: the smaller key."""
+        other = self.negated()
+        return self if self.key() <= other.key() else other
+
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.coeffs)
 
@@ -359,31 +364,6 @@ def atoms_of(f: Formula) -> list[LinearAtom]:
 
 def variables_of(f: Formula) -> set[str]:
     return {v for a in atoms_of(f) for v in a.variables()}
-
-
-def substitute_signs(f: Formula, signs: Mapping[tuple, bool]) -> Formula:
-    """Boolean-evaluate ``f`` given truth values for (a superset of) its atoms.
-
-    Used by graph simplification, where a formula over a known atom set is
-    constant on each sign cell. Atoms are looked up by canonical key.
-    """
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Atom):
-        return TRUE if signs[f.atom.key()] else FALSE
-    if isinstance(f, Not):
-        inner = substitute_signs(f.child, signs)
-        return FALSE if isinstance(inner, TrueF) else TRUE
-    if isinstance(f, And):
-        return TRUE if all(isinstance(substitute_signs(c, signs), TrueF) for c in f.children) else FALSE
-    if isinstance(f, Or):
-        return TRUE if any(isinstance(substitute_signs(c, signs), TrueF) for c in f.children) else FALSE
-    if isinstance(f, Implies):
-        left = substitute_signs(f.left, signs)
-        if isinstance(left, FalseF):
-            return TRUE
-        return substitute_signs(f.right, signs)
-    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,10 @@ class GraphError(ValueError):
     """Malformed graph construction (unknown states, missing labels)."""
 
 
+class UnknownObjectError(KeyError):
+    """The model has no object of that name."""
+
+
 class EncodingError(ValueError):
     """Discrete object references an event absent from the event list."""
 
@@ -231,12 +235,12 @@ class Model:
         for o in self.objects:
             if o.name == name:
                 return o.item
-        raise KeyError(name)
+        raise UnknownObjectError(name)
 
     def without(self, name: str) -> "Model":
         kept = tuple(o for o in self.objects if o.name != name)
         if len(kept) == len(self.objects):
-            raise KeyError(name)
+            raise UnknownObjectError(name)
         return Model(self.vars, kept)
 
 

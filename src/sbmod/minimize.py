@@ -2,16 +2,18 @@
 
 A formula over atoms a1..an is constant on each sign cell (a complete
 true/false choice per atom), so it is a Boolean function of the atom signs.
-Cells that are arithmetically unsatisfiable (e.g. h >= 10 and h < 0 together)
-can never occur and act as don't-cares. Quine-McCluskey with those don't-cares
-yields a small disjunction of literal conjunctions; the result is only used
-when the solver certifies equivalence with the input, so this is purely a
-readability transform and never changes semantics.
+``cells.satisfiable_cells`` lists the satisfiable cells with a witness each:
+the ON set is the cells whose witness satisfies the formula, and the cells it
+does not list are arithmetically unsatisfiable (e.g. h >= 10 and h < 0
+together), can never occur, and act as don't-cares. Quine-McCluskey with
+those don't-cares yields a small disjunction of literal conjunctions; the
+result is only used when the solver certifies equivalence with the input, so
+this is purely a readability transform and never changes semantics.
 """
 
 from __future__ import annotations
 
-from . import solver
+from . import cells, solver
 from .formulas import (
     FALSE,
     TRUE,
@@ -24,34 +26,10 @@ from .formulas import (
     atoms_of,
     canonicalize,
     conj,
-    substitute_signs,
-    TrueF,
+    evaluate,
 )
 
 _MAX_ATOMS = 12
-
-# satisfiable-cell tables keyed by the atoms' canonical keys
-_cell_cache: dict[tuple, frozenset[int]] = {}
-
-
-def cell_formula(atoms: list[LinearAtom], mask: int) -> Formula:
-    """Conjunction asserting each atom positively (bit set) or negatively."""
-    literals = []
-    for i, a in enumerate(atoms):
-        literals.append(Atom(a) if (mask >> i) & 1 else Atom(a.negated()))
-    return conj(literals)
-
-
-def satisfiable_cells(atoms: list[LinearAtom], vars: VarSet) -> frozenset[int]:
-    key = tuple(a.key() for a in atoms)
-    cached = _cell_cache.get(key)
-    if cached is None:
-        cached = frozenset(
-            mask for mask in range(1 << len(atoms))
-            if solver.check_sat(cell_formula(atoms, mask), vars).is_sat
-        )
-        _cell_cache[key] = cached
-    return cached
 
 
 def _combine(implicants: set[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -119,36 +97,18 @@ def _implicant_formula(implicant: tuple[int, int], atoms: list[LinearAtom]) -> F
     return conj(literals) if literals else TRUE
 
 
-def _polarity_classes(atoms: list[LinearAtom]) -> list[LinearAtom]:
-    """One representative per {atom, negated atom} pair, canonical order."""
-    reps: dict[tuple, LinearAtom] = {}
-    for a in atoms:
-        b = a.negated()
-        rep = a if a.key() <= b.key() else b
-        reps.setdefault(rep.key(), rep)
-    return [reps[k] for k in sorted(reps)]
-
-
 def boolean_minimize(f: Formula, vars: VarSet) -> Formula:
     """Smallest equivalent disjunction-of-conjunctions found, else ``f``."""
     f = canonicalize(f)
-    atoms = _polarity_classes(atoms_of(f))
+    atoms = cells.polarity_classes(atoms_of(f))
     if not atoms or len(atoms) > _MAX_ATOMS:
         return f
-    sat = satisfiable_cells(atoms, vars)
+    sat = cells.satisfiable_cells(atoms, vars)
     n = len(atoms)
-    on: set[int] = set()
-    dc: set[int] = set(range(1 << n)) - set(sat)
-    for mask in sat:
-        signs: dict[tuple, bool] = {}
-        for i, a in enumerate(atoms):
-            value = bool((mask >> i) & 1)
-            signs[a.key()] = value
-            signs[a.negated().key()] = not value
-        if isinstance(substitute_signs(f, signs), TrueF):
-            on.add(mask)
+    on = {mask for mask, witness in sat if evaluate(f, witness)}
     if not on:
         return FALSE
+    dc = set(range(1 << n)) - {mask for mask, _ in sat}
     primes = _prime_implicants(on, dc, n)
     cover = _select_cover(on, primes)
     result = canonicalize(Or(tuple(_implicant_formula(p, atoms) for p in cover)))

@@ -1,110 +1,57 @@
-"""Run sets of composite graphs over a finite cell abstraction.
+"""Run sets of composite graphs over the exact sign-cell alphabet.
 
-Guards in desk-scale models are built from single-variable atoms, so the
-thresholds appearing in a composite partition each variable's axis into
-finitely many elementary regions (points and open intervals). A cell is one
-region per variable; every formula of the composite is constant on each cell,
-so a cell with an integer-grid witness in [-25, 25] stands for all the
-assignments inside it. Runs become words over the cell alphabet, which makes
-"the patched model removes exactly the violating runs and nothing else"
-checkable by exhaustive bounded-depth comparison.
+Every formula of a set of graphs is built from finitely many atoms, so it is
+constant on each satisfiable sign cell over their union (``cells.py``). The
+cells, one solver witness each, are therefore an exact finite alphabet: an
+assignment is the same letter as its cell's witness, with no region left
+out and no restriction on the atoms. Runs become words over that alphabet,
+which makes "the patched model removes exactly the violating runs and
+nothing else" checkable by exhaustive bounded-depth comparison.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Iterator, Optional
 
+from .cells import polarity_classes, satisfiable_cells, sign_mask
 from .compose import enabled_guard
-from .formulas import Assignment, LinearAtom, VarSet, evaluate
+from .formulas import Assignment, LinearAtom, VarSet, atoms_of, evaluate
 from .graphs import ObjectGraph
 
-GRID = 25
 
-
-class AbstractionError(ValueError):
-    """The graph's atoms do not fit the single-variable grid abstraction."""
-
-
-def _graph_atoms(g: ObjectGraph) -> list[LinearAtom]:
-    from .formulas import atoms_of
-
-    found: dict[tuple, LinearAtom] = {}
+def _graph_atoms(g: ObjectGraph) -> Iterator[LinearAtom]:
     for table in (g.request, g.block, g.waitfor):
         for f in table.values():
-            for a in atoms_of(f):
-                found.setdefault(a.key(), a)
+            yield from atoms_of(f)
     for e in g.edges:
-        for a in atoms_of(e.guard):
-            found.setdefault(a.key(), a)
-    return [found[k] for k in sorted(found)]
-
-
-def _regions_for(thresholds: list[Fraction], grid: int) -> list[Fraction]:
-    """Integer representatives of the elementary regions cut by thresholds.
-
-    Regions are the cut points themselves and the open intervals between
-    them; a region without an integer point inside [-grid, grid] is dropped
-    (consistently for every graph sharing the same thresholds).
-    """
-    import math
-
-    cuts = sorted(set(thresholds))
-    if not cuts:
-        return [Fraction(0)]
-    reps: list[Fraction] = []
-    for c in cuts:
-        if c.denominator == 1 and -grid <= c <= grid:
-            reps.append(c)
-    bounds: list[Optional[Fraction]] = [None] + cuts + [None]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        n = -grid if lo is None else max(math.floor(lo) + 1, -grid)
-        if n > grid:
-            continue
-        if hi is not None and not n < hi:
-            continue
-        reps.append(Fraction(n))
-    return sorted(set(reps))
+        yield from atoms_of(e.guard)
 
 
 @dataclass(frozen=True)
 class CellSpace:
-    """Product of per-variable region representatives."""
+    """The satisfiable sign cells over the atoms of some graphs.
+
+    A cell's letter (its key) is the tuple of its witness's values over
+    ``vars``; ``witnesses`` lists one assignment per cell.
+    """
 
     vars: tuple[str, ...]
+    atoms: tuple[LinearAtom, ...]
     witnesses: tuple[Assignment, ...]
+    keys: dict[int, tuple] = field(compare=False, repr=False)  # sign mask -> key
 
     @staticmethod
-    def for_graphs(graphs: list[ObjectGraph], vars: VarSet, grid: int = GRID) -> "CellSpace":
-        thresholds: dict[str, list[Fraction]] = {v: [] for v in vars.names}
-        for g in graphs:
-            for a in _graph_atoms(g):
-                if len(a.coeffs) != 1:
-                    raise AbstractionError(f"atom {a} is not single-variable")
-                var = a.coeffs[0][0]
-                if var not in thresholds:
-                    raise AbstractionError(f"atom {a} uses a variable outside {vars.names}")
-                thresholds[var].append(a.const)
-        per_var = [(_v, _regions_for(ts, grid)) for _v, ts in sorted(thresholds.items())]
-        cells: list[Assignment] = []
-
-        def build(i: int, acc: dict[str, Fraction]) -> None:
-            if i == len(per_var):
-                cells.append(Assignment(dict(acc)))
-                return
-            name, reps = per_var[i]
-            for r in reps:
-                acc[name] = r
-                build(i + 1, acc)
-            del acc[name]
-
-        build(0, {})
-        return CellSpace(tuple(v for v, _ in per_var), tuple(cells))
+    def for_graphs(graphs: list[ObjectGraph], vars: VarSet) -> "CellSpace":
+        atoms = polarity_classes(a for g in graphs for a in _graph_atoms(g))
+        cells = satisfiable_cells(atoms, vars)
+        names = tuple(sorted(set(vars.names).union(*(a.variables() for a in atoms))))
+        keys = {mask: tuple(w.values[v] for v in names) for mask, w in cells}
+        return CellSpace(names, tuple(atoms), tuple(w for _, w in cells), keys)
 
     def key_of(self, a: Assignment) -> tuple:
-        return tuple(a.values[v] for v in self.vars)
+        """The letter of the cell containing ``a``."""
+        return self.keys[sign_mask(self.atoms, a)]
 
 
 @dataclass
@@ -167,25 +114,6 @@ class CellRuns:
                 return False
             state = nxt
         return True
-
-    def sample(self, depth: int, count: int, seed: int, avoid: Optional[frozenset] = None) -> list[tuple]:
-        banned = avoid if avoid is not None else frozenset()
-        rng = random.Random(seed)
-        words: list[tuple] = []
-        for _ in range(count):
-            state = self.graph.initial
-            word: list[tuple] = []
-            length = rng.randint(1, depth)
-            for _ in range(length):
-                options = [(k, d) for k, d in self.moves[state] if d not in banned]
-                if not options:
-                    break
-                key, dst = options[rng.randrange(len(options))]
-                word.append(key)
-                state = dst
-            if word:
-                words.append(tuple(word))
-        return words
 
 
 def runs_equal_minus_violations(

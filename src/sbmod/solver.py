@@ -399,7 +399,8 @@ def check_sat(f: Formula, vars: VarSet) -> SatResult:
         concrete = _concretize(solution, trail)
         names = set(vars.names) | variables_of(g)
         model = Assignment({v: concrete.get(v, Fraction(0)) for v in sorted(names)})
-        assert evaluate(g, model), "solver produced a non-model"
+        if not evaluate(g, model):
+            raise RuntimeError("solver produced a non-model")
         result = SatResult(model)
     if len(_cache) < _CACHE_LIMIT:
         _cache[key] = result

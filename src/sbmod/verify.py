@@ -129,7 +129,8 @@ def check_safety(m: Model, prop: Union[ScenarioScript, ObjectGraph]) -> Union[Sa
     for e in path:
         query = conj([e.guard, enabled_guard(composite, e.src)])
         model = solver.check_sat(query, vars).model
-        assert model is not None, "enabled edge lost satisfiability"
+        if model is None:
+            raise RuntimeError(f"enabled edge out of {e.src!r} lost satisfiability")
         a = model.restricted_to(vars)
         if not evaluate(query, a):  # independent validation of the solver's witness
             raise RuntimeError(f"counterexample step at {e.src!r} fails its own guard")
@@ -330,15 +331,17 @@ def verify_patch(
     patch: Patch,
     prop: Union[ScenarioScript, ObjectGraph],
     depth: int = 8,
-    samples: int = 200,
-    seed: int = 7,
 ) -> Report:
     """Check the three soundness clauses of a synthesized patch.
 
     (a) the patched model satisfies the property; (b) the patch introduces no
-    deadlocks; (c) sampled runs of the patched model are runs of the original
-    and sampled non-violating original runs survive. Raises RepairUnsoundError
-    (with the report and a witness) if any clause fails.
+    deadlocks; (c) up to ``depth`` steps, the runs of the patched model are
+    exactly the runs of the original minus the violating ones (those entering
+    the bad attractor), compared exhaustively over the exact sign-cell
+    alphabet of both composites. A differing run is reported as ``lost_run``
+    (a non-violating original run the patch removes) or ``foreign_run`` (a
+    patched run that is not a non-violating original run). Raises
+    RepairUnsoundError (with the report and a witness) if any clause fails.
     """
     report = Report()
     pg = property_graph(prop, m.vars)
@@ -363,20 +366,11 @@ def verify_patch(
     runs_orig = CellRuns.build(original, space)
     runs_patched = CellRuns.build(patched, space)
     doomed = _doomed_states(original, m.vars)
-    report.containment_ok = True
-    for word in runs_patched.sample(depth, samples, seed):
-        if not runs_orig.accepts(word):
-            report.containment_ok = False
-            report.details["foreign_run"] = word
-            break
-    if report.containment_ok:
-        # non-violating original runs (those staying clear of the attractor,
-        # from which violation is inevitable) must survive the patch
-        for word in runs_orig.sample(depth, samples, seed + 1, avoid=doomed):
-            if not runs_patched.accepts(word):
-                report.containment_ok = False
-                report.details["lost_run"] = word
-                break
+    witness = runs_equal_minus_violations(runs_orig, runs_patched, depth, doomed)
+    report.containment_ok = witness is None
+    if witness is not None:
+        lost = runs_orig.accepts(witness, avoid=doomed)
+        report.details["lost_run" if lost else "foreign_run"] = witness
     report.details["cells"] = len(space.witnesses)
 
     if not report.ok:

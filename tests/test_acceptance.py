@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion. Everything here is exact: rational arithmetic throughout, solver
 equivalence where formulas may differ syntactically, set equality on the
-enumerated integer-grid abstraction for run sets.
+exact sign-cell alphabet for run sets.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def test_criterion_5_repair(drone_text, drone_base, drone_property):
     patched_comp = compose(comp, patch.tracker, VH)
     assert find_deadlocks(patched_comp, VH) <= find_deadlocks(comp, VH)
 
-    # exact run-set equality on the integer-grid cell abstraction, depth 6
+    # exact run-set equality over the sign-cell alphabet, depth 6
     space = CellSpace.for_graphs([comp, patched_comp], VH)
     original_runs = CellRuns.build(comp, space)
     patched_runs = CellRuns.build(patched_comp, space)

@@ -1,0 +1,115 @@
+"""The sign-cell engine and the exactness of everything built on it: run-set
+alphabets, random-cell selection, and the source-level invariant checks."""
+
+from __future__ import annotations
+
+import ast
+import random
+from fractions import Fraction
+from pathlib import Path
+
+from sbmod.cells import cell_formula, polarity_classes, satisfiable_cells, sign_mask
+from sbmod.engine import RANDOM_CELL, select_event
+from sbmod.extract import ExtractStats, extract_graph
+from sbmod.formulas import FALSE, TRUE, Assignment, VarSet, atom, atoms_of, conj, disj, evaluate, var_atom
+from sbmod.graphs import ObjectGraph
+from sbmod.runsets import CellRuns, CellSpace
+from sbmod.solver import check_sat
+
+X = VarSet(("x",))
+XY = VarSet(("x", "y"))
+SRC = Path(__file__).resolve().parent.parent / "src" / "sbmod"
+
+
+def _brute_force(atoms, vars):
+    # reference enumeration: one query per mask
+    return {mask for mask in range(1 << len(atoms))
+            if check_sat(cell_formula(atoms, mask), vars).is_sat}
+
+
+def test_cells_match_brute_force_on_drone_predicates(drone_model):
+    stats = ExtractStats()
+    extract_graph(drone_model.get("Navigate"), drone_model.vars, stats=stats)
+    atoms = list(stats.predicates.atoms)
+    cells = satisfiable_cells(atoms, drone_model.vars)
+    masks = [mask for mask, _ in cells]
+    assert masks == sorted(_brute_force(atoms, drone_model.vars))
+    for mask, witness in cells:
+        assert witness == check_sat(cell_formula(atoms, mask), drone_model.vars).model
+        assert sign_mask(atoms, witness) == mask
+
+
+def test_cells_match_brute_force_on_mixed_atoms():
+    # thresholds, equalities, a disequality and a two-variable atom
+    f = disj([
+        conj([var_atom("x", ">=", Fraction(1, 2)), var_atom("x", "<=", Fraction(3, 4))]),
+        var_atom("x", "==", 40),
+        var_atom("y", "!=", 3),
+        atom({"x": 1, "y": 1}, "<", 1),
+        var_atom("y", ">", -30),
+    ])
+    atoms = polarity_classes(atoms_of(f))
+    cells = satisfiable_cells(atoms, XY)
+    assert {mask for mask, _ in cells} == _brute_force(atoms, XY)
+    assert len(cells) < 1 << len(atoms)
+    # cells partition the space: every witness lies in its own cell only
+    for mask, witness in cells:
+        assert evaluate(cell_formula(atoms, mask), witness)
+
+
+def test_polarity_classes_collapse_negations():
+    a = var_atom("x", ">=", 2).atom
+    reps = polarity_classes([a, a.negated(), var_atom("x", "<", 7).atom])
+    assert len(reps) == 2
+    assert all(r.polarity_rep() == r for r in reps)
+    assert a.polarity_rep() == a.negated().polarity_rep()
+
+
+def test_no_atoms_is_one_cell():
+    ((mask, witness),) = satisfiable_cells([], X)
+    assert mask == 0 and witness["x"] == 0
+
+
+def test_cellspace_has_witness_between_fractional_thresholds():
+    # the region holds no integer, and it still needs a witness of its own
+    region = conj([var_atom("x", ">=", Fraction(1, 2)), var_atom("x", "<=", Fraction(3, 4))])
+    g = ObjectGraph.make(states=["a"], initial="a", request={"a": region})
+    space = CellSpace.for_graphs([g], X)
+    assert any(evaluate(region, w) for w in space.witnesses)
+    inside = space.key_of(Assignment.make({"x": Fraction(5, 8)}))
+    assert Fraction(1, 2) <= inside[0] <= Fraction(3, 4)
+    assert [key for key, _ in CellRuns.build(g, space).moves["a"]] == [inside]
+
+
+def test_cellspace_has_witness_past_a_large_threshold():
+    g = ObjectGraph.make(
+        states=["a", "b"], initial="a",
+        request={"a": TRUE, "b": FALSE},
+        edges=[("a", var_atom("x", ">=", 40), "b")],
+    )
+    space = CellSpace.for_graphs([g], X)
+    assert any(w["x"] >= 40 for w in space.witnesses)
+    assert "b" in {dst for _, dst in CellRuns.build(g, space).moves["a"]}
+
+
+def test_random_cell_picks_every_cell_inside_the_selection():
+    request = disj([var_atom("x", "==", k) for k in (1, 2, 3)] + [var_atom("x", ">", 10)])
+    block = var_atom("x", "==", 2)
+    picks = set()
+    for seed in range(40):
+        a = select_event([(request, block)], X, RANDOM_CELL, random.Random(seed))
+        assert evaluate(request, a) and not evaluate(block, a)
+        picks.add(a["x"] if a["x"] <= 10 else "above")
+    assert picks == {1, 3, "above"}
+    again = [select_event([(request, block)], X, RANDOM_CELL, random.Random(5)) for _ in range(2)]
+    assert again[0] == again[1]
+
+
+def test_sources_use_no_assert_statements():
+    # ``python -O`` strips assert statements, so invariants must raise
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert offenders == []

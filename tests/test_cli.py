@@ -141,3 +141,40 @@ def test_repair_unrepairable(tmp_path, capsys):
 
 def test_unknown_property_name():
     assert main(["check", str(FIXTURE), "--property", "Nope"]) == 2
+
+
+def test_repair_verify_with_multivariable_atoms(tmp_path, capsys):
+    src = tmp_path / "sum.sbm"
+    src.write_text(
+        """
+        model { vars x, y;
+          object Walker { loop { sync(request = x + y >= 1 || x == 0); } }
+          object NoBig { sync(waitfor = x + y >= 1); sync(); mark bad; }
+        }
+        """
+    )
+    assert main(["repair", str(src), "--property", "NoBig", "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert "blocking x + y >= 1" in out
+    assert ("verification: safety after patch: pass; no new deadlocks: pass; "
+            "run containment: pass") in out
+
+
+def test_unknown_object_name():
+    assert main(["graph", str(FIXTURE), "--object", "Nope"]) == 2
+
+
+def test_bad_run_setting(capsys):
+    assert main(["run", str(FIXTURE), "--steps", "0"]) == 2
+    assert "max_steps" in capsys.readouterr().err
+
+
+def test_internal_failure_is_not_a_usage_error(monkeypatch, capsys):
+    from sbmod.formulas import DomainMismatchError
+
+    def broken(model, prop):
+        raise DomainMismatchError("assignment missing variable 'z'")
+
+    monkeypatch.setattr("sbmod.cli.check_safety", broken)
+    assert main(["check", str(FIXTURE), "--property", "NoConsecutiveSharpTurns"]) == 3
+    assert "internal error" in capsys.readouterr().err

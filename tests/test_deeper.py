@@ -68,7 +68,7 @@ def test_attractor_grows_through_forced_chain():
     assert equivalent(guard, var_atom("x", ">=", 5), X)
 
     assert runs_preserved_exactly(base, patch, prop, depth=6) is None
-    assert verify_patch(base, patch, prop, depth=7, samples=120).ok
+    assert verify_patch(base, patch, prop, depth=7).ok
 
     # the emitted patch is a one-state blocker; full textual round trip
     text = patch.to_script_text()

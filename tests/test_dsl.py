@@ -84,6 +84,21 @@ def test_undeclared_variable_rejected():
     assert "undeclared" in str(err.value)
 
 
+def test_user_mistakes_are_parse_errors():
+    # the CLI reports only these as usage errors, so they must not escape
+    # as some other exception type
+    with pytest.raises(ParseError, match="duplicate object names"):
+        parse_model("model { vars v; object A { sync(); } object A { sync(); } }")
+    with pytest.raises(ParseError, match="nonzero denominator"):
+        parse_single("sync(request = 1/0*v >= 1);")
+
+
+def test_cancelled_terms_compare_constants():
+    script, _ = parse_single("sync(request = v - v >= 1, waitfor = 0*h <= 0);")
+    assert script.syncs[0].request == FALSE
+    assert script.syncs[0].waitfor == TRUE
+
+
 def test_sync_free_loop_rejected():
     with pytest.raises(ParseError) as err:
         parse_single("loop { }")

@@ -16,9 +16,9 @@ from sbmod.compose import compose, compose_all
 from sbmod.dsl import ParseError, parse_model
 from sbmod.engine import ExecutionConfig, run
 from sbmod.extract import extract_graph, simplify_graph
-from sbmod.formulas import VarSet, atom, conj, var_atom
+from sbmod.formulas import Assignment, VarSet, atom, conj, var_atom
 from sbmod.graphs import Model, NamedObject, ObjectGraph
-from sbmod.runsets import AbstractionError, CellRuns, CellSpace, runs_equal_minus_violations
+from sbmod.runsets import CellRuns, CellSpace, runs_equal_minus_violations
 from sbmod.solver import check_sat
 from sbmod.verify import _doomed_states, _with_property, property_graph, repair
 
@@ -90,13 +90,24 @@ def test_multivariable_guards_through_extraction():
     assert first["x"] + first["y"] >= 10
 
 
-def test_cellspace_rejects_multivariable_atoms():
+def test_cellspace_covers_multivariable_atoms():
+    # x + y >= 10 splits the plane in two cells; both get a witness, and any
+    # assignment maps to the letter of the witness on its side
+    xy = VarSet(("x", "y"))
     g = ObjectGraph.make(
         states=["a"], initial="a",
         request={"a": atom({"x": 1, "y": 1}, ">=", 10)},
     )
-    with pytest.raises(AbstractionError):
-        CellSpace.for_graphs([g], VarSet(("x", "y")))
+    space = CellSpace.for_graphs([g], xy)
+    sides = sorted(w["x"] + w["y"] >= 10 for w in space.witnesses)
+    assert sides == [False, True]
+    above = space.key_of(Assignment.make({"x": 3, "y": 7}))
+    below = space.key_of(Assignment.make({"x": 9, "y": 0}))
+    assert above != below
+    (w_above,) = [w for w in space.witnesses if space.key_of(w) == above]
+    assert w_above["x"] + w_above["y"] >= 10
+    moves = CellRuns.build(g, space).moves["a"]
+    assert [key for key, _ in moves] == [above]
 
 
 def test_runs_equal_matches_materialized_sets(drone_base, drone_property):

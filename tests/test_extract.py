@@ -13,7 +13,7 @@ from sbmod.extract import (
 )
 from sbmod.formulas import TRUE, Assignment, VarSet, conj, disj, var_atom
 from sbmod.graphs import ObjectGraph
-from sbmod.minimize import cell_formula
+from sbmod.cells import cell_formula
 from sbmod.solver import check_sat, equivalent
 
 VH = VarSet(("v", "h"))

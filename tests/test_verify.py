@@ -20,6 +20,7 @@ from sbmod.verify import (
     runs_preserved_exactly,
     property_graph,
     repair,
+    synthesize_patch,
     verify_patch,
     _with_property,
 )
@@ -236,7 +237,7 @@ def test_water_tap_patch_removes_exactly_hot_hot_runs(water_tap_unstable_model):
     patch, attractor, comp = repair(water_tap_unstable_model, prop)
     assert attractor
     assert runs_preserved_exactly(water_tap_unstable_model, patch, prop, depth=6) is None
-    report = verify_patch(water_tap_unstable_model, patch, prop, depth=7, samples=150)
+    report = verify_patch(water_tap_unstable_model, patch, prop, depth=7)
     assert report.ok
 
     # decoded comparison against the independent discrete executor: the
@@ -269,7 +270,7 @@ def test_verify_identity_patch_on_safe_model(water_tap_model):
     prop = _encoded_two_hot()
     patch, attractor, _ = repair(water_tap_model, prop)
     assert attractor == frozenset()
-    report = verify_patch(water_tap_model, patch, prop, depth=6, samples=100)
+    report = verify_patch(water_tap_model, patch, prop, depth=6)
     assert report.ok
 
 
@@ -292,3 +293,16 @@ def test_overblocking_patch_fails_containment(drone_base, drone_property):
     report = err.value.report
     assert report.containment_ok is False
     assert "lost_run" in report.details or "new_deadlocks" in report.details
+
+
+def test_identity_patch_keeps_violating_runs(drone_base, drone_property):
+    # blocking nothing leaves the violating runs in, which the exact run-set
+    # comparison reports as runs the original minus violations lacks
+    _, _, comp = repair(drone_base, drone_property)
+    identity = synthesize_patch(comp, frozenset(), drone_base.vars, "Identity")
+    with pytest.raises(RepairUnsoundError) as err:
+        verify_patch(drone_base, identity, drone_property)
+    report = err.value.report
+    assert report.safe_after_patch is False
+    assert report.containment_ok is False
+    assert "foreign_run" in report.details

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import copy
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -59,6 +60,15 @@ from .formulas import (
 )
 from .graphs import Edge, GraphError, Model, NamedObject, ObjectGraph
 from .minimize import boolean_minimize
+
+# Parser limits, each a ParseError when exceeded. Parentheses, ``!``, blocks
+# and else-if arms nest at most MAX_NESTING deep, so that every later
+# recursive pass (validation, extraction, minimization, emission) stays far
+# from the interpreter's recursion limit; an object holds at most
+# MAX_STATEMENTS statements after ``repeat`` unrolling, checked before a body
+# is copied.
+MAX_NESTING = 100
+MAX_STATEMENTS = 10_000
 
 
 class ParseError(ValueError):
@@ -192,6 +202,7 @@ class _Token:
     text: str
     line: int
     col: int
+    pos: int  # offset into the text
 
 
 def _lex(text: str) -> list[_Token]:
@@ -207,7 +218,7 @@ def _lex(text: str) -> list[_Token]:
             tok_kind = kind
             if kind == "ident" and chunk in _KEYWORDS:
                 tok_kind = "kw"
-            tokens.append(_Token(tok_kind, chunk, line, col))
+            tokens.append(_Token(tok_kind, chunk, line, col, pos))
         newlines = chunk.count("\n")
         if newlines:
             line += newlines
@@ -215,7 +226,7 @@ def _lex(text: str) -> list[_Token]:
         else:
             col += len(chunk)
         pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+    tokens.append(_Token("eof", "", line, col, pos))
     return tokens
 
 
@@ -228,6 +239,8 @@ class _Parser:
         self.tokens = _lex(text)
         self.pos = 0
         self.vars: Optional[VarSet] = None
+        self.depth = 0  # current nesting, against MAX_NESTING
+        self.statements = 0  # statements of the current object, against MAX_STATEMENTS
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -240,6 +253,21 @@ class _Parser:
     def fail(self, message: str) -> ParseError:
         tok = self.peek()
         return ParseError(message, tok.line, tok.col)
+
+    @contextmanager
+    def nested(self):
+        tok = self.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
+        yield
+        self.depth -= 1
+
+    def add_statements(self, n: int, tok: _Token) -> None:
+        self.statements += n
+        if self.statements > MAX_STATEMENTS:
+            raise ParseError(
+                f"object has more than {MAX_STATEMENTS} statements after unrolling", tok.line, tok.col)
 
     def expect(self, text: str) -> _Token:
         tok = self.peek()
@@ -282,6 +310,7 @@ class _Parser:
         self.expect("object")
         name = self.expect_ident().text
         self.expect("{")
+        self.statements = 0
         body = self.stmt_list()
         self.expect("}")
         script = ScenarioScript(name, body)
@@ -297,7 +326,7 @@ class _Parser:
             elif tok.text == "if":
                 stmts.append(self.if_stmt())
             elif tok.text == "loop":
-                self.next()
+                self.add_statements(1, self.next())
                 stmts.append(LoopStmt(self.block()))
             elif tok.text == "repeat":
                 self.next()
@@ -307,10 +336,13 @@ class _Parser:
                 count = int(self.next().text)
                 if count < 1:
                     raise ParseError("repeat count must be positive", count_tok.line, count_tok.col)
+                before = self.statements
                 body = self.block()
-                # static unrolling; each copy gets fresh statement nodes
-                for _ in range(count):
-                    stmts.extend(copy.deepcopy(body))
+                if body:
+                    self.add_statements((self.statements - before) * (count - 1), count_tok)
+                    # static unrolling; each copy gets fresh statement nodes
+                    for _ in range(count):
+                        stmts.extend(copy.deepcopy(body))
             elif tok.text == "mark":
                 self.next()
                 self.expect("bad")
@@ -324,12 +356,13 @@ class _Parser:
 
     def block(self) -> list:
         self.expect("{")
-        stmts = self.stmt_list()
+        with self.nested():
+            stmts = self.stmt_list()
         self.expect("}")
         return stmts
 
     def sync_stmt(self) -> SyncStmt:
-        self.expect("sync")
+        self.add_statements(1, self.expect("sync"))
         self.expect("(")
         sync = SyncStmt()
         seen: set[str] = set()
@@ -354,7 +387,7 @@ class _Parser:
         return sync
 
     def if_stmt(self) -> IfStmt:
-        self.expect("if")
+        self.add_statements(1, self.expect("if"))
         self.expect("(")
         cond = self.formula()
         self.expect(")")
@@ -363,7 +396,8 @@ class _Parser:
         if self.peek().text == "else":
             self.next()
             if self.peek().text == "if":
-                orelse = [self.if_stmt()]
+                with self.nested():
+                    orelse = [self.if_stmt()]
             else:
                 orelse = self.block()
         return IfStmt(cond, then, orelse)
@@ -388,7 +422,8 @@ class _Parser:
         tok = self.peek()
         if tok.text == "!":
             self.next()
-            return negate(self.unary())
+            with self.nested():
+                return negate(self.unary())
         if tok.text == "true":
             self.next()
             return TRUE
@@ -397,7 +432,8 @@ class _Parser:
             return FALSE
         if tok.text == "(":
             self.next()
-            f = self.formula()
+            with self.nested():
+                f = self.formula()
             self.expect(")")
             return f
         return self.comparison()
@@ -580,13 +616,15 @@ def render_model_text(varnames: list[str], object_texts: list[str]) -> str:
 
 
 def insert_object(model_text: str, object_text: str) -> str:
-    """Append an object block before the model's closing brace."""
-    cut = model_text.rstrip()
-    if not cut.endswith("}"):
+    """Append an object block before the model's closing brace, its last
+    token; comments after that brace stay after it."""
+    tokens = _lex(model_text)
+    if len(tokens) < 2 or tokens[-2].text != "}":
         raise ValueError("model text does not end with '}'")
-    cut = cut[:-1].rstrip()
+    brace = tokens[-2].pos
     indented = "\n".join("  " + line if line else "" for line in object_text.splitlines())
-    return cut + "\n\n" + indented + "\n}\n"
+    head, tail = model_text[:brace].rstrip(), model_text[brace + 1:].rstrip()
+    return head + "\n\n" + indented + "\n}" + tail + "\n"
 
 
 # ---------------------------------------------------------------------------

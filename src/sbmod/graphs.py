@@ -14,8 +14,9 @@ becomes the atom ``x == i``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from . import solver
 from .formulas import (
@@ -73,6 +74,13 @@ class ObjectGraph:
     waitfor: dict[StateId, Formula]
     edges: tuple[Edge, ...]
     bad: frozenset[StateId] = field(default_factory=frozenset)
+    # state -> its out-edges, in the order of ``edges``
+    _out: dict[StateId, list[Edge]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._out = {}
+        for e in self.edges:
+            self._out.setdefault(e.src, []).append(e)
 
     @staticmethod
     def make(
@@ -116,7 +124,7 @@ class ObjectGraph:
         )
 
     def out_edges(self, q: StateId) -> list[Edge]:
-        return [e for e in self.edges if e.src == q]
+        return list(self._out.get(q, ()))
 
     def wake(self, q: StateId) -> Formula:
         """Condition under which the object leaves its synchronization point."""
@@ -128,16 +136,20 @@ class ObjectGraph:
 
     def reachable(self) -> list[StateId]:
         """States reachable from the initial state via edges, BFS order."""
-        seen = {self.initial}
-        order = [self.initial]
-        i = 0
-        while i < len(order):
-            for e in self.out_edges(order[i]):
-                if e.dst not in seen:
-                    seen.add(e.dst)
-                    order.append(e.dst)
-            i += 1
-        return order
+        return [self.initial] + [e.dst for e in bfs_tree(self.initial, self.out_edges)]
+
+
+def bfs_tree(start: StateId, successors: Callable[[StateId], Iterable[Edge]]) -> Iterator[Edge]:
+    """Breadth-first search: yields each edge that first reaches a state, in
+    discovery order; together they form a shortest-path tree."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for e in successors(queue.popleft()):
+            if e.dst not in seen:
+                seen.add(e.dst)
+                queue.append(e.dst)
+                yield e
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,11 @@ synthesize a patch object that shadows the composite ("keeps track of the
 execution") and blocks, at each tracked state, exactly the guards of edges
 that fall into the attractor. The patch requests nothing, so composing it in
 removes the violating runs and nothing else.
+
+Each composite's table of enabled edges is built once and shared by the
+bad-path search, enabled reachability, deadlocks and the attractor; patch
+verification reads all three soundness clauses off two composites, the
+original and the patch composed onto it.
 """
 
 from __future__ import annotations
@@ -25,15 +30,14 @@ from .compose import JOIN, compose, compose_all, enabled_guard
 from .dsl import ScenarioScript, emit_script
 from .extract import extract_graph, simplify_graph
 from .formulas import FalseF, Formula, VarSet, conj, disj, evaluate, negate
-from .graphs import Edge, GraphError, Model, NamedObject, ObjectGraph, Trace, TraceStep
+from .graphs import Edge, GraphError, Model, NamedObject, ObjectGraph, Trace, TraceStep, _graph_vars, bfs_tree
 from .minimize import boolean_minimize
 from .runsets import CellRuns, CellSpace, runs_equal_minus_violations
 
 PROPERTY_NAME = "property"
 
-# the repair algorithm's bad set: composite states from which every
-# continuation reaches a marked state
-BadSet = frozenset
+# reachable state -> its enabled out-edges, in out_edges order
+EdgeTable = dict[str, list[Edge]]
 
 
 class InvalidPropertyError(ValueError):
@@ -81,8 +85,8 @@ def _with_property(m: Model, prop_graph: ObjectGraph) -> Model:
     return Model(m.vars, m.objects + (NamedObject(name, prop_graph),))
 
 
-def _enabled_edges(g: ObjectGraph, vars: VarSet) -> dict[str, list[Edge]]:
-    table: dict[str, list[Edge]] = {}
+def _enabled_edges(g: ObjectGraph, vars: VarSet) -> EdgeTable:
+    table: EdgeTable = {}
     for q in g.reachable():
         enabled = enabled_guard(g, q)
         table[q] = [e for e in g.out_edges(q)
@@ -90,44 +94,31 @@ def _enabled_edges(g: ObjectGraph, vars: VarSet) -> dict[str, list[Edge]]:
     return table
 
 
-def check_safety(m: Model, prop: Union[ScenarioScript, ObjectGraph]) -> Union[Safe, Counterexample]:
-    """BFS for a reachable bad state; shortest counterexample on violation."""
-    pg = property_graph(prop, m.vars)
-    composite = compose_all(_with_property(m, pg))
-    vars = m.vars
-    enabled_edges = _enabled_edges(composite, vars)
+def _enabled_reachable(g: ObjectGraph, table: EdgeTable) -> list[str]:
+    """States some run can reach, BFS order."""
+    return [g.initial] + [e.dst for e in bfs_tree(g.initial, table.__getitem__)]
 
-    parent: dict[str, tuple[str, Edge]] = {}
-    visited = {composite.initial}
-    queue = [composite.initial]
-    target: Optional[str] = None
-    if composite.initial in composite.bad:
-        target = composite.initial
-    while queue and target is None:
-        q = queue.pop(0)
-        for e in enabled_edges[q]:
-            if e.dst in visited:
-                continue
-            visited.add(e.dst)
-            parent[e.dst] = (q, e)
-            if e.dst in composite.bad:
-                target = e.dst
-                break
-            queue.append(e.dst)
-    if target is None:
-        return Safe(composite)
+
+def _bad_path(g: ObjectGraph, table: EdgeTable, vars: VarSet) -> Optional[Trace]:
+    """The shortest run into a bad state, concretized and re-validated."""
+    parent: dict[str, Edge] = {}
+    tree = bfs_tree(g.initial, table.__getitem__)
+    target = g.initial
+    while target not in g.bad:
+        e = next(tree, None)
+        if e is None:
+            return None
+        parent[e.dst], target = e, e.dst
 
     path: list[Edge] = []
-    cur = target
-    while cur != composite.initial:
-        prev, edge = parent[cur]
-        path.append(edge)
-        cur = prev
-    path.reverse()
+    q = target
+    while q != g.initial:
+        path.insert(0, parent[q])
+        q = parent[q].src
 
     steps = []
     for e in path:
-        query = conj([e.guard, enabled_guard(composite, e.src)])
+        query = conj([e.guard, enabled_guard(g, e.src)])
         model = solver.check_sat(query, vars).model
         if model is None:
             raise RuntimeError(f"enabled edge out of {e.src!r} lost satisfiability")
@@ -135,8 +126,46 @@ def check_safety(m: Model, prop: Union[ScenarioScript, ObjectGraph]) -> Union[Sa
         if not evaluate(query, a):  # independent validation of the solver's witness
             raise RuntimeError(f"counterexample step at {e.src!r} fails its own guard")
         steps.append(TraceStep(e.src, a))
-    trace = Trace(steps=tuple(steps), verdict="BadReached", end_state=target)
-    return Counterexample(trace, composite)
+    return Trace(steps=tuple(steps), verdict="BadReached", end_state=target)
+
+
+def _deadlocks(g: ObjectGraph, table: EdgeTable, vars: VarSet) -> frozenset[str]:
+    # a state with an enabled edge has a satisfiable enabled guard
+    return frozenset(
+        q for q in _enabled_reachable(g, table)
+        if not table[q] and not solver.check_sat(enabled_guard(g, q), vars).is_sat
+    )
+
+
+def _attractor(g: ObjectGraph, table: EdgeTable, initial_bad: Iterable[str]) -> frozenset[str]:
+    reachable = set(table)
+    bad = set(initial_bad)
+    if not bad <= reachable:
+        raise GraphError(f"initial bad states {sorted(bad - reachable)} are not reachable states")
+    changed = True
+    while changed:
+        changed = False
+        for q in sorted(reachable - bad):
+            succs = {e.dst for e in table[q]}
+            if succs and succs <= bad:
+                bad.add(q)
+                changed = True
+    if g.initial in bad:
+        raise UnrepairableError(
+            "the initial state is in the bad attractor; the model is inherently violating")
+    return frozenset(bad)
+
+
+def _doomed(g: ObjectGraph, table: EdgeTable) -> frozenset[str]:
+    seeds = [q for q in _enabled_reachable(g, table) if q in g.bad]
+    return _attractor(g, table, seeds) if seeds else frozenset()
+
+
+def check_safety(m: Model, prop: Union[ScenarioScript, ObjectGraph]) -> Union[Safe, Counterexample]:
+    """BFS for a reachable bad state; shortest counterexample on violation."""
+    composite = compose_all(_with_property(m, property_graph(prop, m.vars)))
+    trace = _bad_path(composite, _enabled_edges(composite, m.vars), m.vars)
+    return Safe(composite) if trace is None else Counterexample(trace, composite)
 
 
 def find_deadlocks(g: ObjectGraph, vars: Optional[VarSet] = None) -> frozenset[str]:
@@ -145,46 +174,19 @@ def find_deadlocks(g: ObjectGraph, vars: Optional[VarSet] = None) -> frozenset[s
     Reachability follows enabled edges only: a state behind a permanently
     disabled guard cannot occur in any run, so it cannot deadlock one.
     """
-    if vars is None:
-        from .graphs import _graph_vars
-
-        vars = _graph_vars(g)
-    return frozenset(
-        q for q in _enabled_reachable(g, vars)
-        if not solver.check_sat(enabled_guard(g, q), vars).is_sat
-    )
+    vars = vars or _graph_vars(g)
+    return _deadlocks(g, _enabled_edges(g, vars), vars)
 
 
-def compute_bad_attractor(
-    g: ObjectGraph, initial_bad: Iterable[str], vars: Optional[VarSet] = None
-) -> frozenset[str]:
+def compute_bad_attractor(g: ObjectGraph, initial_bad: Iterable[str],
+                          vars: Optional[VarSet] = None) -> frozenset[str]:
     """Least fixpoint: add states whose every enabled edge leads into the set.
 
     Deadlocked states (no enabled edge at all) are never added; they end the
-    run without violating anything. Raises UnrepairableError when the initial
-    state itself falls in.
+    run without violating anything. Raises GraphError when a seed is not a
+    reachable state and UnrepairableError when the initial state falls in.
     """
-    if vars is None:
-        from .graphs import _graph_vars
-
-        vars = _graph_vars(g)
-    reachable = set(g.reachable())
-    bad = set(initial_bad)
-    if not bad <= reachable:
-        raise GraphError(f"initial bad states {sorted(bad - reachable)} are not reachable states")
-    enabled_edges = _enabled_edges(g, vars)
-    changed = True
-    while changed:
-        changed = False
-        for q in sorted(reachable - bad):
-            succs = {e.dst for e in enabled_edges[q]}
-            if succs and succs <= bad:
-                bad.add(q)
-                changed = True
-    if g.initial in bad:
-        raise UnrepairableError(
-            "the initial state is in the bad attractor; the model is inherently violating")
-    return frozenset(bad)
+    return _attractor(g, _enabled_edges(g, vars or _graph_vars(g)), initial_bad)
 
 
 @dataclass
@@ -211,10 +213,7 @@ def synthesize_patch(
     g: ObjectGraph, bad: frozenset[str], vars: Optional[VarSet] = None, name: str = "Patch"
 ) -> Patch:
     """Build the patch that cuts exactly the edges entering the bad set."""
-    if vars is None:
-        from .graphs import _graph_vars
-
-        vars = _graph_vars(g)
+    vars = vars or _graph_vars(g)
     if g.initial in bad:
         raise UnrepairableError("cannot patch a model whose initial state is bad")
     tracked = [q for q in g.reachable() if q not in bad]
@@ -272,20 +271,6 @@ def _projector(original: ObjectGraph):
     return project
 
 
-def _enabled_reachable(g: ObjectGraph, vars: VarSet) -> list[str]:
-    enabled_edges = _enabled_edges(g, vars)
-    seen = {g.initial}
-    order = [g.initial]
-    i = 0
-    while i < len(order):
-        for e in enabled_edges[order[i]]:
-            if e.dst not in seen:
-                seen.add(e.dst)
-                order.append(e.dst)
-        i += 1
-    return order
-
-
 def repair(m: Model, prop: Union[ScenarioScript, ObjectGraph], name: str = "Patch") -> tuple[Patch, frozenset[str], ObjectGraph]:
     """Full pipeline: compose, find the attractor, synthesize the patch.
 
@@ -294,13 +279,8 @@ def repair(m: Model, prop: Union[ScenarioScript, ObjectGraph], name: str = "Patc
     violations (the checker cannot reach them either); on a safe model the
     attractor is empty and the patch blocks nothing (identity patch).
     """
-    pg = property_graph(prop, m.vars)
-    composite = compose_all(_with_property(m, pg))
-    reachable_bad = [q for q in _enabled_reachable(composite, m.vars) if q in composite.bad]
-    if not reachable_bad:
-        identity = synthesize_patch(composite, frozenset(), m.vars, name)
-        return identity, frozenset(), composite
-    attractor = compute_bad_attractor(composite, reachable_bad, m.vars)
+    composite = compose_all(_with_property(m, property_graph(prop, m.vars)))
+    attractor = _doomed(composite, _enabled_edges(composite, m.vars))
     return synthesize_patch(composite, attractor, m.vars, name), attractor, composite
 
 
@@ -334,44 +314,44 @@ def verify_patch(
 ) -> Report:
     """Check the three soundness clauses of a synthesized patch.
 
-    (a) the patched model satisfies the property; (b) the patch introduces no
-    deadlocks; (c) up to ``depth`` steps, the runs of the patched model are
-    exactly the runs of the original minus the violating ones (those entering
-    the bad attractor), compared exhaustively over the exact sign-cell
-    alphabet of both composites. A differing run is reported as ``lost_run``
-    (a non-violating original run the patch removes) or ``foreign_run`` (a
+    All three read off one original composite (model plus property) and one
+    patched composite (the patch tracker composed onto it): (a) the patched
+    composite reaches no bad state (else ``violation`` holds the shortest
+    counterexample); (b) the patch introduces no deadlocks; (c) up to
+    ``depth`` steps, the runs of the patched model are exactly the runs of
+    the original minus the violating ones (those entering the bad
+    attractor), compared exhaustively over the exact sign-cell alphabet of
+    both composites. A differing run is reported as ``lost_run`` (a
+    non-violating original run the patch removes) or ``foreign_run`` (a
     patched run that is not a non-violating original run). Raises
     RepairUnsoundError (with the report and a witness) if any clause fails.
     """
     report = Report()
-    pg = property_graph(prop, m.vars)
+    vars = m.vars
+    original = compose_all(_with_property(m, property_graph(prop, vars)))
+    patched = compose(original, patch.tracker, vars)
+    original_table = _enabled_edges(original, vars)
+    patched_table = _enabled_edges(patched, vars)
 
-    patched_model = Model(m.vars, m.objects + (patch.as_named_object(),))
-    verdict = check_safety(patched_model, pg)
-    report.safe_after_patch = isinstance(verdict, Safe)
-    if not report.safe_after_patch:
-        report.details["violation"] = verdict.trace
+    violation = _bad_path(patched, patched_table, vars)
+    report.safe_after_patch = violation is None
+    if violation is not None:
+        report.details["violation"] = violation
 
-    original = compose_all(_with_property(m, pg))
-    patched = compose(original, patch.tracker, m.vars)
-    dl_before = find_deadlocks(original, m.vars)
-    dl_after = find_deadlocks(patched, m.vars)
+    dl_before = _deadlocks(original, original_table, vars)
     project = _projector(original)
-    new_deadlocks = sorted(q for q in dl_after if project(q) not in dl_before)
+    new_deadlocks = sorted(q for q in _deadlocks(patched, patched_table, vars)
+                           if project(q) not in dl_before)
     report.no_new_deadlocks = not new_deadlocks
     if new_deadlocks:
         report.details["new_deadlocks"] = new_deadlocks
 
-    space = CellSpace.for_graphs([original, patched], m.vars)
-    runs_orig = CellRuns.build(original, space)
-    runs_patched = CellRuns.build(patched, space)
-    doomed = _doomed_states(original, m.vars)
-    witness = runs_equal_minus_violations(runs_orig, runs_patched, depth, doomed)
+    witness, kind, cells = _run_difference(
+        original, patched, _doomed(original, original_table), vars, depth)
     report.containment_ok = witness is None
     if witness is not None:
-        lost = runs_orig.accepts(witness, avoid=doomed)
-        report.details["lost_run" if lost else "foreign_run"] = witness
-    report.details["cells"] = len(space.witnesses)
+        report.details[kind] = witness
+    report.details["cells"] = cells
 
     if not report.ok:
         raise RepairUnsoundError(f"repair is unsound: {report.summary()}", report)
@@ -380,10 +360,19 @@ def verify_patch(
 
 def _doomed_states(composite: ObjectGraph, vars: VarSet) -> frozenset[str]:
     """The bad attractor of a composite, empty when no bad state is live."""
-    seeds = [q for q in _enabled_reachable(composite, vars) if q in composite.bad]
-    if not seeds:
-        return frozenset()
-    return compute_bad_attractor(composite, seeds, vars)
+    return _doomed(composite, _enabled_edges(composite, vars))
+
+
+def _run_difference(original: ObjectGraph, patched: ObjectGraph, doomed: frozenset[str], vars: VarSet,
+                    depth: int) -> tuple[Optional[tuple], Optional[str], int]:
+    """Clause (c): the first run that differs, its kind, and the cell count."""
+    space = CellSpace.for_graphs([original, patched], vars)
+    runs_orig = CellRuns.build(original, space)
+    witness = runs_equal_minus_violations(runs_orig, CellRuns.build(patched, space), depth, doomed)
+    kind = None
+    if witness is not None:
+        kind = "lost_run" if runs_orig.accepts(witness, avoid=doomed) else "foreign_run"
+    return witness, kind, len(space.witnesses)
 
 
 def runs_preserved_exactly(
@@ -391,18 +380,13 @@ def runs_preserved_exactly(
 ) -> Optional[tuple]:
     """Exact bounded check that the patch removes precisely the violating runs.
 
-    A run counts as violating once violation becomes inevitable (it enters
-    the bad attractor). Compares the depth-bounded cell-run sets of the
-    original and patched composites; returns None when runs(patched) equals
-    runs(original) minus the violating runs, else the first differing run.
+    This is clause (c) of ``verify_patch`` on its own. A run counts as
+    violating once violation becomes inevitable (it enters the bad
+    attractor). Compares the depth-bounded cell-run sets of the original and
+    patched composites; returns None when runs(patched) equals runs(original)
+    minus the violating runs, else the first differing run.
     """
-    pg = property_graph(prop, m.vars)
-    original = compose_all(_with_property(m, pg))
+    original = compose_all(_with_property(m, property_graph(prop, m.vars)))
     patched = compose(original, patch.tracker, m.vars)
-    space = CellSpace.for_graphs([original, patched], m.vars)
-    return runs_equal_minus_violations(
-        CellRuns.build(original, space),
-        CellRuns.build(patched, space),
-        depth,
-        doomed=_doomed_states(original, m.vars),
-    )
+    doomed = _doomed_states(original, m.vars)
+    return _run_difference(original, patched, doomed, m.vars, depth)[0]

@@ -114,3 +114,24 @@ def water_tap_unstable_model():
         VarSet(("x",)),
         tuple(NamedObject(n, encode_discrete(WATER_TAP_EVENTS, d)) for n, d in objs),
     )
+
+
+def nested_bodies(depth: int) -> dict[str, str]:
+    """Object bodies over ``v, h`` whose parentheses, ``!``, blocks or
+    else-if arms nest exactly ``depth`` deep, by shape."""
+    parens = "v >= 1"
+    for i in range(depth):
+        parens = f"(h <= {i % 3} {'&&' if i % 2 else '||'} {parens})"
+    ifs = loops = "sync(request = true);"
+    for i in range(depth):
+        ifs = f"if (v >= {i % 4}) {{ sync(request = true); {ifs} }}"
+        loops = f"loop {{ sync(request = v >= {i % 3}); {loops} }}"
+    arms = "".join(f" else if (v >= {-(i % 3) - 1}) {{ sync(request = true); }}"
+                   for i in range(depth - 1))
+    return {
+        "parens": f"sync(request = {parens});",
+        "nots": f"sync(request = {'!' * depth}v >= 1);",
+        "ifs": f"sync(request = true); {ifs}",
+        "loops": loops,
+        "else_if": f"sync(request = true); if (v >= 0) {{ sync(request = true); }}{arms}",
+    }

@@ -3,8 +3,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from sbmod.cli import main
-from sbmod.dsl import parse_model
+from sbmod.dsl import MAX_NESTING, parse_model
 from sbmod.verify import Safe, check_safety
 
 FIXTURE = Path(__file__).parent / "fixtures" / "drone.sbm"
@@ -158,6 +160,44 @@ def test_repair_verify_with_multivariable_atoms(tmp_path, capsys):
     assert "blocking x + y >= 1" in out
     assert ("verification: safety after patch: pass; no new deadlocks: pass; "
             "run containment: pass") in out
+
+
+def test_emit_model_after_trailing_comment(tmp_path, capsys):
+    src = tmp_path / "commented.sbm"
+    src.write_text(
+        """model { vars v, h;
+          object Climb { loop { sync(request = v >= 0 && h >= 0); } }
+          object NoHigh { sync(waitfor = v >= 5); sync(); mark bad; }
+        } # trailing comment
+        """
+    )
+    emitted = tmp_path / "patched.sbm"
+    assert main(["repair", str(src), "--property", "NoHigh", "--emit-model", str(emitted)]) == 0
+    assert emitted.read_text().rstrip().endswith("} # trailing comment")
+    capsys.readouterr()
+    assert main(["check", str(emitted), "--property", "NoHigh"]) == 0
+    assert capsys.readouterr().out == "Safe\n"
+
+
+@pytest.mark.parametrize("shape", ["parens", "nots", "ifs", "loops", "else_if"])
+def test_nesting_at_the_cap_runs(tmp_path, shape):
+    from conftest import nested_bodies
+
+    src = tmp_path / "deep.sbm"
+    src.write_text(f"model {{ vars v, h; object T {{ {nested_bodies(MAX_NESTING)[shape]} }} }}")
+    assert main(["validate", str(src)]) == 0
+    assert main(["graph", str(src), "--object", "T", "--simplify"]) == 0
+
+
+def test_parser_caps_are_usage_errors(tmp_path, capsys):
+    deep = tmp_path / "deep.sbm"
+    deep.write_text(f"model {{ vars v; object A {{ sync(request = {'(' * 2000}v >= 1{')' * 2000}); }} }}")
+    assert main(["validate", str(deep)]) == 2
+    assert "nesting deeper than" in capsys.readouterr().err
+    wide = tmp_path / "wide.sbm"
+    wide.write_text("model { vars v; object A { repeat 1000 { repeat 1000 { sync(); } } } }")
+    assert main(["validate", str(wide)]) == 2
+    assert "statements after unrolling" in capsys.readouterr().err
 
 
 def test_unknown_object_name():

@@ -3,6 +3,8 @@ from __future__ import annotations
 import pytest
 
 from sbmod.dsl import (
+    MAX_NESTING,
+    MAX_STATEMENTS,
     EmissionError,
     ParseError,
     collect_predicates,
@@ -15,6 +17,7 @@ from sbmod.extract import extract_graph, simplify_graph
 from sbmod.formulas import FALSE, TRUE, VarSet, conj, var_atom
 from sbmod.graphs import ObjectGraph
 
+from conftest import nested_bodies
 from oracles import isomorphic
 
 VH = VarSet(("v", "h"))
@@ -141,6 +144,57 @@ def test_else_if_chains():
     assert len(script.syncs) == 4
 
 
+@pytest.mark.parametrize("shape", ["parens", "nots", "ifs", "loops", "else_if"])
+def test_nesting_cap(shape):
+    parse_single(nested_bodies(MAX_NESTING)[shape])
+    with pytest.raises(ParseError, match="nesting deeper than") as err:
+        parse_single(nested_bodies(MAX_NESTING + 1)[shape])
+    assert err.value.line == 1 and err.value.col > 1
+
+
+def test_deep_parentheses_are_a_parse_error():
+    # 2000 levels used to exhaust Python's recursion limit
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_single(f"sync(request = {'(' * 2000}v >= 1{')' * 2000});")
+
+
+def test_statement_cap_counts_unrolled_statements():
+    script, _ = parse_single(f"repeat {MAX_STATEMENTS} {{ sync(); }}")
+    assert len(script.syncs) == MAX_STATEMENTS
+    with pytest.raises(ParseError, match="statements after unrolling"):
+        parse_single(f"sync(); repeat {MAX_STATEMENTS} {{ sync(); }}")
+
+
+def _limit_copies(monkeypatch, limit: int) -> list:
+    """Count the parser's ``deepcopy`` calls, failing past ``limit``."""
+    import copy
+
+    copies = []
+    real_deepcopy = copy.deepcopy
+
+    def counting(x):
+        copies.append(x)
+        assert len(copies) <= limit, "unrolled past the cap"
+        return real_deepcopy(x)
+
+    monkeypatch.setattr(copy, "deepcopy", counting)
+    return copies
+
+
+def test_repeat_cap_is_checked_before_copying(monkeypatch):
+    copies = _limit_copies(monkeypatch, 1000)
+    with pytest.raises(ParseError) as err:
+        parse_model("model { vars v;\n object T { repeat 1000 { repeat 1000 { sync(); } } } }")
+    assert (err.value.line, err.value.col) == (2, 20)  # the outer count
+    assert len(copies) == 1000  # the inner unrolling only
+
+
+def test_empty_repeat_body_is_not_unrolled(monkeypatch):
+    _limit_copies(monkeypatch, 0)
+    script, _ = parse_single(f"repeat {10 ** 30} {{ }} sync();")
+    assert len(script.syncs) == 1
+
+
 # --------------------------------------------------------------------------
 # predicate collection
 
@@ -255,3 +309,10 @@ def test_insert_object_appends_before_closing_brace(drone_text):
     patched = insert_object(drone_text, "object Extra {\n  loop {\n    sync();\n  }\n}")
     model = parse_model(patched)
     assert "Extra" in model.names()
+
+
+def test_insert_object_keeps_trailing_comments():
+    text = "model { vars v;\n  object A { sync(); }\n} # trailing comment\n# and one more\n"
+    patched = insert_object(text, "object Extra {\n  sync();\n}")
+    assert patched.endswith("\n  object Extra {\n    sync();\n  }\n} # trailing comment\n# and one more\n")
+    assert parse_model(patched).names() == ["A", "Extra"]

@@ -274,8 +274,8 @@ def test_verify_identity_patch_on_safe_model(water_tap_model):
     assert report.ok
 
 
-def test_overblocking_patch_fails_containment(drone_base, drone_property):
-    patch, _, comp = repair(drone_base, drone_property)
+def _overblocking_patch(drone_base, drone_property) -> Patch:
+    patch, _, _ = repair(drone_base, drone_property)
     (q5, _) = patch.cut_edges()[0]
     wider = dict(patch.block_at)
     wider[q5] = var_atom("h", ">=", 10)  # blocks legal turns too
@@ -287,7 +287,16 @@ def test_overblocking_patch_fails_containment(drone_base, drone_property):
         waitfor=patch.tracker.waitfor,
         edges=[(e.src, e.guard, e.dst) for e in patch.tracker.edges],
     )
-    bad_patch = Patch(tracker=tracker, block_at=wider, name="Overblock")
+    return Patch(tracker=tracker, block_at=wider, name="Overblock")
+
+
+def _identity_patch(drone_base, drone_property) -> Patch:
+    _, _, comp = repair(drone_base, drone_property)
+    return synthesize_patch(comp, frozenset(), drone_base.vars, "Identity")
+
+
+def test_overblocking_patch_fails_containment(drone_base, drone_property):
+    bad_patch = _overblocking_patch(drone_base, drone_property)
     with pytest.raises(RepairUnsoundError) as err:
         verify_patch(drone_base, bad_patch, drone_property)
     report = err.value.report
@@ -298,11 +307,78 @@ def test_overblocking_patch_fails_containment(drone_base, drone_property):
 def test_identity_patch_keeps_violating_runs(drone_base, drone_property):
     # blocking nothing leaves the violating runs in, which the exact run-set
     # comparison reports as runs the original minus violations lacks
-    _, _, comp = repair(drone_base, drone_property)
-    identity = synthesize_patch(comp, frozenset(), drone_base.vars, "Identity")
+    identity = _identity_patch(drone_base, drone_property)
     with pytest.raises(RepairUnsoundError) as err:
         verify_patch(drone_base, identity, drone_property)
     report = err.value.report
     assert report.safe_after_patch is False
     assert report.containment_ok is False
     assert "foreign_run" in report.details
+
+
+def _patch_case(case: str, request) -> tuple:
+    """(model, property, patch) for the clause (a) cross-check."""
+    if case == "water_tap":
+        m, prop = request.getfixturevalue("water_tap_unstable_model"), _encoded_two_hot()
+        return m, prop, repair(m, prop)[0]
+    m, prop = request.getfixturevalue("drone_base"), request.getfixturevalue("drone_property")
+    build = {"drone": lambda *a: repair(*a)[0], "identity": _identity_patch,
+             "overblock": _overblocking_patch}[case]
+    return m, prop, build(m, prop)
+
+
+@pytest.mark.parametrize("case, safe", [
+    ("drone", True), ("identity", False), ("overblock", True), ("water_tap", True),
+])
+def test_clause_a_agrees_with_check_safety(case, safe, request):
+    m, prop, patch = _patch_case(case, request)
+    oracle = check_safety(Model(m.vars, m.objects + (patch.as_named_object(),)), prop)
+    try:
+        report = verify_patch(m, patch, prop, depth=6)
+    except RepairUnsoundError as err:
+        report = err.report
+    assert report.safe_after_patch is isinstance(oracle, Safe) is safe
+    if not safe:
+        violation = report.details["violation"]
+        assert violation.verdict == "BadReached"
+        assert len(violation) == len(oracle.trace)
+
+
+def _count_calls(monkeypatch, names: tuple[str, ...]) -> dict[str, list]:
+    import sbmod.verify as verify
+
+    calls: dict[str, list] = {name: [] for name in names}
+
+    def counting(name: str):
+        real = getattr(verify, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(verify, name, counting(name))
+    return calls
+
+
+def test_verify_patch_composes_once(drone_base, drone_property, monkeypatch):
+    patch, _, _ = repair(drone_base, drone_property)
+    calls = _count_calls(monkeypatch, ("compose_all", "check_safety", "_enabled_edges"))
+    assert verify_patch(drone_base, patch, drone_property).ok
+    assert len(calls["compose_all"]) == 1
+    assert calls["check_safety"] == []
+    original, patched = (args[0] for args in calls["_enabled_edges"])  # one table per composite
+    assert original is not patched
+
+
+def test_repair_verify_counts(monkeypatch, capsys):
+    from sbmod.cli import main
+
+    from conftest import FIXTURES
+
+    calls = _count_calls(monkeypatch, ("compose_all", "_enabled_edges"))
+    assert main(["repair", str(FIXTURES / "drone.sbm"), "--property", "NoConsecutiveSharpTurns", "--verify"]) == 0
+    assert "run containment: pass" in capsys.readouterr().out
+    assert (len(calls["compose_all"]), len(calls["_enabled_edges"])) == (2, 3)

@@ -26,7 +26,8 @@ from .formulas import And, Assignment, Atom, Formula, LinearAtom, VarSet, conj
 
 Cell = tuple[int, Assignment]  # (sign mask, witness)
 
-# cell tables keyed by (atom keys, variable names)
+# cell tables keyed by (atom keys, variable names); like the solver's query
+# cache, it takes no new entries once it holds solver._CACHE_LIMIT of them
 _cache: dict[tuple, tuple[Cell, ...]] = {}
 
 
@@ -81,5 +82,6 @@ def satisfiable_cells(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[Cell, 
 
     descend(0, 0, [], Assignment({v: Fraction(0) for v in everything.names}))
     cells = tuple(sorted(found, key=lambda cell: cell[0]))
-    _cache[key] = cells
+    if len(_cache) < solver._CACHE_LIMIT:
+        _cache[key] = cells
     return cells

@@ -21,7 +21,7 @@ from typing import Optional
 from . import solver
 from .dsl import ScenarioScript
 from .extract import extract_graph, simplify_graph
-from .formulas import Formula, VarSet, canonicalize, conj, disj, negate
+from .formulas import Formula, VarSet, conj, disj, negate
 from .graphs import Edge, GraphError, Model, ObjectGraph
 
 JOIN = "⊗"  # the tensor sign keeps component provenance readable
@@ -32,7 +32,7 @@ def enabled_guard(g: ObjectGraph, q: str) -> Formula:
     requested by someone and blocked by no one."""
     if q not in g.states:
         raise GraphError(f"unknown state {q!r}")
-    return canonicalize(conj([g.request[q], negate(g.block[q])]))
+    return conj([g.request[q], negate(g.block[q])])
 
 
 def _outgoing_with_stay(g: ObjectGraph, q: str) -> list[tuple[Edge, bool]]:

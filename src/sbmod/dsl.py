@@ -269,6 +269,15 @@ class _Parser:
             raise ParseError(
                 f"object has more than {MAX_STATEMENTS} statements after unrolling", tok.line, tok.col)
 
+    def number(self) -> int:
+        """Consume a numeral token and return its value."""
+        tok = self.next()
+        try:
+            return int(tok.text)
+        except ValueError:  # longer than int() converts (sys.get_int_max_str_digits)
+            raise ParseError(f"number literal of {len(tok.text)} digits is too long",
+                             tok.line, tok.col) from None
+
     def expect(self, text: str) -> _Token:
         tok = self.peek()
         if tok.text != text or tok.kind == "eof":
@@ -333,7 +342,7 @@ class _Parser:
                 count_tok = self.peek()
                 if count_tok.kind != "num":
                     raise self.fail("expected repetition count")
-                count = int(self.next().text)
+                count = self.number()
                 if count < 1:
                     raise ParseError("repeat count must be positive", count_tok.line, count_tok.col)
                 before = self.statements
@@ -472,13 +481,14 @@ class _Parser:
         """Parse one additive term into ``coeffs``; returns its constant part."""
         tok = self.peek()
         if tok.kind == "num":
-            value = Fraction(int(self.next().text))
+            value = Fraction(self.number())
             if self.peek().text == "/":
                 self.next()
                 den = self.peek()
-                if den.kind != "num" or int(den.text) == 0:
-                    raise self.fail("expected a nonzero denominator")
-                value /= int(self.next().text)
+                divisor = self.number() if den.kind == "num" else 0
+                if divisor == 0:
+                    raise ParseError("expected a nonzero denominator", den.line, den.col)
+                value /= divisor
             if self.peek().text == "*":
                 self.next()
                 var = self._declared_var()

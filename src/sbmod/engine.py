@@ -37,7 +37,6 @@ from .formulas import (
     Formula,
     VarSet,
     atoms_of,
-    canonicalize,
     conj,
     disj,
     evaluate,
@@ -106,7 +105,7 @@ def select_event(
     """
     requests = disj([r for r, _ in declarations])
     blocks = disj([b for _, b in declarations])
-    base = canonicalize(conj([requests, negate(blocks)]))
+    base = conj([requests, negate(blocks)])
     first = solver.check_sat(base, vars)
     if not first.is_sat:
         return None

@@ -7,17 +7,27 @@ formula has a canonical form so that syntactically different but structurally
 equal formulas compare equal.
 
 Atoms read ``sum(c_i * x_i) REL constant`` with REL one of
-``< <= == >= > !=``. Atom construction normalizes coefficients so the first
-nonzero coefficient (in variable order) is 1, flipping the relation when
-scaling by a negative. Formula canonicalization pushes negation into atoms,
-flattens and sorts connectives, and is idempotent.
+``< <= == >= > !=``. Atoms are normalized once, at construction:
+``LinearAtom.make`` is the only builder, and it scales the coefficients so the
+first nonzero one (in variable order) is 1, flipping the relation when
+scaling by a negative; ``negated`` keeps that form, and an atom's ``key`` is
+computed once. Formula canonicalization pushes negation into atoms, flattens,
+deduplicates and sorts connectives, and is idempotent.
+
+Canonical nodes carry their ``formula_key``, stored once when they are built
+in a field that equality, hashing and printing ignore: every ``Atom``,
+``TRUE`` and ``FALSE``, and each ``And``/``Or`` that ``canonicalize`` returns.
+So ``canonicalize`` is O(1) on canonical input (it returns the node itself),
+``formula_key`` is a field read, and ``conj``/``disj`` over canonical parts
+only flatten, deduplicate and sort the top level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from operator import attrgetter
+from typing import Iterable, Mapping, Optional, Union
 
 Rational = Union[int, Fraction]
 
@@ -58,13 +68,19 @@ class LinearAtom:
     """A single linear constraint ``sum(c_i * x_i) REL const``.
 
     ``coeffs`` is a sorted tuple of (variable, coefficient) pairs with no zero
-    coefficients; use :meth:`make` rather than the raw constructor so the
-    leading-coefficient normalization holds.
+    coefficients and a leading coefficient of 1. Build atoms with :meth:`make`;
+    the raw constructor rejects a leading coefficient other than 1.
     """
 
     coeffs: tuple[tuple[str, Fraction], ...]
     rel: str
     const: Fraction
+    _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.coeffs or self.coeffs[0][1] != 1:
+            raise ValueError("atoms are built by LinearAtom.make (leading coefficient 1)")
+        object.__setattr__(self, "_key", (self.coeffs, RELATIONS.index(self.rel), self.const))
 
     @staticmethod
     def make(coeffs: Mapping[str, Rational], rel: str, const: Rational) -> "LinearAtom":
@@ -116,7 +132,7 @@ class LinearAtom:
         return lhs != self.const
 
     def key(self) -> tuple:
-        return (self.coeffs, RELATIONS.index(self.rel), self.const)
+        return self._key
 
     def __str__(self) -> str:
         parts = []
@@ -139,16 +155,24 @@ class Formula:
     """Base class; concrete nodes are TrueF, FalseF, Atom, Not, And, Or, Implies."""
 
     __slots__ = ()
+    # formula_key of a canonical node, stored once when it is built; None on
+    # nodes canonicalize has not produced. Not a dataclass field, so equality,
+    # hashing and repr ignore it.
+    _key: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
 class TrueF(Formula):
+    _key = (1,)
+
     def __str__(self) -> str:
         return "true"
 
 
 @dataclass(frozen=True)
 class FalseF(Formula):
+    _key = (0,)
+
     def __str__(self) -> str:
         return "false"
 
@@ -156,6 +180,10 @@ class FalseF(Formula):
 @dataclass(frozen=True)
 class Atom(Formula):
     atom: LinearAtom
+
+    def __post_init__(self) -> None:
+        # atoms are normalized at construction, so every atom node is canonical
+        object.__setattr__(self, "_key", (2, self.atom.key()))
 
     def __str__(self) -> str:
         return str(self.atom)
@@ -262,50 +290,41 @@ def evaluate(f: Formula, a: Assignment) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _formula_key(f: Formula) -> tuple:
-    # Total deterministic order over canonical formulas, used for child sorting.
-    if isinstance(f, FalseF):
-        return (0,)
-    if isinstance(f, TrueF):
-        return (1,)
-    if isinstance(f, Atom):
-        return (2, f.atom.key())
-    if isinstance(f, And):
-        return (3, tuple(_formula_key(c) for c in f.children))
-    if isinstance(f, Or):
-        return (4, tuple(_formula_key(c) for c in f.children))
-    raise TypeError(f"non-canonical node in key computation: {f!r}")
-
-
 def formula_key(f: Formula) -> tuple:
-    """Sort key for canonical formulas (deterministic across runs)."""
-    return _formula_key(f)
+    """Sort key for canonical formulas (deterministic across runs), stored on
+    every canonical node."""
+    if f._key is None:
+        raise TypeError(f"non-canonical node in key computation: {f!r}")
+    return f._key
 
 
 def _nnf(f: Formula, negated: bool) -> Formula:
+    # canonical subformulas that no negation reaches are kept as they are
+    if isinstance(f, Atom):
+        return Atom(f.atom.negated()) if negated else f
     if isinstance(f, TrueF):
         return FALSE if negated else TRUE
     if isinstance(f, FalseF):
         return TRUE if negated else FALSE
-    if isinstance(f, Atom):
-        a = f.atom.negated() if negated else f.atom
-        # re-run make() so legacy/unnormalized atoms come out canonical
-        return Atom(LinearAtom.make(dict(a.coeffs), a.rel, a.const))
     if isinstance(f, Not):
         return _nnf(f.child, not negated)
     if isinstance(f, Implies):
         return _nnf(Or((Not(f.left), f.right)), negated)
-    if isinstance(f, And):
+    if isinstance(f, (And, Or)):
+        if f._key is not None and not negated:
+            return f
         kids = tuple(_nnf(c, negated) for c in f.children)
-        return Or(kids) if negated else And(kids)
-    if isinstance(f, Or):
-        kids = tuple(_nnf(c, negated) for c in f.children)
+        if isinstance(f, And):
+            return Or(kids) if negated else And(kids)
         return And(kids) if negated else Or(kids)
     raise TypeError(f"not a formula: {f!r}")
 
 
+_node_key = attrgetter("_key")
+
+
 def _normalize(f: Formula) -> Formula:
-    if isinstance(f, (TrueF, FalseF, Atom)):
+    if f._key is not None:
         return f
     kids = [_normalize(c) for c in f.children]  # type: ignore[union-attr]
     flat: list[Formula] = []
@@ -325,20 +344,27 @@ def _normalize(f: Formula) -> Formula:
                 continue
             flat.extend(k.children if isinstance(k, Or) else (k,))
         unit = FALSE
-    seen: dict[tuple, Formula] = {}
-    for k in flat:
-        seen.setdefault(_formula_key(k), k)
-    ordered = tuple(seen[key] for key in sorted(seen))
-    if not ordered:
+    if not flat:
         return unit
+    # sort by key and drop repeats; equal keys mean equal canonical nodes
+    flat.sort(key=_node_key)
+    ordered = [flat[0]]
+    for k in flat[1:]:
+        if k._key != ordered[-1]._key:
+            ordered.append(k)
     if len(ordered) == 1:
         return ordered[0]
-    return And(ordered) if isinstance(f, And) else Or(ordered)
+    node = And(tuple(ordered)) if isinstance(f, And) else Or(tuple(ordered))
+    object.__setattr__(node, "_key", (3 if isinstance(f, And) else 4, tuple(k._key for k in ordered)))
+    return node
 
 
 def canonicalize(f: Formula) -> Formula:
     """Semantically equal normal form: negations pushed into atoms, atoms
-    normalized, connectives flattened, deduplicated, and sorted. Idempotent."""
+    normalized, connectives flattened, deduplicated, and sorted. Idempotent;
+    a canonical ``f`` is returned as it is."""
+    if getattr(f, "_key", None) is not None:
+        return f
     return _normalize(_nnf(f, False))
 
 

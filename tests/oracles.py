@@ -13,14 +13,18 @@ import random
 from fractions import Fraction
 
 from sbmod.formulas import (
+    FALSE,
+    TRUE,
     And,
     Assignment,
     Atom,
+    FalseF,
     Formula,
     Implies,
     LinearAtom,
     Not,
     Or,
+    TrueF,
     VarSet,
     atom,
     evaluate,
@@ -66,6 +70,84 @@ def rand_assignment(rng: random.Random, variables=VARS, span: int = 25) -> Assig
 
 def rand_conjunction(rng: random.Random, max_atoms: int = 8, variables=VARS) -> list[LinearAtom]:
     return [rand_atom(rng, variables).atom for _ in range(rng.randint(1, max_atoms))]
+
+
+# ---------------------------------------------------------------------------
+# reference canonicalizer: a full tree walk that rebuilds every node and
+# re-normalizes every atom, with keys computed from scratch. The canonical
+# nodes of sbmod.formulas must agree with it.
+
+
+def ref_formula_key(f: Formula) -> tuple:
+    if isinstance(f, FalseF):
+        return (0,)
+    if isinstance(f, TrueF):
+        return (1,)
+    if isinstance(f, Atom):
+        a = f.atom
+        return (2, (a.coeffs, RELS.index(a.rel), a.const))
+    if isinstance(f, And):
+        return (3, tuple(ref_formula_key(c) for c in f.children))
+    if isinstance(f, Or):
+        return (4, tuple(ref_formula_key(c) for c in f.children))
+    raise TypeError(f"non-canonical node in key computation: {f!r}")
+
+
+def _ref_nnf(f: Formula, negated: bool) -> Formula:
+    if isinstance(f, TrueF):
+        return FALSE if negated else TRUE
+    if isinstance(f, FalseF):
+        return TRUE if negated else FALSE
+    if isinstance(f, Atom):
+        a = f.atom.negated() if negated else f.atom
+        return Atom(LinearAtom.make(dict(a.coeffs), a.rel, a.const))
+    if isinstance(f, Not):
+        return _ref_nnf(f.child, not negated)
+    if isinstance(f, Implies):
+        return _ref_nnf(Or((Not(f.left), f.right)), negated)
+    if isinstance(f, And):
+        kids = tuple(_ref_nnf(c, negated) for c in f.children)
+        return Or(kids) if negated else And(kids)
+    if isinstance(f, Or):
+        kids = tuple(_ref_nnf(c, negated) for c in f.children)
+        return And(kids) if negated else Or(kids)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _ref_normalize(f: Formula) -> Formula:
+    if isinstance(f, (TrueF, FalseF, Atom)):
+        return f
+    kids = [_ref_normalize(c) for c in f.children]
+    flat: list[Formula] = []
+    if isinstance(f, And):
+        for k in kids:
+            if isinstance(k, FalseF):
+                return FALSE
+            if isinstance(k, TrueF):
+                continue
+            flat.extend(k.children if isinstance(k, And) else (k,))
+        unit: Formula = TRUE
+    else:
+        for k in kids:
+            if isinstance(k, TrueF):
+                return TRUE
+            if isinstance(k, FalseF):
+                continue
+            flat.extend(k.children if isinstance(k, Or) else (k,))
+        unit = FALSE
+    seen: dict[tuple, Formula] = {}
+    for k in flat:
+        seen.setdefault(ref_formula_key(k), k)
+    ordered = tuple(seen[key] for key in sorted(seen))
+    if not ordered:
+        return unit
+    if len(ordered) == 1:
+        return ordered[0]
+    return And(ordered) if isinstance(f, And) else Or(ordered)
+
+
+def ref_canonicalize(f: Formula) -> Formula:
+    return _ref_normalize(_ref_nnf(f, False))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+from sbmod import cells as cells_module, solver
 from sbmod.cells import cell_formula, polarity_classes, satisfiable_cells, sign_mask
 from sbmod.engine import RANDOM_CELL, select_event
 from sbmod.extract import ExtractStats, extract_graph
@@ -55,6 +56,18 @@ def test_cells_match_brute_force_on_mixed_atoms():
     # cells partition the space: every witness lies in its own cell only
     for mask, witness in cells:
         assert evaluate(cell_formula(atoms, mask), witness)
+
+
+def test_cell_cache_stops_inserting_at_the_limit(monkeypatch):
+    monkeypatch.setattr(cells_module, "_cache", {})
+    monkeypatch.setattr(solver, "_CACHE_LIMIT", 2)
+    tables = [[var_atom("x", ">=", k).atom, var_atom("y", "<", k).atom, atom({"x": 1, "y": -1}, "<=", k).atom]
+              for k in range(-3, 3)]
+    for _ in range(2):  # the second pass reads the two cached tables back
+        for atoms in tables:
+            cells = satisfiable_cells(atoms, XY)
+            assert [mask for mask, _ in cells] == sorted(_brute_force(atoms, XY))
+    assert len(cells_module._cache) == 2
 
 
 def test_polarity_classes_collapse_negations():

@@ -200,6 +200,22 @@ def test_parser_caps_are_usage_errors(tmp_path, capsys):
     assert "statements after unrolling" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [
+    "repeat N { sync(); }",
+    "sync(request = v >= N);",
+    "sync(request = N*v >= 1);",
+    "sync(request = v >= 1/N);",
+], ids=["repeat", "constant", "coefficient", "denominator"])
+def test_oversized_number_literal_is_a_usage_error(tmp_path, capsys, body):
+    big = "7" * 5000  # past the 4,300 digits that int() converts from text
+    text = f"model {{ vars v; object A {{ {body.replace('N', big)} }} }}"
+    model = tmp_path / "big.sbm"
+    model.write_text(text)
+    assert main(["validate", str(model)]) == 2
+    col = text.index(big) + 1
+    assert f"line 1, col {col}: number literal of 5000 digits is too long" in capsys.readouterr().err
+
+
 def test_unknown_object_name():
     assert main(["graph", str(FIXTURE), "--object", "Nope"]) == 2
 

@@ -10,7 +10,9 @@ from sbmod.formulas import (
     TRUE,
     And,
     Assignment,
+    Atom,
     DomainMismatchError,
+    Formula,
     LinearAtom,
     Not,
     Or,
@@ -20,13 +22,20 @@ from sbmod.formulas import (
     conj,
     disj,
     evaluate,
+    formula_key,
     negate,
     to_infix,
     to_sexpr,
     var_atom,
 )
 
-from oracles import rand_assignment, rand_atom_pool, rand_formula
+from oracles import (
+    rand_assignment,
+    rand_atom_pool,
+    rand_formula,
+    ref_canonicalize,
+    ref_formula_key,
+)
 
 
 def test_evaluate_conjunction():
@@ -81,6 +90,14 @@ def test_atom_requires_nonzero_coefficient():
         LinearAtom.make({"v": 0}, ">=", 1)
 
 
+def test_atoms_are_built_normalized():
+    with pytest.raises(ValueError):
+        LinearAtom((("v", Fraction(2)),), ">=", Fraction(4))
+    a = atom({"v": -2, "h": 4}, "<", 6).atom
+    assert a.coeffs == (("h", 1), ("v", Fraction(-1, 2)))
+    assert a.negated() == LinearAtom(a.coeffs, ">=", Fraction(3, 2))
+
+
 def test_canonicalize_idempotent_and_sorted():
     f = Or((var_atom("v", ">=", 2), And((TRUE, var_atom("h", "<", 0))), FALSE))
     once = canonicalize(f)
@@ -103,6 +120,39 @@ def test_canonicalize_preserves_evaluation_randomized():
         g = canonicalize(f)
         a = rand_assignment(rng)
         assert evaluate(f, a) == evaluate(g, a)
+
+
+def _nodes(f: Formula):
+    yield f
+    for c in getattr(f, "children", ()):
+        yield from _nodes(c)
+
+
+def _assert_matches_reference(ours: Formula, raw: Formula) -> None:
+    expected = ref_canonicalize(raw)
+    assert ours == expected
+    for node in _nodes(ours):
+        assert formula_key(node) == ref_formula_key(node)
+        if isinstance(node, Atom):
+            assert node.atom.coeffs[0][1] == 1
+
+
+def test_canonicalize_agrees_with_reference_tree_walk():
+    rng = random.Random(4404)
+    for _ in range(3000):
+        pool = rand_atom_pool(rng)
+        f = rand_formula(rng, rng.randint(1, 5), pool)
+        g = canonicalize(f)
+        _assert_matches_reference(g, f)
+        assert canonicalize(g) is g
+        for node in _nodes(g):
+            assert canonicalize(node) is node
+        parts = [canonicalize(rand_formula(rng, rng.randint(0, 3), pool))
+                 for _ in range(rng.randint(0, 4))]
+        parts += rng.sample([TRUE, FALSE, g], rng.randint(0, 2))
+        _assert_matches_reference(conj(parts), And(tuple(parts)))
+        _assert_matches_reference(disj(parts), Or(tuple(parts)))
+        _assert_matches_reference(negate(g), Not(g))
 
 
 def test_varset_sorted_and_validated():

@@ -5,7 +5,7 @@ complete truth-value choice per atom, written as a mask whose bit i is the
 sign of ai. Every formula over those atoms is constant on each cell, so the
 satisfiable cells, one solver witness each, stand for all assignments. This
 is the one enumerator behind extraction (one trigger per cell), guard
-minimization (unsatisfiable cells are don't-cares), the engine's
+minimization (the ON and OFF cells of a guard), the engine's
 ``random-cell`` policy (a seeded pick among cells) and run sets (cells are
 the alphabet of runs).
 
@@ -13,7 +13,8 @@ Enumeration is a depth-first search over partial sign vectors. A prefix the
 solver finds unsatisfiable is pruned with all its completions, and a prefix
 the parent's witness already satisfies needs no query, so the work follows
 the number of satisfiable cells rather than 2^n. Each cell's witness is the
-solver's model of the full cell conjunction.
+solver's model of the full cell conjunction. ``cell_bound`` bounds that
+number from above without a query.
 """
 
 from __future__ import annotations
@@ -52,6 +53,26 @@ def cell_formula(atoms: Sequence[LinearAtom], mask: int) -> Formula:
 def sign_mask(atoms: Sequence[LinearAtom], a: Assignment) -> int:
     """The mask of the cell that contains the assignment ``a``."""
     return sum(1 << i for i, atom in enumerate(atoms) if atom.holds(a.values))
+
+
+def cell_bound(atoms: Sequence[LinearAtom]) -> int:
+    """An upper bound on the satisfiable cells over ``atoms``, without a query.
+
+    The n single-variable atoms on a variable cut its line at their t
+    distinct constants into 2t + 1 pieces, each inside one of their cells,
+    so they have at most min(2^n, 2t + 1) cells; every other atom at most
+    doubles the count.
+    """
+    constants: dict[str, list[Fraction]] = {}
+    bound = 1
+    for a in atoms:
+        if len(a.coeffs) == 1:
+            constants.setdefault(a.coeffs[0][0], []).append(a.const)
+        else:
+            bound *= 2
+    for consts in constants.values():
+        bound *= min(1 << len(consts), 2 * len(set(consts)) + 1)
+    return bound
 
 
 def satisfiable_cells(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[Cell, ...]:

@@ -448,6 +448,7 @@ class _Parser:
         return self.comparison()
 
     def comparison(self) -> Formula:
+        start = self.peek()
         lhs_coeffs, lhs_const = self.linexpr()
         rel_tok = self.peek()
         if rel_tok.text not in ("<", "<=", "==", ">=", ">", "!="):
@@ -462,6 +463,14 @@ class _Parser:
         if not coeffs:
             return TRUE if _constant_holds(rel, const) else FALSE
         atom = LinearAtom.make(coeffs, rel, const)
+        # normalizing multiplies literals together, so a number can outgrow
+        # what str() converts (sys.get_int_max_str_digits) and fail on output
+        for value in (*(c for _, c in atom.coeffs), atom.const):
+            try:
+                str(value)
+            except ValueError:
+                raise ParseError("comparison normalizes to a number too long to print",
+                                 start.line, start.col) from None
         return Atom(atom)
 
     def linexpr(self) -> tuple[dict[str, Fraction], Fraction]:

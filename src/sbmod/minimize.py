@@ -2,16 +2,24 @@
 
 A formula over atoms a1..an is constant on each sign cell (a complete
 true/false choice per atom), so it is a Boolean function of the atom signs.
-``cells.satisfiable_cells`` lists the satisfiable cells with a witness each:
-the ON set is the cells whose witness satisfies the formula, and the cells it
-does not list are arithmetically unsatisfiable (e.g. h >= 10 and h < 0
-together), can never occur, and act as don't-cares. Quine-McCluskey with
-those don't-cares yields a small disjunction of literal conjunctions; the
-result is only used when the solver certifies equivalence with the input, so
-this is purely a readability transform and never changes semantics.
+``cells.satisfiable_cells`` lists the satisfiable cells: the ON set is the
+cells on which the formula holds, the OFF set the other satisfiable cells.
+Cells it does not list are arithmetically unsatisfiable (e.g. h >= 10 and
+h < 0 together), can never occur, and act as don't-cares, but they are never
+built: the prime implicants through each ON cell are read off the OFF cells
+alone, as minimal hitting sets of the bits in which each OFF cell differs
+from it, so the work follows |ON|, |OFF| and n rather than 2^n. A greedy
+cover of the ON cells by those primes gives a small disjunction of literal
+conjunctions; the result is only used when the solver certifies equivalence
+with the input, so this is purely a readability transform and never changes
+semantics. Guards whose atoms may have more than 2^12 satisfiable cells
+(``cells.cell_bound``) are left as written. Results are remembered per
+process.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from . import cells, solver
 from .formulas import (
@@ -27,38 +35,43 @@ from .formulas import (
     canonicalize,
     conj,
     evaluate,
+    formula_key,
 )
 
-_MAX_ATOMS = 12
+# each satisfiable cell costs a solver query or more, so a guard whose atoms
+# may have more cells than 12 independent atoms have stays as written
+_MAX_CELLS = 1 << 12
+
+# results keyed by (formula key, variable names); like the solver's query
+# cache, it takes no new entries once it holds solver._CACHE_LIMIT of them
+_cache: dict[tuple, Formula] = {}
 
 
-def _combine(implicants: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    # implicant = (values, care_mask); merge pairs differing in one cared bit
-    out: set[tuple[int, int]] = set()
-    merged: set[tuple[int, int]] = set()
-    items = sorted(implicants)
-    for i, (va, ca) in enumerate(items):
-        for vb, cb in items[i + 1:]:
-            if ca != cb:
-                continue
-            diff = va ^ vb
-            if diff and not (diff & (diff - 1)):
-                out.add((va & ~diff, ca & ~diff))
-                merged.add((va, ca))
-                merged.add((vb, cb))
-    out |= implicants - merged
-    return out
+def _minimal_sets(masks: Iterable[int], kept: list[int]) -> list[int]:
+    """Append to ``kept``, smallest first, each of ``masks`` that includes no
+    mask already kept; no kept mask then includes another if none did."""
+    for m in sorted(set(masks), key=int.bit_count):
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return kept
 
 
-def _prime_implicants(on: set[int], dc: set[int], n: int) -> list[tuple[int, int]]:
-    full = (1 << n) - 1
-    current: set[tuple[int, int]] = {(m, full) for m in on | dc}
-    while True:
-        nxt = _combine(current)
-        if nxt == current:
-            break
-        current = nxt
-    return sorted(current)
+def _hitting_sets(edges: Iterable[int]) -> list[int]:
+    """Minimal hitting sets of ``edges`` (bitmasks), by Berge's algorithm."""
+    sets = [0]
+    for e in _minimal_sets(edges, []):
+        bits = [1 << i for i in range(e.bit_length()) if (e >> i) & 1]
+        hit = [s for s in sets if s & e]
+        sets = _minimal_sets((s | b for s in sets if not s & e for b in bits), hit)
+    return sets
+
+
+def _prime_implicants(on: set[int], off: set[int]) -> list[tuple[int, int]]:
+    # implicant = (values, care_mask). A cube through ON cell m avoids OFF
+    # cell o iff its care mask meets m ^ o, so the primes through m are the
+    # cubes (m & C, C) for the minimal hitting sets C of {m ^ o : o in OFF}.
+    primes = {(m & c, c) for m in on for c in _hitting_sets(m ^ o for o in off)}
+    return sorted(primes)
 
 
 def _covers(implicant: tuple[int, int], minterm: int) -> bool:
@@ -100,16 +113,24 @@ def _implicant_formula(implicant: tuple[int, int], atoms: list[LinearAtom]) -> F
 def boolean_minimize(f: Formula, vars: VarSet) -> Formula:
     """Smallest equivalent disjunction-of-conjunctions found, else ``f``."""
     f = canonicalize(f)
+    key = (formula_key(f), vars.names)
+    result = _cache.get(key)
+    if result is None:
+        result = _minimize(f, vars)
+        if len(_cache) < solver._CACHE_LIMIT:
+            _cache[key] = result
+    return result
+
+
+def _minimize(f: Formula, vars: VarSet) -> Formula:
     atoms = cells.polarity_classes(atoms_of(f))
-    if not atoms or len(atoms) > _MAX_ATOMS:
+    if not atoms or cells.cell_bound(atoms) > _MAX_CELLS:
         return f
     sat = cells.satisfiable_cells(atoms, vars)
-    n = len(atoms)
     on = {mask for mask, witness in sat if evaluate(f, witness)}
     if not on:
         return FALSE
-    dc = set(range(1 << n)) - {mask for mask, _ in sat}
-    primes = _prime_implicants(on, dc, n)
+    primes = _prime_implicants(on, {mask for mask, _ in sat} - on)
     cover = _select_cover(on, primes)
     result = canonicalize(Or(tuple(_implicant_formula(p, atoms) for p in cover)))
     if _smaller(result, f) and solver.equivalent(result, f, vars):

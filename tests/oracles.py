@@ -151,6 +151,41 @@ def ref_canonicalize(f: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# reference prime implicants: Quine-McCluskey pairwise merging over every ON
+# and don't-care minterm. sbmod.minimize reads the primes off the OFF cells
+# instead; the primes that cover an ON minterm must agree.
+
+
+def _ref_combine(implicants: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    # implicant = (values, care_mask); merge pairs differing in one cared bit
+    out: set[tuple[int, int]] = set()
+    merged: set[tuple[int, int]] = set()
+    items = sorted(implicants)
+    for i, (va, ca) in enumerate(items):
+        for vb, cb in items[i + 1:]:
+            if ca != cb:
+                continue
+            diff = va ^ vb
+            if diff and not (diff & (diff - 1)):
+                out.add((va & ~diff, ca & ~diff))
+                merged.add((va, ca))
+                merged.add((vb, cb))
+    out |= implicants - merged
+    return out
+
+
+def ref_prime_implicants(on: set[int], dc: set[int], n: int) -> list[tuple[int, int]]:
+    full = (1 << n) - 1
+    current: set[tuple[int, int]] = {(m, full) for m in on | dc}
+    while True:
+        nxt = _ref_combine(current)
+        if nxt == current:
+            break
+        current = nxt
+    return sorted(current)
+
+
+# ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination (conjunctions of atoms)
 
 # internal constraint form: (coeffs dict, strict bool, const) meaning

@@ -9,13 +9,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from sbmod import cells as cells_module, solver
-from sbmod.cells import cell_formula, polarity_classes, satisfiable_cells, sign_mask
+from sbmod.cells import cell_bound, cell_formula, polarity_classes, satisfiable_cells, sign_mask
 from sbmod.engine import RANDOM_CELL, select_event
 from sbmod.extract import ExtractStats, extract_graph
 from sbmod.formulas import FALSE, TRUE, Assignment, VarSet, atom, atoms_of, conj, disj, evaluate, var_atom
 from sbmod.graphs import ObjectGraph
 from sbmod.runsets import CellRuns, CellSpace
 from sbmod.solver import check_sat
+
+from oracles import rand_atom_pool
 
 X = VarSet(("x",))
 XY = VarSet(("x", "y"))
@@ -68,6 +70,17 @@ def test_cell_cache_stops_inserting_at_the_limit(monkeypatch):
             cells = satisfiable_cells(atoms, XY)
             assert [mask for mask, _ in cells] == sorted(_brute_force(atoms, XY))
     assert len(cells_module._cache) == 2
+
+
+def test_cell_bound_is_an_upper_bound():
+    rng = random.Random(11)
+    names = ("w", "x", "y", "z")
+    for _ in range(60):
+        atoms = polarity_classes(a.atom for a in rand_atom_pool(rng, variables=names, hi=6))
+        assert len(satisfiable_cells(atoms, VarSet(names))) <= cell_bound(atoms)
+    thresholds = [var_atom("x", ">=", k).atom for k in range(8)]
+    assert cell_bound(thresholds) == 17
+    assert len(satisfiable_cells(thresholds, X)) == 9
 
 
 def test_polarity_classes_collapse_negations():

@@ -216,6 +216,18 @@ def test_oversized_number_literal_is_a_usage_error(tmp_path, capsys, body):
     assert f"line 1, col {col}: number literal of 5000 digits is too long" in capsys.readouterr().err
 
 
+def test_overlong_normalized_constant_is_a_usage_error(tmp_path, capsys):
+    big = "7" * 3000  # each literal converts, but normalizing gives big * big
+    text = f"model {{ vars v; object A {{ sync(request = 1/{big}*v >= {big}); }} }}"
+    model = tmp_path / "big.sbm"
+    model.write_text(text)
+    for argv in (["validate", str(model)], ["graph", str(model), "--object", "A"]):
+        assert main(argv) == 2
+        col = text.index("1/") + 1
+        assert f"line 1, col {col}: comparison normalizes to a number too long to print" \
+            in capsys.readouterr().err
+
+
 def test_unknown_object_name():
     assert main(["graph", str(FIXTURE), "--object", "Nope"]) == 2
 

@@ -1,0 +1,94 @@
+from __future__ import annotations
+
+import random
+
+from sbmod import cells, minimize, solver
+from sbmod.formulas import VarSet, atoms_of, canonicalize, disj, var_atom
+from sbmod.minimize import _prime_implicants, _select_cover, boolean_minimize
+
+from oracles import ref_prime_implicants
+
+XY = VarSet(("x", "y"))
+
+
+def _covers_on(prime: tuple[int, int], on: set[int]) -> bool:
+    value, care = prime
+    return any(m & care == value for m in on)
+
+
+def test_primes_agree_with_pairwise_merging():
+    rng = random.Random(20261018)
+    for i in range(3000):
+        # one case in 50 at n = 8, where a case of the reference takes ~80 ms
+        n = 8 if i % 50 == 0 else rng.randint(1, 7)
+        p_on = rng.random()
+        p_dc = rng.random() * (1 - p_on)
+        on: set[int] = set()
+        dc: set[int] = set()
+        for m in range(1 << n):
+            r = rng.random()
+            if r < p_on:
+                on.add(m)
+            elif r < p_on + p_dc:
+                dc.add(m)
+        if not on:
+            continue
+        off = set(range(1 << n)) - on - dc
+        ref = ref_prime_implicants(on, dc, n)
+        primes = _prime_implicants(on, off)
+        assert primes == [p for p in ref if _covers_on(p, on)], (n, on, dc)
+        assert _select_cover(on, primes) == _select_cover(on, ref), (n, on, dc)
+
+
+def _count_queries(monkeypatch) -> list[int]:
+    calls = [0]
+    real = solver.check_sat
+
+    def counting(f, vars):
+        calls[0] += 1
+        return real(f, vars)
+
+    monkeypatch.setattr(solver, "check_sat", counting)
+    return calls
+
+
+def test_repeat_call_makes_no_solver_query(monkeypatch):
+    monkeypatch.setattr(minimize, "_cache", {})
+    monkeypatch.setattr(cells, "_cache", {})
+    calls = _count_queries(monkeypatch)
+    f = disj([var_atom("x", ">=", 3), var_atom("x", ">=", 5), var_atom("y", "<", 1)])
+    first = boolean_minimize(f, XY)
+    assert calls[0] > 0
+    calls[0] = 0
+    assert boolean_minimize(f, XY) == first
+    assert calls[0] == 0
+
+
+def test_memo_stops_inserting_at_the_limit(monkeypatch):
+    monkeypatch.setattr(minimize, "_cache", {})
+    monkeypatch.setattr(solver, "_CACHE_LIMIT", 2)
+    for k in range(5):
+        f = disj([var_atom("x", ">=", k), var_atom("x", ">=", k + 1)])
+        assert boolean_minimize(f, XY) == canonicalize(var_atom("x", ">=", k))
+    assert len(minimize._cache) == 2
+
+
+def test_fourteen_atom_guard_is_minimized():
+    # the request of the 14-predicate wide object: past the old 12-atom cap
+    f = disj([var_atom("x", ">=", i) for i in range(1, 8)]
+             + [var_atom("y", ">=", i) for i in range(1, 8)])
+    assert len(atoms_of(canonicalize(f))) == 14
+    g = boolean_minimize(f, XY)
+    assert g == canonicalize(disj([var_atom("x", ">=", 1), var_atom("y", ">=", 1)]))
+    assert minimize._size(g) < minimize._size(canonicalize(f))
+    assert solver.equivalent(g, f, XY)
+
+
+def test_guard_over_many_independent_atoms_is_left_as_written(monkeypatch):
+    # 14 variables, one threshold each: 2^14 cells, past the cell budget
+    names = tuple(f"v{i}" for i in range(14))
+    f = canonicalize(disj([var_atom(v, ">=", 1) for v in names]))
+    assert cells.cell_bound(atoms_of(f)) == 1 << 14
+    calls = _count_queries(monkeypatch)
+    assert boolean_minimize(f, VarSet(names)) == f
+    assert calls[0] == 0

@@ -18,7 +18,7 @@ from . import engine
 from .compose import compose_all
 from .dsl import ParseError, ScenarioScript, insert_object, parse_model
 from .extract import ExtractionError, extract_graph, simplify_graph
-from .formulas import to_infix
+from .formulas import fraction_text, to_infix
 from .graphs import Model, ObjectGraph, UnknownObjectError, to_dot, to_json_dict
 from .verify import (
     Counterexample,
@@ -90,7 +90,7 @@ def _trace_jsonl(result: Counterexample) -> str:
         lines.append(json.dumps({
             "step": i,
             "state": step.state,
-            "assignment": {v: str(step.assignment.values[v]) for v in sorted(step.assignment.values)},
+            "assignment": {v: fraction_text(step.assignment.values[v]) for v in sorted(step.assignment.values)},
         }, sort_keys=True))
     lines.append(json.dumps({"verdict": result.trace.verdict, "state": result.trace.end_state}, sort_keys=True))
     return "\n".join(lines) + "\n"
@@ -135,7 +135,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
             patched_text = insert_object(handle.read(), text)
         _write(args.emit_model, patched_text)
     if args.verify:
-        report = verify_patch(base, patch, prop)
+        report = verify_patch(base, patch, prop, composite)
         print(f"verification: {report.summary()}")
     return OK
 

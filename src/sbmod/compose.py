@@ -8,10 +8,12 @@ conjunction is satisfiable. Only the part reachable from the initial pair is
 built, which is what keeps desk-scale models small. A composite state is bad
 as soon as either component is.
 
-Note that reachability here follows all satisfiable guards, not only enabled
-ones: whether an edge can actually fire during execution (its guard meets the
-state's request-and-not-blocked formula) is a verification concern and is
-checked there.
+Note that reachability in ``compose`` follows all satisfiable guards, not
+only enabled ones: whether an edge can actually fire during execution (its
+guard meets the state's request-and-not-blocked formula) is a verification
+concern. ``compose_enabled`` runs the same product loop but keeps only the
+edges that can fire, so it builds just the states that runs reach; the
+verifier uses it for the patched system.
 """
 
 from __future__ import annotations
@@ -42,14 +44,14 @@ def _outgoing_with_stay(g: ObjectGraph, q: str) -> list[tuple[Edge, bool]]:
     return out
 
 
-def compose(g1: ObjectGraph, g2: ObjectGraph, vars: Optional[VarSet] = None) -> ObjectGraph:
-    """Reachable product of two object graphs over a common variable set."""
-    if vars is None:
-        from .graphs import _graph_vars
+def _product(g1: ObjectGraph, g2: ObjectGraph, vars: VarSet,
+             enabled_only: bool) -> tuple[ObjectGraph, dict[str, tuple[str, str]]]:
+    """The product reachable from the initial pair, and its pair map.
 
-        names = set(_graph_vars(g1).names) | set(_graph_vars(g2).names)
-        vars = VarSet(tuple(names))
-
+    Keeps each pair of component edges whose guard conjunction is
+    satisfiable, or, with ``enabled_only``, meets the pair's request-and-not-
+    blocked formula.
+    """
     init = f"{g1.initial}{JOIN}{g2.initial}"
     pairs: dict[str, tuple[str, str]] = {init: (g1.initial, g2.initial)}
     order = [init]
@@ -69,12 +71,14 @@ def compose(g1: ObjectGraph, g2: ObjectGraph, vars: Optional[VarSet] = None) -> 
         waitfor[name] = disj([g1.waitfor[a], g2.waitfor[b]])
         if a in g1.bad or b in g2.bad:
             bad.add(name)
+        enabled = conj([request[name], negate(block[name])]) if enabled_only else None
         for e1, stay1 in _outgoing_with_stay(g1, a):
             for e2, stay2 in _outgoing_with_stay(g2, b):
                 if stay1 and stay2:
                     continue  # both stay: that is the composite's own stay loop
                 guard = conj([e1.guard, e2.guard])
-                if not solver.check_sat(guard, vars).is_sat:
+                query = guard if enabled is None else conj([guard, enabled])
+                if not solver.check_sat(query, vars).is_sat:
                     continue
                 dst = f"{e1.dst}{JOIN}{e2.dst}"
                 if dst not in pairs:
@@ -82,7 +86,7 @@ def compose(g1: ObjectGraph, g2: ObjectGraph, vars: Optional[VarSet] = None) -> 
                     order.append(dst)
                 edges.append((name, guard, dst))
 
-    return ObjectGraph.make(
+    graph = ObjectGraph.make(
         states=order,
         initial=init,
         request=request,
@@ -91,6 +95,28 @@ def compose(g1: ObjectGraph, g2: ObjectGraph, vars: Optional[VarSet] = None) -> 
         edges=edges,
         bad=bad,
     )
+    return graph, pairs
+
+
+def compose(g1: ObjectGraph, g2: ObjectGraph, vars: Optional[VarSet] = None) -> ObjectGraph:
+    """Reachable product of two object graphs over a common variable set."""
+    if vars is None:
+        from .graphs import _graph_vars
+
+        names = set(_graph_vars(g1).names) | set(_graph_vars(g2).names)
+        vars = VarSet(tuple(names))
+    return _product(g1, g2, vars, enabled_only=False)[0]
+
+
+def compose_enabled(g1: ObjectGraph, g2: ObjectGraph,
+                    vars: VarSet) -> tuple[ObjectGraph, dict[str, tuple[str, str]]]:
+    """The product along enabled moves only, and its state -> pair map.
+
+    Its states are the pairs that runs reach and its edges are exactly the
+    enabled ones, so each state's out-edges are the row ``compose`` followed
+    by an enabled-edge filter gives there: the same guards, in the same order.
+    """
+    return _product(g1, g2, vars, enabled_only=True)
 
 
 def object_graphs(m: Model, simplify: bool = True) -> list[tuple[str, ObjectGraph]]:

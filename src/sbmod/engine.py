@@ -40,6 +40,7 @@ from .formulas import (
     conj,
     disj,
     evaluate,
+    fraction_text,
     negate,
 )
 from .graphs import Model, ObjectGraph
@@ -87,7 +88,7 @@ class EventLog:
         for e in self.entries:
             lines.append(json.dumps({
                 "step": e.step,
-                "assignment": {v: str(e.assignment.values[v]) for v in sorted(e.assignment.values)},
+                "assignment": {v: fraction_text(e.assignment.values[v]) for v in sorted(e.assignment.values)},
                 "woke": list(e.woke),
             }, sort_keys=True))
         return "\n".join(lines) + ("\n" if lines else "")

@@ -264,7 +264,7 @@ class Assignment:
         return Assignment({v: self.values[v] for v in vars.names})
 
     def __str__(self) -> str:
-        inner = ", ".join(f"{v}={self.values[v]}" for v in sorted(self.values))
+        inner = ", ".join(f"{v}={fraction_text(self.values[v])}" for v in sorted(self.values))
         return "{" + inner + "}"
 
 
@@ -396,8 +396,27 @@ def variables_of(f: Formula) -> set[str]:
 # printers
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
+# below Python's default 4,300-digit limit on int <-> str conversion
+_STR_BITS = 13_000
+
+
+def _int_text(n: int) -> str:
+    """Decimal digits of ``n``, however long: ``str`` refuses more than the
+    interpreter's digit limit, so long numbers print in two halves."""
+    if n < 0:
+        return "-" + _int_text(-n)
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half its decimal digits (log10 2 > 0.3)
+    high, low = divmod(n, 10 ** k)
+    return _int_text(high) + _int_text(low).zfill(k)
+
+
+def fraction_text(x: Fraction) -> str:
+    """``str(x)`` for a rational of any size, e.g. ``-3/4`` or ``7``."""
+    if x.denominator == 1:
+        return _int_text(x.numerator)
+    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
 
 
 def to_infix(f: Formula) -> str:
@@ -431,12 +450,12 @@ def _atom_infix(a: LinearAtom) -> str:
     parts: list[str] = []
     for i, (var, coeff) in enumerate(a.coeffs):
         mag = abs(coeff)
-        term = var if mag == 1 else f"{_frac_str(mag)}*{var}"
+        term = var if mag == 1 else f"{fraction_text(mag)}*{var}"
         if i == 0:
             parts.append(term if coeff > 0 else f"-{term}")
         else:
             parts.append(("+ " if coeff > 0 else "- ") + term)
-    return f"{' '.join(parts)} {a.rel} {_frac_str(a.const)}"
+    return f"{' '.join(parts)} {a.rel} {fraction_text(a.const)}"
 
 
 _SEXPR_REL = {"<": "<", "<=": "<=", "==": "=", ">=": ">=", ">": ">", "!=": "distinct"}
@@ -463,8 +482,8 @@ def to_sexpr(f: Formula) -> str:
 
 def _num_sexpr(x: Fraction) -> str:
     if x.denominator == 1:
-        return str(x.numerator) if x >= 0 else f"(- {-x.numerator})"
-    text = f"(/ {abs(x.numerator)} {x.denominator})"
+        return _int_text(x.numerator) if x >= 0 else f"(- {_int_text(-x.numerator)})"
+    text = f"(/ {_int_text(abs(x.numerator))} {_int_text(x.denominator)})"
     return text if x >= 0 else f"(- {text})"
 
 

@@ -4,20 +4,30 @@ Every formula of a set of graphs is built from finitely many atoms, so it is
 constant on each satisfiable sign cell over their union (``cells.py``). The
 cells, one solver witness each, are therefore an exact finite alphabet: an
 assignment is the same letter as its cell's witness, with no region left
-out and no restriction on the atoms. Runs become words over that alphabet,
-which makes "the patched model removes exactly the violating runs and
-nothing else" checkable by exhaustive bounded-depth comparison.
+out and no restriction on the atoms. Runs become words over that alphabet.
+
+A composite moves on a letter only when the letter's cell is enabled at the
+current state, and then along the one out-edge whose guard holds on the
+cell (or stays put when none does), so the composite is a deterministic
+automaton over cells whose every state accepts. "The patched model removes
+exactly the violating runs and nothing else" is then the equality of two
+such prefix-closed languages, which a breadth-first search over the pairs of
+states the two automata reach decides exactly, for runs of every length
+(Hopcroft and Karp, Cornell TR 71-114, 1971).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .cells import polarity_classes, satisfiable_cells, sign_mask
 from .compose import enabled_guard
 from .formulas import Assignment, LinearAtom, VarSet, atoms_of, evaluate
-from .graphs import ObjectGraph
+from .graphs import GraphError, ObjectGraph
+
+Move = tuple[tuple, str]  # (cell letter, successor state)
 
 
 def _graph_atoms(g: ObjectGraph) -> Iterator[LinearAtom]:
@@ -33,7 +43,8 @@ class CellSpace:
     """The satisfiable sign cells over the atoms of some graphs.
 
     A cell's letter (its key) is the tuple of its witness's values over
-    ``vars``; ``witnesses`` lists one assignment per cell.
+    ``vars``; ``witnesses`` lists one assignment per cell, and ``keys``
+    their letters by sign mask, in the same order.
     """
 
     vars: tuple[str, ...]
@@ -54,99 +65,100 @@ class CellSpace:
         return self.keys[sign_mask(self.atoms, a)]
 
 
+def cell_moves(g: ObjectGraph, q: str, space: CellSpace) -> list[Move]:
+    """The move of ``g`` at ``q`` on every cell enabled there, in cell order.
+
+    Raises GraphError when two out-edge guards hold on one enabled cell:
+    the graph would not be deterministic over cells.
+    """
+    enabled = enabled_guard(g, q)
+    out = g.out_edges(q)
+    moves: list[Move] = []
+    for letter, cell in zip(space.keys.values(), space.witnesses):
+        if not evaluate(enabled, cell):
+            continue
+        hits = [e.dst for e in out if evaluate(e.guard, cell)]
+        if len(hits) > 1:
+            raise GraphError(f"out-edges of {q!r} to {hits} overlap on the cell {letter}")
+        moves.append((letter, hits[0] if hits else q))  # implicit stay when none holds
+    return moves
+
+
 @dataclass
 class CellRuns:
-    """Per-state enabled-cell transition table of one composite graph."""
+    """Enabled-cell transition table of one composite graph, per state.
+
+    ``moves`` fills in as ``at`` is asked for states; ``build`` fills it for
+    every reachable state up front.
+    """
 
     graph: ObjectGraph
     space: CellSpace
-    moves: dict[str, list[tuple[tuple, str]]]  # state -> [(cell key, successor)]
+    moves: dict[str, list[Move]] = field(default_factory=dict)  # state -> its cell moves
 
     @staticmethod
     def build(g: ObjectGraph, space: CellSpace) -> "CellRuns":
-        moves: dict[str, list[tuple[tuple, str]]] = {}
+        runs = CellRuns(g, space)
         for q in g.reachable():
-            enabled = enabled_guard(g, q)
-            out = g.out_edges(q)
-            table: list[tuple[tuple, str]] = []
-            for cell in space.witnesses:
-                if not evaluate(enabled, cell):
-                    continue
-                dst = q  # implicit stay when no edge matches
-                for e in out:
-                    if evaluate(e.guard, cell):
-                        dst = e.dst
-                        break
-                table.append((space.key_of(cell), dst))
-            moves[q] = table
-        return CellRuns(g, space, moves)
+            runs.at(q)
+        return runs
 
-    def runs(self, depth: int, avoid: Optional[frozenset] = None) -> set[tuple]:
-        """All cell-words of length <= depth (optionally avoiding some states)."""
-        banned = avoid if avoid is not None else frozenset()
-        out: set[tuple] = set()
-
-        def walk(state: str, prefix: tuple) -> None:
-            if len(prefix) == depth:
-                return
-            for key, dst in self.moves[state]:
-                if dst in banned:
-                    continue
-                word = prefix + (key,)
-                out.add(word)
-                walk(dst, word)
-
-        if self.graph.initial in banned:
-            return out
-        walk(self.graph.initial, ())
-        return out
+    def at(self, q: str) -> list[Move]:
+        row = self.moves.get(q)
+        if row is None:
+            row = self.moves[q] = cell_moves(self.graph, q, self.space)
+        return row
 
     def accepts(self, word: tuple, avoid: Optional[frozenset] = None) -> bool:
         banned = avoid if avoid is not None else frozenset()
         state = self.graph.initial
         for key in word:
-            nxt = None
-            for k, dst in self.moves[state]:
-                if k == key:
-                    nxt = dst
-                    break
-            if nxt is None or nxt in banned:
+            state = dict(self.at(state)).get(key)
+            if state is None or state in banned:
                 return False
-            state = nxt
         return True
 
 
 def runs_equal_minus_violations(
-    original: CellRuns, patched: CellRuns, depth: int, doomed: Optional[frozenset] = None
+    original: CellRuns, patched: CellRuns, doomed: Optional[frozenset] = None
 ) -> Optional[tuple]:
     """Check runs(patched) == runs(original) minus violating runs, exactly.
 
     A finite run counts as violating once it enters ``doomed`` (the bad
     attractor: from there every maximal continuation reaches a bad state), so
-    the comparison matches removal of violating maximal runs. Works by
-    synchronized, memoized descent over the two transition tables, which
-    decides set equality of the depth-bounded run sets without materializing
-    them. Returns None on success, else a differing word (on one side only).
+    the comparison matches removal of violating maximal runs. Both sides are
+    deterministic over cells and every state accepts, so the two run sets
+    are equal, for runs of every length, iff at each pair of states that one
+    word reaches on both sides, the two offer the same letters. A breadth-
+    first search over those pairs checks this, computing a state's moves
+    only when the search first reaches it. Returns None on success, else a
+    shortest differing word (on one side only).
     """
     banned = doomed if doomed is not None else original.graph.bad
-    memo: set[tuple[str, str, int]] = set()
+    start = (original.graph.initial, patched.graph.initial)
+    parent: dict[tuple[str, str], Optional[tuple[tuple[str, str], tuple]]] = {start: None}
 
-    def rec(qa: str, qb: str, d: int, prefix: tuple) -> Optional[tuple]:
-        if d == 0 or (qa, qb, d) in memo:
-            return None
-        steps_a = {key: dst for key, dst in original.moves[qa] if dst not in banned}
-        steps_b = {key: dst for key, dst in patched.moves[qb]}
-        for key, dst in patched.moves[qb]:
+    def word_to(pair: tuple[str, str]) -> tuple:
+        letters = []
+        while parent[pair] is not None:
+            pair, key = parent[pair]
+            letters.append(key)
+        return tuple(reversed(letters))
+
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        qa, qb = pair
+        steps_a = {key: dst for key, dst in original.at(qa) if dst not in banned}
+        steps_b = dict(patched.at(qb))
+        for key, dst in patched.at(qb):
             if dst in patched.graph.bad:
-                return prefix + (key,)  # a violating run survived the patch
-        if set(steps_a) != set(steps_b):
-            diff = set(steps_a) ^ set(steps_b)
-            return prefix + (sorted(diff)[0],)
-        for key in steps_a:
-            found = rec(steps_a[key], steps_b[key], d - 1, prefix + (key,))
-            if found is not None:
-                return found
-        memo.add((qa, qb, d))
-        return None
-
-    return rec(original.graph.initial, patched.graph.initial, depth, ())
+                return word_to(pair) + (key,)  # a violating run survived the patch
+        if steps_a.keys() != steps_b.keys():
+            return word_to(pair) + (min(steps_a.keys() ^ steps_b.keys()),)
+        for key, dst in steps_a.items():
+            nxt = (dst, steps_b[key])
+            if nxt not in parent:
+                parent[nxt] = (pair, key)
+                queue.append(nxt)
+    return None

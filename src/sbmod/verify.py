@@ -15,9 +15,12 @@ that fall into the attractor. The patch requests nothing, so composing it in
 removes the violating runs and nothing else.
 
 Each composite's table of enabled edges is built once and shared by the
-bad-path search, enabled reachability, deadlocks and the attractor; patch
-verification reads all three soundness clauses off two composites, the
-original and the patch composed onto it.
+bad-path search, enabled reachability, deadlocks and the attractor. Patch
+verification reads all three soundness clauses off two composites: the
+original, and the patch composed onto it along enabled moves only, which
+builds just the states runs reach. The run-set clause compares the two
+exactly, for runs of every length, by a search over the pairs of states
+that one run reaches in both.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from . import solver
-from .compose import JOIN, compose, compose_all, enabled_guard
+from .compose import compose_all, compose_enabled, enabled_guard
 from .dsl import ScenarioScript, emit_script
 from .extract import extract_graph, simplify_graph
 from .formulas import FalseF, Formula, VarSet, conj, disj, evaluate, negate
@@ -83,6 +86,11 @@ def _with_property(m: Model, prop_graph: ObjectGraph) -> Model:
     while name in m.names():
         name += "_"
     return Model(m.vars, m.objects + (NamedObject(name, prop_graph),))
+
+
+def _composite_with(m: Model, prop: Union[ScenarioScript, ObjectGraph]) -> ObjectGraph:
+    """The model's objects and then the property, composed in that order."""
+    return compose_all(_with_property(m, property_graph(prop, m.vars)))
 
 
 def _enabled_edges(g: ObjectGraph, vars: VarSet) -> EdgeTable:
@@ -163,7 +171,7 @@ def _doomed(g: ObjectGraph, table: EdgeTable) -> frozenset[str]:
 
 def check_safety(m: Model, prop: Union[ScenarioScript, ObjectGraph]) -> Union[Safe, Counterexample]:
     """BFS for a reachable bad state; shortest counterexample on violation."""
-    composite = compose_all(_with_property(m, property_graph(prop, m.vars)))
+    composite = _composite_with(m, prop)
     trace = _bad_path(composite, _enabled_edges(composite, m.vars), m.vars)
     return Safe(composite) if trace is None else Counterexample(trace, composite)
 
@@ -257,20 +265,6 @@ def synthesize_patch(
     return Patch(tracker=tracker, block_at=block_at, name=name)
 
 
-def _projector(original: ObjectGraph):
-    """Map states of compose(original, extra) back onto original's states.
-
-    Composite state names are join-separated; the original's own names may
-    already contain the separator, so strip by fragment count.
-    """
-    keep = len(original.initial.split(JOIN))
-
-    def project(name: str) -> str:
-        return JOIN.join(name.split(JOIN)[:keep])
-
-    return project
-
-
 def repair(m: Model, prop: Union[ScenarioScript, ObjectGraph], name: str = "Patch") -> tuple[Patch, frozenset[str], ObjectGraph]:
     """Full pipeline: compose, find the attractor, synthesize the patch.
 
@@ -279,7 +273,7 @@ def repair(m: Model, prop: Union[ScenarioScript, ObjectGraph], name: str = "Patc
     violations (the checker cannot reach them either); on a safe model the
     attractor is empty and the patch blocks nothing (identity patch).
     """
-    composite = compose_all(_with_property(m, property_graph(prop, m.vars)))
+    composite = _composite_with(m, prop)
     attractor = _doomed(composite, _enabled_edges(composite, m.vars))
     return synthesize_patch(composite, attractor, m.vars, name), attractor, composite
 
@@ -310,28 +304,31 @@ def verify_patch(
     m: Model,
     patch: Patch,
     prop: Union[ScenarioScript, ObjectGraph],
-    depth: int = 8,
+    composite: Optional[ObjectGraph] = None,
 ) -> Report:
     """Check the three soundness clauses of a synthesized patch.
 
-    All three read off one original composite (model plus property) and one
-    patched composite (the patch tracker composed onto it): (a) the patched
-    composite reaches no bad state (else ``violation`` holds the shortest
-    counterexample); (b) the patch introduces no deadlocks; (c) up to
-    ``depth`` steps, the runs of the patched model are exactly the runs of
-    the original minus the violating ones (those entering the bad
-    attractor), compared exhaustively over the exact sign-cell alphabet of
-    both composites. A differing run is reported as ``lost_run`` (a
-    non-violating original run the patch removes) or ``foreign_run`` (a
-    patched run that is not a non-violating original run). Raises
+    All three read off one original composite (model plus property; pass
+    the one ``repair`` returned as ``composite`` to skip composing it again)
+    and one patched composite (the patch tracker composed onto it along
+    enabled moves): (a) the patched composite reaches no bad state (else
+    ``violation`` holds the shortest counterexample); (b) the patch
+    introduces no deadlocks; (c) the runs of the patched model are exactly
+    the runs of the original minus the violating ones (those entering the
+    bad attractor), compared for runs of every length over the exact
+    sign-cell alphabet of both composites. A shortest differing run is
+    reported as ``lost_run`` (a non-violating original run the patch
+    removes) or ``foreign_run`` (a patched run that is not a non-violating
+    original run). ``details`` also records the alphabet size (``cells``)
+    and the size of the patched composite (``patched_states``). Raises
     RepairUnsoundError (with the report and a witness) if any clause fails.
     """
     report = Report()
     vars = m.vars
-    original = compose_all(_with_property(m, property_graph(prop, vars)))
-    patched = compose(original, patch.tracker, vars)
+    original = composite if composite is not None else _composite_with(m, prop)
+    patched, pairs = compose_enabled(original, patch.tracker, vars)
     original_table = _enabled_edges(original, vars)
-    patched_table = _enabled_edges(patched, vars)
+    patched_table = {q: patched.out_edges(q) for q in patched.states}  # every edge is enabled
 
     violation = _bad_path(patched, patched_table, vars)
     report.safe_after_patch = violation is None
@@ -339,19 +336,19 @@ def verify_patch(
         report.details["violation"] = violation
 
     dl_before = _deadlocks(original, original_table, vars)
-    project = _projector(original)
     new_deadlocks = sorted(q for q in _deadlocks(patched, patched_table, vars)
-                           if project(q) not in dl_before)
+                           if pairs[q][0] not in dl_before)
     report.no_new_deadlocks = not new_deadlocks
     if new_deadlocks:
         report.details["new_deadlocks"] = new_deadlocks
 
     witness, kind, cells = _run_difference(
-        original, patched, _doomed(original, original_table), vars, depth)
+        original, patched, _doomed(original, original_table), vars)
     report.containment_ok = witness is None
     if witness is not None:
         report.details[kind] = witness
     report.details["cells"] = cells
+    report.details["patched_states"] = len(patched.states)
 
     if not report.ok:
         raise RepairUnsoundError(f"repair is unsound: {report.summary()}", report)
@@ -363,12 +360,12 @@ def _doomed_states(composite: ObjectGraph, vars: VarSet) -> frozenset[str]:
     return _doomed(composite, _enabled_edges(composite, vars))
 
 
-def _run_difference(original: ObjectGraph, patched: ObjectGraph, doomed: frozenset[str], vars: VarSet,
-                    depth: int) -> tuple[Optional[tuple], Optional[str], int]:
-    """Clause (c): the first run that differs, its kind, and the cell count."""
+def _run_difference(original: ObjectGraph, patched: ObjectGraph, doomed: frozenset[str],
+                    vars: VarSet) -> tuple[Optional[tuple], Optional[str], int]:
+    """Clause (c): a shortest run that differs, its kind, and the cell count."""
     space = CellSpace.for_graphs([original, patched], vars)
-    runs_orig = CellRuns.build(original, space)
-    witness = runs_equal_minus_violations(runs_orig, CellRuns.build(patched, space), depth, doomed)
+    runs_orig = CellRuns(original, space)
+    witness = runs_equal_minus_violations(runs_orig, CellRuns(patched, space), doomed)
     kind = None
     if witness is not None:
         kind = "lost_run" if runs_orig.accepts(witness, avoid=doomed) else "foreign_run"
@@ -376,17 +373,18 @@ def _run_difference(original: ObjectGraph, patched: ObjectGraph, doomed: frozens
 
 
 def runs_preserved_exactly(
-    m: Model, patch: Patch, prop: Union[ScenarioScript, ObjectGraph], depth: int = 6
+    m: Model, patch: Patch, prop: Union[ScenarioScript, ObjectGraph]
 ) -> Optional[tuple]:
-    """Exact bounded check that the patch removes precisely the violating runs.
+    """Exact check that the patch removes precisely the violating runs.
 
     This is clause (c) of ``verify_patch`` on its own. A run counts as
     violating once violation becomes inevitable (it enters the bad
-    attractor). Compares the depth-bounded cell-run sets of the original and
-    patched composites; returns None when runs(patched) equals runs(original)
-    minus the violating runs, else the first differing run.
+    attractor). Compares the cell-run sets of the original and patched
+    composites for runs of every length; returns None when runs(patched)
+    equals runs(original) minus the violating runs, else a shortest
+    differing run.
     """
-    original = compose_all(_with_property(m, property_graph(prop, m.vars)))
-    patched = compose(original, patch.tracker, m.vars)
+    original = _composite_with(m, prop)
+    patched, _ = compose_enabled(original, patch.tracker, m.vars)
     doomed = _doomed_states(original, m.vars)
-    return _run_difference(original, patched, doomed, m.vars, depth)[0]
+    return _run_difference(original, patched, doomed, m.vars)[0]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -17,8 +18,19 @@ from sbmod.formulas import VarSet
 from sbmod.graphs import DiscreteObject, Model, NamedObject, encode_discrete
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 WATER_TAP_EVENTS = ["WaterLow", "AddHot", "AddCold"]
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """The benchmark's model generators (``perfbench/workloads.py``)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the class is built
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -30,6 +30,7 @@ from sbmod.formulas import (
     evaluate,
 )
 from sbmod.graphs import DiscreteObject, ObjectGraph
+from sbmod.runsets import CellRuns
 from sbmod import solver
 
 VARS = ("w", "x", "y", "z")
@@ -282,6 +283,31 @@ def grid_points(variables, span: int = 25, step: int = 1):
 
 def grid_satisfiable(f: Formula, variables, span: int = 25, step: int = 1) -> bool:
     return any(evaluate(f, a) for a in grid_points(variables, span, step))
+
+
+# ---------------------------------------------------------------------------
+# bounded cell runs
+
+
+def bounded_runs(runs: CellRuns, depth: int, avoid: frozenset = frozenset()) -> set[tuple]:
+    """All cell-words of length <= depth of a run table, materialized,
+    optionally avoiding some states; the reference for the unbounded
+    run-set comparison in ``sbmod.runsets``."""
+    out: set[tuple] = set()
+
+    def walk(state: str, prefix: tuple) -> None:
+        if len(prefix) == depth:
+            return
+        for key, dst in runs.at(state):
+            if dst in avoid:
+                continue
+            word = prefix + (key,)
+            out.add(word)
+            walk(dst, word)
+
+    if runs.graph.initial not in avoid:
+        walk(runs.graph.initial, ())
+    return out
 
 
 # ---------------------------------------------------------------------------

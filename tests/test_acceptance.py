@@ -184,12 +184,12 @@ def test_criterion_5_repair(drone_text, drone_base, drone_property):
     patched_comp = compose(comp, patch.tracker, VH)
     assert find_deadlocks(patched_comp, VH) <= find_deadlocks(comp, VH)
 
-    # exact run-set equality over the sign-cell alphabet, depth 6
+    # exact run-set equality over the sign-cell alphabet, for every depth
     space = CellSpace.for_graphs([comp, patched_comp], VH)
     original_runs = CellRuns.build(comp, space)
     patched_runs = CellRuns.build(patched_comp, space)
     witness = runs_equal_minus_violations(
-        original_runs, patched_runs, depth=6, doomed=_doomed_states(comp, VH))
+        original_runs, patched_runs, doomed=_doomed_states(comp, VH))
     assert witness is None
 
     # spot probes: the violating prefix is gone, its gentle twin survives

@@ -228,6 +228,25 @@ def test_overlong_normalized_constant_is_a_usage_error(tmp_path, capsys):
             in capsys.readouterr().err
 
 
+def test_witness_past_the_str_digit_limit_prints_exactly(tmp_path, capsys):
+    # every literal and every normalized atom fits under the 4,300-digit
+    # limit, but the witness multiplies them: z = N/D^2 has 4,999 digits below
+    n, d = "7" * 2500, "1" + "0" * 2499
+    obj = f"object A {{ sync(request = y == {n} && x == 1/{d}*y && z == 1/{d}*x); }}"
+    expected = {"x": f"{n}/{d}", "y": n, "z": f"{n}/{d}{'0' * 2499}"}
+    model = tmp_path / "chain.sbm"
+    model.write_text(f"model {{ vars x, y, z; {obj} }}")
+    log = tmp_path / "log.jsonl"
+    assert main(["run", str(model), "--steps", "2", "--log", str(log)]) == 0
+    assert json.loads(log.read_text().splitlines()[0])["assignment"] == expected
+
+    model.write_text(f"model {{ vars x, y, z; {obj} object P {{ sync(waitfor = true); sync(); mark bad; }} }}")
+    trace = tmp_path / "cex.jsonl"
+    assert main(["check", str(model), "--property", "P", "--trace", str(trace)]) == 1
+    assert f"{{x={expected['x']}, y={n}, z={expected['z']}}}" in capsys.readouterr().out
+    assert json.loads(trace.read_text().splitlines()[0])["assignment"] == expected
+
+
 def test_unknown_object_name():
     assert main(["graph", str(FIXTURE), "--object", "Nope"]) == 2
 

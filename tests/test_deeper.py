@@ -21,6 +21,8 @@ from sbmod.verify import (
     verify_patch,
 )
 
+from oracles import bounded_runs
+
 X = VarSet(("x",))
 
 TRAP_MODEL = """
@@ -67,8 +69,8 @@ def test_attractor_grows_through_forced_chain():
     _, guard = cuts[0]
     assert equivalent(guard, var_atom("x", ">=", 5), X)
 
-    assert runs_preserved_exactly(base, patch, prop, depth=6) is None
-    assert verify_patch(base, patch, prop, depth=7).ok
+    assert runs_preserved_exactly(base, patch, prop) is None
+    assert verify_patch(base, patch, prop).ok
 
     # the emitted patch is a one-state blocker; full textual round trip
     text = patch.to_script_text()
@@ -79,7 +81,7 @@ def test_attractor_grows_through_forced_chain():
     patched_comp = compose(comp, patch.tracker, X)
     space = CellSpace.for_graphs([comp, patched_comp], X)
     runs = CellRuns.build(patched_comp, space)
-    for word in runs.runs(depth=4):
+    for word in bounded_runs(runs, depth=4):
         for (value,) in word:
             assert Fraction(0) <= value < Fraction(5)
 

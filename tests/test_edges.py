@@ -22,6 +22,8 @@ from sbmod.runsets import CellRuns, CellSpace, runs_equal_minus_violations
 from sbmod.solver import check_sat
 from sbmod.verify import _doomed_states, _with_property, property_graph, repair
 
+from oracles import bounded_runs
+
 VH = VarSet(("v", "h"))
 
 
@@ -111,19 +113,17 @@ def test_cellspace_covers_multivariable_atoms():
 
 
 def test_runs_equal_matches_materialized_sets(drone_base, drone_property):
-    # cross-check the memoized synchronized comparison against literal
-    # set operations at a depth where materialization is feasible
+    # cross-check the unbounded pair search against literal set operations
+    # at depths where materialization is feasible
     patch, _, comp = repair(drone_base, drone_property)
     patched = compose(comp, patch.tracker, VH)
     space = CellSpace.for_graphs([comp, patched], VH)
     a = CellRuns.build(comp, space)
     b = CellRuns.build(patched, space)
     doomed = _doomed_states(comp, VH)
+    assert runs_equal_minus_violations(a, b, doomed) is None
     for depth in (1, 2, 3):
-        expected = a.runs(depth, avoid=doomed)
-        actual = b.runs(depth)
-        assert (runs_equal_minus_violations(a, b, depth, doomed) is None) == (expected == actual)
-        assert expected == actual
+        assert bounded_runs(a, depth, avoid=doomed) == bounded_runs(b, depth)
 
 
 def test_runs_equal_detects_differences(drone_base, drone_property):
@@ -134,7 +134,7 @@ def test_runs_equal_detects_differences(drone_base, drone_property):
     b = CellRuns.build(patched, space)
     # against an empty doomed set, the patched model visibly lacks the
     # violating continuation, so the comparison must return a witness
-    witness = runs_equal_minus_violations(a, b, 3, doomed=frozenset())
+    witness = runs_equal_minus_violations(a, b, doomed=frozenset())
     assert witness is not None
     assert a.accepts(witness) != b.accepts(witness)
 

@@ -1,0 +1,244 @@
+"""Patch verification along enabled moves: the enabled-move product against
+the full product plus an enabled-edge filter, the unbounded run-set
+comparison against the bounded reference, and the one move rule."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from sbmod.compose import JOIN, compose, compose_enabled, object_graphs
+from sbmod.dsl import parse_model
+from sbmod.formulas import FALSE, VarSet, disj, var_atom
+from sbmod.graphs import GraphError, Model, NamedObject, ObjectGraph, encode_discrete
+from sbmod.runsets import CellRuns, CellSpace, runs_equal_minus_violations
+from sbmod.verify import (
+    Patch,
+    RepairUnsoundError,
+    _doomed_states,
+    _enabled_edges,
+    _enabled_reachable,
+    repair,
+    verify_patch,
+)
+
+from conftest import FIXTURES, WATER_TAP_EVENTS, two_hot_in_a_row, water_tap_objects
+from oracles import bounded_runs, rand_atom_pool, rand_formula
+
+X = VarSet(("x",))
+
+
+def _tap(with_stability: bool) -> tuple[Model, ObjectGraph]:
+    objs = water_tap_objects(with_stability)
+    m = Model(X, tuple(NamedObject(n, encode_discrete(WATER_TAP_EVENTS, d)) for n, d in objs))
+    return m, encode_discrete(WATER_TAP_EVENTS, two_hot_in_a_row())
+
+
+def _parsed(text: str, prop: str) -> tuple[Model, ObjectGraph]:
+    m = parse_model(text)
+    return m.without(prop), m.get(prop)
+
+
+def _case(name: str, workloads) -> tuple[Model, object]:
+    """(model without its property, property) by name."""
+    if name == "drone":
+        return _parsed((FIXTURES / "drone.sbm").read_text(), "NoConsecutiveSharpTurns")
+    if name == "tap":
+        return _tap(with_stability=False)
+    if name == "safe_tap":
+        return _tap(with_stability=True)
+    if name == "ring":
+        return _parsed(workloads.ring_text(5), "AllMarked")
+    if name == "wide":
+        return _parsed(workloads.wide_text(7), "Far")
+    raise KeyError(name)
+
+
+# ---------------------------------------------------------------------------
+# the enabled-move product
+
+
+def _assert_enabled_product_matches(g1: ObjectGraph, g2: ObjectGraph, vars) -> ObjectGraph:
+    full = compose(g1, g2, vars)
+    table = _enabled_edges(full, vars)
+    reached = _enabled_reachable(full, table)
+    lazy, pairs = compose_enabled(g1, g2, vars)
+    assert lazy.initial == full.initial
+    assert sorted(lazy.states) == sorted(reached)
+    assert lazy.bad == full.bad & set(reached)
+    for q in reached:
+        assert lazy.out_edges(q) == table[q]  # same edges, guards and order
+        assert JOIN.join(pairs[q]) == q
+        assert pairs[q][0] in g1.states and pairs[q][1] in g2.states
+        for labels in ("request", "block", "waitfor"):
+            assert getattr(lazy, labels)[q] == getattr(full, labels)[q]
+    return lazy
+
+
+@pytest.mark.parametrize("name, patched_states", [
+    ("drone", None), ("tap", None), ("safe_tap", None), ("ring", 11), ("wide", 5),
+])
+def test_enabled_product_matches_filtered_full_product(name, patched_states, workloads):
+    m, prop = _case(name, workloads)
+    patch, _, composite = repair(m, prop)
+    lazy = _assert_enabled_product_matches(composite, patch.tracker, m.vars)
+    if patched_states is not None:
+        assert len(lazy.states) == patched_states
+    report = verify_patch(m, patch, prop, composite)
+    assert report.ok and report.details["patched_states"] == len(lazy.states)
+
+
+def test_enabled_product_of_model_objects(workloads):
+    # the product of two plain objects, not only composite-and-tracker
+    for name in ("drone", "ring"):
+        m, _ = _case(name, workloads)
+        (_, a), (_, b), *_ = object_graphs(m)
+        _assert_enabled_product_matches(a, b, m.vars)
+
+
+def _random_object(rng: random.Random, name: str) -> ObjectGraph:
+    pool = rand_atom_pool(rng, ("x", "y"), 2, 4)
+    states = [f"{name}{i}" for i in range(3)]
+
+    def f():
+        return rand_formula(rng, 2, pool)
+
+    return ObjectGraph.make(
+        states=states, initial=states[0],
+        request={q: f() for q in states if rng.random() < 0.8},
+        block={q: f() for q in states if rng.random() < 0.4},
+        waitfor={q: f() for q in states if rng.random() < 0.6},
+        edges=[(q, f(), rng.choice(states)) for q in states for _ in range(rng.randint(0, 2))],
+        bad=[states[-1]] if rng.random() < 0.5 else [],
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_enabled_product_on_random_objects(seed):
+    rng = random.Random(seed)
+    _assert_enabled_product_matches(_random_object(rng, "a"), _random_object(rng, "b"), VarSet(("x", "y")))
+
+
+# ---------------------------------------------------------------------------
+# clause (c): the unbounded pair search against the bounded reference
+
+# materialized run sets grow as (enabled cells)^depth; these caps keep the
+# reference below about 10k words per side
+MAX_DEPTH = {"drone": 4, "wide": 3, "tap": 6, "ring": 6}
+
+
+def _reblocked(patch: Patch, block_at: dict) -> Patch:
+    t = patch.tracker
+    tracker = ObjectGraph.make(
+        states=t.states, initial=t.initial, request=t.request, block=block_at,
+        waitfor=t.waitfor, edges=[(e.src, e.guard, e.dst) for e in t.edges])
+    return Patch(tracker=tracker, block_at=dict(block_at), name=patch.name)
+
+
+def _mutants(patch: Patch, composite: ObjectGraph, vars, rng: random.Random) -> list[tuple[str, Patch]]:
+    """The repaired patch, one cut dropped, and one extra block added, both
+    at states some run reaches (the tracker also covers states none does)."""
+    table = _enabled_edges(composite, vars)
+    doomed = _doomed_states(composite, vars)
+    reached = set(_enabled_reachable(composite, table))
+    out = [("repaired", patch)]
+    cuts = [q for q, _ in patch.cut_edges() if q in reached]
+    if cuts:
+        q = rng.choice(cuts)
+        out.append(("dropped_cut", _reblocked(patch, {**patch.block_at, q: FALSE})))
+    q = rng.choice(sorted(q for q in reached - doomed if any(e.dst not in doomed for e in table[q])))
+    extra = rng.choice([e for e in table[q] if e.dst not in doomed]).guard
+    out.append(("extra_block", _reblocked(patch, {**patch.block_at, q: disj([patch.block_at[q], extra])})))
+    return out
+
+
+def _difference_against_reference(m: Model, composite: ObjectGraph, patch: Patch,
+                                   depth: int) -> tuple[str, object]:
+    vars = m.vars
+    lazy, _ = compose_enabled(composite, patch.tracker, vars)
+    full = compose(composite, patch.tracker, vars)
+    # one alphabet for both sides: the full product's atoms cover the lazy one's
+    space = CellSpace.for_graphs([composite, full], vars)
+    doomed = _doomed_states(composite, vars)
+    original = CellRuns(composite, space)
+    witness = runs_equal_minus_violations(original, CellRuns(lazy, space), doomed)
+
+    reference = CellRuns(full, space)
+    for d in range(1, depth + 1):
+        kept = bounded_runs(original, d, avoid=doomed)
+        patched = bounded_runs(reference, d)
+        assert (kept == patched) == (witness is None or len(witness) > d), d
+        if witness is not None and len(witness) == d:
+            assert (witness in kept) != (witness in patched)
+    if witness is None:
+        return "equal", None
+    kind = "lost_run" if original.accepts(witness, avoid=doomed) else "foreign_run"
+    assert original.accepts(witness, avoid=doomed) != CellRuns(lazy, space).accepts(witness)
+    return kind, witness
+
+
+def test_unbounded_clause_c_matches_bounded_reference(workloads):
+    kinds: dict[str, set[str]] = {}
+    for seed, name in enumerate(("drone", "tap", "ring", "wide")):
+        m, prop = _case(name, workloads)
+        patch, _, composite = repair(m, prop)
+        for mutation, candidate in _mutants(patch, composite, m.vars, random.Random(seed)):
+            kind, witness = _difference_against_reference(m, composite, candidate, MAX_DEPTH[name])
+            assert witness is None or len(witness) <= MAX_DEPTH[name]  # the reference saw it
+            kinds.setdefault(mutation, set()).add(kind)
+    assert kinds == {"repaired": {"equal"}, "dropped_cut": {"foreign_run"}, "extra_block": {"lost_run"}}
+
+
+def test_verify_patch_reports_the_shortest_lost_run(drone_base, drone_property):
+    patch, _, composite = repair(drone_base, drone_property)
+    (q, _), = patch.cut_edges()
+    wider = _reblocked(patch, {**patch.block_at, q: var_atom("h", ">=", 10)})
+    with pytest.raises(RepairUnsoundError) as err:
+        verify_patch(drone_base, wider, drone_property, composite)
+    report = err.value.report
+    witness = report.details["lost_run"]
+    kind, expected = _difference_against_reference(drone_base, composite, wider, MAX_DEPTH["drone"])
+    assert kind == "lost_run" and len(witness) == len(expected) <= MAX_DEPTH["drone"]
+
+
+# ---------------------------------------------------------------------------
+# verify_patch on the ring-n family (the CLI cannot emit these patches yet)
+
+
+def _ring_n_text(n: int) -> str:
+    lines = ["model {", "  vars x;"]
+    for i in range(n):
+        lines.append(f"  object C{i} {{ loop {{ sync(request = x == {i}, block = x == {(i + 1) % n}); "
+                     f"sync(waitfor = x == {i}); }} }}")
+    lines.append("  object P { loop { sync(waitfor = true); if (x == 0) { sync(waitfor = true); "
+                 "if (x == 0) { sync(); mark bad; } } } }")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_verify_patch_on_ring_n(n):
+    m, prop = _parsed(_ring_n_text(n), "P")
+    patch, attractor, composite = repair(m, prop)
+    assert attractor == frozenset()
+    report = verify_patch(m, patch, prop, composite)
+    assert report.ok
+    # each station requests its own value and the next one blocks it, so no
+    # run gets past the initial state
+    assert report.details["patched_states"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the one move rule
+
+
+def test_overlapping_guards_raise_instead_of_picking_one():
+    g = ObjectGraph.make(
+        states=["a", "b", "c"], initial="a",
+        request={"a": var_atom("x", ">=", 0)},
+        edges=[("a", var_atom("x", ">=", 0), "b"), ("a", var_atom("x", ">=", 5), "c")],
+    )
+    space = CellSpace.for_graphs([g], X)
+    with pytest.raises(GraphError, match="overlap"):
+        CellRuns.build(g, space)

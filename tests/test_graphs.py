@@ -20,7 +20,7 @@ from sbmod.graphs import EncodingError
 from sbmod.runsets import CellRuns, CellSpace
 
 from conftest import WATER_TAP_EVENTS, water_adder, water_tap_objects
-from oracles import discrete_runs
+from oracles import bounded_runs, discrete_runs
 
 
 def idle_graph() -> ObjectGraph:
@@ -101,7 +101,7 @@ def test_encoded_runs_match_discrete_semantics(with_stability):
     model = _encoded_model(with_stability)
     composite = compose_all(model)
     space = CellSpace.for_graphs([composite], model.vars)
-    runs = CellRuns.build(composite, space).runs(depth)
+    runs = bounded_runs(CellRuns.build(composite, space), depth)
     names = {0: "WaterLow", 1: "AddHot", 2: "AddCold"}
     decoded = set()
     for word in runs:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from sbmod.compose import JOIN, compose, compose_all, enabled_guard
@@ -26,7 +28,7 @@ from sbmod.verify import (
 )
 
 from conftest import WATER_TAP_EVENTS, two_hot_in_a_row
-from oracles import discrete_runs
+from oracles import bounded_runs, discrete_runs
 
 VH = VarSet(("v", "h"))
 X = VarSet(("x",))
@@ -229,15 +231,15 @@ def test_patch_composability_removes_one_edge(drone_base, drone_property):
 
 def test_runs_preserved_exactly(drone_base, drone_property):
     patch, _, _ = repair(drone_base, drone_property)
-    assert runs_preserved_exactly(drone_base, patch, drone_property, depth=6) is None
+    assert runs_preserved_exactly(drone_base, patch, drone_property) is None
 
 
 def test_water_tap_patch_removes_exactly_hot_hot_runs(water_tap_unstable_model):
     prop = _encoded_two_hot()
     patch, attractor, comp = repair(water_tap_unstable_model, prop)
     assert attractor
-    assert runs_preserved_exactly(water_tap_unstable_model, patch, prop, depth=6) is None
-    report = verify_patch(water_tap_unstable_model, patch, prop, depth=7)
+    assert runs_preserved_exactly(water_tap_unstable_model, patch, prop) is None
+    report = verify_patch(water_tap_unstable_model, patch, prop)
     assert report.ok
 
     # decoded comparison against the independent discrete executor: the
@@ -249,7 +251,7 @@ def test_water_tap_patch_removes_exactly_hot_hot_runs(water_tap_unstable_model):
     expected = discrete_safe_runs(discrete, depth=6)
     patched = compose(comp, patch.tracker, water_tap_unstable_model.vars)
     space = CellSpace.for_graphs([patched], water_tap_unstable_model.vars)
-    words = CellRuns.build(patched, space).runs(depth=6)
+    words = bounded_runs(CellRuns.build(patched, space), depth=6)
     names = {0: "WaterLow", 1: "AddHot", 2: "AddCold"}
     decoded = {tuple(names[int(value)] for (value,) in w) for w in words}
     assert decoded == expected
@@ -270,7 +272,7 @@ def test_verify_identity_patch_on_safe_model(water_tap_model):
     prop = _encoded_two_hot()
     patch, attractor, _ = repair(water_tap_model, prop)
     assert attractor == frozenset()
-    report = verify_patch(water_tap_model, patch, prop, depth=6)
+    report = verify_patch(water_tap_model, patch, prop)
     assert report.ok
 
 
@@ -334,7 +336,7 @@ def test_clause_a_agrees_with_check_safety(case, safe, request):
     m, prop, patch = _patch_case(case, request)
     oracle = check_safety(Model(m.vars, m.objects + (patch.as_named_object(),)), prop)
     try:
-        report = verify_patch(m, patch, prop, depth=6)
+        report = verify_patch(m, patch, prop)
     except RepairUnsoundError as err:
         report = err.report
     assert report.safe_after_patch is isinstance(oracle, Safe) is safe
@@ -344,13 +346,18 @@ def test_clause_a_agrees_with_check_safety(case, safe, request):
         assert len(violation) == len(oracle.trace)
 
 
-def _count_calls(monkeypatch, names: tuple[str, ...]) -> dict[str, list]:
+# the package re-exports compose(), which shadows its module's name
+_COMPOSE_MODULE = sys.modules["sbmod.compose"]
+
+
+def _count_calls(monkeypatch, names: tuple[str, ...], module=None) -> dict[str, list]:
     import sbmod.verify as verify
 
+    module = module or verify
     calls: dict[str, list] = {name: [] for name in names}
 
     def counting(name: str):
-        real = getattr(verify, name)
+        real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name].append(args)
@@ -359,18 +366,29 @@ def _count_calls(monkeypatch, names: tuple[str, ...]) -> dict[str, list]:
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(verify, name, counting(name))
+        monkeypatch.setattr(module, name, counting(name))
     return calls
 
 
 def test_verify_patch_composes_once(drone_base, drone_property, monkeypatch):
-    patch, _, _ = repair(drone_base, drone_property)
-    calls = _count_calls(monkeypatch, ("compose_all", "check_safety", "_enabled_edges"))
+    patch, _, composite = repair(drone_base, drone_property)
+    calls = _count_calls(monkeypatch, ("compose_all", "check_safety", "_enabled_edges", "compose_enabled"))
+    products = _count_calls(monkeypatch, ("compose",), _COMPOSE_MODULE)
     assert verify_patch(drone_base, patch, drone_property).ok
     assert len(calls["compose_all"]) == 1
     assert calls["check_safety"] == []
-    original, patched = (args[0] for args in calls["_enabled_edges"])  # one table per composite
-    assert original is not patched
+    # one enabled-edge table, of the original composite; the patch goes onto
+    # that composite along enabled moves, and no full patched product is built
+    (original,) = (args[0] for args in calls["_enabled_edges"])
+    assert [args[:2] for args in calls["compose_enabled"]] == [(original, patch.tracker)]
+    assert len(products["compose"]) == len(drone_base.objects)  # the fold inside compose_all
+
+    # handed repair's composite, verify_patch composes nothing of its own
+    for counted in (*calls.values(), *products.values()):
+        counted.clear()
+    assert verify_patch(drone_base, patch, drone_property, composite).ok
+    assert calls["compose_all"] == [] and products["compose"] == []
+    assert calls["compose_enabled"][0][0] is composite
 
 
 def test_repair_verify_counts(monkeypatch, capsys):
@@ -378,7 +396,12 @@ def test_repair_verify_counts(monkeypatch, capsys):
 
     from conftest import FIXTURES
 
-    calls = _count_calls(monkeypatch, ("compose_all", "_enabled_edges"))
+    calls = _count_calls(monkeypatch, ("compose_all", "_enabled_edges", "compose_enabled"))
+    products = _count_calls(monkeypatch, ("compose",), _COMPOSE_MODULE)
     assert main(["repair", str(FIXTURES / "drone.sbm"), "--property", "NoConsecutiveSharpTurns", "--verify"]) == 0
     assert "run containment: pass" in capsys.readouterr().out
-    assert (len(calls["compose_all"]), len(calls["_enabled_edges"])) == (2, 3)
+    # one composite per run: repair's, shared with verify_patch
+    assert (len(calls["compose_all"]), len(calls["_enabled_edges"]), len(calls["compose_enabled"])) == (1, 2, 1)
+    in_repair, in_verify = (args[0] for args in calls["_enabled_edges"])
+    assert in_verify is in_repair and calls["compose_enabled"][0][0] is in_repair
+    assert len(products["compose"]) == 3  # three objects and the property, folded once

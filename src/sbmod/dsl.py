@@ -56,9 +56,8 @@ from .formulas import (
     disj,
     negate,
     to_infix,
-    variables_of,
 )
-from .graphs import Edge, GraphError, Model, NamedObject, ObjectGraph
+from .graphs import Edge, GraphError, Model, NamedObject, ObjectGraph, _graph_vars
 from .minimize import boolean_minimize
 
 # Parser limits, each a ParseError when exceeded. Parentheses, ``!``, blocks
@@ -664,13 +663,7 @@ def emit_script(g: ObjectGraph, name: str = "Patch") -> str:
 
 
 def structure_graph(g: ObjectGraph) -> list:
-    names: set[str] = set()
-    for table in (g.request, g.block, g.waitfor):
-        for f in table.values():
-            names |= variables_of(f)
-    for e in g.edges:
-        names |= variables_of(e.guard)
-    vars = VarSet(tuple(names) if names else ("_",))
+    vars = _graph_vars(g)
 
     reachable = g.reachable()
     adv: dict[str, list[Edge]] = {}

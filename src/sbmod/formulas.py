@@ -11,8 +11,11 @@ Atoms read ``sum(c_i * x_i) REL constant`` with REL one of
 ``LinearAtom.make`` is the only builder, and it scales the coefficients so the
 first nonzero one (in variable order) is 1, flipping the relation when
 scaling by a negative; ``negated`` keeps that form, and an atom's ``key`` is
-computed once. Formula canonicalization pushes negation into atoms, flattens,
-deduplicates and sorts connectives, and is idempotent.
+computed once. In a key, an integral coefficient or constant is stored as its
+``int``: an int orders, compares and hashes like the equal ``Fraction``, so
+every sort and cache lookup is unchanged, but runs in C instead of through
+``Fraction``'s Python-level methods. Formula canonicalization pushes negation
+into atoms, flattens, deduplicates and sorts connectives, and is idempotent.
 
 Canonical nodes carry their ``formula_key``, stored once when they are built
 in a field that equality, hashing and printing ignore: every ``Atom``,
@@ -63,6 +66,11 @@ class VarSet:
         return iter(self.names)
 
 
+def _key_number(x: Rational) -> Rational:
+    """``x`` as it goes into an atom key: an integral number as its ``int``."""
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class LinearAtom:
     """A single linear constraint ``sum(c_i * x_i) REL const``.
@@ -80,7 +88,8 @@ class LinearAtom:
     def __post_init__(self) -> None:
         if not self.coeffs or self.coeffs[0][1] != 1:
             raise ValueError("atoms are built by LinearAtom.make (leading coefficient 1)")
-        object.__setattr__(self, "_key", (self.coeffs, RELATIONS.index(self.rel), self.const))
+        coeffs = tuple((v, _key_number(c)) for v, c in self.coeffs)
+        object.__setattr__(self, "_key", (coeffs, RELATIONS.index(self.rel), _key_number(self.const)))
 
     @staticmethod
     def make(coeffs: Mapping[str, Rational], rel: str, const: Rational) -> "LinearAtom":

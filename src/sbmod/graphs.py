@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from . import solver
 from .formulas import (
@@ -31,6 +31,7 @@ from .formulas import (
     to_infix,
     to_sexpr,
     var_atom,
+    variables_of,
 )
 
 StateId = str
@@ -278,19 +279,19 @@ class Trace:
 # export
 
 
-def materialized_edges(g: ObjectGraph, q: StateId) -> list[Edge]:
-    """Explicit out-edges plus the stay self-loop, when satisfiable."""
+def materialized_edges(g: ObjectGraph, q: StateId, vars: Optional[VarSet] = None) -> list[Edge]:
+    """Explicit out-edges plus the stay self-loop, when satisfiable.
+    ``vars`` defaults to the graph's own variables."""
     out = g.out_edges(q)
     stay = g.stay_guard(q)
-    if solver.check_sat(stay, _graph_vars(g)).is_sat:
+    if solver.check_sat(stay, vars or _graph_vars(g)).is_sat:
         out = out + [Edge(q, stay, q)]
     return out
 
 
 def _graph_vars(g: ObjectGraph) -> VarSet:
+    """The variables the graph's labels and guards mention (``_`` if none)."""
     names: set[str] = set()
-    from .formulas import variables_of
-
     for table in (g.request, g.block, g.waitfor):
         for f in table.values():
             names |= variables_of(f)
@@ -302,9 +303,10 @@ def _graph_vars(g: ObjectGraph) -> VarSet:
 def to_json_dict(g: ObjectGraph) -> dict:
     """JSON-ready dict; formulas as s-expression strings, stay loops included."""
     states = sorted(g.states)
+    vars = _graph_vars(g)
     edges = []
     for q in states:
-        for e in materialized_edges(g, q):
+        for e in materialized_edges(g, q, vars):
             edges.append({"from": e.src, "guard": to_sexpr(e.guard), "to": e.dst})
     return {
         "states": states,
@@ -339,8 +341,9 @@ def to_dot(g: ObjectGraph, name: str = "object") -> str:
             attrs += ", peripheries=2, style=filled, fillcolor=lightcoral"
         lines.append(f"  {quote(q)} [{attrs}];")
     lines.append(f"  __start [shape=point]; __start -> {quote(g.initial)};")
+    vars = _graph_vars(g)
     for q in sorted(g.states):
-        for e in materialized_edges(g, q):
+        for e in materialized_edges(g, q, vars):
             lines.append(f"  {quote(e.src)} -> {quote(e.dst)} [label={quote(to_infix(e.guard))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

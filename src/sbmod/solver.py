@@ -8,8 +8,18 @@ concretized afterwards to a small positive rational, so returned models are
 plain exact rationals that satisfy strict bounds strictly.
 
 Disequalities are kept as primitive atoms and split into ``<`` or ``>`` at the
-theory level. The solver is deterministic: identical queries yield identical
-models, and unconstrained variables are assigned 0.
+theory level, by a depth-first search over the split decisions: splits in
+literal order, ``<`` before ``>``, each decided prefix checked for
+feasibility and its subtree skipped when it is infeasible. A leaf's
+constraints are the other literals followed by the decided splits, and the
+first feasible leaf's simplex values are the model. Pruning removes only
+subtrees without a feasible leaf, so this is the first feasible leaf of the
+eager split over all 2^k combinations. The lazy split of Dutertre & de Moura
+(CAV 2006: solve without the disequalities, branch on one the model breaks)
+is not used, because its simplex sees another constraint list and returns
+other models, and models reach every witness and trace the CLI prints.
+The solver is deterministic: identical queries yield identical models, and
+unconstrained variables are assigned 0.
 
 Everything here is self-contained and exact; no floats, no external solver.
 Set the environment variable ``SBM_SOLVER_DEBUG=1`` to dump each query in
@@ -250,7 +260,8 @@ def _feasible(constraints: list[tuple[LinearAtom, str]]) -> Optional[dict[str, D
 
 
 def _theory_model(literals: list[tuple[LinearAtom, bool]]) -> Optional[dict[str, DeltaRational]]:
-    """Solve a conjunction of signed atoms, splitting ``!=`` into ``<`` or ``>``."""
+    """Solve a conjunction of signed atoms, splitting ``!=`` into ``<`` or ``>``
+    depth-first and skipping the subtree of an infeasible decided prefix."""
     plain: list[tuple[LinearAtom, str]] = []
     splits: list[LinearAtom] = []
     for a, value in literals:
@@ -261,23 +272,17 @@ def _theory_model(literals: list[tuple[LinearAtom, bool]]) -> Optional[dict[str,
             plain.append((eff, eff.rel))
     if not splits:
         return _feasible(plain)
-    head, rest = splits[0], splits[1:]
-    for rel in ("<", ">"):
-        attempt = plain + [(head, rel)] + [(s, "!=") for s in rest]
-        result = _theory_model_resolved(attempt)
-        if result is not None:
-            return result
-    return None
+    return _split(plain, splits, 0)
 
 
-def _theory_model_resolved(items: list[tuple[LinearAtom, str]]) -> Optional[dict[str, DeltaRational]]:
-    pending = [(a, rel) for a, rel in items if rel == "!="]
-    resolved = [(a, rel) for a, rel in items if rel != "!="]
-    if not pending:
-        return _feasible(resolved)
-    head = pending[0][0]
+def _split(
+    decided: list[tuple[LinearAtom, str]], splits: list[LinearAtom], i: int
+) -> Optional[dict[str, DeltaRational]]:
     for rel in ("<", ">"):
-        result = _theory_model_resolved(resolved + [(head, rel)] + pending[1:])
+        prefix = decided + [(splits[i], rel)]
+        result = _feasible(prefix)
+        if result is not None and i + 1 < len(splits):
+            result = _split(prefix, splits, i + 1)
         if result is not None:
             return result
     return None

@@ -3,7 +3,9 @@
 Nothing here may import from sbmod.solver internals beyond its public
 results: the Fourier-Motzkin check below is a from-scratch decision procedure
 for conjunctions, kept deliberately separate from the simplex path it
-cross-checks.
+cross-checks. The one exception is the reference ``!=`` splitter, which calls
+``solver._feasible`` on purpose: it pins which split the solver settles on
+and so which model it returns, not whether the simplex is right.
 """
 
 from __future__ import annotations
@@ -74,9 +76,33 @@ def rand_conjunction(rng: random.Random, max_atoms: int = 8, variables=VARS) -> 
 
 
 # ---------------------------------------------------------------------------
+# model text
+
+
+def ring_n_text(n: int) -> str:
+    """The ring-n family: station Ci requests ``x == i`` while blocking the
+    next station's value, and property P marks bad on two ``x == 0`` in a row.
+    Every request is blocked, so no run leaves the initial state."""
+    lines = ["model {", "  vars x;"]
+    for i in range(n):
+        lines.append(f"  object C{i} {{ loop {{ sync(request = x == {i}, block = x == {(i + 1) % n}); "
+                     f"sync(waitfor = x == {i}); }} }}")
+    lines.append("  object P { loop { sync(waitfor = true); if (x == 0) { sync(waitfor = true); "
+                 "if (x == 0) { sync(); mark bad; } } } }")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # reference canonicalizer: a full tree walk that rebuilds every node and
 # re-normalizes every atom, with keys computed from scratch. The canonical
 # nodes of sbmod.formulas must agree with it.
+
+
+def ref_atom_key(a: LinearAtom) -> tuple:
+    """An atom's key with every number a ``Fraction``."""
+    coeffs = tuple((v, Fraction(c)) for v, c in a.coeffs)
+    return (coeffs, RELS.index(a.rel), Fraction(a.const))
 
 
 def ref_formula_key(f: Formula) -> tuple:
@@ -85,8 +111,7 @@ def ref_formula_key(f: Formula) -> tuple:
     if isinstance(f, TrueF):
         return (1,)
     if isinstance(f, Atom):
-        a = f.atom
-        return (2, (a.coeffs, RELS.index(a.rel), a.const))
+        return (2, ref_atom_key(f.atom))
     if isinstance(f, And):
         return (3, tuple(ref_formula_key(c) for c in f.children))
     if isinstance(f, Or):
@@ -184,6 +209,28 @@ def ref_prime_implicants(on: set[int], dc: set[int], n: int) -> list[tuple[int, 
             break
         current = nxt
     return sorted(current)
+
+
+# ---------------------------------------------------------------------------
+# reference ``!=`` splitter: every full split, tried eagerly in the solver's
+# order (splits in literal order, ``<`` before ``>``, the last split varying
+# fastest), each leaf solved as ``plain + [(s1, r1), ...]``. The first
+# feasible leaf's model is what ``solver._theory_model`` must return.
+
+
+def ref_theory_model(literals: list[tuple[LinearAtom, bool]]):
+    plain, splits = [], []
+    for a, value in literals:
+        eff = a if value else a.negated()
+        if eff.rel == "!=":
+            splits.append(eff)
+        else:
+            plain.append((eff, eff.rel))
+    for rels in itertools.product(("<", ">"), repeat=len(splits)):
+        model = solver._feasible(plain + list(zip(splits, rels)))
+        if model is not None:
+            return model
+    return None
 
 
 # ---------------------------------------------------------------------------

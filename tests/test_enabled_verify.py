@@ -24,7 +24,7 @@ from sbmod.verify import (
 )
 
 from conftest import FIXTURES, WATER_TAP_EVENTS, two_hot_in_a_row, water_tap_objects
-from oracles import bounded_runs, rand_atom_pool, rand_formula
+from oracles import bounded_runs, rand_atom_pool, rand_formula, ring_n_text
 
 X = VarSet(("x",))
 
@@ -206,20 +206,9 @@ def test_verify_patch_reports_the_shortest_lost_run(drone_base, drone_property):
 # verify_patch on the ring-n family (the CLI cannot emit these patches yet)
 
 
-def _ring_n_text(n: int) -> str:
-    lines = ["model {", "  vars x;"]
-    for i in range(n):
-        lines.append(f"  object C{i} {{ loop {{ sync(request = x == {i}, block = x == {(i + 1) % n}); "
-                     f"sync(waitfor = x == {i}); }} }}")
-    lines.append("  object P { loop { sync(waitfor = true); if (x == 0) { sync(waitfor = true); "
-                 "if (x == 0) { sync(); mark bad; } } } }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_verify_patch_on_ring_n(n):
-    m, prop = _parsed(_ring_n_text(n), "P")
+    m, prop = _parsed(ring_n_text(n), "P")
     patch, attractor, composite = repair(m, prop)
     assert attractor == frozenset()
     report = verify_patch(m, patch, prop, composite)

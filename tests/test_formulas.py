@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sbmod import solver
 from sbmod.formulas import (
     FALSE,
     TRUE,
@@ -30,9 +31,11 @@ from sbmod.formulas import (
 )
 
 from oracles import (
+    rand_atom,
     rand_assignment,
     rand_atom_pool,
     rand_formula,
+    ref_atom_key,
     ref_canonicalize,
     ref_formula_key,
 )
@@ -96,6 +99,33 @@ def test_atoms_are_built_normalized():
     a = atom({"v": -2, "h": 4}, "<", 6).atom
     assert a.coeffs == (("h", 1), ("v", Fraction(-1, 2)))
     assert a.negated() == LinearAtom(a.coeffs, ">=", Fraction(3, 2))
+
+
+def test_integral_keys_behave_like_fraction_keys():
+    rng = random.Random(11)
+    atoms = [rand_atom(rng).atom for _ in range(400)]
+    numbers = [n for a in atoms for n in (a.const, *(c for _, c in a.coeffs))]
+    assert any(n.denominator == 1 for n in numbers) and any(n.denominator > 1 for n in numbers)
+    for a in atoms:
+        key, ref = a.key(), ref_atom_key(a)
+        assert key == ref and hash(key) == hash(ref)
+        coeffs, _, const = key
+        assert all(type(n) is (int if n.denominator == 1 else Fraction) for n in (const, *(c for _, c in coeffs)))
+    for a, b in zip(atoms, atoms[1:] + atoms[:1]):
+        assert (a.key() < b.key()) == (ref_atom_key(a) < ref_atom_key(b))
+        assert (a.key() == b.key()) == (ref_atom_key(a) == ref_atom_key(b))
+    assert sorted(atoms, key=LinearAtom.key) == sorted(atoms, key=ref_atom_key)
+
+
+def test_int_and_fraction_numbers_share_a_cache_entry(monkeypatch):
+    monkeypatch.setattr(solver, "_cache", {})
+    xy = VarSet(("x", "y"))
+    from_ints = conj([atom({"x": 3, "y": 6}, "<=", 2), var_atom("y", "!=", 5)])
+    from_fractions = conj([atom({"x": Fraction(3), "y": Fraction(6)}, "<=", Fraction(2)),
+                           var_atom("y", "!=", Fraction(5))])
+    first = solver.check_sat(from_ints, xy)
+    assert solver.check_sat(from_fractions, xy) is first
+    assert len(solver._cache) == 1
 
 
 def test_canonicalize_idempotent_and_sorted():

@@ -3,7 +3,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from sbmod import solver
 from sbmod.formulas import (
+    Assignment,
+    LinearAtom,
     VarSet,
     conj,
     disj,
@@ -19,6 +22,7 @@ from oracles import (
     rand_atom_pool,
     rand_conjunction,
     rand_formula,
+    ref_theory_model,
 )
 
 VH = VarSet(("v", "h"))
@@ -170,3 +174,56 @@ def test_smtlib2_dump_shape():
     assert "(declare-const h Real)" in text
     assert "(assert (and (= h 0) (>= v 2)))" in text
     assert text.strip().endswith("(get-model)")
+
+
+# ---------------------------------------------------------------------------
+# the pruned ``!=`` split search against the eager reference
+
+
+def _split_literals(rng: random.Random, variables: tuple[str, ...], disequalities: int):
+    """Bounds over ``variables`` plus exactly ``disequalities`` ``!=``
+    literals, some written as negated equalities, in shuffled order."""
+    def linear():
+        chosen = rng.sample(variables, rng.randint(1, len(variables)))
+        return {v: rng.choice([-2, -1, 1, 2]) for v in chosen}
+
+    literals = [(LinearAtom.make(linear(), rng.choice(["<", "<=", ">=", ">"]), rng.randint(-3, 3)),
+                 rng.random() < 0.7)
+                for _ in range(rng.randint(0, 4))]
+    for _ in range(disequalities):
+        a = LinearAtom.make(linear(), "==", Fraction(rng.randint(-6, 6), rng.choice([1, 2])))
+        literals.append((a, False) if rng.random() < 0.5 else (a.negated(), True))
+    rng.shuffle(literals)
+    return literals
+
+
+def test_split_search_matches_eager_reference():
+    rng = random.Random(2026)
+    unsat = sat_with_splits = 0
+    for _ in range(600):
+        variables = rng.choice([("x",), ("x", "y")])
+        literals = _split_literals(rng, variables, rng.randint(0, 8))
+        expected = ref_theory_model(literals)
+        assert solver._theory_model(literals) == expected, literals
+        unsat += expected is None
+        splits = sum((a if value else a.negated()).rel == "!=" for a, value in literals)
+        sat_with_splits += expected is not None and splits >= 2
+    assert unsat >= 50 and sat_with_splits >= 50
+
+
+def test_split_search_prunes_infeasible_prefixes(monkeypatch):
+    k = 12
+    x = {"x": 1}
+    literals = [(LinearAtom.make(x, ">=", 0), True), (LinearAtom.make(x, "<=", k - 1), True)]
+    literals += [(LinearAtom.make(x, "==", i), False) for i in range(k)]
+    calls = []
+    feasible = solver._feasible
+    monkeypatch.setattr(solver, "_feasible", lambda constraints: calls.append(1) or feasible(constraints))
+    model = solver._theory_model(literals)
+    # x < 0 fails once; then x > 0 and x < 1, x < 2, ... each hold at once
+    assert len(calls) <= 2 * k + 1
+    monkeypatch.undo()
+    assert model == ref_theory_model(literals)
+    f = conj([var_atom("x", ">=", 0), var_atom("x", "<=", k - 1)]
+             + [var_atom("x", "!=", i) for i in range(k)])
+    assert check_sat(f, VarSet(("x",))).model == Assignment({"x": Fraction(1, 2)})

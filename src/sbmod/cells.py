@@ -27,6 +27,12 @@ from .formulas import And, Assignment, Atom, Formula, LinearAtom, VarSet, conj
 
 Cell = tuple[int, Assignment]  # (sign mask, witness)
 
+# each satisfiable cell costs a solver query or more, so callers enumerate
+# cells only while ``cell_bound`` is at most the 2^12 cells of 12 independent
+# atoms: past it, the minimizer leaves a guard as written and the engine's
+# ``random-cell`` policy falls back to the solver's model
+MAX_CELLS = 1 << 12
+
 # cell tables keyed by (atom keys, variable names); like the solver's query
 # cache, it takes no new entries once it holds solver._CACHE_LIMIT of them
 _cache: dict[tuple, tuple[Cell, ...]] = {}

@@ -2,7 +2,8 @@
 
 Subcommands: validate, run, graph, check, repair. Exit codes: 0 for success
 (or a Safe verdict), 1 when a violation is found or the model is
-unrepairable, 2 for usage errors (unreadable files, parse errors, unknown
+unrepairable (including a patch that cannot be written as a scenario
+script), 2 for usage errors (unreadable files, parse errors, unknown
 object names, over-large or invalid objects and properties, bad run
 settings), 3 for internal errors.
 """
@@ -16,7 +17,7 @@ from typing import Optional
 
 from . import engine
 from .compose import compose_all
-from .dsl import ParseError, ScenarioScript, insert_object, parse_model
+from .dsl import EmissionError, ParseError, ScenarioScript, insert_object, parse_model
 from .extract import ExtractionError, extract_graph, simplify_graph
 from .formulas import fraction_text, to_infix
 from .graphs import Model, ObjectGraph, UnknownObjectError, to_dot, to_json_dict
@@ -194,6 +195,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return USAGE
     except UnrepairableError as err:
         print(f"unrepairable: {err}", file=sys.stderr)
+        return VIOLATION
+    except EmissionError as err:
+        print(f"unrepairable: the patch cannot be written as a scenario script: {err}", file=sys.stderr)
         return VIOLATION
     except RepairUnsoundError as err:
         print(f"internal error: {err}", file=sys.stderr)

@@ -1,23 +1,24 @@
 """Parallel composition of scenario-object graphs.
 
-The composite of two objects runs them against the same triggered
-assignments: states are pairs, request/block/waitfor labels are element-wise
-disjunctions, and an edge exists for each pair of component transitions
-(including the implicit stay loops, materialized here) whose guard
-conjunction is satisfiable. Only the part reachable from the initial pair is
-built, which is what keeps desk-scale models small. A composite state is bad
-as soon as either component is.
+The composite of several objects runs them against the same triggered
+assignments: states are tuples of part states (named by joining them with
+``JOIN``), request/block/waitfor labels are part-wise disjunctions, and a
+move takes one out-edge or the implicit stay loop (materialized here) of
+each part, whose guard conjunction labels the composite edge. Only the part
+reachable from the initial tuple is built, which is what keeps desk-scale
+models small. A composite state is bad as soon as any part is.
 
-Note that reachability in ``compose`` follows all satisfiable guards, not
-only enabled ones: whether an edge can actually fire during execution (its
-guard meets the state's request-and-not-blocked formula) is a verification
-concern. ``compose_enabled`` runs the same product loop but keeps only the
-edges that can fire, so it builds just the states that runs reach; the
-verifier uses it for the patched system.
+``compose`` keeps every move whose guard is satisfiable; it is the full
+product behind ``graph --composite``. ``compose_enabled`` keeps only the
+moves that can fire (their guard meets the source's request-and-not-blocked
+formula), so it builds just the states that runs reach. Over one part it
+cuts a composite down to its run graph, on which checking, repair and patch
+verification all run; over two it composes a patch onto that run graph.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 from . import solver
@@ -44,16 +45,16 @@ def _outgoing_with_stay(g: ObjectGraph, q: str) -> list[tuple[Edge, bool]]:
     return out
 
 
-def _product(g1: ObjectGraph, g2: ObjectGraph, vars: VarSet,
-             enabled_only: bool) -> tuple[ObjectGraph, dict[str, tuple[str, str]]]:
-    """The product reachable from the initial pair, and its pair map.
+def _product(graphs: list[ObjectGraph], vars: VarSet,
+             enabled_only: bool) -> tuple[ObjectGraph, dict[str, tuple[str, ...]]]:
+    """The product reachable from the initial tuple, and its state -> tuple map.
 
-    Keeps each pair of component edges whose guard conjunction is
-    satisfiable, or, with ``enabled_only``, meets the pair's request-and-not-
-    blocked formula.
+    Keeps each move whose guard conjunction is satisfiable, or, with
+    ``enabled_only``, meets the tuple's request-and-not-blocked formula.
     """
-    init = f"{g1.initial}{JOIN}{g2.initial}"
-    pairs: dict[str, tuple[str, str]] = {init: (g1.initial, g2.initial)}
+    start = tuple(g.initial for g in graphs)
+    init = JOIN.join(start)
+    parts: dict[str, tuple[str, ...]] = {init: start}
     order = [init]
     edges: list[tuple[str, Formula, str]] = []
     request: dict[str, Formula] = {}
@@ -64,27 +65,27 @@ def _product(g1: ObjectGraph, g2: ObjectGraph, vars: VarSet,
     i = 0
     while i < len(order):
         name = order[i]
-        a, b = pairs[name]
+        qs = parts[name]
         i += 1
-        request[name] = disj([g1.request[a], g2.request[b]])
-        block[name] = disj([g1.block[a], g2.block[b]])
-        waitfor[name] = disj([g1.waitfor[a], g2.waitfor[b]])
-        if a in g1.bad or b in g2.bad:
+        request[name] = disj([g.request[q] for g, q in zip(graphs, qs)])
+        block[name] = disj([g.block[q] for g, q in zip(graphs, qs)])
+        waitfor[name] = disj([g.waitfor[q] for g, q in zip(graphs, qs)])
+        if any(q in g.bad for g, q in zip(graphs, qs)):
             bad.add(name)
         enabled = conj([request[name], negate(block[name])]) if enabled_only else None
-        for e1, stay1 in _outgoing_with_stay(g1, a):
-            for e2, stay2 in _outgoing_with_stay(g2, b):
-                if stay1 and stay2:
-                    continue  # both stay: that is the composite's own stay loop
-                guard = conj([e1.guard, e2.guard])
-                query = guard if enabled is None else conj([guard, enabled])
-                if not solver.check_sat(query, vars).is_sat:
-                    continue
-                dst = f"{e1.dst}{JOIN}{e2.dst}"
-                if dst not in pairs:
-                    pairs[dst] = (e1.dst, e2.dst)
-                    order.append(dst)
-                edges.append((name, guard, dst))
+        for move in itertools.product(*(_outgoing_with_stay(g, q) for g, q in zip(graphs, qs))):
+            if all(stay for _, stay in move):
+                continue  # every part stays: that is the composite's own stay loop
+            guard = conj([e.guard for e, _ in move])
+            query = guard if enabled is None else conj([guard, enabled])
+            if not solver.check_sat(query, vars).is_sat:
+                continue
+            targets = tuple(e.dst for e, _ in move)
+            dst = JOIN.join(targets)
+            if dst not in parts:
+                parts[dst] = targets
+                order.append(dst)
+            edges.append((name, guard, dst))
 
     graph = ObjectGraph.make(
         states=order,
@@ -95,7 +96,7 @@ def _product(g1: ObjectGraph, g2: ObjectGraph, vars: VarSet,
         edges=edges,
         bad=bad,
     )
-    return graph, pairs
+    return graph, parts
 
 
 def compose(g1: ObjectGraph, g2: ObjectGraph, vars: Optional[VarSet] = None) -> ObjectGraph:
@@ -105,18 +106,18 @@ def compose(g1: ObjectGraph, g2: ObjectGraph, vars: Optional[VarSet] = None) -> 
 
         names = set(_graph_vars(g1).names) | set(_graph_vars(g2).names)
         vars = VarSet(tuple(names))
-    return _product(g1, g2, vars, enabled_only=False)[0]
+    return _product([g1, g2], vars, enabled_only=False)[0]
 
 
-def compose_enabled(g1: ObjectGraph, g2: ObjectGraph,
-                    vars: VarSet) -> tuple[ObjectGraph, dict[str, tuple[str, str]]]:
-    """The product along enabled moves only, and its state -> pair map.
+def compose_enabled(graphs: list[ObjectGraph],
+                    vars: VarSet) -> tuple[ObjectGraph, dict[str, tuple[str, ...]]]:
+    """The product along enabled moves only, and its state -> tuple map.
 
-    Its states are the pairs that runs reach and its edges are exactly the
-    enabled ones, so each state's out-edges are the row ``compose`` followed
-    by an enabled-edge filter gives there: the same guards, in the same order.
+    Its states are the tuples that runs reach and its edges are exactly the
+    enabled moves. Over one graph it keeps that graph's state names, and
+    each state's out-edges are the graph's own enabled ones, in order.
     """
-    return _product(g1, g2, vars, enabled_only=True)
+    return _product(graphs, vars, enabled_only=True)
 
 
 def object_graphs(m: Model, simplify: bool = True) -> list[tuple[str, ObjectGraph]]:

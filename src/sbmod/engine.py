@@ -16,8 +16,8 @@ Two selection policies:
   seeded generator; its witness is the event. The selection formula is
   constant on each cell, so this is exact. Runs vary across seeds but stay
   reproducible, and coverage spreads across qualitatively different
-  behaviors instead of hugging one boundary. Above 12 atoms the policy falls
-  back to the solver's model.
+  behaviors instead of hugging one boundary. When the atoms may have more
+  than ``cells.MAX_CELLS`` cells, the policy falls back to the solver's model.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import solver
-from .cells import polarity_classes, satisfiable_cells
+from .cells import MAX_CELLS, cell_bound, polarity_classes, satisfiable_cells
 from .dsl import ScenarioScript
 from .extract import ScriptState, initial_state, step_script
 from .formulas import (
@@ -48,7 +48,6 @@ from .graphs import Model, ObjectGraph
 FIRST_MODEL = "first-model"
 RANDOM_CELL = "random-cell"
 POLICIES = (FIRST_MODEL, RANDOM_CELL)
-_MAX_CELL_ATOMS = 12
 
 
 class ConfigError(ValueError):
@@ -114,7 +113,7 @@ def select_event(
         return first.model.restricted_to(vars)
 
     atoms = polarity_classes(atoms_of(base))
-    if not atoms or len(atoms) > _MAX_CELL_ATOMS:
+    if not atoms or cell_bound(atoms) > MAX_CELLS:
         return first.model.restricted_to(vars)
     inside = [w for _, w in satisfiable_cells(atoms, vars) if evaluate(base, w)]
     return inside[rng.randrange(len(inside))].restricted_to(vars)

@@ -38,6 +38,9 @@ from .graphs import ObjectGraph
 from .minimize import boolean_minimize
 
 END_LOCATION = -1
+# an object collecting more predicates is rejected: extraction triggers up to
+# 2^k sign cells per state
+MAX_PREDICATES = 16
 
 
 class ExtractionError(ValueError):
@@ -151,7 +154,6 @@ def extract_graph(
     script: ScenarioScript,
     vars: Optional[VarSet] = None,
     stats: Optional[ExtractStats] = None,
-    max_predicates: int = 16,
 ) -> ObjectGraph:
     """Breadth-first extraction of a script's underlying transition graph.
 
@@ -161,10 +163,10 @@ def extract_graph(
     ``simplify_graph``).
     """
     predicates = collect_predicates(script)
-    if len(predicates) > max_predicates:
+    if len(predicates) > MAX_PREDICATES:
         raise ExtractionError(
             f"object {script.name!r} collects {len(predicates)} predicates, over the "
-            f"cap of {max_predicates}; reduce distinct predicates in the script")
+            f"cap of {MAX_PREDICATES}; reduce distinct predicates in the script")
     atoms = list(predicates.atoms)
     if vars is None:
         names = {v for a in atoms for v in a.variables()}

@@ -12,9 +12,9 @@ from it, so the work follows |ON|, |OFF| and n rather than 2^n. A greedy
 cover of the ON cells by those primes gives a small disjunction of literal
 conjunctions; the result is only used when the solver certifies equivalence
 with the input, so this is purely a readability transform and never changes
-semantics. Guards whose atoms may have more than 2^12 satisfiable cells
-(``cells.cell_bound``) are left as written. Results are remembered per
-process.
+semantics. Guards whose atoms may have more than ``cells.MAX_CELLS``
+satisfiable cells (``cells.cell_bound``) are left as written. Results are
+remembered per process.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ from .formulas import (
     evaluate,
     formula_key,
 )
-
-# each satisfiable cell costs a solver query or more, so a guard whose atoms
-# may have more cells than 12 independent atoms have stays as written
-_MAX_CELLS = 1 << 12
 
 # results keyed by (formula key, variable names); like the solver's query
 # cache, it takes no new entries once it holds solver._CACHE_LIMIT of them
@@ -124,7 +120,7 @@ def boolean_minimize(f: Formula, vars: VarSet) -> Formula:
 
 def _minimize(f: Formula, vars: VarSet) -> Formula:
     atoms = cells.polarity_classes(atoms_of(f))
-    if not atoms or cells.cell_bound(atoms) > _MAX_CELLS:
+    if not atoms or cells.cell_bound(atoms) > cells.MAX_CELLS:
         return f
     sat = cells.satisfiable_cells(atoms, vars)
     on = {mask for mask, witness in sat if evaluate(f, witness)}

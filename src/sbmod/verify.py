@@ -1,26 +1,28 @@
 """Safety checking and automated repair of composed models.
 
-Checking: compose the model with a property object (one that only observes
-and marks bad states), then breadth-first search the composite along edges
-that can actually fire, i.e. whose guard intersects the source state's
-requested-and-not-blocked formula. A reachable bad state yields the shortest
-counterexample, concretized to exact assignments and re-validated by direct
-evaluation (no trust placed in the solver's model).
+Every analysis runs on one graph, the run graph: the simplified composite of
+the model and a property object (one that only observes and marks bad
+states), cut down to the moves runs can take, i.e. edges whose guard meets
+the source state's requested-and-not-blocked formula, from the states
+reachable along such edges (``compose_enabled`` over the one composite).
 
-Repair: grow the initially-bad set to the full bad attractor (states whose
-every enabled move leads back into the set; deadlocked states stay out), then
-synthesize a patch object that shadows the composite ("keeps track of the
-execution") and blocks, at each tracked state, exactly the guards of edges
-that fall into the attractor. The patch requests nothing, so composing it in
-removes the violating runs and nothing else.
+Checking: breadth-first search of the run graph. A reachable bad state
+yields the shortest counterexample, concretized to exact assignments and
+re-validated by direct evaluation (no trust placed in the solver's model).
 
-Each composite's table of enabled edges is built once and shared by the
-bad-path search, enabled reachability, deadlocks and the attractor. Patch
-verification reads all three soundness clauses off two composites: the
-original, and the patch composed onto it along enabled moves only, which
-builds just the states runs reach. The run-set clause compares the two
-exactly, for runs of every length, by a search over the pairs of states
-that one run reaches in both.
+Repair: grow the bad states to the full bad attractor (states whose every
+move leads back into the set; deadlocked states stay out), then synthesize
+a patch object that shadows the run graph ("keeps track of the execution")
+and blocks, at each tracked state, exactly the guards of edges that fall
+into the attractor. The patch requests nothing, so composing it in removes
+the violating runs and nothing else. This is the maximally permissive
+supervisor over the states the closed loop reaches (Ramadge and Wonham,
+SIAM J. Control Optim. 1987).
+
+Patch verification reads all three soundness clauses off two run graphs:
+the original, and the patch composed onto it along enabled moves. The
+run-set clause compares the two exactly, for runs of every length, by a
+search over the pairs of states that one run reaches in both.
 """
 
 from __future__ import annotations
@@ -38,9 +40,6 @@ from .minimize import boolean_minimize
 from .runsets import CellRuns, CellSpace, runs_equal_minus_violations
 
 PROPERTY_NAME = "property"
-
-# reachable state -> its enabled out-edges, in out_edges order
-EdgeTable = dict[str, list[Edge]]
 
 
 class InvalidPropertyError(ValueError):
@@ -89,28 +88,16 @@ def _with_property(m: Model, prop_graph: ObjectGraph) -> Model:
 
 
 def _composite_with(m: Model, prop: Union[ScenarioScript, ObjectGraph]) -> ObjectGraph:
-    """The model's objects and then the property, composed in that order."""
-    return compose_all(_with_property(m, property_graph(prop, m.vars)))
+    """The run graph of the model's objects and then the property, composed in
+    that order. The simplified full composite is cut down, so that merged
+    guards keep their full form."""
+    return compose_enabled([compose_all(_with_property(m, property_graph(prop, m.vars)))], m.vars)[0]
 
 
-def _enabled_edges(g: ObjectGraph, vars: VarSet) -> EdgeTable:
-    table: EdgeTable = {}
-    for q in g.reachable():
-        enabled = enabled_guard(g, q)
-        table[q] = [e for e in g.out_edges(q)
-                    if solver.check_sat(conj([e.guard, enabled]), vars).is_sat]
-    return table
-
-
-def _enabled_reachable(g: ObjectGraph, table: EdgeTable) -> list[str]:
-    """States some run can reach, BFS order."""
-    return [g.initial] + [e.dst for e in bfs_tree(g.initial, table.__getitem__)]
-
-
-def _bad_path(g: ObjectGraph, table: EdgeTable, vars: VarSet) -> Optional[Trace]:
-    """The shortest run into a bad state, concretized and re-validated."""
+def _bad_path(g: ObjectGraph, vars: VarSet) -> Optional[Trace]:
+    """The shortest run into a bad state of a run graph, concretized and re-validated."""
     parent: dict[str, Edge] = {}
-    tree = bfs_tree(g.initial, table.__getitem__)
+    tree = bfs_tree(g.initial, g.out_edges)
     target = g.initial
     while target not in g.bad:
         e = next(tree, None)
@@ -137,24 +124,23 @@ def _bad_path(g: ObjectGraph, table: EdgeTable, vars: VarSet) -> Optional[Trace]
     return Trace(steps=tuple(steps), verdict="BadReached", end_state=target)
 
 
-def _deadlocks(g: ObjectGraph, table: EdgeTable, vars: VarSet) -> frozenset[str]:
-    # a state with an enabled edge has a satisfiable enabled guard
+def _deadlocks(g: ObjectGraph, vars: VarSet) -> frozenset[str]:
+    # a run-graph state with an out-edge has a satisfiable enabled guard
     return frozenset(
-        q for q in _enabled_reachable(g, table)
-        if not table[q] and not solver.check_sat(enabled_guard(g, q), vars).is_sat
+        q for q in g.states
+        if not g.out_edges(q) and not solver.check_sat(enabled_guard(g, q), vars).is_sat
     )
 
 
-def _attractor(g: ObjectGraph, table: EdgeTable, initial_bad: Iterable[str]) -> frozenset[str]:
-    reachable = set(table)
+def _attractor(g: ObjectGraph, initial_bad: Iterable[str]) -> frozenset[str]:
     bad = set(initial_bad)
-    if not bad <= reachable:
-        raise GraphError(f"initial bad states {sorted(bad - reachable)} are not reachable states")
+    if not bad <= g.states:
+        raise GraphError(f"initial bad states {sorted(bad - g.states)} are not reachable along enabled moves")
     changed = True
     while changed:
         changed = False
-        for q in sorted(reachable - bad):
-            succs = {e.dst for e in table[q]}
+        for q in sorted(g.states - bad):
+            succs = {e.dst for e in g.out_edges(q)}
             if succs and succs <= bad:
                 bad.add(q)
                 changed = True
@@ -164,15 +150,16 @@ def _attractor(g: ObjectGraph, table: EdgeTable, initial_bad: Iterable[str]) -> 
     return frozenset(bad)
 
 
-def _doomed(g: ObjectGraph, table: EdgeTable) -> frozenset[str]:
-    seeds = [q for q in _enabled_reachable(g, table) if q in g.bad]
-    return _attractor(g, table, seeds) if seeds else frozenset()
+def _doomed(g: ObjectGraph) -> frozenset[str]:
+    """The bad attractor of a run graph, empty when it has no bad state."""
+    return _attractor(g, g.bad) if g.bad else frozenset()
 
 
 def check_safety(m: Model, prop: Union[ScenarioScript, ObjectGraph]) -> Union[Safe, Counterexample]:
-    """BFS for a reachable bad state; shortest counterexample on violation."""
+    """BFS of the run graph for a bad state; shortest counterexample on
+    violation. Either verdict carries the run graph as its composite."""
     composite = _composite_with(m, prop)
-    trace = _bad_path(composite, _enabled_edges(composite, m.vars), m.vars)
+    trace = _bad_path(composite, m.vars)
     return Safe(composite) if trace is None else Counterexample(trace, composite)
 
 
@@ -183,18 +170,19 @@ def find_deadlocks(g: ObjectGraph, vars: Optional[VarSet] = None) -> frozenset[s
     disabled guard cannot occur in any run, so it cannot deadlock one.
     """
     vars = vars or _graph_vars(g)
-    return _deadlocks(g, _enabled_edges(g, vars), vars)
+    return _deadlocks(compose_enabled([g], vars)[0], vars)
 
 
 def compute_bad_attractor(g: ObjectGraph, initial_bad: Iterable[str],
                           vars: Optional[VarSet] = None) -> frozenset[str]:
     """Least fixpoint: add states whose every enabled edge leads into the set.
 
-    Deadlocked states (no enabled edge at all) are never added; they end the
-    run without violating anything. Raises GraphError when a seed is not a
-    reachable state and UnrepairableError when the initial state falls in.
+    Runs on the run graph of ``g``. Deadlocked states (no enabled edge at
+    all) are never added; they end the run without violating anything.
+    Raises GraphError when a seed is not reachable along enabled moves and
+    UnrepairableError when the initial state falls in.
     """
-    return _attractor(g, _enabled_edges(g, vars or _graph_vars(g)), initial_bad)
+    return _attractor(compose_enabled([g], vars or _graph_vars(g))[0], initial_bad)
 
 
 @dataclass
@@ -220,7 +208,13 @@ class Patch:
 def synthesize_patch(
     g: ObjectGraph, bad: frozenset[str], vars: Optional[VarSet] = None, name: str = "Patch"
 ) -> Patch:
-    """Build the patch that cuts exactly the edges entering the bad set."""
+    """Build the patch that cuts exactly the edges entering the bad set.
+
+    The tracker follows every state of ``g`` reachable from its initial
+    state and outside the bad set (``repair`` passes the run graph, so
+    these are the states runs reach); a self-loop of ``g`` is the
+    tracker's implicit stay, so the tracker does not wake on it.
+    """
     vars = vars or _graph_vars(g)
     if g.initial in bad:
         raise UnrepairableError("cannot patch a model whose initial state is bad")
@@ -233,7 +227,7 @@ def synthesize_patch(
             continue
         if e.dst in bad:
             cut[e.src].append(e.guard)
-        elif e.dst in tracked_set:
+        elif e.dst in tracked_set and e.dst != e.src:  # a self-loop is the implicit stay
             kept[e.src].append(e)
 
     for q in tracked:
@@ -268,13 +262,14 @@ def synthesize_patch(
 def repair(m: Model, prop: Union[ScenarioScript, ObjectGraph], name: str = "Patch") -> tuple[Patch, frozenset[str], ObjectGraph]:
     """Full pipeline: compose, find the attractor, synthesize the patch.
 
-    Returns (patch, bad attractor, composite with property). Bad states that
-    only edges with unsatisfiable enabling can reach do not count as
-    violations (the checker cannot reach them either); on a safe model the
-    attractor is empty and the patch blocks nothing (identity patch).
+    Returns (patch, bad attractor, run graph of the model with the property).
+    The patch tracks only the run graph's states, the ones runs reach, so
+    bad states behind edges that can never fire are no violations and get
+    no cuts; on a safe model the attractor is empty and the patch blocks
+    nothing (identity patch).
     """
     composite = _composite_with(m, prop)
-    attractor = _doomed(composite, _enabled_edges(composite, m.vars))
+    attractor = _doomed(composite)
     return synthesize_patch(composite, attractor, m.vars, name), attractor, composite
 
 
@@ -308,9 +303,9 @@ def verify_patch(
 ) -> Report:
     """Check the three soundness clauses of a synthesized patch.
 
-    All three read off one original composite (model plus property; pass
+    All three read off one original run graph (model plus property; pass
     the one ``repair`` returned as ``composite`` to skip composing it again)
-    and one patched composite (the patch tracker composed onto it along
+    and one patched run graph (the patch tracker composed onto it along
     enabled moves): (a) the patched composite reaches no bad state (else
     ``violation`` holds the shortest counterexample); (b) the patch
     introduces no deadlocks; (c) the runs of the patched model are exactly
@@ -326,24 +321,20 @@ def verify_patch(
     report = Report()
     vars = m.vars
     original = composite if composite is not None else _composite_with(m, prop)
-    patched, pairs = compose_enabled(original, patch.tracker, vars)
-    original_table = _enabled_edges(original, vars)
-    patched_table = {q: patched.out_edges(q) for q in patched.states}  # every edge is enabled
+    patched, parts = compose_enabled([original, patch.tracker], vars)
 
-    violation = _bad_path(patched, patched_table, vars)
+    violation = _bad_path(patched, vars)
     report.safe_after_patch = violation is None
     if violation is not None:
         report.details["violation"] = violation
 
-    dl_before = _deadlocks(original, original_table, vars)
-    new_deadlocks = sorted(q for q in _deadlocks(patched, patched_table, vars)
-                           if pairs[q][0] not in dl_before)
+    dl_before = _deadlocks(original, vars)
+    new_deadlocks = sorted(q for q in _deadlocks(patched, vars) if parts[q][0] not in dl_before)
     report.no_new_deadlocks = not new_deadlocks
     if new_deadlocks:
         report.details["new_deadlocks"] = new_deadlocks
 
-    witness, kind, cells = _run_difference(
-        original, patched, _doomed(original, original_table), vars)
+    witness, kind, cells = _run_difference(original, patched, _doomed(original), vars)
     report.containment_ok = witness is None
     if witness is not None:
         report.details[kind] = witness
@@ -353,11 +344,6 @@ def verify_patch(
     if not report.ok:
         raise RepairUnsoundError(f"repair is unsound: {report.summary()}", report)
     return report
-
-
-def _doomed_states(composite: ObjectGraph, vars: VarSet) -> frozenset[str]:
-    """The bad attractor of a composite, empty when no bad state is live."""
-    return _doomed(composite, _enabled_edges(composite, vars))
 
 
 def _run_difference(original: ObjectGraph, patched: ObjectGraph, doomed: frozenset[str],
@@ -380,11 +366,10 @@ def runs_preserved_exactly(
     This is clause (c) of ``verify_patch`` on its own. A run counts as
     violating once violation becomes inevitable (it enters the bad
     attractor). Compares the cell-run sets of the original and patched
-    composites for runs of every length; returns None when runs(patched)
+    run graphs for runs of every length; returns None when runs(patched)
     equals runs(original) minus the violating runs, else a shortest
     differing run.
     """
     original = _composite_with(m, prop)
-    patched, _ = compose_enabled(original, patch.tracker, m.vars)
-    doomed = _doomed_states(original, m.vars)
-    return _run_difference(original, patched, doomed, m.vars)[0]
+    patched, _ = compose_enabled([original, patch.tracker], m.vars)
+    return _run_difference(original, patched, _doomed(original), m.vars)[0]

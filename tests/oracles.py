@@ -29,9 +29,11 @@ from sbmod.formulas import (
     TrueF,
     VarSet,
     atom,
+    conj,
     evaluate,
 )
-from sbmod.graphs import DiscreteObject, ObjectGraph
+from sbmod.compose import enabled_guard
+from sbmod.graphs import DiscreteObject, Edge, ObjectGraph, bfs_tree
 from sbmod.runsets import CellRuns
 from sbmod import solver
 
@@ -91,6 +93,60 @@ def ring_n_text(n: int) -> str:
                  "if (x == 0) { sync(); mark bad; } } } }")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def token_ring_text(n: int) -> str:
+    """A token ring with a stutter: Start hands ``x == 0`` to C0, station Ci
+    waits for ``x == i`` and then passes ``x == (i+1)%n`` while blocking
+    ``x == i``, Idle always requests ``x == n``, and the property ReachLast
+    marks bad after ``x == n-1``. Idle's request is an explicit self-loop of
+    the composite next to every token move."""
+    lines = ["model {", "  vars x;", "  object Start { sync(request = x == 0); loop { sync(); } }"]
+    for i in range(n):
+        lines.append(f"  object C{i} {{ loop {{ sync(waitfor = x == {i}); "
+                     f"sync(request = x == {(i + 1) % n}, block = x == {i}); }} }}")
+    lines.append(f"  object Idle {{ loop {{ sync(request = x == {n}); }} }}")
+    lines.append(f"  object ReachLast {{ sync(waitfor = x == {n - 1}); sync(); mark bad; }}")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# reference enabled-edge filter: the full composite's edges whose guard meets
+# the source's request-and-not-blocked formula, by one query per edge. The
+# run graph of sbmod.verify (compose_enabled over one composite) must agree.
+
+
+def enabled_edges(g: ObjectGraph, vars: VarSet) -> dict[str, list[Edge]]:
+    """Reachable state -> its enabled out-edges, in out_edges order."""
+    table = {}
+    for q in g.reachable():
+        enabled = enabled_guard(g, q)
+        table[q] = [e for e in g.out_edges(q) if solver.check_sat(conj([e.guard, enabled]), vars).is_sat]
+    return table
+
+
+def enabled_reachable(g: ObjectGraph, table: dict[str, list[Edge]]) -> list[str]:
+    """States some run can reach, BFS order."""
+    return [g.initial] + [e.dst for e in bfs_tree(g.initial, table.__getitem__)]
+
+
+def doomed_states(g: ObjectGraph, vars: VarSet) -> frozenset[str]:
+    """The bad attractor over the enabled edges of a composite, seeded by the
+    bad states some run reaches; empty when there are none."""
+    table = enabled_edges(g, vars)
+    bad = {q for q in enabled_reachable(g, table) if q in g.bad}
+    if not bad:
+        return frozenset()
+    changed = True
+    while changed:
+        changed = False
+        for q in sorted(set(table) - bad):
+            succs = {e.dst for e in table[q]}
+            if succs and succs <= bad:
+                bad.add(q)
+                changed = True
+    return frozenset(bad)
 
 
 # ---------------------------------------------------------------------------

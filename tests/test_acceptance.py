@@ -34,13 +34,13 @@ from sbmod.solver import check_sat, equivalent
 from sbmod.verify import (
     Counterexample,
     Safe,
-    _doomed_states,
     check_safety,
     find_deadlocks,
     repair,
 )
 
 from oracles import (
+    doomed_states,
     fourier_motzkin_satisfiable,
     isomorphic,
     rand_assignment,
@@ -189,7 +189,7 @@ def test_criterion_5_repair(drone_text, drone_base, drone_property):
     original_runs = CellRuns.build(comp, space)
     patched_runs = CellRuns.build(patched_comp, space)
     witness = runs_equal_minus_violations(
-        original_runs, patched_runs, doomed=_doomed_states(comp, VH))
+        original_runs, patched_runs, doomed=doomed_states(comp, VH))
     assert witness is None
 
     # spot probes: the violating prefix is gone, its gentle twin survives

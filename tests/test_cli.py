@@ -141,6 +141,43 @@ def test_repair_unrepairable(tmp_path, capsys):
     assert "unrepairable" in capsys.readouterr().err
 
 
+# the unstable water tap: WaterLow is x == 0, AddHot x == 1, AddCold x == 2
+WATER_TAP_TEXT = """
+model { vars x;
+  object AddHot { loop { sync(waitfor = x == 0); repeat 3 { sync(request = x == 1); } } }
+  object AddCold { loop { sync(waitfor = x == 0); repeat 3 { sync(request = x == 2); } } }
+  object WaterSensor { sync(request = x == 0); }
+  object TwoHot { loop { sync(waitfor = true); if (x == 1) { sync(waitfor = true); if (x == 1) { sync(); mark bad; } } } }
+}
+"""
+
+
+def test_unemittable_patch_is_unrepairable(tmp_path, capsys):
+    src = tmp_path / "tap.sbm"
+    src.write_text(WATER_TAP_TEXT)
+    assert main(["repair", str(src), "--property", "TwoHot"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("unrepairable: the patch cannot be written as a scenario script: ")
+
+
+THREE_PASSES = "verification: safety after patch: pass; no new deadlocks: pass; run containment: pass\n"
+
+
+@pytest.mark.parametrize("family, n, prop", [
+    ("ring_n_text", 4, "P"), ("ring_n_text", 5, "P"), ("ring_n_text", 6, "P"), ("ring_n_text", 8, "P"),
+    ("token_ring_text", 3, "ReachLast"), ("token_ring_text", 4, "ReachLast"), ("token_ring_text", 5, "ReachLast"),
+])
+def test_repair_verify_on_rings_with_stutter(tmp_path, capsys, family, n, prop):
+    import oracles
+
+    src = tmp_path / "ring.sbm"
+    src.write_text(getattr(oracles, family)(n))
+    emitted = tmp_path / "patched.sbm"
+    assert main(["repair", str(src), "--property", prop, "--verify", "--emit-model", str(emitted)]) == 0
+    assert capsys.readouterr().out.endswith(THREE_PASSES)
+    assert main(["check", str(emitted), "--property", prop]) == 0
+
+
 def test_unknown_property_name():
     assert main(["check", str(FIXTURE), "--property", "Nope"]) == 2
 

@@ -14,14 +14,13 @@ from sbmod.solver import check_sat, equivalent
 from sbmod.verify import (
     Counterexample,
     Safe,
-    _doomed_states,
     check_safety,
     runs_preserved_exactly,
     repair,
     verify_patch,
 )
 
-from oracles import bounded_runs
+from oracles import bounded_runs, doomed_states
 
 X = VarSet(("x",))
 
@@ -94,7 +93,7 @@ def test_doomed_states_empty_on_safe_model(water_tap_model):
 
     prop = encode_discrete(WATER_TAP_EVENTS, two_hot_in_a_row())
     comp = compose_all(_with_property(water_tap_model, property_graph(prop, water_tap_model.vars)))
-    assert _doomed_states(comp, water_tap_model.vars) == frozenset()
+    assert doomed_states(comp, water_tap_model.vars) == frozenset()
 
 
 def test_extraction_with_eight_predicates():

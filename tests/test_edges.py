@@ -20,9 +20,9 @@ from sbmod.formulas import Assignment, VarSet, atom, conj, var_atom
 from sbmod.graphs import Model, NamedObject, ObjectGraph
 from sbmod.runsets import CellRuns, CellSpace, runs_equal_minus_violations
 from sbmod.solver import check_sat
-from sbmod.verify import _doomed_states, _with_property, property_graph, repair
+from sbmod.verify import _with_property, property_graph, repair
 
-from oracles import bounded_runs
+from oracles import bounded_runs, doomed_states
 
 VH = VarSet(("v", "h"))
 
@@ -120,7 +120,7 @@ def test_runs_equal_matches_materialized_sets(drone_base, drone_property):
     space = CellSpace.for_graphs([comp, patched], VH)
     a = CellRuns.build(comp, space)
     b = CellRuns.build(patched, space)
-    doomed = _doomed_states(comp, VH)
+    doomed = doomed_states(comp, VH)
     assert runs_equal_minus_violations(a, b, doomed) is None
     for depth in (1, 2, 3):
         assert bounded_runs(a, depth, avoid=doomed) == bounded_runs(b, depth)

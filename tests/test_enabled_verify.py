@@ -1,6 +1,7 @@
-"""Patch verification along enabled moves: the enabled-move product against
-the full product plus an enabled-edge filter, the unbounded run-set
-comparison against the bounded reference, and the one move rule."""
+"""Analysis along enabled moves: the enabled-move product against the full
+product plus an enabled-edge filter, the patch's tracker against the run
+graph, the unbounded run-set comparison against the bounded reference, and
+the one move rule."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import random
 
 import pytest
 
-from sbmod.compose import JOIN, compose, compose_enabled, object_graphs
+from sbmod.compose import JOIN, compose, compose_all, compose_enabled, object_graphs
 from sbmod.dsl import parse_model
 from sbmod.formulas import FALSE, VarSet, disj, var_atom
 from sbmod.graphs import GraphError, Model, NamedObject, ObjectGraph, encode_discrete
@@ -16,15 +17,24 @@ from sbmod.runsets import CellRuns, CellSpace, runs_equal_minus_violations
 from sbmod.verify import (
     Patch,
     RepairUnsoundError,
-    _doomed_states,
-    _enabled_edges,
-    _enabled_reachable,
+    _with_property,
+    property_graph,
     repair,
+    synthesize_patch,
     verify_patch,
 )
 
 from conftest import FIXTURES, WATER_TAP_EVENTS, two_hot_in_a_row, water_tap_objects
-from oracles import bounded_runs, rand_atom_pool, rand_formula, ring_n_text
+from oracles import (
+    bounded_runs,
+    doomed_states,
+    enabled_edges,
+    enabled_reachable,
+    rand_atom_pool,
+    rand_formula,
+    ring_n_text,
+    token_ring_text,
+)
 
 X = VarSet(("x",))
 
@@ -52,7 +62,16 @@ def _case(name: str, workloads) -> tuple[Model, object]:
         return _parsed(workloads.ring_text(5), "AllMarked")
     if name == "wide":
         return _parsed(workloads.wide_text(7), "Far")
+    if name == "ring_n":
+        return _parsed(ring_n_text(5), "P")
+    if name == "token_ring":
+        return _parsed(token_ring_text(4), "ReachLast")
     raise KeyError(name)
+
+
+def _full_composite(m: Model, prop) -> ObjectGraph:
+    """The simplified composite with every satisfiable edge."""
+    return compose_all(_with_property(m, property_graph(prop, m.vars)))
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +80,9 @@ def _case(name: str, workloads) -> tuple[Model, object]:
 
 def _assert_enabled_product_matches(g1: ObjectGraph, g2: ObjectGraph, vars) -> ObjectGraph:
     full = compose(g1, g2, vars)
-    table = _enabled_edges(full, vars)
-    reached = _enabled_reachable(full, table)
-    lazy, pairs = compose_enabled(g1, g2, vars)
+    table = enabled_edges(full, vars)
+    reached = enabled_reachable(full, table)
+    lazy, pairs = compose_enabled([g1, g2], vars)
     assert lazy.initial == full.initial
     assert sorted(lazy.states) == sorted(reached)
     assert lazy.bad == full.bad & set(reached)
@@ -121,6 +140,41 @@ def test_enabled_product_on_random_objects(seed):
 
 
 # ---------------------------------------------------------------------------
+# the patch tracks the run graph only
+
+
+@pytest.mark.parametrize("name", ["drone", "tap", "safe_tap", "ring", "ring_n", "token_ring"])
+def test_repair_runs_on_the_run_graph(name, workloads):
+    m, prop = _case(name, workloads)
+    full = _full_composite(m, prop)
+    reached = set(enabled_reachable(full, enabled_edges(full, m.vars)))
+    patch, attractor, composite = repair(m, prop)
+    assert composite.states == reached
+    assert attractor == doomed_states(full, m.vars) & reached
+    assert patch.tracker.states <= reached
+    assert all(q in reached for q, _ in patch.cut_edges())
+    # a composite self-loop is the tracker's implicit stay, not a wake-up
+    assert all(e.src != e.dst for e in patch.tracker.edges)
+
+
+@pytest.mark.parametrize("name", ["drone", "tap", "ring", "wide", "ring_n", "token_ring"])
+def test_run_graph_patch_keeps_the_full_patchs_runs(name, workloads):
+    # the patch synthesized on the full composite tracks states no run
+    # reaches; on the run graph it is smaller, and the runs it leaves are
+    # exactly the same
+    m, prop = _case(name, workloads)
+    full = _full_composite(m, prop)
+    patch, attractor, composite = repair(m, prop)
+    over_full = synthesize_patch(full, doomed_states(full, m.vars), m.vars)
+    assert len(patch.tracker.states) <= len(over_full.tracker.states)
+    patched = [compose_enabled([composite, p.tracker], m.vars)[0] for p in (patch, over_full)]
+    space = CellSpace.for_graphs(patched, m.vars)
+    a, b = (CellRuns(g, space) for g in patched)
+    assert runs_equal_minus_violations(a, b, frozenset()) is None
+    assert runs_equal_minus_violations(b, a, frozenset()) is None
+
+
+# ---------------------------------------------------------------------------
 # clause (c): the unbounded pair search against the bounded reference
 
 # materialized run sets grow as (enabled cells)^depth; these caps keep the
@@ -139,9 +193,9 @@ def _reblocked(patch: Patch, block_at: dict) -> Patch:
 def _mutants(patch: Patch, composite: ObjectGraph, vars, rng: random.Random) -> list[tuple[str, Patch]]:
     """The repaired patch, one cut dropped, and one extra block added, both
     at states some run reaches (the tracker also covers states none does)."""
-    table = _enabled_edges(composite, vars)
-    doomed = _doomed_states(composite, vars)
-    reached = set(_enabled_reachable(composite, table))
+    table = enabled_edges(composite, vars)
+    doomed = doomed_states(composite, vars)
+    reached = set(enabled_reachable(composite, table))
     out = [("repaired", patch)]
     cuts = [q for q, _ in patch.cut_edges() if q in reached]
     if cuts:
@@ -156,11 +210,11 @@ def _mutants(patch: Patch, composite: ObjectGraph, vars, rng: random.Random) -> 
 def _difference_against_reference(m: Model, composite: ObjectGraph, patch: Patch,
                                    depth: int) -> tuple[str, object]:
     vars = m.vars
-    lazy, _ = compose_enabled(composite, patch.tracker, vars)
+    lazy, _ = compose_enabled([composite, patch.tracker], vars)
     full = compose(composite, patch.tracker, vars)
     # one alphabet for both sides: the full product's atoms cover the lazy one's
     space = CellSpace.for_graphs([composite, full], vars)
-    doomed = _doomed_states(composite, vars)
+    doomed = doomed_states(composite, vars)
     original = CellRuns(composite, space)
     witness = runs_equal_minus_violations(original, CellRuns(lazy, space), doomed)
 
@@ -203,7 +257,7 @@ def test_verify_patch_reports_the_shortest_lost_run(drone_base, drone_property):
 
 
 # ---------------------------------------------------------------------------
-# verify_patch on the ring-n family (the CLI cannot emit these patches yet)
+# verify_patch on the ring-n family
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

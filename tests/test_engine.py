@@ -105,6 +105,16 @@ def test_random_cell_policy_varies_runs(water_tap_unstable_model):
     assert len(fixed) == 1
 
 
+def test_random_cell_budget_counts_cells_not_atoms():
+    # 13 thresholds on one variable cut its line into 27 cells, well inside
+    # the cell budget, so the picks spread instead of replaying one model
+    X = VarSet(("x",))
+    request = disj([var_atom("x", ">=", i) for i in range(1, 14)])
+    picks = {select_event([(request, FALSE)], X, RANDOM_CELL, random.Random(s))["x"] for s in range(8)}
+    assert len(picks) > 1
+    assert all(p >= 1 for p in picks)
+
+
 def test_object_order_is_observationally_irrelevant(drone_base):
     reordered = Model(drone_base.vars, tuple(reversed(drone_base.objects)))
     a = run(drone_base, ExecutionConfig(max_steps=8))

@@ -170,6 +170,19 @@ def test_attractor_rejects_unreachable_seed():
         compute_bad_attractor(g, ["b"], X)
 
 
+def test_attractor_rejects_seed_behind_a_disabled_edge():
+    # b is reachable through a satisfiable guard, but no run takes it
+    g = ObjectGraph.make(
+        states=["a", "b"], initial="a",
+        request={"a": var_atom("x", "<", 0)},
+        edges=[("a", var_atom("x", ">=", 0), "b")],
+        bad=["b"],
+    )
+    assert g.reachable() == ["a", "b"]
+    with pytest.raises(GraphError, match="enabled moves"):
+        compute_bad_attractor(g, ["b"], X)
+
+
 # ---------------------------------------------------------------------------
 # patch synthesis
 
@@ -351,6 +364,7 @@ _COMPOSE_MODULE = sys.modules["sbmod.compose"]
 
 
 def _count_calls(monkeypatch, names: tuple[str, ...], module=None) -> dict[str, list]:
+    """Record (args, result) of every call to the named functions."""
     import sbmod.verify as verify
 
     module = module or verify
@@ -360,8 +374,9 @@ def _count_calls(monkeypatch, names: tuple[str, ...], module=None) -> dict[str, 
         real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name].append(args)
-            return real(*args, **kwargs)
+            result = real(*args, **kwargs)
+            calls[name].append((args, result))
+            return result
 
         return wrapper
 
@@ -370,25 +385,33 @@ def _count_calls(monkeypatch, names: tuple[str, ...], module=None) -> dict[str, 
     return calls
 
 
+def _assert_run_graph_then_patch(calls: dict[str, list]) -> None:
+    """One compose_all, cut down to the run graph by the first compose_enabled;
+    the second composes the patch onto that run graph."""
+    ((_, full),) = calls["compose_all"]
+    (first, (run_graph, _)), (second, _) = calls["compose_enabled"]
+    assert len(first[0]) == 1 and first[0][0] is full
+    assert len(second[0]) == 2 and second[0][0] is run_graph
+
+
 def test_verify_patch_composes_once(drone_base, drone_property, monkeypatch):
     patch, _, composite = repair(drone_base, drone_property)
-    calls = _count_calls(monkeypatch, ("compose_all", "check_safety", "_enabled_edges", "compose_enabled"))
+    calls = _count_calls(monkeypatch, ("compose_all", "check_safety", "compose_enabled"))
     products = _count_calls(monkeypatch, ("compose",), _COMPOSE_MODULE)
     assert verify_patch(drone_base, patch, drone_property).ok
-    assert len(calls["compose_all"]) == 1
     assert calls["check_safety"] == []
-    # one enabled-edge table, of the original composite; the patch goes onto
-    # that composite along enabled moves, and no full patched product is built
-    (original,) = (args[0] for args in calls["_enabled_edges"])
-    assert [args[:2] for args in calls["compose_enabled"]] == [(original, patch.tracker)]
+    # no full patched product is built
+    _assert_run_graph_then_patch(calls)
+    assert calls["compose_enabled"][1][0][0][1] is patch.tracker
     assert len(products["compose"]) == len(drone_base.objects)  # the fold inside compose_all
 
-    # handed repair's composite, verify_patch composes nothing of its own
+    # handed repair's run graph, verify_patch composes nothing of its own
     for counted in (*calls.values(), *products.values()):
         counted.clear()
     assert verify_patch(drone_base, patch, drone_property, composite).ok
     assert calls["compose_all"] == [] and products["compose"] == []
-    assert calls["compose_enabled"][0][0] is composite
+    ((args, _),) = calls["compose_enabled"]
+    assert args[0][0] is composite
 
 
 def test_repair_verify_counts(monkeypatch, capsys):
@@ -396,12 +419,11 @@ def test_repair_verify_counts(monkeypatch, capsys):
 
     from conftest import FIXTURES
 
-    calls = _count_calls(monkeypatch, ("compose_all", "_enabled_edges", "compose_enabled"))
+    calls = _count_calls(monkeypatch, ("compose_all", "compose_enabled"))
     products = _count_calls(monkeypatch, ("compose",), _COMPOSE_MODULE)
     assert main(["repair", str(FIXTURES / "drone.sbm"), "--property", "NoConsecutiveSharpTurns", "--verify"]) == 0
     assert "run containment: pass" in capsys.readouterr().out
-    # one composite per run: repair's, shared with verify_patch
-    assert (len(calls["compose_all"]), len(calls["_enabled_edges"]), len(calls["compose_enabled"])) == (1, 2, 1)
-    in_repair, in_verify = (args[0] for args in calls["_enabled_edges"])
-    assert in_verify is in_repair and calls["compose_enabled"][0][0] is in_repair
+    # one composite per run: repair's run graph, shared with verify_patch
+    assert (len(calls["compose_all"]), len(calls["compose_enabled"])) == (1, 2)
+    _assert_run_graph_then_patch(calls)
     assert len(products["compose"]) == 3  # three objects and the property, folded once

@@ -3,9 +3,9 @@
 Subcommands: validate, run, graph, check, repair. Exit codes: 0 for success
 (or a Safe verdict), 1 when a violation is found or the model is
 unrepairable (including a patch that cannot be written as a scenario
-script), 2 for usage errors (unreadable files, parse errors, unknown
-object names, over-large or invalid objects and properties, bad run
-settings), 3 for internal errors.
+script), 2 for usage errors (unreadable files, parse errors, unknown or
+unusable object names, over-large or invalid objects, properties and
+models, bad run settings), 3 for internal errors.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import engine
 from .compose import compose_all
-from .dsl import EmissionError, ParseError, ScenarioScript, insert_object, parse_model
+from .dsl import EmissionError, ParseError, ScenarioScript, insert_object, is_identifier, parse_model
 from .extract import ExtractionError, extract_graph, simplify_graph
 from .formulas import fraction_text, to_infix
 from .graphs import Model, ObjectGraph, UnknownObjectError, to_dot, to_json_dict
@@ -33,6 +33,10 @@ from .verify import (
 )
 
 OK, VIOLATION, USAGE, INTERNAL = 0, 1, 2, 3
+
+
+class UsageError(ValueError):
+    """A command-line argument the model cannot take."""
 
 
 def _load_model(path: str) -> Model:
@@ -65,6 +69,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _pick_graph(model: Model, args: argparse.Namespace) -> tuple[str, ObjectGraph]:
     if args.composite:
+        if not model.objects:
+            raise UsageError("model has no objects to compose")
         return "composite", compose_all(model, simplify=args.simplify)
     item = model.get(args.object)
     if isinstance(item, ScenarioScript):
@@ -115,6 +121,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_repair(args: argparse.Namespace) -> int:
     model = _load_model(args.path)
+    if not is_identifier(args.name) or args.name in model.names():
+        raise UsageError(f"--name {args.name!r} cannot name a new object: give an identifier "
+                         "that is neither a keyword nor the name of an object of the model")
     prop = model.get(args.property)
     base = model.without(args.property)
     patch, attractor, composite = repair(base, prop, name=args.name)
@@ -190,7 +199,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except (ParseError, OSError, UnknownObjectError, ExtractionError, InvalidPropertyError,
-            engine.ConfigError) as err:
+            engine.ConfigError, UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
     except UnrepairableError as err:

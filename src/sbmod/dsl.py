@@ -111,28 +111,37 @@ class LoopStmt:
 
 Stmt = Union[SyncStmt, IfStmt, LoopStmt]
 
+# continuation frames: (statement list, resume index), outermost first
+Frames = tuple[tuple[list, int], ...]
+
 
 @dataclass
 class ScenarioScript:
-    """A parsed scenario object: a statement tree whose syncs are numbered."""
+    """A parsed scenario object, compiled once: one walk numbers its syncs and
+    records, per sync uid, its canonical wake condition (request or waitfor)
+    and the continuation frames that control resumes from once it wakes."""
 
     name: str
     body: list
 
     def __post_init__(self) -> None:
         self.syncs: list[SyncStmt] = []
-        self._number(self.body)
+        self.wakes: list[Formula] = []
+        self.continuations: list[Frames] = []
+        self._number(self.body, ())
 
-    def _number(self, stmts: list) -> None:
-        for st in stmts:
+    def _number(self, stmts: list, frames: Frames) -> None:
+        for i, st in enumerate(stmts):
             if isinstance(st, SyncStmt):
                 st.uid = len(self.syncs)
                 self.syncs.append(st)
+                self.wakes.append(st.wake())
+                self.continuations.append(frames + ((stmts, i + 1),))
             elif isinstance(st, IfStmt):
-                self._number(st.then)
-                self._number(st.orelse)
+                self._number(st.then, frames + ((stmts, i + 1),))
+                self._number(st.orelse, frames + ((stmts, i + 1),))
             elif isinstance(st, LoopStmt):
-                self._number(st.body)
+                self._number(st.body, frames + ((stmts, i),))
 
 
 @dataclass(frozen=True)
@@ -227,6 +236,14 @@ def _lex(text: str) -> list[_Token]:
         pos = m.end()
     tokens.append(_Token("eof", "", line, col, pos))
     return tokens
+
+
+def is_identifier(text: str) -> bool:
+    """Whether ``text`` lexes as exactly one identifier (so not a keyword)."""
+    try:
+        return [(t.kind, t.text) for t in _lex(text)] == [("ident", text), ("eof", "")]
+    except ParseError:
+        return False
 
 
 # ---------------------------------------------------------------------------

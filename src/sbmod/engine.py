@@ -140,10 +140,7 @@ def _declaration(item, state: _ObjState) -> tuple[Formula, Formula]:
 def _wake_condition(item, state: _ObjState) -> Formula:
     if isinstance(item, ObjectGraph):
         return item.wake(state)
-    sync = state.sync()
-    if sync is None:
-        return FALSE
-    return sync.wake()
+    return state.wake()
 
 
 def _advance(item, state: _ObjState, a: Assignment) -> _ObjState:

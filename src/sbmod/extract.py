@@ -3,8 +3,9 @@
 The interpreter half advances a script one triggered assignment at a time: a
 script waits at a synchronization point, wakes only when the assignment
 satisfies its request-or-waitfor condition, then runs straight-line code
-(branching on the assignment) to the next sync point. Program location fully
-determines the state, which is what makes extraction terminate.
+(branching on the assignment) to the next sync point, reading the wake condition
+and resume frames that ``ScenarioScript`` compiled for each sync. Program
+location fully determines the state, which is what makes extraction terminate.
 
 The extraction half explores, at every reachable state, each satisfiable
 complete sign assignment over the script's collected predicates, as listed
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cells import cell_formula, satisfiable_cells
-from .dsl import IfStmt, LoopStmt, PredicateSet, ScenarioScript, SyncStmt, collect_predicates
+from .dsl import Frames, IfStmt, LoopStmt, PredicateSet, ScenarioScript, SyncStmt, collect_predicates
 from .formulas import (
     FALSE,
     Assignment,
@@ -51,14 +52,12 @@ class ExtractionError(ValueError):
 class ScriptState:
     """A script paused at a synchronization point (or finished).
 
-    Equality and hashing use the location only; the script reference and the
-    provenance trail (cells taken to get here, for debugging) do not
-    distinguish states.
+    Equality and hashing use the location only; the script reference does
+    not distinguish states.
     """
 
     script: ScenarioScript = field(compare=False, repr=False)
     location: int = 0
-    provenance: tuple[str, ...] = field(compare=False, default=())
 
     @property
     def ended(self) -> bool:
@@ -71,30 +70,12 @@ class ScriptState:
     def sync(self) -> Optional[SyncStmt]:
         return None if self.ended else self.script.syncs[self.location]
 
-
-# continuation frames: (statement list, resume index), outermost first
-_Frames = list[tuple[tuple, int]]
-
-
-def _continuations(script: ScenarioScript) -> dict[int, _Frames]:
-    table: dict[int, _Frames] = {}
-
-    def walk(stmts: list, stack: _Frames) -> None:
-        body = tuple(stmts)
-        for i, st in enumerate(stmts):
-            if isinstance(st, SyncStmt):
-                table[st.uid] = stack + [(body, i + 1)]
-            elif isinstance(st, IfStmt):
-                walk(st.then, stack + [(body, i + 1)])
-                walk(st.orelse, stack + [(body, i + 1)])
-            elif isinstance(st, LoopStmt):
-                walk(st.body, stack + [(body, i)])
-
-    walk(script.body, [])
-    return table
+    def wake(self) -> Formula:
+        """The pending sync's wake condition; a finished script never wakes."""
+        return FALSE if self.ended else self.script.wakes[self.location]
 
 
-def _walk_to_sync(frames: _Frames, a: Optional[Assignment]) -> int:
+def _walk_to_sync(frames: Frames, a: Optional[Assignment]) -> int:
     """Run straight-line control flow until the next sync; returns its uid."""
     stack = list(frames)
     while stack:
@@ -107,20 +88,17 @@ def _walk_to_sync(frames: _Frames, a: Optional[Assignment]) -> int:
                 if a is None:
                     raise ExtractionError("conditional reached with no triggered assignment")
                 stack.append((stmts, i + 1))
-                stmts = tuple(st.then if evaluate(st.cond, a) else st.orelse)
-                i = 0
-                continue
-            if isinstance(st, LoopStmt):
+                stmts, i = (st.then if evaluate(st.cond, a) else st.orelse), 0
+            elif isinstance(st, LoopStmt):
                 stack.append((stmts, i))  # loops repeat forever
-                stmts = tuple(st.body)
-                i = 0
-                continue
-            raise TypeError(f"not a statement: {st!r}")
+                stmts, i = st.body, 0
+            else:
+                raise TypeError(f"not a statement: {st!r}")
     return END_LOCATION
 
 
 def initial_state(script: ScenarioScript) -> ScriptState:
-    loc = _walk_to_sync([(tuple(script.body), 0)], None)
+    loc = _walk_to_sync(((script.body, 0),), None)
     return ScriptState(script=script, location=loc)
 
 
@@ -131,14 +109,10 @@ def step_script(s: ScriptState, a: Assignment) -> ScriptState:
     condition the object does not wake and the state is returned unchanged.
     A finished script absorbs everything.
     """
-    sync = s.sync()
-    if sync is None:
+    if not evaluate(s.wake(), a):
         return s
-    if not evaluate(sync.wake(), a):
-        return s
-    frames = _continuations(s.script)[sync.uid]
-    nxt = _walk_to_sync(frames, a)
-    return ScriptState(script=s.script, location=nxt, provenance=s.provenance)
+    nxt = _walk_to_sync(s.script.continuations[s.location], a)
+    return ScriptState(script=s.script, location=nxt)
 
 
 @dataclass
@@ -189,19 +163,15 @@ def extract_graph(
     while i < len(order):
         state = order[i]
         i += 1
-        sync = state.sync()
-        if sync is None:
-            labels_r[state.name] = FALSE
-            labels_b[state.name] = FALSE
-            labels_w[state.name] = FALSE
-        else:
-            labels_r[state.name] = sync.request
-            labels_b[state.name] = sync.block
-            labels_w[state.name] = sync.waitfor
-            if sync.bad:
-                bad.add(state.name)
+        sync = state.sync() or SyncStmt()  # a finished script declares nothing
+        labels_r[state.name] = sync.request
+        labels_b[state.name] = sync.block
+        labels_w[state.name] = sync.waitfor
+        if sync.bad:
+            bad.add(state.name)
+        wake = state.wake()
         for guard, model in cells:
-            if sync is None or not evaluate(sync.wake(), model):
+            if not evaluate(wake, model):
                 continue  # no wake: implicit self-loop, not recorded
             nxt = step_script(state, model)
             edges.append((state.name, guard, nxt.name))

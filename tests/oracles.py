@@ -30,9 +30,11 @@ from sbmod.formulas import (
     VarSet,
     atom,
     conj,
+    disj,
     evaluate,
 )
 from sbmod.compose import enabled_guard
+from sbmod.dsl import IfStmt, LoopStmt, ScenarioScript, SyncStmt
 from sbmod.graphs import DiscreteObject, Edge, ObjectGraph, bfs_tree
 from sbmod.runsets import CellRuns
 from sbmod import solver
@@ -147,6 +149,67 @@ def doomed_states(g: ObjectGraph, vars: VarSet) -> frozenset[str]:
                 bad.add(q)
                 changed = True
     return frozenset(bad)
+
+
+# ---------------------------------------------------------------------------
+# reference script interpreter: the per-call walk that rebuilds a script's
+# continuation table and its sync's wake formula on every step. The records
+# that sbmod.dsl.ScenarioScript compiles once, read by
+# sbmod.extract.step_script, must give the same locations.
+
+REF_END = -1
+
+
+def _ref_continuations(script: ScenarioScript) -> dict[int, list[tuple[tuple, int]]]:
+    table: dict[int, list[tuple[tuple, int]]] = {}
+
+    def walk(stmts: list, stack: list) -> None:
+        body = tuple(stmts)
+        for i, st in enumerate(stmts):
+            if isinstance(st, SyncStmt):
+                table[st.uid] = stack + [(body, i + 1)]
+            elif isinstance(st, IfStmt):
+                walk(st.then, stack + [(body, i + 1)])
+                walk(st.orelse, stack + [(body, i + 1)])
+            elif isinstance(st, LoopStmt):
+                walk(st.body, stack + [(body, i)])
+
+    walk(script.body, [])
+    return table
+
+
+def _ref_walk_to_sync(frames: list[tuple[tuple, int]], a) -> int:
+    stack = list(frames)
+    while stack:
+        stmts, i = stack.pop()
+        while i < len(stmts):
+            st = stmts[i]
+            if isinstance(st, SyncStmt):
+                return st.uid
+            if isinstance(st, IfStmt):
+                stack.append((stmts, i + 1))
+                stmts, i = tuple(st.then if evaluate(st.cond, a) else st.orelse), 0
+            elif isinstance(st, LoopStmt):
+                stack.append((stmts, i))
+                stmts, i = tuple(st.body), 0
+            else:
+                raise TypeError(f"not a statement: {st!r}")
+    return REF_END
+
+
+def ref_initial_location(script: ScenarioScript) -> int:
+    return _ref_walk_to_sync([(tuple(script.body), 0)], None)
+
+
+def ref_step_script(script: ScenarioScript, location: int, a: Assignment) -> int:
+    """The location after one triggered assignment; unchanged unless the
+    pending sync wakes, and a finished script absorbs everything."""
+    if location == REF_END:
+        return location
+    sync = script.syncs[location]
+    if not evaluate(disj([sync.request, sync.waitfor]), a):
+        return location
+    return _ref_walk_to_sync(_ref_continuations(script)[sync.uid], a)
 
 
 # ---------------------------------------------------------------------------

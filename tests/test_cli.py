@@ -216,6 +216,37 @@ def test_emit_model_after_trailing_comment(tmp_path, capsys):
     assert capsys.readouterr().out == "Safe\n"
 
 
+@pytest.mark.parametrize("name", ["Navigate", "NoConsecutiveSharpTurns", "sync", "true",
+                                  "9x", "a b", "", "Fix;", " Fix", "Fix#"])
+def test_repair_rejects_a_name_the_model_cannot_take(tmp_path, capsys, name):
+    out, emitted = tmp_path / "patch.sbm", tmp_path / "patched.sbm"
+    code = main(["repair", str(FIXTURE), "--property", "NoConsecutiveSharpTurns", "--name", name,
+                 "--out", str(out), "--emit-model", str(emitted)])
+    assert code == 2
+    assert f"--name {name!r} cannot name a new object" in capsys.readouterr().err
+    assert not out.exists() and not emitted.exists()
+
+
+def test_re_repairing_an_emitted_model_needs_a_fresh_name(tmp_path, capsys):
+    first, second = tmp_path / "first.sbm", tmp_path / "second.sbm"
+    argv = ["repair", str(FIXTURE), "--property", "NoConsecutiveSharpTurns", "--out", "-"]
+    assert main(argv + ["--emit-model", str(first)]) == 0
+    argv[1] = str(first)
+    assert main(argv + ["--emit-model", str(second)]) == 2  # the default Patch is taken
+    assert "--name 'Patch' cannot name a new object" in capsys.readouterr().err
+    assert main(argv + ["--name", "Patch2", "--emit-model", str(second)]) == 0
+    assert main(["validate", str(second)]) == 0
+    assert "ok: 6 objects" in capsys.readouterr().out
+
+
+def test_composite_of_a_model_without_objects_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "empty.sbm"
+    src.write_text("model { vars x; }")
+    assert main(["validate", str(src)]) == 0
+    assert main(["graph", str(src), "--composite"]) == 2
+    assert capsys.readouterr().err == "error: model has no objects to compose\n"
+
+
 @pytest.mark.parametrize("shape", ["parens", "nots", "ifs", "loops", "else_if"])
 def test_nesting_at_the_cap_runs(tmp_path, shape):
     from conftest import nested_bodies

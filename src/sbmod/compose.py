@@ -19,7 +19,6 @@ verification all run; over two it composes a patch onto that run graph.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 from . import solver
 from .dsl import ScenarioScript
@@ -99,13 +98,8 @@ def _product(graphs: list[ObjectGraph], vars: VarSet,
     return graph, parts
 
 
-def compose(g1: ObjectGraph, g2: ObjectGraph, vars: Optional[VarSet] = None) -> ObjectGraph:
-    """Reachable product of two object graphs over a common variable set."""
-    if vars is None:
-        from .graphs import _graph_vars
-
-        names = set(_graph_vars(g1).names) | set(_graph_vars(g2).names)
-        vars = VarSet(tuple(names))
+def compose(g1: ObjectGraph, g2: ObjectGraph, vars: VarSet) -> ObjectGraph:
+    """Reachable product of two object graphs over the caller's variable set."""
     return _product([g1, g2], vars, enabled_only=False)[0]
 
 

@@ -57,7 +57,7 @@ from .formulas import (
     negate,
     to_infix,
 )
-from .graphs import Edge, GraphError, Model, NamedObject, ObjectGraph, _graph_vars
+from .graphs import Edge, GraphError, Model, NamedObject, ObjectGraph, _graph_vars, bfs_tree
 from .minimize import boolean_minimize
 
 # Parser limits, each a ParseError when exceeded. Parentheses, ``!``, blocks
@@ -719,22 +719,14 @@ def structure_graph(g: ObjectGraph) -> list:
 
     emitted: set[str] = set()
 
-    def targets_of(q: str) -> set[str]:
-        return {e.dst for e in adv[q]}
-
     def reach_from(q: str, stops: frozenset[str]) -> set[str]:
         if q == _LOOP_END or q in stops:
             return set()
-        seen = {q}
-        stack = [q]
-        while stack:
-            cur = stack.pop()
-            for e in adv[cur]:
-                nxt = e.dst
-                if nxt != _LOOP_END and nxt not in stops and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
+
+        def onward(cur: str) -> list[Edge]:
+            return [e for e in adv[cur] if e.dst != _LOOP_END and e.dst not in stops]
+
+        return {q} | {e.dst for e in bfs_tree(q, onward)}
 
     def sync_for(q: str) -> SyncStmt:
         return SyncStmt(request=g.request[q], waitfor=g.waitfor[q], block=g.block[q], bad=q in g.bad)

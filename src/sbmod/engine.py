@@ -30,7 +30,7 @@ from typing import Optional, Union
 from . import solver
 from .cells import MAX_CELLS, cell_bound, polarity_classes, satisfiable_cells
 from .dsl import ScenarioScript
-from .extract import ScriptState, initial_state, step_script
+from .extract import ScriptState, initial_state, resume
 from .formulas import (
     FALSE,
     Assignment,
@@ -144,12 +144,10 @@ def _wake_condition(item, state: _ObjState) -> Formula:
 
 
 def _advance(item, state: _ObjState, a: Assignment) -> _ObjState:
+    """The state after an object woken by ``a`` moves."""
     if isinstance(item, ObjectGraph):
-        for e in item.out_edges(state):
-            if evaluate(e.guard, a):
-                return e.dst
-        return state  # woke but the graph gives no move: stay put
-    return step_script(state, a)
+        return item.move(state, a)
+    return resume(state, a)
 
 
 def run(m: Model, cfg: ExecutionConfig) -> EventLog:

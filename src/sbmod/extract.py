@@ -4,13 +4,16 @@ The interpreter half advances a script one triggered assignment at a time: a
 script waits at a synchronization point, wakes only when the assignment
 satisfies its request-or-waitfor condition, then runs straight-line code
 (branching on the assignment) to the next sync point, reading the wake condition
-and resume frames that ``ScenarioScript`` compiled for each sync. Program
+and resume frames that ``ScenarioScript`` compiled for each sync. ``resume`` is
+that run alone; ``step_script`` tests the wake condition first, and callers
+that test it themselves (extraction, the engine) call ``resume``. Program
 location fully determines the state, which is what makes extraction terminate.
 
 The extraction half explores, at every reachable state, each satisfiable
 complete sign assignment over the script's collected predicates, as listed
-with a solver witness each by ``cells.satisfiable_cells``. Each witness is
-triggered through the interpreter, recording a cell-guarded edge.
+with a solver witness each by ``cells.satisfiable_cells`` over the model's
+variable set. Each witness is triggered through the interpreter, recording
+a cell-guarded edge.
 Enumerating complete sign assignments (rather than only positive predicate
 subsets) keeps cells pairwise disjoint, so every branch that is reachable
 under some cell gets explored and the extracted graph simulates the script
@@ -102,6 +105,14 @@ def initial_state(script: ScenarioScript) -> ScriptState:
     return ScriptState(script=script, location=loc)
 
 
+def resume(s: ScriptState, a: Assignment) -> ScriptState:
+    """The state after ``s`` wakes on ``a``: run on to the next sync point.
+
+    The caller has tested ``s``'s wake condition on ``a``.
+    """
+    return ScriptState(script=s.script, location=_walk_to_sync(s.script.continuations[s.location], a))
+
+
 def step_script(s: ScriptState, a: Assignment) -> ScriptState:
     """Advance one triggered assignment.
 
@@ -109,10 +120,7 @@ def step_script(s: ScriptState, a: Assignment) -> ScriptState:
     condition the object does not wake and the state is returned unchanged.
     A finished script absorbs everything.
     """
-    if not evaluate(s.wake(), a):
-        return s
-    nxt = _walk_to_sync(s.script.continuations[s.location], a)
-    return ScriptState(script=s.script, location=nxt)
+    return resume(s, a) if evaluate(s.wake(), a) else s
 
 
 @dataclass
@@ -126,15 +134,15 @@ class ExtractStats:
 
 def extract_graph(
     script: ScenarioScript,
-    vars: Optional[VarSet] = None,
+    vars: VarSet,
     stats: Optional[ExtractStats] = None,
 ) -> ObjectGraph:
     """Breadth-first extraction of a script's underlying transition graph.
 
     At each discovered state, every satisfiable sign cell over the script's
-    predicate set P is triggered through the interpreter by its witness.
-    Edges carry the cell conjunctions as guards (merge them afterwards with
-    ``simplify_graph``).
+    predicate set P (cells over the model's ``vars``) is triggered through
+    the interpreter by its witness. Edges carry the cell conjunctions as
+    guards (merge them afterwards with ``simplify_graph``).
     """
     predicates = collect_predicates(script)
     if len(predicates) > MAX_PREDICATES:
@@ -142,9 +150,6 @@ def extract_graph(
             f"object {script.name!r} collects {len(predicates)} predicates, over the "
             f"cap of {MAX_PREDICATES}; reduce distinct predicates in the script")
     atoms = list(predicates.atoms)
-    if vars is None:
-        names = {v for a in atoms for v in a.variables()}
-        vars = VarSet(tuple(names) if names else ("_",))
     if stats is not None:
         stats.predicates = predicates
 
@@ -173,7 +178,7 @@ def extract_graph(
         for guard, model in cells:
             if not evaluate(wake, model):
                 continue  # no wake: implicit self-loop, not recorded
-            nxt = step_script(state, model)
+            nxt = resume(state, model)
             edges.append((state.name, guard, nxt.name))
             if nxt.location not in states:
                 states[nxt.location] = nxt
@@ -193,16 +198,12 @@ def extract_graph(
     )
 
 
-def simplify_graph(g: ObjectGraph, vars: Optional[VarSet] = None) -> ObjectGraph:
+def simplify_graph(g: ObjectGraph, vars: VarSet) -> ObjectGraph:
     """Merge parallel edges into one disjunction and shrink its formula.
 
-    Rewrites only take effect when the solver certifies equivalence, so the
-    run set is preserved exactly.
+    Rewrites only take effect when the solver certifies equivalence over
+    ``vars``, so the run set is preserved exactly.
     """
-    if vars is None:
-        from .graphs import _graph_vars
-
-        vars = _graph_vars(g)
     groups: dict[tuple[str, str], list[Formula]] = {}
     for e in g.edges:
         groups.setdefault((e.src, e.dst), []).append(e.guard)

@@ -144,20 +144,7 @@ class LinearAtom:
         return self._key
 
     def __str__(self) -> str:
-        parts = []
-        for i, (var, coeff) in enumerate(self.coeffs):
-            if coeff == 1:
-                term = var
-            elif coeff == -1:
-                term = f"-{var}"
-            else:
-                term = f"{coeff}*{var}"
-            if i and not term.startswith("-"):
-                term = "+ " + term
-            elif i:
-                term = "- " + term.lstrip("-")
-            parts.append(term)
-        return f"{' '.join(parts)} {self.rel} {self.const}"
+        return _atom_infix(self)
 
 
 class Formula:
@@ -169,21 +156,18 @@ class Formula:
     # hashing and repr ignore it.
     _key: Optional[tuple] = None
 
+    def __str__(self) -> str:
+        return to_infix(self)
+
 
 @dataclass(frozen=True)
 class TrueF(Formula):
     _key = (1,)
 
-    def __str__(self) -> str:
-        return "true"
-
 
 @dataclass(frozen=True)
 class FalseF(Formula):
     _key = (0,)
-
-    def __str__(self) -> str:
-        return "false"
 
 
 @dataclass(frozen=True)
@@ -194,41 +178,26 @@ class Atom(Formula):
         # atoms are normalized at construction, so every atom node is canonical
         object.__setattr__(self, "_key", (2, self.atom.key()))
 
-    def __str__(self) -> str:
-        return str(self.atom)
-
 
 @dataclass(frozen=True)
 class Not(Formula):
     child: Formula
-
-    def __str__(self) -> str:
-        return f"!({self.child})"
 
 
 @dataclass(frozen=True)
 class And(Formula):
     children: tuple[Formula, ...]
 
-    def __str__(self) -> str:
-        return "(" + " && ".join(str(c) for c in self.children) + ")"
-
 
 @dataclass(frozen=True)
 class Or(Formula):
     children: tuple[Formula, ...]
-
-    def __str__(self) -> str:
-        return "(" + " || ".join(str(c) for c in self.children) + ")"
 
 
 @dataclass(frozen=True)
 class Implies(Formula):
     left: Formula
     right: Formula
-
-    def __str__(self) -> str:
-        return f"({self.left} -> {self.right})"
 
 
 TRUE = TrueF()

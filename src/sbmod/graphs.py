@@ -4,7 +4,13 @@ An ObjectGraph is the explicit form of a scenario object: states carry
 request/block/waitfor formulas, edges carry guard formulas, and a subset of
 states may be marked bad (safety-property objects use that). States where the
 object does not wake keep an implicit self-loop; it is materialized as a
-single complement-guard edge during composition and export.
+single complement-guard edge during composition and export. An object that
+wakes takes the one out-edge whose guard holds, or stays when none does
+(``ObjectGraph.move``); execution and run sets both follow that rule.
+
+Solver queries range over the caller's variable set, the model's. Only a
+graph written out on its own (``to_json_dict``, ``to_dot``) uses the
+variables its labels and guards mention.
 
 A Model bundles named scenario objects (scripts or graphs) over one variable
 set. Discrete-event objects are supported through ``encode_discrete``, which
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from . import solver
 from .formulas import (
@@ -26,6 +32,7 @@ from .formulas import (
     VarSet,
     canonicalize,
     disj,
+    evaluate,
     formula_key,
     negate,
     to_infix,
@@ -134,6 +141,15 @@ class ObjectGraph:
     def stay_guard(self, q: StateId) -> Formula:
         """Guard of the implicit self-loop taken when the object does not wake."""
         return negate(self.wake(q))
+
+    def move(self, q: StateId, a: Assignment) -> StateId:
+        """Where the object goes from ``q`` on ``a``: the target of the one
+        out-edge whose guard holds, or ``q`` (the implicit stay) when none
+        does. Raises GraphError when two guards hold."""
+        hits = [e.dst for e in self._out.get(q, ()) if evaluate(e.guard, a)]
+        if len(hits) > 1:
+            raise GraphError(f"out-edges of {q!r} to {hits} overlap on {a}")
+        return hits[0] if hits else q
 
     def reachable(self) -> list[StateId]:
         """States reachable from the initial state via edges, BFS order."""
@@ -279,18 +295,18 @@ class Trace:
 # export
 
 
-def materialized_edges(g: ObjectGraph, q: StateId, vars: Optional[VarSet] = None) -> list[Edge]:
-    """Explicit out-edges plus the stay self-loop, when satisfiable.
-    ``vars`` defaults to the graph's own variables."""
+def materialized_edges(g: ObjectGraph, q: StateId, vars: VarSet) -> list[Edge]:
+    """Explicit out-edges plus the stay self-loop, when satisfiable over ``vars``."""
     out = g.out_edges(q)
     stay = g.stay_guard(q)
-    if solver.check_sat(stay, vars or _graph_vars(g)).is_sat:
+    if solver.check_sat(stay, vars).is_sat:
         out = out + [Edge(q, stay, q)]
     return out
 
 
 def _graph_vars(g: ObjectGraph) -> VarSet:
-    """The variables the graph's labels and guards mention (``_`` if none)."""
+    """The variables the graph's labels and guards mention (``_`` if none):
+    the variable set of a graph written out on its own, with no model."""
     names: set[str] = set()
     for table in (g.request, g.block, g.waitfor):
         for f in table.values():

@@ -25,7 +25,7 @@ from typing import Iterator, Optional
 from .cells import polarity_classes, satisfiable_cells, sign_mask
 from .compose import enabled_guard
 from .formulas import Assignment, LinearAtom, VarSet, atoms_of, evaluate
-from .graphs import GraphError, ObjectGraph
+from .graphs import ObjectGraph
 
 Move = tuple[tuple, str]  # (cell letter, successor state)
 
@@ -66,22 +66,15 @@ class CellSpace:
 
 
 def cell_moves(g: ObjectGraph, q: str, space: CellSpace) -> list[Move]:
-    """The move of ``g`` at ``q`` on every cell enabled there, in cell order.
+    """The move of ``g`` at ``q`` (``ObjectGraph.move``) on every cell enabled
+    there, in cell order.
 
     Raises GraphError when two out-edge guards hold on one enabled cell:
     the graph would not be deterministic over cells.
     """
     enabled = enabled_guard(g, q)
-    out = g.out_edges(q)
-    moves: list[Move] = []
-    for letter, cell in zip(space.keys.values(), space.witnesses):
-        if not evaluate(enabled, cell):
-            continue
-        hits = [e.dst for e in out if evaluate(e.guard, cell)]
-        if len(hits) > 1:
-            raise GraphError(f"out-edges of {q!r} to {hits} overlap on the cell {letter}")
-        moves.append((letter, hits[0] if hits else q))  # implicit stay when none holds
-    return moves
+    return [(letter, g.move(q, cell)) for letter, cell in zip(space.keys.values(), space.witnesses)
+            if evaluate(enabled, cell)]
 
 
 @dataclass

@@ -119,7 +119,6 @@ class _Simplex:
         self.lower: dict[str, DeltaRational] = {}
         self.upper: dict[str, DeltaRational] = {}
         self.rows: dict[str, dict[str, Fraction]] = {}  # basic -> {nonbasic: coeff}
-        self.basic: set[str] = set()
 
     def add_var(self, name: str) -> None:
         if name not in self.value:
@@ -131,7 +130,6 @@ class _Simplex:
         # starts at 0 as well.
         self.add_var(slack)
         self.rows[slack] = dict(combo)
-        self.basic.add(slack)
 
     def set_bound(self, var: str, lo: Optional[DeltaRational], hi: Optional[DeltaRational]) -> bool:
         if lo is not None and (var not in self.lower or self.lower[var] < lo):
@@ -163,8 +161,6 @@ class _Simplex:
                     if other[v] == 0:
                         del other[v]
         self.rows[xj] = new_row
-        self.basic.discard(xi)
-        self.basic.add(xj)
 
     def _pivot_and_update(self, xi: str, xj: str, target: DeltaRational) -> None:
         aij = self.rows[xi][xj]
@@ -181,7 +177,7 @@ class _Simplex:
     def solve(self) -> bool:
         # Move nonbasic vars inside their bounds first (basic ones follow).
         for v in self.order:
-            if v in self.basic:
+            if v in self.rows:
                 continue
             lo, hi = self.lower.get(v), self.upper.get(v)
             if lo is not None and self.value[v] < lo:
@@ -191,7 +187,7 @@ class _Simplex:
         idx = {v: i for i, v in enumerate(self.order)}
         while True:
             broken = None
-            for v in sorted(self.basic, key=idx.__getitem__):
+            for v in sorted(self.rows, key=idx.__getitem__):
                 lo, hi = self.lower.get(v), self.upper.get(v)
                 if lo is not None and self.value[v] < lo:
                     broken, target, increase = v, lo, True
@@ -412,15 +408,12 @@ def check_sat(f: Formula, vars: VarSet) -> SatResult:
     return result
 
 
-def entails(f: Formula, g: Formula, vars: Optional[VarSet] = None) -> bool:
+def entails(f: Formula, g: Formula, vars: VarSet) -> bool:
     """True iff every assignment satisfying ``f`` satisfies ``g``."""
-    if vars is None:
-        names = variables_of(f) | variables_of(g)
-        vars = VarSet(tuple(names) if names else ("_",))
     return not check_sat(conj([f, negate(g)]), vars).is_sat
 
 
-def equivalent(f: Formula, g: Formula, vars: Optional[VarSet] = None) -> bool:
+def equivalent(f: Formula, g: Formula, vars: VarSet) -> bool:
     """Mutual entailment, via two unsatisfiability queries."""
     return entails(f, g, vars) and entails(g, f, vars)
 

@@ -14,15 +14,18 @@ Repair: grow the bad states to the full bad attractor (states whose every
 move leads back into the set; deadlocked states stay out), then synthesize
 a patch object that shadows the run graph ("keeps track of the execution")
 and blocks, at each tracked state, exactly the guards of edges that fall
-into the attractor. The patch requests nothing, so composing it in removes
-the violating runs and nothing else. This is the maximally permissive
-supervisor over the states the closed loop reaches (Ramadge and Wonham,
-SIAM J. Control Optim. 1987).
+into the attractor. A patch is that tracker and its name: the tracker's
+block label is the cut at each state. The patch requests nothing, so
+composing it in removes the violating runs and nothing else. This is the
+maximally permissive supervisor over the states the closed loop reaches
+(Ramadge and Wonham, SIAM J. Control Optim. 1987).
 
 Patch verification reads all three soundness clauses off two run graphs:
 the original, and the patch composed onto it along enabled moves. The
 run-set clause compares the two exactly, for runs of every length, by a
 search over the pairs of states that one run reaches in both.
+
+Every solver query ranges over the caller's variable set, the model's.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .compose import compose_all, compose_enabled, enabled_guard
 from .dsl import ScenarioScript, emit_script
 from .extract import extract_graph, simplify_graph
 from .formulas import FalseF, Formula, VarSet, conj, disj, evaluate, negate
-from .graphs import Edge, GraphError, Model, NamedObject, ObjectGraph, Trace, TraceStep, _graph_vars, bfs_tree
+from .graphs import Edge, GraphError, Model, NamedObject, ObjectGraph, Trace, TraceStep, bfs_tree
 from .minimize import boolean_minimize
 from .runsets import CellRuns, CellSpace, runs_equal_minus_violations
 
@@ -163,18 +166,16 @@ def check_safety(m: Model, prop: Union[ScenarioScript, ObjectGraph]) -> Union[Sa
     return Safe(composite) if trace is None else Counterexample(trace, composite)
 
 
-def find_deadlocks(g: ObjectGraph, vars: Optional[VarSet] = None) -> frozenset[str]:
+def find_deadlocks(g: ObjectGraph, vars: VarSet) -> frozenset[str]:
     """States an execution can reach where nothing requested is unblocked.
 
     Reachability follows enabled edges only: a state behind a permanently
     disabled guard cannot occur in any run, so it cannot deadlock one.
     """
-    vars = vars or _graph_vars(g)
     return _deadlocks(compose_enabled([g], vars)[0], vars)
 
 
-def compute_bad_attractor(g: ObjectGraph, initial_bad: Iterable[str],
-                          vars: Optional[VarSet] = None) -> frozenset[str]:
+def compute_bad_attractor(g: ObjectGraph, initial_bad: Iterable[str], vars: VarSet) -> frozenset[str]:
     """Least fixpoint: add states whose every enabled edge leads into the set.
 
     Runs on the run graph of ``g``. Deadlocked states (no enabled edge at
@@ -182,16 +183,15 @@ def compute_bad_attractor(g: ObjectGraph, initial_bad: Iterable[str],
     Raises GraphError when a seed is not reachable along enabled moves and
     UnrepairableError when the initial state falls in.
     """
-    return _attractor(compose_enabled([g], vars or _graph_vars(g))[0], initial_bad)
+    return _attractor(compose_enabled([g], vars)[0], initial_bad)
 
 
 @dataclass
 class Patch:
     """A synthesized blocking object: a tracker of the composite execution
-    plus the formula it blocks at each tracked state."""
+    whose ``block`` label is the formula it blocks at each tracked state."""
 
     tracker: ObjectGraph
-    block_at: dict[str, Formula]
     name: str = "Patch"
 
     def to_script_text(self) -> str:
@@ -201,12 +201,11 @@ class Patch:
         return NamedObject(self.name, self.tracker)
 
     def cut_edges(self) -> list[tuple[str, Formula]]:
-        return [(q, f) for q, f in sorted(self.block_at.items(), key=lambda kv: kv[0])
-                if not isinstance(f, FalseF)]
+        return [(q, f) for q, f in sorted(self.tracker.block.items()) if not isinstance(f, FalseF)]
 
 
 def synthesize_patch(
-    g: ObjectGraph, bad: frozenset[str], vars: Optional[VarSet] = None, name: str = "Patch"
+    g: ObjectGraph, bad: frozenset[str], vars: VarSet, name: str = "Patch"
 ) -> Patch:
     """Build the patch that cuts exactly the edges entering the bad set.
 
@@ -215,7 +214,6 @@ def synthesize_patch(
     these are the states runs reach); a self-loop of ``g`` is the
     tracker's implicit stay, so the tracker does not wake on it.
     """
-    vars = vars or _graph_vars(g)
     if g.initial in bad:
         raise UnrepairableError("cannot patch a model whose initial state is bad")
     tracked = [q for q in g.reachable() if q not in bad]
@@ -256,7 +254,7 @@ def synthesize_patch(
         waitfor=waitfor,
         edges=[(e.src, e.guard, e.dst) for q in tracked for e in kept[q]],
     )
-    return Patch(tracker=tracker, block_at=block_at, name=name)
+    return Patch(tracker=tracker, name=name)
 
 
 def repair(m: Model, prop: Union[ScenarioScript, ObjectGraph], name: str = "Patch") -> tuple[Patch, frozenset[str], ObjectGraph]:
@@ -334,42 +332,17 @@ def verify_patch(
     if new_deadlocks:
         report.details["new_deadlocks"] = new_deadlocks
 
-    witness, kind, cells = _run_difference(original, patched, _doomed(original), vars)
+    doomed = _doomed(original)
+    space = CellSpace.for_graphs([original, patched], vars)
+    runs_orig = CellRuns(original, space)
+    witness = runs_equal_minus_violations(runs_orig, CellRuns(patched, space), doomed)
     report.containment_ok = witness is None
     if witness is not None:
+        kind = "lost_run" if runs_orig.accepts(witness, avoid=doomed) else "foreign_run"
         report.details[kind] = witness
-    report.details["cells"] = cells
+    report.details["cells"] = len(space.witnesses)
     report.details["patched_states"] = len(patched.states)
 
     if not report.ok:
         raise RepairUnsoundError(f"repair is unsound: {report.summary()}", report)
     return report
-
-
-def _run_difference(original: ObjectGraph, patched: ObjectGraph, doomed: frozenset[str],
-                    vars: VarSet) -> tuple[Optional[tuple], Optional[str], int]:
-    """Clause (c): a shortest run that differs, its kind, and the cell count."""
-    space = CellSpace.for_graphs([original, patched], vars)
-    runs_orig = CellRuns(original, space)
-    witness = runs_equal_minus_violations(runs_orig, CellRuns(patched, space), doomed)
-    kind = None
-    if witness is not None:
-        kind = "lost_run" if runs_orig.accepts(witness, avoid=doomed) else "foreign_run"
-    return witness, kind, len(space.witnesses)
-
-
-def runs_preserved_exactly(
-    m: Model, patch: Patch, prop: Union[ScenarioScript, ObjectGraph]
-) -> Optional[tuple]:
-    """Exact check that the patch removes precisely the violating runs.
-
-    This is clause (c) of ``verify_patch`` on its own. A run counts as
-    violating once violation becomes inevitable (it enters the bad
-    attractor). Compares the cell-run sets of the original and patched
-    run graphs for runs of every length; returns None when runs(patched)
-    equals runs(original) minus the violating runs, else a shortest
-    differing run.
-    """
-    original = _composite_with(m, prop)
-    patched, _ = compose_enabled([original, patch.tracker], m.vars)
-    return _run_difference(original, patched, _doomed(original), m.vars)[0]

@@ -234,7 +234,7 @@ def test_criterion_7_bisimulation_suite(drone_model):
         for _ in range(500):  # graph path -> concretized interpreter trace
             s, q = initial_state(script), graph.initial
             for _ in range(6):
-                options = materialized_edges(graph, q)
+                options = materialized_edges(graph, q, VH)
                 e = options[rng.randrange(len(options))]
                 model = check_sat(e.guard, VH).model
                 s = step_script(s, model.restricted_to(VH))

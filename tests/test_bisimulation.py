@@ -73,7 +73,7 @@ def backward_check(vars, script, graph, rng, paths, depth):
         s = initial_state(script)
         q = graph.initial
         for _ in range(depth):
-            options = materialized_edges(graph, q)
+            options = materialized_edges(graph, q, vars)
             e = options[rng.randrange(len(options))]
             model = check_sat(e.guard, vars).model
             assert model is not None and evaluate(e.guard, model)

@@ -15,7 +15,6 @@ from sbmod.verify import (
     Counterexample,
     Safe,
     check_safety,
-    runs_preserved_exactly,
     repair,
     verify_patch,
 )
@@ -68,8 +67,9 @@ def test_attractor_grows_through_forced_chain():
     _, guard = cuts[0]
     assert equivalent(guard, var_atom("x", ">=", 5), X)
 
-    assert runs_preserved_exactly(base, patch, prop) is None
-    assert verify_patch(base, patch, prop).ok
+    report = verify_patch(base, patch, prop)
+    assert report.containment_ok
+    assert report.ok
 
     # the emitted patch is a one-state blocker; full textual round trip
     text = patch.to_script_text()

@@ -316,3 +316,21 @@ def test_insert_object_keeps_trailing_comments():
     patched = insert_object(text, "object Extra {\n  sync();\n}")
     assert patched.endswith("\n  object Extra {\n    sync();\n  }\n} # trailing comment\n# and one more\n")
     assert parse_model(patched).names() == ["A", "Extra"]
+
+
+def test_emit_refuses_a_cycle_away_from_the_initial_state():
+    g = ObjectGraph.make(
+        states=["a", "b", "c"], initial="a", waitfor={q: TRUE for q in "abc"},
+        edges=[("a", TRUE, "b"), ("b", TRUE, "c"), ("c", TRUE, "b")],
+    )
+    with pytest.raises(EmissionError, match="cycle through 'b' does not pass the initial state"):
+        emit_script(g)
+
+
+def test_emit_refuses_guards_short_of_the_wake_condition():
+    g = ObjectGraph.make(
+        states=["a", "b"], initial="a", waitfor={"a": TRUE},
+        edges=[("a", var_atom("v", ">=", 0), "b")],
+    )
+    with pytest.raises(EmissionError, match="out-edge guards do not match its wake condition"):
+        emit_script(g)

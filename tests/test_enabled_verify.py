@@ -187,7 +187,7 @@ def _reblocked(patch: Patch, block_at: dict) -> Patch:
     tracker = ObjectGraph.make(
         states=t.states, initial=t.initial, request=t.request, block=block_at,
         waitfor=t.waitfor, edges=[(e.src, e.guard, e.dst) for e in t.edges])
-    return Patch(tracker=tracker, block_at=dict(block_at), name=patch.name)
+    return Patch(tracker=tracker, name=patch.name)
 
 
 def _mutants(patch: Patch, composite: ObjectGraph, vars, rng: random.Random) -> list[tuple[str, Patch]]:
@@ -200,10 +200,10 @@ def _mutants(patch: Patch, composite: ObjectGraph, vars, rng: random.Random) -> 
     cuts = [q for q, _ in patch.cut_edges() if q in reached]
     if cuts:
         q = rng.choice(cuts)
-        out.append(("dropped_cut", _reblocked(patch, {**patch.block_at, q: FALSE})))
+        out.append(("dropped_cut", _reblocked(patch, {**patch.tracker.block, q: FALSE})))
     q = rng.choice(sorted(q for q in reached - doomed if any(e.dst not in doomed for e in table[q])))
     extra = rng.choice([e for e in table[q] if e.dst not in doomed]).guard
-    out.append(("extra_block", _reblocked(patch, {**patch.block_at, q: disj([patch.block_at[q], extra])})))
+    out.append(("extra_block", _reblocked(patch, {**patch.tracker.block, q: disj([patch.tracker.block[q], extra])})))
     return out
 
 
@@ -247,7 +247,7 @@ def test_unbounded_clause_c_matches_bounded_reference(workloads):
 def test_verify_patch_reports_the_shortest_lost_run(drone_base, drone_property):
     patch, _, composite = repair(drone_base, drone_property)
     (q, _), = patch.cut_edges()
-    wider = _reblocked(patch, {**patch.block_at, q: var_atom("h", ">=", 10)})
+    wider = _reblocked(patch, {**patch.tracker.block, q: var_atom("h", ">=", 10)})
     with pytest.raises(RepairUnsoundError) as err:
         verify_patch(drone_base, wider, drone_property, composite)
     report = err.value.report

@@ -14,7 +14,8 @@ from sbmod.engine import (
     select_event,
 )
 from sbmod.formulas import FALSE, TRUE, VarSet, conj, disj, evaluate, var_atom
-from sbmod.graphs import Model
+from sbmod.graphs import GraphError, Model, NamedObject, ObjectGraph
+from sbmod.runsets import CellRuns, CellSpace
 from sbmod.solver import check_sat
 
 VH = VarSet(("v", "h"))
@@ -161,6 +162,20 @@ def test_composite_paths_replay_in_engine(drone_base):
             object_states = [step_script(s, a) for s in object_states]
             state = edge.dst
             assert state == JOIN.join(s.name for s in object_states)
+
+
+def test_engine_refuses_overlapping_guards_like_run_sets():
+    # every event the object requests meets both out-edges of ``a``
+    x = VarSet(("x",))
+    g = ObjectGraph.make(
+        states=["a", "b", "c"], initial="a",
+        request={"a": var_atom("x", ">=", 5)},
+        edges=[("a", var_atom("x", ">=", 0), "b"), ("a", var_atom("x", ">=", 5), "c")],
+    )
+    with pytest.raises(GraphError, match="overlap"):
+        run(Model(x, (NamedObject("G", g),)), ExecutionConfig(max_steps=3))
+    with pytest.raises(GraphError, match="overlap"):
+        CellRuns.build(g, CellSpace.for_graphs([g], x))
 
 
 def test_jsonl_format(water_tap_model):

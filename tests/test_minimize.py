@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 from sbmod import cells, minimize, solver
-from sbmod.formulas import VarSet, atoms_of, canonicalize, disj, var_atom
+from sbmod.formulas import FALSE, VarSet, atoms_of, canonicalize, conj, disj, var_atom
 from sbmod.minimize import _prime_implicants, _select_cover, boolean_minimize
 
 from oracles import ref_prime_implicants
@@ -92,3 +92,7 @@ def test_guard_over_many_independent_atoms_is_left_as_written(monkeypatch):
     calls = _count_queries(monkeypatch)
     assert boolean_minimize(f, VarSet(names)) == f
     assert calls[0] == 0
+
+
+def test_unsatisfiable_guard_minimizes_to_false():
+    assert boolean_minimize(conj([var_atom("x", ">=", 1), var_atom("x", "<", 0)]), XY) == FALSE

@@ -79,8 +79,8 @@ def test_determinism():
 
 
 def test_entails_interval_containment():
-    assert entails(var_atom("h", ">=", 18), var_atom("h", ">=", 10))
-    assert not entails(var_atom("h", ">=", 10), var_atom("h", ">=", 18))
+    assert entails(var_atom("h", ">=", 18), var_atom("h", ">=", 10), VH)
+    assert not entails(var_atom("h", ">=", 10), var_atom("h", ">=", 18), VH)
 
 
 def test_entails_needs_block_context():
@@ -99,13 +99,13 @@ def test_entails_needs_block_context():
 
 
 def test_equivalent_absorption_and_excluded_middle():
-    assert equivalent(disj([var_atom("h", ">=", 10), var_atom("h", ">=", 18)]), var_atom("h", ">=", 10))
+    assert equivalent(disj([var_atom("h", ">=", 10), var_atom("h", ">=", 18)]), var_atom("h", ">=", 10), VH)
     from sbmod.formulas import TRUE
 
-    assert equivalent(TRUE, disj([var_atom("h", "<", 0), var_atom("h", ">=", 0)]))
+    assert equivalent(TRUE, disj([var_atom("h", "<", 0), var_atom("h", ">=", 0)]), VH)
     lhs = conj([var_atom("v", ">=", 2), var_atom("h", "==", 0)])
     rhs = conj([var_atom("v", ">=", 2), var_atom("h", "<=", 0), var_atom("h", ">=", 0)])
-    assert equivalent(lhs, rhs)
+    assert equivalent(lhs, rhs, VH)
     # grid cross-check of the last equivalence
     assert not grid_satisfiable(conj([lhs, negate(rhs)]), ("v", "h"))
     assert not grid_satisfiable(conj([rhs, negate(lhs)]), ("v", "h"))
@@ -227,3 +227,12 @@ def test_split_search_prunes_infeasible_prefixes(monkeypatch):
     f = conj([var_atom("x", ">=", 0), var_atom("x", "<=", k - 1)]
              + [var_atom("x", "!=", i) for i in range(k)])
     assert check_sat(f, VarSet(("x",))).model == Assignment({"x": Fraction(1, 2)})
+
+
+def test_debug_dump_writes_each_query_to_stderr(monkeypatch, capsys):
+    monkeypatch.setenv("SBM_SOLVER_DEBUG", "1")
+    check_sat(conj([var_atom("v", ">=", 2), var_atom("h", "<", 1)]), VH)
+    err = capsys.readouterr().err
+    assert err.startswith("(set-logic QF_LRA)\n")
+    assert "(assert (and " in err
+    assert err.index("(declare-const v Real)") < err.index("(check-sat)")

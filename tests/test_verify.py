@@ -11,6 +11,7 @@ from sbmod.runsets import CellRuns, CellSpace
 from sbmod.solver import check_sat
 from sbmod.verify import (
     Counterexample,
+    DeterminizationError,
     InvalidPropertyError,
     Patch,
     RepairUnsoundError,
@@ -19,7 +20,6 @@ from sbmod.verify import (
     check_safety,
     compute_bad_attractor,
     find_deadlocks,
-    runs_preserved_exactly,
     property_graph,
     repair,
     synthesize_patch,
@@ -107,7 +107,7 @@ def test_drone_composite_has_no_deadlocks(drone_base, drone_property):
 
 def test_false_request_is_deadlock():
     g = ObjectGraph.make(states=["d"], initial="d")
-    assert find_deadlocks(g) == frozenset({"d"})
+    assert find_deadlocks(g, X) == frozenset({"d"})
 
 
 def test_self_blocking_request_is_deadlock():
@@ -200,13 +200,39 @@ def test_drone_patch_cuts_exactly_the_sharp_turn(drone_base, drone_property):
     assert len(patch.tracker.states) == len(comp.states) - 1
 
 
+def test_patch_refuses_a_bad_initial_state():
+    g = ObjectGraph.make(states=["a"], initial="a", bad=["a"])
+    with pytest.raises(UnrepairableError, match="initial state is bad"):
+        synthesize_patch(g, frozenset({"a"}), X)
+
+
+def test_patch_refuses_overlapping_kept_edges():
+    g = ObjectGraph.make(
+        states=["a", "b", "c"], initial="a", waitfor={"a": var_atom("x", ">=", 0)},
+        edges=[("a", var_atom("x", ">=", 0), "b"), ("a", var_atom("x", ">=", 1), "c")],
+    )
+    with pytest.raises(DeterminizationError, match="overlapping guards out of 'a'"):
+        synthesize_patch(g, frozenset(), X)
+
+
+def test_patch_refuses_a_cut_that_deadlocks():
+    # every event ``a`` requests falls under the cut of x >= 0
+    g = ObjectGraph.make(
+        states=["a", "bad"], initial="a", request={"a": var_atom("x", ">=", 1)},
+        edges=[("a", var_atom("x", ">=", 0), "bad")], bad=["bad"],
+    )
+    with pytest.raises(RepairUnsoundError, match="patch would deadlock state 'a'") as err:
+        synthesize_patch(g, frozenset({"bad"}), X)
+    assert err.value.report.details == {"deadlocked_state": "a"}
+
+
 def test_identity_patch_when_nothing_bad(drone_base):
     inert = ObjectGraph.make(states=["p"], initial="p", waitfor={"p": TRUE},
                              edges=[("p", TRUE, "p")])
     patch, attractor, _ = repair(drone_base, inert)
     assert attractor == frozenset()
     assert patch.cut_edges() == []
-    assert all(isinstance(f, FalseF) for f in patch.block_at.values())
+    assert all(isinstance(f, FalseF) for f in patch.tracker.block.values())
 
 
 def test_patched_model_is_safe_and_deadlock_free(drone_base, drone_property):
@@ -244,15 +270,15 @@ def test_patch_composability_removes_one_edge(drone_base, drone_property):
 
 def test_runs_preserved_exactly(drone_base, drone_property):
     patch, _, _ = repair(drone_base, drone_property)
-    assert runs_preserved_exactly(drone_base, patch, drone_property) is None
+    assert verify_patch(drone_base, patch, drone_property).containment_ok
 
 
 def test_water_tap_patch_removes_exactly_hot_hot_runs(water_tap_unstable_model):
     prop = _encoded_two_hot()
     patch, attractor, comp = repair(water_tap_unstable_model, prop)
     assert attractor
-    assert runs_preserved_exactly(water_tap_unstable_model, patch, prop) is None
     report = verify_patch(water_tap_unstable_model, patch, prop)
+    assert report.containment_ok
     assert report.ok
 
     # decoded comparison against the independent discrete executor: the
@@ -292,7 +318,7 @@ def test_verify_identity_patch_on_safe_model(water_tap_model):
 def _overblocking_patch(drone_base, drone_property) -> Patch:
     patch, _, _ = repair(drone_base, drone_property)
     (q5, _) = patch.cut_edges()[0]
-    wider = dict(patch.block_at)
+    wider = dict(patch.tracker.block)
     wider[q5] = var_atom("h", ">=", 10)  # blocks legal turns too
     tracker = ObjectGraph.make(
         states=patch.tracker.states,
@@ -302,7 +328,7 @@ def _overblocking_patch(drone_base, drone_property) -> Patch:
         waitfor=patch.tracker.waitfor,
         edges=[(e.src, e.guard, e.dst) for e in patch.tracker.edges],
     )
-    return Patch(tracker=tracker, block_at=wider, name="Overblock")
+    return Patch(tracker=tracker, name="Overblock")
 
 
 def _identity_patch(drone_base, drone_property) -> Patch:

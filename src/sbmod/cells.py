@@ -19,8 +19,8 @@ number from above without a query.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from . import solver
 from .formulas import And, Assignment, Atom, Formula, LinearAtom, VarSet, conj

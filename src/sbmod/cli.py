@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from . import engine
 from .compose import compose_all
@@ -44,7 +43,7 @@ def _load_model(path: str) -> Model:
         return parse_model(handle.read())
 
 
-def _write(path: Optional[str], text: str) -> None:
+def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -193,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

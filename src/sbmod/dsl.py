@@ -34,9 +34,7 @@ from __future__ import annotations
 import copy
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
 from . import solver
 from .cells import polarity_classes
@@ -50,6 +48,8 @@ from .formulas import (
     LinearAtom,
     Or,
     VarSet,
+    _read_only,
+    _set,
     atoms_of,
     canonicalize,
     conj,
@@ -85,46 +85,54 @@ class EmissionError(ValueError):
 # statements
 
 
-@dataclass
 class SyncStmt:
-    request: Formula = FALSE
-    waitfor: Formula = FALSE
-    block: Formula = FALSE
-    bad: bool = False
-    uid: int = -1
+    __slots__ = ("request", "waitfor", "block", "bad", "uid")
+
+    def __init__(
+        self, request: Formula = FALSE, waitfor: Formula = FALSE, block: Formula = FALSE, bad: bool = False
+    ) -> None:
+        self.request = request
+        self.waitfor = waitfor
+        self.block = block
+        self.bad = bad
+        self.uid = -1  # numbered by ScenarioScript
 
     def wake(self) -> Formula:
         return disj([self.request, self.waitfor])
 
 
-@dataclass
 class IfStmt:
-    cond: Formula
-    then: list
-    orelse: list
+    __slots__ = ("cond", "then", "orelse")
+
+    def __init__(self, cond: Formula, then: list, orelse: list) -> None:
+        self.cond = cond
+        self.then = then
+        self.orelse = orelse
 
 
-@dataclass
 class LoopStmt:
-    body: list
+    __slots__ = ("body",)
+
+    def __init__(self, body: list) -> None:
+        self.body = body
 
 
-Stmt = Union[SyncStmt, IfStmt, LoopStmt]
+Stmt = SyncStmt | IfStmt | LoopStmt
 
 # continuation frames: (statement list, resume index), outermost first
 Frames = tuple[tuple[list, int], ...]
 
 
-@dataclass
 class ScenarioScript:
     """A parsed scenario object, compiled once: one walk numbers its syncs and
     records, per sync uid, its canonical wake condition (request or waitfor)
     and the continuation frames that control resumes from once it wakes."""
 
-    name: str
-    body: list
+    __slots__ = ("name", "body", "syncs", "wakes", "continuations")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, body: list) -> None:
+        self.name = name
+        self.body = body
         self.syncs: list[SyncStmt] = []
         self.wakes: list[Formula] = []
         self.continuations: list[Frames] = []
@@ -144,11 +152,20 @@ class ScenarioScript:
                 self._number(st.body, frames + ((stmts, i),))
 
 
-@dataclass(frozen=True)
 class PredicateSet:
     """Canonical atoms of a script, with an atom and its negation collapsed."""
 
-    atoms: tuple[LinearAtom, ...]
+    __slots__ = ("atoms",)
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, atoms: tuple[LinearAtom, ...]) -> None:
+        _set(self, "atoms", atoms)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is PredicateSet and other.atoms == self.atoms
+
+    def __hash__(self) -> int:
+        return hash(self.atoms)
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -204,13 +221,15 @@ _KEYWORDS = {
 }
 
 
-@dataclass
 class _Token:
-    kind: str  # "num" | "ident" | "kw" | "op" | "eof"
-    text: str
-    line: int
-    col: int
-    pos: int  # offset into the text
+    __slots__ = ("kind", "text", "line", "col", "pos")
+
+    def __init__(self, kind: str, text: str, line: int, col: int, pos: int) -> None:
+        self.kind = kind  # "num" | "ident" | "kw" | "op" | "eof"
+        self.text = text
+        self.line = line
+        self.col = col
+        self.pos = pos  # offset into the text
 
 
 def _lex(text: str) -> list[_Token]:
@@ -254,7 +273,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _lex(text)
         self.pos = 0
-        self.vars: Optional[VarSet] = None
+        self.vars: VarSet | None = None
         self.depth = 0  # current nesting, against MAX_NESTING
         self.statements = 0  # statements of the current object, against MAX_STATEMENTS
 
@@ -715,7 +734,7 @@ def structure_graph(g: ObjectGraph) -> list:
             else:
                 kept.append(e)
         adv[q] = kept
-    _check_acyclic(g, adv, reachable)
+    _check_acyclic(g.initial, adv)
 
     emitted: set[str] = set()
 
@@ -732,28 +751,31 @@ def structure_graph(g: ObjectGraph) -> list:
         return SyncStmt(request=g.request[q], waitfor=g.waitfor[q], block=g.block[q], bad=q in g.bad)
 
     def region(q: str, stops: frozenset[str]) -> list:
-        if q == _LOOP_END or q in stops:
-            return []
-        if q in emitted:
-            raise EmissionError(f"state {q!r} is reached from structurally incompatible contexts")
-        emitted.add(q)
-        sync = sync_for(q)
-        if q in terminal or not adv[q]:
-            return [LoopStmt([sync])]
-        edges = adv[q]
-        if len(edges) == 1:
-            return [sync] + region(edges[0].dst, stops)
-        arm_reach = {e: reach_from(e.dst, stops) for e in edges}
-        shared: set[str] = set()
-        for i, a in enumerate(edges):
-            for b in edges[i + 1:]:
-                shared |= arm_reach[a] & arm_reach[b]
-        local_stops = stops | frozenset(shared)
-        arms = [(e.guard, region(e.dst, local_stops)) for e in edges]
-        code: list = [sync]
-        code.extend(_if_chain(arms))
-        if shared:
-            code.extend(_suffix(shared, stops))
+        # a run of single-edge states is one loop; only branches recurse
+        code: list = []
+        while q != _LOOP_END and q not in stops:
+            if q in emitted:
+                raise EmissionError(f"state {q!r} is reached from structurally incompatible contexts")
+            emitted.add(q)
+            sync = sync_for(q)
+            if q in terminal or not adv[q]:
+                code.append(LoopStmt([sync]))
+                break
+            code.append(sync)
+            edges = adv[q]
+            if len(edges) == 1:
+                q = edges[0].dst
+                continue
+            arm_reach = {e: reach_from(e.dst, stops) for e in edges}
+            shared: set[str] = set()
+            for i, a in enumerate(edges):
+                for b in edges[i + 1:]:
+                    shared |= arm_reach[a] & arm_reach[b]
+            local_stops = stops | frozenset(shared)
+            code.extend(_if_chain([(e.guard, region(e.dst, local_stops)) for e in edges]))
+            if shared:
+                code.extend(_suffix(shared, stops))
+            break
         return code
 
     def _if_chain(arms: list[tuple[Formula, list]]) -> list:
@@ -817,22 +839,26 @@ def structure_graph(g: ObjectGraph) -> list:
     return body
 
 
-def _check_acyclic(g: ObjectGraph, adv: dict[str, list[Edge]], reachable: list[str]) -> None:
-    colors: dict[str, int] = {}
-
-    def visit(q: str) -> None:
-        colors[q] = 1
-        for e in adv[q]:
+def _check_acyclic(initial: str, adv: dict[str, list[Edge]]) -> None:
+    """Depth-first search from ``initial`` with an explicit stack of
+    (state, its unexplored out-edges); a state is 1 while on the stack."""
+    colors = {initial: 1}
+    stack = [(initial, iter(adv[initial]))]
+    while stack:
+        q, edges = stack[-1]
+        for e in edges:
             if e.dst == _LOOP_END:
                 continue
             c = colors.get(e.dst, 0)
             if c == 1:
                 raise EmissionError(f"cycle through {e.dst!r} does not pass the initial state")
             if c == 0:
-                visit(e.dst)
-        colors[q] = 2
-
-    visit(g.initial)
+                colors[e.dst] = 1
+                stack.append((e.dst, iter(adv[e.dst])))
+                break
+        else:
+            colors[q] = 2
+            stack.pop()
 
 
 def _topo_order(shared: set[str], adv: dict[str, list[Edge]]) -> list[str]:

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Optional, Union
 
 from . import solver
 from .cells import MAX_CELLS, cell_bound, polarity_classes, satisfiable_cells
@@ -36,6 +34,8 @@ from .formulas import (
     Assignment,
     Formula,
     VarSet,
+    _read_only,
+    _set,
     atoms_of,
     conj,
     disj,
@@ -54,30 +54,36 @@ class ConfigError(ValueError):
     """An execution setting is out of range."""
 
 
-@dataclass(frozen=True)
 class ExecutionConfig:
-    max_steps: int
-    seed: int = 0
-    policy: str = FIRST_MODEL
+    __slots__ = ("max_steps", "seed", "policy")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        if self.max_steps < 1:
+    def __init__(self, max_steps: int, seed: int = 0, policy: str = FIRST_MODEL) -> None:
+        if max_steps < 1:
             raise ConfigError("max_steps must be at least 1")
-        if self.policy not in POLICIES:
-            raise ConfigError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
+        if policy not in POLICIES:
+            raise ConfigError(f"unknown policy {policy!r}; choose from {POLICIES}")
+        _set(self, "max_steps", max_steps)
+        _set(self, "seed", seed)
+        _set(self, "policy", policy)
 
 
-@dataclass(frozen=True)
 class LogEntry:
-    step: int
-    assignment: Assignment
-    woke: tuple[str, ...]
+    __slots__ = ("step", "assignment", "woke")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, step: int, assignment: Assignment, woke: tuple[str, ...]) -> None:
+        _set(self, "step", step)
+        _set(self, "assignment", assignment)
+        _set(self, "woke", woke)
 
 
-@dataclass
 class EventLog:
-    entries: list[LogEntry] = field(default_factory=list)
-    stop_reason: str = "max-steps"  # "max-steps" | "deadlock" | "ended"
+    __slots__ = ("entries", "stop_reason")
+
+    def __init__(self) -> None:
+        self.entries: list[LogEntry] = []
+        self.stop_reason = "max-steps"  # "max-steps" | "deadlock" | "ended"
 
     def assignments(self) -> list[Assignment]:
         return [e.assignment for e in self.entries]
@@ -97,8 +103,8 @@ def select_event(
     declarations: list[tuple[Formula, Formula]],
     vars: VarSet,
     policy: str = FIRST_MODEL,
-    rng: Optional[random.Random] = None,
-) -> Optional[Assignment]:
+    rng: random.Random | None = None,
+) -> Assignment | None:
     """Pick an assignment requested by some object and blocked by none.
 
     Returns None on deadlock (no such assignment exists).
@@ -119,10 +125,10 @@ def select_event(
     return inside[rng.randrange(len(inside))].restricted_to(vars)
 
 
-_ObjState = Union[ScriptState, str]
+_ObjState = ScriptState | str
 
 
-def _object_state(item: Union[ScenarioScript, ObjectGraph]) -> _ObjState:
+def _object_state(item: ScenarioScript | ObjectGraph) -> _ObjState:
     if isinstance(item, ScenarioScript):
         return initial_state(item)
     return item.initial

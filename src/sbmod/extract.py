@@ -25,9 +25,6 @@ graph; composition and export materialize them as one complement-guard loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 from .cells import cell_formula, satisfiable_cells
 from .dsl import Frames, IfStmt, LoopStmt, PredicateSet, ScenarioScript, SyncStmt, collect_predicates
 from .formulas import (
@@ -35,6 +32,8 @@ from .formulas import (
     Assignment,
     Formula,
     VarSet,
+    _read_only,
+    _set,
     disj,
     evaluate,
 )
@@ -51,16 +50,16 @@ class ExtractionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class ScriptState:
-    """A script paused at a synchronization point (or finished).
+    """A script paused at a synchronization point (or finished): the sync uid
+    ``location``, or END_LOCATION."""
 
-    Equality and hashing use the location only; the script reference does
-    not distinguish states.
-    """
+    __slots__ = ("script", "location")
+    __setattr__ = __delattr__ = _read_only
 
-    script: ScenarioScript = field(compare=False, repr=False)
-    location: int = 0
+    def __init__(self, script: ScenarioScript, location: int) -> None:
+        _set(self, "script", script)
+        _set(self, "location", location)
 
     @property
     def ended(self) -> bool:
@@ -70,7 +69,7 @@ class ScriptState:
     def name(self) -> str:
         return "end" if self.ended else f"s{self.location}"
 
-    def sync(self) -> Optional[SyncStmt]:
+    def sync(self) -> SyncStmt | None:
         return None if self.ended else self.script.syncs[self.location]
 
     def wake(self) -> Formula:
@@ -78,7 +77,7 @@ class ScriptState:
         return FALSE if self.ended else self.script.wakes[self.location]
 
 
-def _walk_to_sync(frames: Frames, a: Optional[Assignment]) -> int:
+def _walk_to_sync(frames: Frames, a: Assignment | None) -> int:
     """Run straight-line control flow until the next sync; returns its uid."""
     stack = list(frames)
     while stack:
@@ -123,19 +122,21 @@ def step_script(s: ScriptState, a: Assignment) -> ScriptState:
     return resume(s, a) if evaluate(s.wake(), a) else s
 
 
-@dataclass
 class ExtractStats:
     """Instrumentation for extraction runs."""
 
-    predicates: Optional[PredicateSet] = None
-    cells_per_state: dict[str, int] = field(default_factory=dict)
-    satisfiable_cells_per_state: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("predicates", "cells_per_state", "satisfiable_cells_per_state")
+
+    def __init__(self) -> None:
+        self.predicates: PredicateSet | None = None
+        self.cells_per_state: dict[str, int] = {}
+        self.satisfiable_cells_per_state: dict[str, int] = {}
 
 
 def extract_graph(
     script: ScenarioScript,
     vars: VarSet,
-    stats: Optional[ExtractStats] = None,
+    stats: ExtractStats | None = None,
 ) -> ObjectGraph:
     """Breadth-first extraction of a script's underlying transition graph.
 

@@ -27,12 +27,11 @@ only flatten, deduplicate and sort the top level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Mapping, Optional, Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 RELATIONS = ("<", "<=", "==", ">=", ">", "!=")
 
@@ -46,18 +45,34 @@ class DomainMismatchError(KeyError):
     """A formula mentions a variable the assignment does not cover."""
 
 
-@dataclass(frozen=True)
+# The value types of the package are plain classes with ``__slots__``. A
+# read-only one sets its fields in ``__init__`` through ``_set`` and refuses
+# every later assignment through ``_read_only``.
+_set = object.__setattr__
+
+
+def _read_only(self, name: str, *_) -> None:
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
 class VarSet:
     """Ordered set of real-valued variable names (lexicographic, no dupes)."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        if not self.names:
+    def __init__(self, names: tuple[str, ...]) -> None:
+        if not names:
             raise ValueError("variable set must be non-empty")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate variable names in {self.names}")
-        object.__setattr__(self, "names", tuple(sorted(self.names)))
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate variable names in {names}")
+        _set(self, "names", tuple(sorted(names)))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is VarSet and other.names == self.names
+
+    def __hash__(self) -> int:
+        return hash(self.names)
 
     def __contains__(self, name: str) -> bool:
         return name in self.names
@@ -71,25 +86,35 @@ def _key_number(x: Rational) -> Rational:
     return x.numerator if x.denominator == 1 else x
 
 
-@dataclass(frozen=True)
 class LinearAtom:
     """A single linear constraint ``sum(c_i * x_i) REL const``.
 
     ``coeffs`` is a sorted tuple of (variable, coefficient) pairs with no zero
     coefficients and a leading coefficient of 1. Build atoms with :meth:`make`;
-    the raw constructor rejects a leading coefficient other than 1.
+    the raw constructor rejects a leading coefficient other than 1. Equal
+    atoms have equal keys, so equality and hashing read the key.
     """
 
-    coeffs: tuple[tuple[str, Fraction], ...]
-    rel: str
-    const: Fraction
-    _key: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("coeffs", "rel", "const", "_key")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        if not self.coeffs or self.coeffs[0][1] != 1:
+    def __init__(self, coeffs: tuple[tuple[str, Fraction], ...], rel: str, const: Fraction) -> None:
+        if not coeffs or coeffs[0][1] != 1:
             raise ValueError("atoms are built by LinearAtom.make (leading coefficient 1)")
-        coeffs = tuple((v, _key_number(c)) for v, c in self.coeffs)
-        object.__setattr__(self, "_key", (coeffs, RELATIONS.index(self.rel), _key_number(self.const)))
+        _set(self, "coeffs", coeffs)
+        _set(self, "rel", rel)
+        _set(self, "const", const)
+        key_coeffs = tuple((v, _key_number(c)) for v, c in coeffs)
+        _set(self, "_key", (key_coeffs, RELATIONS.index(rel), _key_number(const)))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is LinearAtom and other._key == self._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return f"LinearAtom({self.coeffs!r}, {self.rel!r}, {self.const!r})"
 
     @staticmethod
     def make(coeffs: Mapping[str, Rational], rel: str, const: Rational) -> "LinearAtom":
@@ -148,56 +173,101 @@ class LinearAtom:
 
 
 class Formula:
-    """Base class; concrete nodes are TrueF, FalseF, Atom, Not, And, Or, Implies."""
+    """Base class; concrete nodes are TrueF, FalseF, Atom, Not, And, Or, Implies.
 
-    __slots__ = ()
-    # formula_key of a canonical node, stored once when it is built; None on
-    # nodes canonicalize has not produced. Not a dataclass field, so equality,
-    # hashing and repr ignore it.
-    _key: Optional[tuple] = None
+    Nodes are read-only values: two nodes are equal when they have the same
+    type and equal fields (``_fields``). ``_key`` is the formula_key of a
+    canonical node, stored once when it is built, and None on nodes
+    canonicalize has not produced; equality, hashing and repr ignore it.
+    """
+
+    __slots__ = ("_key",)
+    __setattr__ = __delattr__ = _read_only
+
+    def _fields(self) -> tuple:
+        return ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other._fields() == self._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
+
+    def __deepcopy__(self, memo: dict) -> "Formula":
+        return self  # read-only, so a copied statement can share its formulas
 
     def __str__(self) -> str:
         return to_infix(self)
 
 
-@dataclass(frozen=True)
 class TrueF(Formula):
+    __slots__ = ()
     _key = (1,)
 
 
-@dataclass(frozen=True)
 class FalseF(Formula):
+    __slots__ = ()
     _key = (0,)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    atom: LinearAtom
+    __slots__ = ("atom",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, atom: LinearAtom) -> None:
+        _set(self, "atom", atom)
         # atoms are normalized at construction, so every atom node is canonical
-        object.__setattr__(self, "_key", (2, self.atom.key()))
+        _set(self, "_key", (2, atom._key))
+
+    def _fields(self) -> tuple:
+        return (self.atom,)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    child: Formula
+    __slots__ = ("child",)
+
+    def __init__(self, child: Formula) -> None:
+        _set(self, "child", child)
+        _set(self, "_key", None)
+
+    def _fields(self) -> tuple:
+        return (self.child,)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    children: tuple[Formula, ...]
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple[Formula, ...]) -> None:
+        _set(self, "children", children)
+        _set(self, "_key", None)
+
+    def _fields(self) -> tuple:
+        return (self.children,)
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    children: tuple[Formula, ...]
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple[Formula, ...]) -> None:
+        _set(self, "children", children)
+        _set(self, "_key", None)
+
+    def _fields(self) -> tuple:
+        return (self.children,)
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_key", None)
+
+    def _fields(self) -> tuple:
+        return (self.left, self.right)
 
 
 TRUE = TrueF()
@@ -225,11 +295,17 @@ def negate(f: Formula) -> Formula:
     return canonicalize(Not(f))
 
 
-@dataclass(frozen=True)
 class Assignment:
     """Total map from variable names to exact rationals."""
 
-    values: Mapping[str, Fraction]
+    __slots__ = ("values",)
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, values: Mapping[str, Fraction]) -> None:
+        _set(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Assignment and other.values == self.values
 
     @staticmethod
     def make(values: Mapping[str, Rational]) -> "Assignment":
@@ -333,7 +409,7 @@ def _normalize(f: Formula) -> Formula:
     if len(ordered) == 1:
         return ordered[0]
     node = And(tuple(ordered)) if isinstance(f, And) else Or(tuple(ordered))
-    object.__setattr__(node, "_key", (3 if isinstance(f, And) else 4, tuple(k._key for k in ordered)))
+    _set(node, "_key", (3 if isinstance(f, And) else 4, tuple(k._key for k in ordered)))
     return node
 
 

@@ -21,8 +21,7 @@ becomes the atom ``x == i``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from . import solver
 from .formulas import (
@@ -30,6 +29,8 @@ from .formulas import (
     Assignment,
     Formula,
     VarSet,
+    _read_only,
+    _set,
     canonicalize,
     disj,
     evaluate,
@@ -56,39 +57,64 @@ class EncodingError(ValueError):
     """Discrete object references an event absent from the event list."""
 
 
-@dataclass(frozen=True)
 class Edge:
-    src: StateId
-    guard: Formula
-    dst: StateId
+    __slots__ = ("src", "guard", "dst")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, src: StateId, guard: Formula, dst: StateId) -> None:
+        _set(self, "src", src)
+        _set(self, "guard", guard)
+        _set(self, "dst", dst)
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is Edge and other.src == self.src and other.dst == self.dst
+                and other.guard == self.guard)
+
+    def __hash__(self) -> int:
+        return hash((self.src, self.guard, self.dst))
 
     def key(self) -> tuple:
         return (self.src, self.dst, formula_key(self.guard))
 
 
-@dataclass
 class ObjectGraph:
     """Explicit transition graph of one scenario object.
 
     Immutable by convention after construction; use ``make`` so that label
     maps are total (missing entries default to false) and edges come out in
-    canonical order.
+    canonical order. Equality compares every field but ``_out``, which is
+    derived from ``edges``.
     """
 
-    states: frozenset[StateId]
-    initial: StateId
-    request: dict[StateId, Formula]
-    block: dict[StateId, Formula]
-    waitfor: dict[StateId, Formula]
-    edges: tuple[Edge, ...]
-    bad: frozenset[StateId] = field(default_factory=frozenset)
-    # state -> its out-edges, in the order of ``edges``
-    _out: dict[StateId, list[Edge]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("states", "initial", "request", "block", "waitfor", "edges", "bad", "_out")
 
-    def __post_init__(self) -> None:
-        self._out = {}
-        for e in self.edges:
+    def __init__(
+        self,
+        states: frozenset[StateId],
+        initial: StateId,
+        request: dict[StateId, Formula],
+        block: dict[StateId, Formula],
+        waitfor: dict[StateId, Formula],
+        edges: tuple[Edge, ...],
+        bad: frozenset[StateId] = frozenset(),
+    ) -> None:
+        self.states = states
+        self.initial = initial
+        self.request = request
+        self.block = block
+        self.waitfor = waitfor
+        self.edges = edges
+        self.bad = bad
+        # state -> its out-edges, in the order of ``edges``
+        self._out: dict[StateId, list[Edge]] = {}
+        for e in edges:
             self._out.setdefault(e.src, []).append(e)
+
+    def _fields(self) -> tuple:
+        return (self.states, self.initial, self.request, self.block, self.waitfor, self.edges, self.bad)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ObjectGraph and other._fields() == self._fields()
 
     @staticmethod
     def make(
@@ -169,17 +195,29 @@ def bfs_tree(start: StateId, successors: Callable[[StateId], Iterable[Edge]]) ->
                 yield e
 
 
-@dataclass(frozen=True)
 class DiscreteObject:
     """A classic discrete-event scenario object: labels are event-name sets."""
 
-    states: frozenset[StateId]
-    initial: StateId
-    request: Mapping[StateId, frozenset[str]]
-    block: Mapping[StateId, frozenset[str]]
-    waitfor: Mapping[StateId, frozenset[str]]
-    edges: tuple[tuple[StateId, str, StateId], ...]
-    bad: frozenset[StateId] = frozenset()
+    __slots__ = ("states", "initial", "request", "block", "waitfor", "edges", "bad")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(
+        self,
+        states: frozenset[StateId],
+        initial: StateId,
+        request: Mapping[StateId, frozenset[str]],
+        block: Mapping[StateId, frozenset[str]],
+        waitfor: Mapping[StateId, frozenset[str]],
+        edges: tuple[tuple[StateId, str, StateId], ...],
+        bad: frozenset[StateId] = frozenset(),
+    ) -> None:
+        _set(self, "states", states)
+        _set(self, "initial", initial)
+        _set(self, "request", request)
+        _set(self, "block", block)
+        _set(self, "waitfor", waitfor)
+        _set(self, "edges", edges)
+        _set(self, "bad", bad)
 
     @staticmethod
     def make(
@@ -239,23 +277,26 @@ def encode_discrete(events: list[str], obj: DiscreteObject, var: str = "x") -> O
 # models and traces
 
 
-@dataclass(frozen=True)
 class NamedObject:
-    name: str
-    item: Union["object", ObjectGraph]  # ScenarioScript or ObjectGraph
+    __slots__ = ("name", "item")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, name: str, item: object) -> None:  # a ScenarioScript or ObjectGraph
+        _set(self, "name", name)
+        _set(self, "item", item)
 
 
-@dataclass
 class Model:
     """A collection of named scenario objects over one variable set."""
 
-    vars: VarSet
-    objects: tuple[NamedObject, ...]
+    __slots__ = ("vars", "objects")
 
-    def __post_init__(self) -> None:
-        names = [o.name for o in self.objects]
+    def __init__(self, vars: VarSet, objects: tuple[NamedObject, ...]) -> None:
+        names = [o.name for o in objects]
         if len(set(names)) != len(names):
             raise GraphError(f"duplicate object names in model: {names}")
+        self.vars = vars
+        self.objects = objects
 
     def names(self) -> list[str]:
         return [o.name for o in self.objects]
@@ -273,19 +314,25 @@ class Model:
         return Model(self.vars, kept)
 
 
-@dataclass(frozen=True)
 class TraceStep:
-    state: StateId
-    assignment: Assignment
+    __slots__ = ("state", "assignment")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, state: StateId, assignment: Assignment) -> None:
+        _set(self, "state", state)
+        _set(self, "assignment", assignment)
 
 
-@dataclass(frozen=True)
 class Trace:
     """A run prefix through a composite graph, plus how it ended."""
 
-    steps: tuple[TraceStep, ...]
-    verdict: str  # "Safe" | "BadReached" | "Deadlock"
-    end_state: StateId
+    __slots__ = ("steps", "verdict", "end_state")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, steps: tuple[TraceStep, ...], verdict: str, end_state: StateId) -> None:
+        _set(self, "steps", steps)
+        _set(self, "verdict", verdict)  # "Safe" | "BadReached" | "Deadlock"
+        _set(self, "end_state", end_state)
 
     def __len__(self) -> int:
         return len(self.steps)

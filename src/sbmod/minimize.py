@@ -19,7 +19,7 @@ remembered per process.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from . import cells, solver
 from .formulas import (

@@ -19,12 +19,11 @@ states the two automata reach decides exactly, for runs of every length
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 from .cells import polarity_classes, satisfiable_cells, sign_mask
 from .compose import enabled_guard
-from .formulas import Assignment, LinearAtom, VarSet, atoms_of, evaluate
+from .formulas import Assignment, LinearAtom, VarSet, _read_only, _set, atoms_of, evaluate
 from .graphs import ObjectGraph
 
 Move = tuple[tuple, str]  # (cell letter, successor state)
@@ -38,7 +37,6 @@ def _graph_atoms(g: ObjectGraph) -> Iterator[LinearAtom]:
         yield from atoms_of(e.guard)
 
 
-@dataclass(frozen=True)
 class CellSpace:
     """The satisfiable sign cells over the atoms of some graphs.
 
@@ -47,10 +45,20 @@ class CellSpace:
     their letters by sign mask, in the same order.
     """
 
-    vars: tuple[str, ...]
-    atoms: tuple[LinearAtom, ...]
-    witnesses: tuple[Assignment, ...]
-    keys: dict[int, tuple] = field(compare=False, repr=False)  # sign mask -> key
+    __slots__ = ("vars", "atoms", "witnesses", "keys")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(
+        self,
+        vars: tuple[str, ...],
+        atoms: tuple[LinearAtom, ...],
+        witnesses: tuple[Assignment, ...],
+        keys: dict[int, tuple],  # sign mask -> key
+    ) -> None:
+        _set(self, "vars", vars)
+        _set(self, "atoms", atoms)
+        _set(self, "witnesses", witnesses)
+        _set(self, "keys", keys)
 
     @staticmethod
     def for_graphs(graphs: list[ObjectGraph], vars: VarSet) -> "CellSpace":
@@ -77,7 +85,6 @@ def cell_moves(g: ObjectGraph, q: str, space: CellSpace) -> list[Move]:
             if evaluate(enabled, cell)]
 
 
-@dataclass
 class CellRuns:
     """Enabled-cell transition table of one composite graph, per state.
 
@@ -85,9 +92,12 @@ class CellRuns:
     every reachable state up front.
     """
 
-    graph: ObjectGraph
-    space: CellSpace
-    moves: dict[str, list[Move]] = field(default_factory=dict)  # state -> its cell moves
+    __slots__ = ("graph", "space", "moves")
+
+    def __init__(self, graph: ObjectGraph, space: CellSpace) -> None:
+        self.graph = graph
+        self.space = space
+        self.moves: dict[str, list[Move]] = {}  # state -> its cell moves
 
     @staticmethod
     def build(g: ObjectGraph, space: CellSpace) -> "CellRuns":
@@ -102,7 +112,7 @@ class CellRuns:
             row = self.moves[q] = cell_moves(self.graph, q, self.space)
         return row
 
-    def accepts(self, word: tuple, avoid: Optional[frozenset] = None) -> bool:
+    def accepts(self, word: tuple, avoid: frozenset | None = None) -> bool:
         banned = avoid if avoid is not None else frozenset()
         state = self.graph.initial
         for key in word:
@@ -113,8 +123,8 @@ class CellRuns:
 
 
 def runs_equal_minus_violations(
-    original: CellRuns, patched: CellRuns, doomed: Optional[frozenset] = None
-) -> Optional[tuple]:
+    original: CellRuns, patched: CellRuns, doomed: frozenset | None = None
+) -> tuple | None:
     """Check runs(patched) == runs(original) minus violating runs, exactly.
 
     A finite run counts as violating once it enters ``doomed`` (the bad
@@ -129,7 +139,7 @@ def runs_equal_minus_violations(
     """
     banned = doomed if doomed is not None else original.graph.bad
     start = (original.graph.initial, patched.graph.initial)
-    parent: dict[tuple[str, str], Optional[tuple[tuple[str, str], tuple]]] = {start: None}
+    parent: dict[tuple[str, str], tuple[tuple[str, str], tuple] | None] = {start: None}
 
     def word_to(pair: tuple[str, str]) -> tuple:
         letters = []

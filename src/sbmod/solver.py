@@ -30,9 +30,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .formulas import (
     FALSE,
@@ -46,6 +44,8 @@ from .formulas import (
     Or,
     TrueF,
     VarSet,
+    _read_only,
+    _set,
     canonicalize,
     conj,
     evaluate,
@@ -56,7 +56,6 @@ from .formulas import (
 )
 
 
-@dataclass(frozen=True)
 class DeltaRational:
     """A rational plus an infinitesimal multiple of a symbolic delta > 0.
 
@@ -64,8 +63,18 @@ class DeltaRational:
     the ordering of standard + infinitesimal*delta for delta small enough.
     """
 
-    standard: Fraction
-    infinitesimal: Fraction = Fraction(0)
+    __slots__ = ("standard", "infinitesimal")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, standard: Fraction, infinitesimal: Fraction = Fraction(0)) -> None:
+        _set(self, "standard", standard)
+        _set(self, "infinitesimal", infinitesimal)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is DeltaRational and other._key() == self._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __add__(self, other: "DeltaRational") -> "DeltaRational":
         return DeltaRational(self.standard + other.standard, self.infinitesimal + other.infinitesimal)
@@ -92,11 +101,14 @@ class DeltaRational:
 ZERO = DeltaRational(Fraction(0))
 
 
-@dataclass(frozen=True)
 class SatResult:
     """Outcome of a satisfiability query: a model, or None for Unsat."""
 
-    model: Optional[Assignment]
+    __slots__ = ("model",)
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, model: Assignment | None) -> None:
+        _set(self, "model", model)
 
     @property
     def is_sat(self) -> bool:
@@ -131,7 +143,7 @@ class _Simplex:
         self.add_var(slack)
         self.rows[slack] = dict(combo)
 
-    def set_bound(self, var: str, lo: Optional[DeltaRational], hi: Optional[DeltaRational]) -> bool:
+    def set_bound(self, var: str, lo: DeltaRational | None, hi: DeltaRational | None) -> bool:
         if lo is not None and (var not in self.lower or self.lower[var] < lo):
             self.lower[var] = lo
         if hi is not None and (var not in self.upper or hi < self.upper[var]):
@@ -214,7 +226,7 @@ class _Simplex:
             self._pivot_and_update(broken, candidate, target)
 
 
-def _bound_for(rel: str, const: Fraction) -> tuple[Optional[DeltaRational], Optional[DeltaRational]]:
+def _bound_for(rel: str, const: Fraction) -> tuple[DeltaRational | None, DeltaRational | None]:
     if rel == "<=":
         return None, DeltaRational(const)
     if rel == "<":
@@ -228,7 +240,7 @@ def _bound_for(rel: str, const: Fraction) -> tuple[Optional[DeltaRational], Opti
     raise ValueError(rel)
 
 
-def _feasible(constraints: list[tuple[LinearAtom, str]]) -> Optional[dict[str, DeltaRational]]:
+def _feasible(constraints: list[tuple[LinearAtom, str]]) -> dict[str, DeltaRational] | None:
     """Feasibility of atoms under effective relations (no ``!=`` here)."""
     simplex = _Simplex()
     for a, _ in constraints:
@@ -255,7 +267,7 @@ def _feasible(constraints: list[tuple[LinearAtom, str]]) -> Optional[dict[str, D
     return {v: simplex.value[v] for v in simplex.order if not v.startswith("$s")}
 
 
-def _theory_model(literals: list[tuple[LinearAtom, bool]]) -> Optional[dict[str, DeltaRational]]:
+def _theory_model(literals: list[tuple[LinearAtom, bool]]) -> dict[str, DeltaRational] | None:
     """Solve a conjunction of signed atoms, splitting ``!=`` into ``<`` or ``>``
     depth-first and skipping the subtree of an infeasible decided prefix."""
     plain: list[tuple[LinearAtom, str]] = []
@@ -273,7 +285,7 @@ def _theory_model(literals: list[tuple[LinearAtom, bool]]) -> Optional[dict[str,
 
 def _split(
     decided: list[tuple[LinearAtom, str]], splits: list[LinearAtom], i: int
-) -> Optional[dict[str, DeltaRational]]:
+) -> dict[str, DeltaRational] | None:
     for rel in ("<", ">"):
         prefix = decided + [(splits[i], rel)]
         result = _feasible(prefix)
@@ -354,7 +366,7 @@ def _first_atom(f: Formula) -> LinearAtom:
     raise TypeError(f"unexpected node in canonical formula: {f!r}")
 
 
-def _search(f: Formula, trail: list[tuple[LinearAtom, bool]], depth: int) -> Optional[dict[str, DeltaRational]]:
+def _search(f: Formula, trail: list[tuple[LinearAtom, bool]], depth: int) -> dict[str, DeltaRational] | None:
     if isinstance(f, FalseF):
         return None
     if isinstance(f, TrueF):

@@ -30,14 +30,13 @@ Every solver query ranges over the caller's variable set, the model's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from collections.abc import Iterable
 
 from . import solver
 from .compose import compose_all, compose_enabled, enabled_guard
 from .dsl import ScenarioScript, emit_script
 from .extract import extract_graph, simplify_graph
-from .formulas import FalseF, Formula, VarSet, conj, disj, evaluate, negate
+from .formulas import FalseF, Formula, VarSet, _read_only, _set, conj, disj, evaluate, negate
 from .graphs import Edge, GraphError, Model, NamedObject, ObjectGraph, Trace, TraceStep, bfs_tree
 from .minimize import boolean_minimize
 from .runsets import CellRuns, CellSpace, runs_equal_minus_violations
@@ -63,18 +62,24 @@ class RepairUnsoundError(RuntimeError):
         self.report = report
 
 
-@dataclass(frozen=True)
 class Safe:
-    composite: ObjectGraph
+    __slots__ = ("composite",)
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, composite: ObjectGraph) -> None:
+        _set(self, "composite", composite)
 
 
-@dataclass(frozen=True)
 class Counterexample:
-    trace: Trace
-    composite: ObjectGraph
+    __slots__ = ("trace", "composite")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, trace: Trace, composite: ObjectGraph) -> None:
+        _set(self, "trace", trace)
+        _set(self, "composite", composite)
 
 
-def property_graph(prop: Union[ScenarioScript, ObjectGraph], vars: VarSet) -> ObjectGraph:
+def property_graph(prop: ScenarioScript | ObjectGraph, vars: VarSet) -> ObjectGraph:
     g = prop if isinstance(prop, ObjectGraph) else simplify_graph(extract_graph(prop, vars), vars)
     for q in sorted(g.states):
         if not isinstance(g.request[q], FalseF) or not isinstance(g.block[q], FalseF):
@@ -90,14 +95,14 @@ def _with_property(m: Model, prop_graph: ObjectGraph) -> Model:
     return Model(m.vars, m.objects + (NamedObject(name, prop_graph),))
 
 
-def _composite_with(m: Model, prop: Union[ScenarioScript, ObjectGraph]) -> ObjectGraph:
+def _composite_with(m: Model, prop: ScenarioScript | ObjectGraph) -> ObjectGraph:
     """The run graph of the model's objects and then the property, composed in
     that order. The simplified full composite is cut down, so that merged
     guards keep their full form."""
     return compose_enabled([compose_all(_with_property(m, property_graph(prop, m.vars)))], m.vars)[0]
 
 
-def _bad_path(g: ObjectGraph, vars: VarSet) -> Optional[Trace]:
+def _bad_path(g: ObjectGraph, vars: VarSet) -> Trace | None:
     """The shortest run into a bad state of a run graph, concretized and re-validated."""
     parent: dict[str, Edge] = {}
     tree = bfs_tree(g.initial, g.out_edges)
@@ -158,7 +163,7 @@ def _doomed(g: ObjectGraph) -> frozenset[str]:
     return _attractor(g, g.bad) if g.bad else frozenset()
 
 
-def check_safety(m: Model, prop: Union[ScenarioScript, ObjectGraph]) -> Union[Safe, Counterexample]:
+def check_safety(m: Model, prop: ScenarioScript | ObjectGraph) -> Safe | Counterexample:
     """BFS of the run graph for a bad state; shortest counterexample on
     violation. Either verdict carries the run graph as its composite."""
     composite = _composite_with(m, prop)
@@ -186,13 +191,15 @@ def compute_bad_attractor(g: ObjectGraph, initial_bad: Iterable[str], vars: VarS
     return _attractor(compose_enabled([g], vars)[0], initial_bad)
 
 
-@dataclass
 class Patch:
     """A synthesized blocking object: a tracker of the composite execution
     whose ``block`` label is the formula it blocks at each tracked state."""
 
-    tracker: ObjectGraph
-    name: str = "Patch"
+    __slots__ = ("tracker", "name")
+
+    def __init__(self, tracker: ObjectGraph, name: str = "Patch") -> None:
+        self.tracker = tracker
+        self.name = name
 
     def to_script_text(self) -> str:
         return emit_script(self.tracker, self.name)
@@ -257,7 +264,7 @@ def synthesize_patch(
     return Patch(tracker=tracker, name=name)
 
 
-def repair(m: Model, prop: Union[ScenarioScript, ObjectGraph], name: str = "Patch") -> tuple[Patch, frozenset[str], ObjectGraph]:
+def repair(m: Model, prop: ScenarioScript | ObjectGraph, name: str = "Patch") -> tuple[Patch, frozenset[str], ObjectGraph]:
     """Full pipeline: compose, find the attractor, synthesize the patch.
 
     Returns (patch, bad attractor, run graph of the model with the property).
@@ -271,14 +278,22 @@ def repair(m: Model, prop: Union[ScenarioScript, ObjectGraph], name: str = "Patc
     return synthesize_patch(composite, attractor, m.vars, name), attractor, composite
 
 
-@dataclass
 class Report:
     """Evidence for the three repair-soundness clauses."""
 
-    safe_after_patch: Optional[bool] = None
-    no_new_deadlocks: Optional[bool] = None
-    containment_ok: Optional[bool] = None
-    details: dict = field(default_factory=dict)
+    __slots__ = ("safe_after_patch", "no_new_deadlocks", "containment_ok", "details")
+
+    def __init__(
+        self,
+        safe_after_patch: bool | None = None,
+        no_new_deadlocks: bool | None = None,
+        containment_ok: bool | None = None,
+        details: dict | None = None,
+    ) -> None:
+        self.safe_after_patch = safe_after_patch
+        self.no_new_deadlocks = no_new_deadlocks
+        self.containment_ok = containment_ok
+        self.details = {} if details is None else details
 
     @property
     def ok(self) -> bool:
@@ -296,8 +311,8 @@ class Report:
 def verify_patch(
     m: Model,
     patch: Patch,
-    prop: Union[ScenarioScript, ObjectGraph],
-    composite: Optional[ObjectGraph] = None,
+    prop: ScenarioScript | ObjectGraph,
+    composite: ObjectGraph | None = None,
 ) -> Report:
     """Check the three soundness clauses of a synthesized patch.
 

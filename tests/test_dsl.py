@@ -327,6 +327,17 @@ def test_emit_refuses_a_cycle_away_from_the_initial_state():
         emit_script(g)
 
 
+def test_emit_a_cycle_longer_than_the_recursion_limit():
+    n = 1500
+    names = [f"s{i}" for i in range(n)]
+    g = ObjectGraph.make(
+        states=names, initial="s0", waitfor={q: TRUE for q in names},
+        edges=[(q, TRUE, names[(i + 1) % n]) for i, q in enumerate(names)],
+    )
+    m = parse_model(f"model {{ vars v; {emit_script(g, 'Chain')} }}")
+    assert len(m.get("Chain").syncs) == n
+
+
 def test_emit_refuses_guards_short_of_the_wake_condition():
     g = ObjectGraph.make(
         states=["a", "b"], initial="a", waitfor={"a": TRUE},

@@ -1,0 +1,141 @@
+"""The package's value types: equality, hashing and immutability, and the
+modules a CLI call imports."""
+
+from __future__ import annotations
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import sbmod
+from sbmod.dsl import PredicateSet
+from sbmod.engine import ExecutionConfig, LogEntry
+from sbmod.extract import ScriptState
+from sbmod.formulas import (
+    FALSE,
+    TRUE,
+    And,
+    Assignment,
+    Atom,
+    FalseF,
+    Implies,
+    LinearAtom,
+    Not,
+    Or,
+    TrueF,
+    VarSet,
+    canonicalize,
+    var_atom,
+)
+from sbmod.graphs import DiscreteObject, Edge, NamedObject, ObjectGraph, Trace, TraceStep
+from sbmod.runsets import CellSpace
+from sbmod.solver import DeltaRational, SatResult
+from sbmod.verify import Counterexample, Safe
+
+from oracles import rand_atom_pool, rand_formula
+
+
+def rebuild(f):
+    """A copy of ``f`` that shares no node with it."""
+    if isinstance(f, Atom):
+        return Atom(LinearAtom(tuple(f.atom.coeffs), f.atom.rel, Fraction(f.atom.const)))
+    if isinstance(f, (TrueF, FalseF)):
+        return type(f)()
+    if isinstance(f, Not):
+        return Not(rebuild(f.child))
+    if isinstance(f, Implies):
+        return Implies(rebuild(f.left), rebuild(f.right))
+    return type(f)(tuple(rebuild(c) for c in f.children))
+
+
+def test_rebuilt_formulas_compare_and_hash_equal():
+    rng = random.Random(11)
+    for _ in range(300):
+        f = rand_formula(rng, 4, rand_atom_pool(rng) + [TRUE, FALSE])
+        g = rebuild(f)
+        assert g is not f
+        assert g == f and hash(g) == hash(f)
+        assert canonicalize(g) == canonicalize(f) and hash(canonicalize(g)) == hash(canonicalize(f))
+        assert {f: 1}[g] == 1
+
+
+def test_same_fields_under_another_node_type_are_unequal():
+    rng = random.Random(12)
+    for _ in range(100):
+        kids = tuple(rand_formula(rng, 2, rand_atom_pool(rng)) for _ in range(2))
+        assert And(kids) != Or(kids)
+        assert Implies(*kids) != Or((Not(kids[0]), kids[1]))
+    assert TRUE != FALSE and TrueF() == TRUE and FalseF() == FALSE
+
+
+def test_value_types_keep_value_equality():
+    a = LinearAtom.make({"x": 2, "y": -4}, ">=", 6)
+    assert a == LinearAtom.make({"x": Fraction(1), "y": -2}, ">=", 3)
+    assert hash(a) == hash(a.negated().negated())
+    assert a != a.negated()
+    x = var_atom("x", "<", 1)
+    assert Edge("p", x, "q") == Edge("p", rebuild(x), "q")
+    assert hash(Edge("p", x, "q")) == hash(Edge("p", rebuild(x), "q"))
+    assert Edge("p", x, "q") != Edge("p", x, "r")
+    assert VarSet(("y", "x")) == VarSet(("x", "y")) and hash(VarSet(("y", "x"))) == hash(VarSet(("x", "y")))
+    assert Assignment.make({"x": 1, "y": 2}) == Assignment({"y": Fraction(2), "x": Fraction(1)})
+    assert Assignment.make({"x": 1}) != Assignment.make({"x": 2})
+    one, delta = DeltaRational(Fraction(1)), DeltaRational(Fraction(0), Fraction(1))
+    assert one - delta == DeltaRational(Fraction(1), Fraction(-1)) != one
+
+
+def test_graph_equality_ignores_the_out_edge_index():
+    def make(bad=()):
+        return ObjectGraph.make(states=["a", "b"], initial="a", waitfor={"a": TRUE},
+                                edges=[("a", TRUE, "b")], bad=bad)
+
+    g, h = make(), make()
+    h._out = {}
+    assert g == h
+    assert g != make(bad=["b"])
+
+
+def read_only_instances():
+    x = var_atom("x", ">=", 0)
+    a = Assignment.make({"x": 0})
+    g = ObjectGraph.make(states=["a"], initial="a")
+    trace = Trace((TraceStep("a", a),), "BadReached", "a")
+    return [
+        (VarSet(("x",)), "names"), (x.atom, "rel"), (TRUE, "_key"), (FALSE, "_key"), (x, "atom"),
+        (Not(x), "child"), (And((x, x)), "children"), (Or((x, x)), "children"), (Implies(x, x), "left"),
+        (a, "values"), (Edge("a", x, "a"), "dst"), (DiscreteObject.make(["a"], "a"), "initial"),
+        (NamedObject("A", g), "item"), (trace.steps[0], "state"), (trace, "verdict"),
+        (DeltaRational(Fraction(0)), "standard"), (SatResult(a), "model"),
+        (ExecutionConfig(max_steps=1), "max_steps"), (LogEntry(1, a, ()), "woke"),
+        (Safe(g), "composite"), (Counterexample(trace, g), "trace"), (ScriptState(None, -1), "location"),
+        (CellSpace(("x",), (), (a,), {0: (0,)}), "witnesses"), (PredicateSet(()), "atoms"),
+    ]
+
+
+READ_ONLY = read_only_instances()
+
+
+@pytest.mark.parametrize("value, field", READ_ONLY, ids=[type(v).__name__ for v, _ in READ_ONLY])
+def test_read_only_types_refuse_assignment(value, field):
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = None
+    assert getattr(value, field) is before
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    code = ("import sys, sbmod.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(sbmod.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

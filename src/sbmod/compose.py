@@ -4,29 +4,36 @@ The composite of several objects runs them against the same triggered
 assignments: states are tuples of part states (named by joining them with
 ``JOIN``), request/block/waitfor labels are part-wise disjunctions, and a
 move takes one out-edge or the implicit stay loop (materialized here) of
-each part, whose guard conjunction labels the composite edge. Only the part
-reachable from the initial tuple is built, which is what keeps desk-scale
-models small. A composite state is bad as soon as any part is.
+each part, whose guard conjunction labels the composite edge. Moves are
+listed by a depth-first search over the parts that drops every prefix whose
+guard conjunction is unsatisfiable. Only the part reachable from the initial
+tuple is built, which is what keeps desk-scale models small. A composite
+state is bad as soon as any part is.
 
 ``compose`` keeps every move whose guard is satisfiable; it is the full
-product behind ``graph --composite``. ``compose_enabled`` keeps only the
-moves that can fire (their guard meets the source's request-and-not-blocked
-formula), so it builds just the states that runs reach. Over one part it
-cuts a composite down to its run graph, on which checking, repair and patch
-verification all run; over two it composes a patch onto that run graph.
+product behind ``graph --composite``. ``run_graph`` builds the run graph, on
+which checking and repair run: it merges the moves into one target tuple
+into one minimized guard, as ``simplify_graph`` merges parallel edges, and
+keeps the merged edges that can fire (their guard meets the source's
+request-and-not-blocked formula), so it builds just the states that runs
+reach. ``compose_enabled`` keeps the enabled moves unmerged; patch
+verification composes a patch onto a run graph with it.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Callable, Iterable, Iterator
 
 from . import solver
 from .dsl import ScenarioScript
 from .extract import extract_graph, simplify_graph
 from .formulas import Formula, VarSet, conj, disj, negate
 from .graphs import Edge, GraphError, Model, ObjectGraph
+from .minimize import boolean_minimize
 
 JOIN = "⊗"  # the tensor sign keeps component provenance readable
+
+_Move = tuple[Formula, tuple[str, ...]]  # guard conjunction, target tuple
 
 
 def enabled_guard(g: ObjectGraph, q: str) -> Formula:
@@ -44,12 +51,36 @@ def _outgoing_with_stay(g: ObjectGraph, q: str) -> list[tuple[Edge, bool]]:
     return out
 
 
+def _moves(graphs: list[ObjectGraph], qs: tuple[str, ...], vars: VarSet) -> Iterator[_Move]:
+    """The moves out of the tuple ``qs`` whose guard conjunction is satisfiable,
+    in ``itertools.product`` order, without the move in which every part stays
+    (that is the composite's own stay loop)."""
+    options = [_outgoing_with_stay(g, q) for g, q in zip(graphs, qs)]
+    last = len(options) - 1
+
+    def extend(i: int, guards: list[Formula], targets: tuple[str, ...], moved: bool) -> Iterator[_Move]:
+        for e, stay in options[i]:
+            if i == last and stay and not moved:
+                continue
+            prefix = guards + [e.guard]
+            guard = conj(prefix)
+            if not solver.check_sat(guard, vars).is_sat:
+                continue  # unsatisfiable, and so is every move extending it
+            if i == last:
+                yield guard, targets + (e.dst,)
+            else:
+                yield from extend(i + 1, prefix, targets + (e.dst,), moved or not stay)
+
+    return extend(0, [], (), False)
+
+
 def _product(graphs: list[ObjectGraph], vars: VarSet,
-             enabled_only: bool) -> tuple[ObjectGraph, dict[str, tuple[str, ...]]]:
+             keep: Callable[[Iterator[_Move], Formula], Iterable[_Move]]
+             ) -> tuple[ObjectGraph, dict[str, tuple[str, ...]]]:
     """The product reachable from the initial tuple, and its state -> tuple map.
 
-    Keeps each move whose guard conjunction is satisfiable, or, with
-    ``enabled_only``, meets the tuple's request-and-not-blocked formula.
+    Out of each tuple it keeps the edges that ``keep`` makes of the tuple's
+    moves and its request-and-not-blocked formula.
     """
     start = tuple(g.initial for g in graphs)
     init = JOIN.join(start)
@@ -71,15 +102,8 @@ def _product(graphs: list[ObjectGraph], vars: VarSet,
         waitfor[name] = disj([g.waitfor[q] for g, q in zip(graphs, qs)])
         if any(q in g.bad for g, q in zip(graphs, qs)):
             bad.add(name)
-        enabled = conj([request[name], negate(block[name])]) if enabled_only else None
-        for move in itertools.product(*(_outgoing_with_stay(g, q) for g, q in zip(graphs, qs))):
-            if all(stay for _, stay in move):
-                continue  # every part stays: that is the composite's own stay loop
-            guard = conj([e.guard for e, _ in move])
-            query = guard if enabled is None else conj([guard, enabled])
-            if not solver.check_sat(query, vars).is_sat:
-                continue
-            targets = tuple(e.dst for e, _ in move)
+        enabled = conj([request[name], negate(block[name])])
+        for guard, targets in keep(_moves(graphs, qs, vars), enabled):
             dst = JOIN.join(targets)
             if dst not in parts:
                 parts[dst] = targets
@@ -100,7 +124,7 @@ def _product(graphs: list[ObjectGraph], vars: VarSet,
 
 def compose(g1: ObjectGraph, g2: ObjectGraph, vars: VarSet) -> ObjectGraph:
     """Reachable product of two object graphs over the caller's variable set."""
-    return _product([g1, g2], vars, enabled_only=False)[0]
+    return _product([g1, g2], vars, lambda moves, _: moves)[0]
 
 
 def compose_enabled(graphs: list[ObjectGraph],
@@ -108,10 +132,33 @@ def compose_enabled(graphs: list[ObjectGraph],
     """The product along enabled moves only, and its state -> tuple map.
 
     Its states are the tuples that runs reach and its edges are exactly the
-    enabled moves. Over one graph it keeps that graph's state names, and
-    each state's out-edges are the graph's own enabled ones, in order.
+    enabled moves.
     """
-    return _product(graphs, vars, enabled_only=True)
+    def enabled_moves(moves: Iterator[_Move], enabled: Formula) -> Iterator[_Move]:
+        return (m for m in moves if solver.check_sat(conj([m[0], enabled]), vars).is_sat)
+
+    return _product(graphs, vars, enabled_moves)
+
+
+def run_graph(graphs: list[ObjectGraph], vars: VarSet) -> ObjectGraph:
+    """The run graph of the parts' product: the tuples that runs reach.
+
+    The moves into one target tuple merge into one edge guarded by
+    ``boolean_minimize`` of their disjunction, and an edge is kept when that
+    guard meets the source's request-and-not-blocked formula. Merging before
+    the cut keeps a merged guard whole, as in the simplified full composite.
+    """
+    def merged_enabled(moves: Iterator[_Move], enabled: Formula) -> Iterator[_Move]:
+        groups: dict[str, tuple[tuple[str, ...], list[Formula]]] = {}
+        for guard, targets in moves:
+            groups.setdefault(JOIN.join(targets), (targets, []))[1].append(guard)
+        for dst in sorted(groups):
+            targets, guards = groups[dst]
+            guard = boolean_minimize(disj(guards), vars)
+            if solver.check_sat(conj([guard, enabled]), vars).is_sat:
+                yield guard, targets
+
+    return _product(graphs, vars, merged_enabled)[0]
 
 
 def object_graphs(m: Model, simplify: bool = True) -> list[tuple[str, ObjectGraph]]:

@@ -4,7 +4,9 @@ Each step gathers the request and block declarations of every object at its
 current synchronization point, asks the solver for an assignment satisfying
 ``(or of requests) and not (or of blocks)``, broadcasts it, and advances the
 objects it wakes. No composite graph is built; this is the run-time twin of
-the graph-based analyses, and the two agree path-for-path.
+the graph-based analyses, and the two agree path-for-path. What a selection
+needs besides the random draw is worked out once per declaration tuple and
+remembered, since runs revisit the same synchronization points.
 
 Two selection policies:
 
@@ -99,6 +101,29 @@ class EventLog:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+# per (declarations, variable names, policy): the solver's model, restricted to
+# the variables, and the witnesses of the cells inside the selection formula
+# (None when the policy does not draw one); bounded like solver._cache
+_selections: dict[tuple, tuple[Assignment | None, list[Assignment] | None]] = {}
+
+
+def _selection(declarations: list[tuple[Formula, Formula]], vars: VarSet,
+               policy: str) -> tuple[Assignment | None, list[Assignment] | None]:
+    requests = disj([r for r, _ in declarations])
+    blocks = disj([b for _, b in declarations])
+    base = conj([requests, negate(blocks)])
+    first = solver.check_sat(base, vars)
+    if not first.is_sat:
+        return None, None
+    model = first.model.restricted_to(vars)
+    if policy == FIRST_MODEL:
+        return model, None
+    atoms = polarity_classes(atoms_of(base))
+    if not atoms or cell_bound(atoms) > MAX_CELLS:
+        return model, None
+    return model, [w.restricted_to(vars) for _, w in satisfiable_cells(atoms, vars) if evaluate(base, w)]
+
+
 def select_event(
     declarations: list[tuple[Formula, Formula]],
     vars: VarSet,
@@ -109,20 +134,16 @@ def select_event(
 
     Returns None on deadlock (no such assignment exists).
     """
-    requests = disj([r for r, _ in declarations])
-    blocks = disj([b for _, b in declarations])
-    base = conj([requests, negate(blocks)])
-    first = solver.check_sat(base, vars)
-    if not first.is_sat:
-        return None
-    if policy == FIRST_MODEL or rng is None:
-        return first.model.restricted_to(vars)
-
-    atoms = polarity_classes(atoms_of(base))
-    if not atoms or cell_bound(atoms) > MAX_CELLS:
-        return first.model.restricted_to(vars)
-    inside = [w for _, w in satisfiable_cells(atoms, vars) if evaluate(base, w)]
-    return inside[rng.randrange(len(inside))].restricted_to(vars)
+    key = (tuple(declarations), vars.names, policy)
+    selection = _selections.get(key)
+    if selection is None:
+        selection = _selection(declarations, vars, policy)
+        if len(_selections) < solver._CACHE_LIMIT:
+            _selections[key] = selection
+    first, inside = selection
+    if inside is None or rng is None:
+        return first
+    return inside[rng.randrange(len(inside))]
 
 
 _ObjState = ScriptState | str

@@ -2,10 +2,12 @@
 
 Architecture: a small DPLL search over the Boolean structure (branching on
 atoms and partially evaluating the formula) hands conjunctions of theory
-literals to a general-simplex feasibility check. Strict inequalities are
-handled symbolically with delta-rationals (value + infinitesimal * delta) and
-concretized afterwards to a small positive rational, so returned models are
-plain exact rationals that satisfy strict bounds strictly.
+literals to a general-simplex feasibility check (when no atom has two
+variables, to the bound clamping that the simplex reduces to). Strict
+inequalities are handled symbolically with delta-rationals (value +
+infinitesimal * delta) and concretized afterwards to a small positive
+rational, so returned models are plain exact rationals that satisfy strict
+bounds strictly.
 
 Disequalities are kept as primitive atoms and split into ``<`` or ``>`` at the
 theory level, by a depth-first search over the split decisions: splits in
@@ -31,6 +33,7 @@ from __future__ import annotations
 import os
 import sys
 from fractions import Fraction
+from numbers import Rational
 
 from .formulas import (
     FALSE,
@@ -240,8 +243,53 @@ def _bound_for(rel: str, const: Fraction) -> tuple[DeltaRational | None, DeltaRa
     raise ValueError(rel)
 
 
+# infinitesimal part of the lower and of the upper bound that each relation sets
+_LOWER_DELTA = {">=": 0, ">": 1, "==": 0}
+_UPPER_DELTA = {"<=": 0, "<": -1, "==": 0}
+
+
+def _clamped(constraints: list[tuple[LinearAtom, str]]) -> dict[str, DeltaRational] | None:
+    """``_feasible`` when no atom has two variables. The simplex then has no
+    rows, and ``solve`` only clamps each variable from 0 into its bounds: the
+    same values, computed on (standard, infinitesimal) pairs. A standard part
+    is the constant as the atom's key holds it, an ``int`` when integral,
+    which keeps the comparisons cheap."""
+    lower: dict[str, tuple[Rational, int] | None] = {}
+    upper: dict[str, tuple[Rational, int] | None] = {}
+    for a, rel in constraints:
+        var = a.coeffs[0][0]  # leading coefficient is 1 by normalization
+        const = a.key()[2]
+        lo, hi = lower.setdefault(var, None), upper.setdefault(var, None)
+        if rel in _LOWER_DELTA:
+            bound = (const, _LOWER_DELTA[rel])
+            if lo is None or lo < bound:
+                lower[var] = lo = bound
+        if rel in _UPPER_DELTA:
+            bound = (const, _UPPER_DELTA[rel])
+            if hi is None or bound < hi:
+                upper[var] = hi = bound
+        if lo is not None and hi is not None and hi < lo:
+            return None
+    values = {}
+    for var, lo in lower.items():
+        hi = upper[var]
+        if lo is not None and (0, 0) < lo:
+            values[var] = DeltaRational(Fraction(lo[0]), Fraction(lo[1]))
+        elif hi is not None and hi < (0, 0):
+            values[var] = DeltaRational(Fraction(hi[0]), Fraction(hi[1]))
+        else:
+            values[var] = ZERO
+    return values
+
+
 def _feasible(constraints: list[tuple[LinearAtom, str]]) -> dict[str, DeltaRational] | None:
     """Feasibility of atoms under effective relations (no ``!=`` here)."""
+    if all(len(a.coeffs) == 1 for a, _ in constraints):
+        return _clamped(constraints)
+    return _simplex_feasible(constraints)
+
+
+def _simplex_feasible(constraints: list[tuple[LinearAtom, str]]) -> dict[str, DeltaRational] | None:
     simplex = _Simplex()
     for a, _ in constraints:
         for v in a.variables():

@@ -1,10 +1,10 @@
 """Safety checking and automated repair of composed models.
 
-Every analysis runs on one graph, the run graph: the simplified composite of
-the model and a property object (one that only observes and marks bad
-states), cut down to the moves runs can take, i.e. edges whose guard meets
-the source state's requested-and-not-blocked formula, from the states
-reachable along such edges (``compose_enabled`` over the one composite).
+Every analysis runs on one graph, the run graph of the model and a property
+object (one that only observes and marks bad states): the states that runs
+reach from the initial tuple, and the moves they can take, i.e. edges whose
+guard meets the source state's requested-and-not-blocked formula
+(``compose.run_graph``, built directly from the object graphs).
 
 Checking: breadth-first search of the run graph. A reachable bad state
 yields the shortest counterexample, concretized to exact assignments and
@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from . import solver
-from .compose import compose_all, compose_enabled, enabled_guard
+from .compose import compose_enabled, enabled_guard, object_graphs, run_graph
 from .dsl import ScenarioScript, emit_script
 from .extract import extract_graph, simplify_graph
 from .formulas import FalseF, Formula, VarSet, _read_only, _set, conj, disj, evaluate, negate
@@ -97,9 +97,9 @@ def _with_property(m: Model, prop_graph: ObjectGraph) -> Model:
 
 def _composite_with(m: Model, prop: ScenarioScript | ObjectGraph) -> ObjectGraph:
     """The run graph of the model's objects and then the property, composed in
-    that order. The simplified full composite is cut down, so that merged
-    guards keep their full form."""
-    return compose_enabled([compose_all(_with_property(m, property_graph(prop, m.vars)))], m.vars)[0]
+    that order."""
+    graphs = object_graphs(_with_property(m, property_graph(prop, m.vars)))
+    return run_graph([g for _, g in graphs], m.vars)
 
 
 def _bad_path(g: ObjectGraph, vars: VarSet) -> Trace | None:
@@ -177,7 +177,7 @@ def find_deadlocks(g: ObjectGraph, vars: VarSet) -> frozenset[str]:
     Reachability follows enabled edges only: a state behind a permanently
     disabled guard cannot occur in any run, so it cannot deadlock one.
     """
-    return _deadlocks(compose_enabled([g], vars)[0], vars)
+    return _deadlocks(run_graph([g], vars), vars)
 
 
 def compute_bad_attractor(g: ObjectGraph, initial_bad: Iterable[str], vars: VarSet) -> frozenset[str]:
@@ -188,7 +188,7 @@ def compute_bad_attractor(g: ObjectGraph, initial_bad: Iterable[str], vars: VarS
     Raises GraphError when a seed is not reachable along enabled moves and
     UnrepairableError when the initial state falls in.
     """
-    return _attractor(compose_enabled([g], vars)[0], initial_bad)
+    return _attractor(run_graph([g], vars), initial_bad)
 
 
 class Patch:

@@ -29,14 +29,18 @@ from sbmod.formulas import (
     TrueF,
     VarSet,
     atom,
+    atoms_of,
     conj,
     disj,
     evaluate,
+    negate,
 )
-from sbmod.compose import enabled_guard
+from sbmod.cells import MAX_CELLS, cell_bound, polarity_classes, satisfiable_cells
+from sbmod.compose import compose_all, compose_enabled, enabled_guard
 from sbmod.dsl import IfStmt, LoopStmt, ScenarioScript, SyncStmt
-from sbmod.graphs import DiscreteObject, Edge, ObjectGraph, bfs_tree
+from sbmod.graphs import DiscreteObject, Edge, Model, ObjectGraph, bfs_tree
 from sbmod.runsets import CellRuns
+from sbmod.verify import _with_property, property_graph
 from sbmod import solver
 
 VARS = ("w", "x", "y", "z")
@@ -113,10 +117,78 @@ def token_ring_text(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a driver requests 0 <= x <= 10 and a trap marks bad three steps after a
+# step at or above 5, so the bad attractor grows through a forced chain
+TRAP_MODEL = """
+model {
+  vars x;
+
+  object Driver {
+    loop {
+      sync(request = x >= 0 && x <= 10);
+    }
+  }
+
+  # Once a step at or above 5 happens, doom is three steps away: the trap
+  # advances on anything afterwards and then marks the state bad.
+  object Trap {
+    sync(waitfor = x >= 5);
+    sync(waitfor = true);
+    sync(waitfor = true);
+    sync();
+    mark bad;
+  }
+}
+"""
+
+# the unstable water tap: WaterLow is x == 0, AddHot x == 1, AddCold x == 2
+WATER_TAP_TEXT = """
+model { vars x;
+  object AddHot { loop { sync(waitfor = x == 0); repeat 3 { sync(request = x == 1); } } }
+  object AddCold { loop { sync(waitfor = x == 0); repeat 3 { sync(request = x == 2); } } }
+  object WaterSensor { sync(request = x == 0); }
+  object TwoHot { loop { sync(waitfor = true); if (x == 1) { sync(waitfor = true); if (x == 1) { sync(); mark bad; } } } }
+}
+"""
+
+
 # ---------------------------------------------------------------------------
-# reference enabled-edge filter: the full composite's edges whose guard meets
-# the source's request-and-not-blocked formula, by one query per edge. The
-# run graph of sbmod.verify (compose_enabled over one composite) must agree.
+# reference run graph: fold the full satisfiable product, simplify it (merging
+# parallel edges into one minimized guard), and cut it down to enabled moves.
+# sbmod.compose.run_graph, which builds the run graph from the initial tuple
+# without the full product, must give the same graph.
+
+
+def reference_run_graph(m: Model, prop: ScenarioScript | ObjectGraph) -> ObjectGraph:
+    """The run graph of ``m`` with the property ``prop``, by the full product."""
+    full = compose_all(_with_property(m, property_graph(prop, m.vars)))
+    return compose_enabled([full], m.vars)[0]
+
+
+# ---------------------------------------------------------------------------
+# reference event selection: the selection formula, its first model and its
+# in-selection cell witnesses rebuilt on every step. sbmod.engine.select_event
+# remembers them per declaration tuple and must pick the same events.
+
+
+def ref_select_event(declarations, vars: VarSet, policy: str = "first-model", rng=None):
+    base = conj([disj([r for r, _ in declarations]), negate(disj([b for _, b in declarations]))])
+    first = solver.check_sat(base, vars)
+    if not first.is_sat:
+        return None
+    if policy == "first-model" or rng is None:
+        return first.model.restricted_to(vars)
+    atoms = polarity_classes(atoms_of(base))
+    if not atoms or cell_bound(atoms) > MAX_CELLS:
+        return first.model.restricted_to(vars)
+    inside = [w for _, w in satisfiable_cells(atoms, vars) if evaluate(base, w)]
+    return inside[rng.randrange(len(inside))].restricted_to(vars)
+
+
+# ---------------------------------------------------------------------------
+# reference enabled-edge filter: a composite's edges whose guard meets the
+# source's request-and-not-blocked formula, by one query per edge. Over the
+# simplified full composite, these are the run graph's edges.
 
 
 def enabled_edges(g: ObjectGraph, vars: VarSet) -> dict[str, list[Edge]]:

@@ -9,6 +9,8 @@ from sbmod.cli import main
 from sbmod.dsl import MAX_NESTING, parse_model
 from sbmod.verify import Safe, check_safety
 
+from oracles import WATER_TAP_TEXT
+
 FIXTURE = Path(__file__).parent / "fixtures" / "drone.sbm"
 
 
@@ -139,17 +141,6 @@ def test_repair_unrepairable(tmp_path, capsys):
     )
     assert main(["repair", str(src), "--property", "Doom"]) == 1
     assert "unrepairable" in capsys.readouterr().err
-
-
-# the unstable water tap: WaterLow is x == 0, AddHot x == 1, AddCold x == 2
-WATER_TAP_TEXT = """
-model { vars x;
-  object AddHot { loop { sync(waitfor = x == 0); repeat 3 { sync(request = x == 1); } } }
-  object AddCold { loop { sync(waitfor = x == 0); repeat 3 { sync(request = x == 2); } } }
-  object WaterSensor { sync(request = x == 0); }
-  object TwoHot { loop { sync(waitfor = true); if (x == 1) { sync(waitfor = true); if (x == 1) { sync(); mark bad; } } } }
-}
-"""
 
 
 def test_unemittable_patch_is_unrepairable(tmp_path, capsys):

@@ -19,31 +19,9 @@ from sbmod.verify import (
     verify_patch,
 )
 
-from oracles import bounded_runs, doomed_states
+from oracles import TRAP_MODEL, bounded_runs, doomed_states
 
 X = VarSet(("x",))
-
-TRAP_MODEL = """
-model {
-  vars x;
-
-  object Driver {
-    loop {
-      sync(request = x >= 0 && x <= 10);
-    }
-  }
-
-  # Once a step at or above 5 happens, doom is three steps away: the trap
-  # advances on anything afterwards and then marks the state bad.
-  object Trap {
-    sync(waitfor = x >= 5);
-    sync(waitfor = true);
-    sync(waitfor = true);
-    sync();
-    mark bad;
-  }
-}
-"""
 
 
 def test_attractor_grows_through_forced_chain():

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from sbmod.compose import JOIN, compose, compose_all, compose_enabled, object_graphs
+from sbmod.compose import JOIN, compose, compose_all, compose_enabled, object_graphs, run_graph
 from sbmod.dsl import parse_model
 from sbmod.formulas import FALSE, VarSet, disj, var_atom
 from sbmod.graphs import GraphError, Model, NamedObject, ObjectGraph, encode_discrete
@@ -26,12 +26,15 @@ from sbmod.verify import (
 
 from conftest import FIXTURES, WATER_TAP_EVENTS, two_hot_in_a_row, water_tap_objects
 from oracles import (
+    TRAP_MODEL,
+    WATER_TAP_TEXT,
     bounded_runs,
     doomed_states,
     enabled_edges,
     enabled_reachable,
     rand_atom_pool,
     rand_formula,
+    reference_run_graph,
     ring_n_text,
     token_ring_text,
 )
@@ -51,21 +54,27 @@ def _parsed(text: str, prop: str) -> tuple[Model, ObjectGraph]:
 
 
 def _case(name: str, workloads) -> tuple[Model, object]:
-    """(model without its property, property) by name."""
-    if name == "drone":
+    """(model without its property, property) by name; a sized family is
+    named ``family:n``."""
+    family, _, size = name.partition(":")
+    if family == "drone":
         return _parsed((FIXTURES / "drone.sbm").read_text(), "NoConsecutiveSharpTurns")
-    if name == "tap":
+    if family == "tap":
         return _tap(with_stability=False)
-    if name == "safe_tap":
+    if family == "safe_tap":
         return _tap(with_stability=True)
-    if name == "ring":
-        return _parsed(workloads.ring_text(5), "AllMarked")
-    if name == "wide":
-        return _parsed(workloads.wide_text(7), "Far")
-    if name == "ring_n":
-        return _parsed(ring_n_text(5), "P")
-    if name == "token_ring":
-        return _parsed(token_ring_text(4), "ReachLast")
+    if family == "dsl_tap":
+        return _parsed(WATER_TAP_TEXT, "TwoHot")
+    if family == "trap":
+        return _parsed(TRAP_MODEL, "Trap")
+    if family == "ring":
+        return _parsed(workloads.ring_text(int(size or 5)), "AllMarked")
+    if family == "wide":
+        return _parsed(workloads.wide_text(int(size or 7)), "Far")
+    if family == "ring_n":
+        return _parsed(ring_n_text(int(size or 5)), "P")
+    if family == "token_ring":
+        return _parsed(token_ring_text(int(size or 4)), "ReachLast")
     raise KeyError(name)
 
 
@@ -137,6 +146,30 @@ def _random_object(rng: random.Random, name: str) -> ObjectGraph:
 def test_enabled_product_on_random_objects(seed):
     rng = random.Random(seed)
     _assert_enabled_product_matches(_random_object(rng, "a"), _random_object(rng, "b"), VarSet(("x", "y")))
+
+
+# ---------------------------------------------------------------------------
+# the run graph, built from the initial tuple without the full product
+
+
+@pytest.mark.parametrize("name", [
+    "ring_n:4", "ring_n:5", "ring_n:6", "ring_n:8",
+    "token_ring:3", "token_ring:4", "token_ring:5",
+    "ring:5", "ring:8", "wide:7", "wide:12",
+    "drone", "trap", "tap", "safe_tap", "dsl_tap",
+])
+def test_run_graph_matches_cut_full_composite(name, workloads):
+    m, prop = _case(name, workloads)
+    reference = reference_run_graph(m, prop)
+    graph = run_graph([g for _, g in object_graphs(_with_property(m, property_graph(prop, m.vars)))], m.vars)
+    assert graph.initial == reference.initial
+    assert graph.states == reference.states
+    assert graph.bad == reference.bad
+    for labels in ("request", "block", "waitfor"):
+        assert getattr(graph, labels) == getattr(reference, labels)
+    # merged guards, written the same way
+    assert [e.key() for e in graph.edges] == [e.key() for e in reference.edges]
+    assert graph == reference
 
 
 # ---------------------------------------------------------------------------

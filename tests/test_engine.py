@@ -5,6 +5,7 @@ import random
 import pytest
 
 from sbmod.compose import compose_all, enabled_guard
+from sbmod.dsl import parse_model
 from sbmod.engine import (
     FIRST_MODEL,
     RANDOM_CELL,
@@ -104,6 +105,20 @@ def test_random_cell_policy_varies_runs(water_tap_unstable_model):
         for s in range(8)
     }
     assert len(fixed) == 1
+
+
+@pytest.mark.parametrize("policy", [FIRST_MODEL, RANDOM_CELL])
+def test_memoized_selection_matches_per_step_rebuild(policy, workloads, drone_model, monkeypatch):
+    # ring revisits the same declaration tuples: most steps are cache hits
+    import sbmod.engine as engine
+    from oracles import ref_select_event
+
+    models = [parse_model(workloads.ring_text(5)), drone_model]
+    cfg = ExecutionConfig(max_steps=300, seed=7, policy=policy)
+    memoized = [run(m, cfg).to_jsonl() for m in models]
+    assert [run(m, cfg).to_jsonl() for m in models] == memoized  # warm cache
+    monkeypatch.setattr(engine, "select_event", ref_select_event)
+    assert [run(m, cfg).to_jsonl() for m in models] == memoized
 
 
 def test_random_cell_budget_counts_cells_not_atoms():

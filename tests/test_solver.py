@@ -236,3 +236,39 @@ def test_debug_dump_writes_each_query_to_stderr(monkeypatch, capsys):
     assert err.startswith("(set-logic QF_LRA)\n")
     assert "(assert (and " in err
     assert err.index("(declare-const v Real)") < err.index("(check-sat)")
+
+
+# ---------------------------------------------------------------------------
+# single-variable conjunctions: bound clamping against the simplex
+
+
+def _single_variable_literals(rng: random.Random) -> list[tuple[LinearAtom, bool]]:
+    return [(LinearAtom.make({rng.choice("xyz"): rng.choice([-2, -1, 1, 3])},
+                             rng.choice(["<", "<=", "==", ">=", ">", "!="]),
+                             Fraction(rng.randint(-4, 4), rng.choice([1, 2]))),
+             rng.random() < 0.7)
+            for _ in range(rng.randint(0, 7))]
+
+
+def test_bound_clamping_matches_simplex(monkeypatch):
+    def no_simplex(constraints):
+        raise AssertionError(f"simplex called on single-variable atoms: {constraints}")
+
+    rng = random.Random(1212)
+    unsat = sat_with_splits = 0
+    for _ in range(1500):
+        literals = _single_variable_literals(rng)
+        with monkeypatch.context() as patched:
+            patched.setattr(solver, "_simplex_feasible", no_simplex)
+            clamped = solver._theory_model(literals)
+        with monkeypatch.context() as patched:
+            patched.setattr(solver, "_feasible", solver._simplex_feasible)
+            expected = solver._theory_model(literals)
+        if expected is None:
+            assert clamped is None, literals
+            unsat += 1
+        else:
+            # same values, same variable order
+            assert list(clamped.items()) == list(expected.items()), literals
+            sat_with_splits += any((a if value else a.negated()).rel == "!=" for a, value in literals)
+    assert unsat >= 100 and sat_with_splits >= 100

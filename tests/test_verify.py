@@ -411,31 +411,32 @@ def _count_calls(monkeypatch, names: tuple[str, ...], module=None) -> dict[str, 
     return calls
 
 
-def _assert_run_graph_then_patch(calls: dict[str, list]) -> None:
-    """One compose_all, cut down to the run graph by the first compose_enabled;
-    the second composes the patch onto that run graph."""
-    ((_, full),) = calls["compose_all"]
-    (first, (run_graph, _)), (second, _) = calls["compose_enabled"]
-    assert len(first[0]) == 1 and first[0][0] is full
-    assert len(second[0]) == 2 and second[0][0] is run_graph
+def _assert_run_graph_then_patch(calls: dict[str, list], products: dict[str, list]) -> list:
+    """One run_graph build, and one compose_enabled that composes the patch
+    onto that run graph; no full product is folded. Returns the run_graph
+    call's parts."""
+    ((parts, graph),) = calls["run_graph"]
+    ((args, _),) = calls["compose_enabled"]
+    assert len(args[0]) == 2 and args[0][0] is graph
+    assert products["compose_all"] == [] and products["compose"] == []
+    return parts[0]
 
 
 def test_verify_patch_composes_once(drone_base, drone_property, monkeypatch):
     patch, _, composite = repair(drone_base, drone_property)
-    calls = _count_calls(monkeypatch, ("compose_all", "check_safety", "compose_enabled"))
-    products = _count_calls(monkeypatch, ("compose",), _COMPOSE_MODULE)
+    calls = _count_calls(monkeypatch, ("run_graph", "check_safety", "compose_enabled"))
+    products = _count_calls(monkeypatch, ("compose", "compose_all"), _COMPOSE_MODULE)
     assert verify_patch(drone_base, patch, drone_property).ok
     assert calls["check_safety"] == []
-    # no full patched product is built
-    _assert_run_graph_then_patch(calls)
-    assert calls["compose_enabled"][1][0][0][1] is patch.tracker
-    assert len(products["compose"]) == len(drone_base.objects)  # the fold inside compose_all
+    # no full product, original or patched, is built
+    _assert_run_graph_then_patch(calls, products)
+    assert calls["compose_enabled"][0][0][0][1] is patch.tracker
 
     # handed repair's run graph, verify_patch composes nothing of its own
     for counted in (*calls.values(), *products.values()):
         counted.clear()
     assert verify_patch(drone_base, patch, drone_property, composite).ok
-    assert calls["compose_all"] == [] and products["compose"] == []
+    assert calls["run_graph"] == [] and products["compose_all"] == []
     ((args, _),) = calls["compose_enabled"]
     assert args[0][0] is composite
 
@@ -445,11 +446,10 @@ def test_repair_verify_counts(monkeypatch, capsys):
 
     from conftest import FIXTURES
 
-    calls = _count_calls(monkeypatch, ("compose_all", "compose_enabled"))
-    products = _count_calls(monkeypatch, ("compose",), _COMPOSE_MODULE)
+    calls = _count_calls(monkeypatch, ("run_graph", "compose_enabled"))
+    products = _count_calls(monkeypatch, ("compose", "compose_all"), _COMPOSE_MODULE)
     assert main(["repair", str(FIXTURES / "drone.sbm"), "--property", "NoConsecutiveSharpTurns", "--verify"]) == 0
     assert "run containment: pass" in capsys.readouterr().out
-    # one composite per run: repair's run graph, shared with verify_patch
-    assert (len(calls["compose_all"]), len(calls["compose_enabled"])) == (1, 2)
-    _assert_run_graph_then_patch(calls)
-    assert len(products["compose"]) == 3  # three objects and the property, folded once
+    # one run graph per run: repair's, shared with verify_patch
+    parts = _assert_run_graph_then_patch(calls, products)
+    assert len(parts) == 4  # three objects and the property

@@ -25,7 +25,7 @@ graph; composition and export materialize them as one complement-guard loop.
 
 from __future__ import annotations
 
-from .cells import cell_formula, satisfiable_cells
+from .cells import MAX_CELLS, cell_bound, cell_formula, satisfiable_cells
 from .dsl import Frames, IfStmt, LoopStmt, PredicateSet, ScenarioScript, SyncStmt, collect_predicates
 from .formulas import (
     FALSE,
@@ -41,9 +41,6 @@ from .graphs import ObjectGraph
 from .minimize import boolean_minimize
 
 END_LOCATION = -1
-# an object collecting more predicates is rejected: extraction triggers up to
-# 2^k sign cells per state
-MAX_PREDICATES = 16
 
 
 class ExtractionError(ValueError):
@@ -146,11 +143,13 @@ def extract_graph(
     guards (merge them afterwards with ``simplify_graph``).
     """
     predicates = collect_predicates(script)
-    if len(predicates) > MAX_PREDICATES:
-        raise ExtractionError(
-            f"object {script.name!r} collects {len(predicates)} predicates, over the "
-            f"cap of {MAX_PREDICATES}; reduce distinct predicates in the script")
     atoms = list(predicates.atoms)
+    # extraction triggers every satisfiable sign cell at every state
+    bound = cell_bound(atoms)
+    if bound > MAX_CELLS:
+        raise ExtractionError(
+            f"object {script.name!r} has up to {bound} sign cells over its {len(atoms)} "
+            f"predicates, over the budget of {MAX_CELLS}; reduce distinct predicates in the script")
     if stats is not None:
         stats.predicates = predicates
 

@@ -152,7 +152,15 @@ class LinearAtom:
         return total
 
     def holds(self, values: Mapping[str, Fraction]) -> bool:
-        lhs = self.lhs_value(values)
+        if len(self.coeffs) == 1:
+            # the leading coefficient is 1, so the left side is the value
+            var = self.coeffs[0][0]
+            try:
+                lhs = values[var]
+            except KeyError:
+                raise DomainMismatchError(f"assignment missing variable {var!r}")
+        else:
+            lhs = self.lhs_value(values)
         if self.rel == "<":
             return lhs < self.const
         if self.rel == "<=":

@@ -4,6 +4,9 @@ A formula over atoms a1..an is constant on each sign cell (a complete
 true/false choice per atom), so it is a Boolean function of the atom signs.
 ``cells.satisfiable_cells`` lists the satisfiable cells: the ON set is the
 cells on which the formula holds, the OFF set the other satisfiable cells.
+An atom's truth on a cell is its bit in the cell's mask, so the ON set comes
+from one walk of the formula over per-atom bitsets across the cells, with no
+arithmetic on the cells' witnesses.
 Cells it does not list are arithmetically unsatisfiable (e.g. h >= 10 and
 h < 0 together), can never occur, and act as don't-cares, but they are never
 built: the prime implicants through each ON cell are read off the OFF cells
@@ -11,7 +14,8 @@ alone, as minimal hitting sets of the bits in which each OFF cell differs
 from it, so the work follows |ON|, |OFF| and n rather than 2^n. A greedy
 cover of the ON cells by those primes gives a small disjunction of literal
 conjunctions; the result is only used when the solver certifies equivalence
-with the input, so this is purely a readability transform and never changes
+with the input (``solver.equivalent``, a decision-only search that builds no
+model), so this is purely a readability transform and never changes
 semantics. Guards whose atoms may have more than ``cells.MAX_CELLS``
 satisfiable cells (``cells.cell_bound``) are left as written. Results are
 remembered per process.
@@ -34,7 +38,6 @@ from .formulas import (
     atoms_of,
     canonicalize,
     conj,
-    evaluate,
     formula_key,
 )
 
@@ -118,15 +121,47 @@ def boolean_minimize(f: Formula, vars: VarSet) -> Formula:
     return result
 
 
+def _on_set(f: Formula, atoms: list[LinearAtom], masks: list[int]) -> set[int]:
+    """The masks, among the cell masks ``masks`` over ``atoms``, of the cells
+    on which the canonical ``f`` holds. One walk of ``f`` over per-atom cell
+    bitsets: bit j of atom i's column is set when ``masks[j]`` has bit i set,
+    a negated atom's column is the complement, ``And`` is ``&`` and ``Or`` is
+    ``|``."""
+    every = (1 << len(masks)) - 1
+    column: dict[tuple, int] = {}
+    for i, a in enumerate(atoms):
+        bits = sum(1 << j for j, mask in enumerate(masks) if mask >> i & 1)
+        column[a.key()] = bits
+        column[a.negated().key()] = every ^ bits
+
+    def walk(g: Formula) -> int:
+        if isinstance(g, Atom):
+            return column[g.atom.key()]
+        if isinstance(g, And):
+            bits = every
+            for c in g.children:
+                bits &= walk(c)
+            return bits
+        if isinstance(g, Or):
+            bits = 0
+            for c in g.children:
+                bits |= walk(c)
+            return bits
+        raise TypeError(f"unexpected node in canonical formula: {g!r}")
+
+    on = walk(f)
+    return {mask for j, mask in enumerate(masks) if on >> j & 1}
+
+
 def _minimize(f: Formula, vars: VarSet) -> Formula:
     atoms = cells.polarity_classes(atoms_of(f))
     if not atoms or cells.cell_bound(atoms) > cells.MAX_CELLS:
         return f
-    sat = cells.satisfiable_cells(atoms, vars)
-    on = {mask for mask, witness in sat if evaluate(f, witness)}
+    masks = [mask for mask, _ in cells.satisfiable_cells(atoms, vars)]
+    on = _on_set(f, atoms, masks)
     if not on:
         return FALSE
-    primes = _prime_implicants(on, {mask for mask, _ in sat} - on)
+    primes = _prime_implicants(on, set(masks) - on)
     cover = _select_cover(on, primes)
     result = canonicalize(Or(tuple(_implicant_formula(p, atoms) for p in cover)))
     if _smaller(result, f) and solver.equivalent(result, f, vars):

@@ -23,6 +23,17 @@ other models, and models reach every witness and trace the CLI prints.
 The solver is deterministic: identical queries yield identical models, and
 unconstrained variables are assigned 0.
 
+``entails`` and ``equivalent`` read no model, only whether their query has
+one, so they run a decision-only search of their own, with its own cache by
+formula key, and ``check_sat``'s branching order and models stay untouched.
+It adds the bound propagation of Dutertre & de Moura: after each decision,
+every single-variable atom that the trail's bounds decide (the same
+(standard, infinitesimal) pairs as the bound clamping) is assigned. So a
+value whose bound would cross the trail's is pruned before it is tried, and
+the trail's bounds never cross. Literals that set no bound, atoms with two
+variables and ``!=``, keep the periodic theory check, and a leaf that holds
+one runs the exact ``_theory_model``; a leaf of bounds alone is satisfiable.
+
 Everything here is self-contained and exact; no floats, no external solver.
 Set the environment variable ``SBM_SOLVER_DEBUG=1`` to dump each query in
 SMT-LIB2 QF_LRA syntax on stderr for cross-checking against external tools.
@@ -373,18 +384,26 @@ def _concretize(values: dict[str, DeltaRational], literals: list[tuple[LinearAto
 # Boolean search
 
 
-def _assign_atom(f: Formula, key: tuple, value: bool) -> Formula:
-    """Partially evaluate a canonical formula under atom := value."""
+def _assign_atom(f: Formula, key: tuple | None, value: bool, var: str | None = None,
+                 lo: tuple | None = None, hi: tuple | None = None) -> Formula:
+    """Partially evaluate a canonical formula under atom := value and, when
+    ``var`` is given, under every single-variable atom over ``var`` that the
+    bounds ``lo``, ``hi`` decide (``_bound_truth``)."""
     if isinstance(f, (TrueF, FalseF)):
         return f
     if isinstance(f, Atom):
-        if f.atom.key() == key:
+        a = f.atom
+        if a.key() == key:
             return TRUE if value else FALSE
+        if var is not None and len(a.coeffs) == 1 and a.coeffs[0][0] == var:
+            truth = _bound_truth(a, lo, hi)
+            if truth is not None:
+                return TRUE if truth else FALSE
         return f
     if isinstance(f, And):
         kids = []
         for c in f.children:
-            g = _assign_atom(c, key, value)
+            g = _assign_atom(c, key, value, var, lo, hi)
             if isinstance(g, FalseF):
                 return FALSE
             if not isinstance(g, TrueF):
@@ -395,7 +414,7 @@ def _assign_atom(f: Formula, key: tuple, value: bool) -> Formula:
     if isinstance(f, Or):
         kids = []
         for c in f.children:
-            g = _assign_atom(c, key, value)
+            g = _assign_atom(c, key, value, var, lo, hi)
             if isinstance(g, TrueF):
                 return TRUE
             if not isinstance(g, FalseF):
@@ -445,8 +464,7 @@ def check_sat(f: Formula, vars: VarSet) -> SatResult:
     The model covers every variable in ``vars`` (and any extra variables the
     formula mentions); unconstrained variables are assigned 0. Deterministic.
     """
-    if os.environ.get("SBM_SOLVER_DEBUG") == "1":
-        print(to_smtlib2(f, vars), file=sys.stderr)
+    _debug_dump(f, vars)
     g = canonicalize(f)
     key = (formula_key(g), vars.names)
     hit = _cache.get(key)
@@ -468,9 +486,101 @@ def check_sat(f: Formula, vars: VarSet) -> SatResult:
     return result
 
 
+def _debug_dump(f: Formula, vars: VarSet) -> None:
+    if os.environ.get("SBM_SOLVER_DEBUG") == "1":
+        print(to_smtlib2(f, vars), file=sys.stderr)
+
+
+# ---------------------------------------------------------------------------
+# decision-only search, for the queries that read no model
+
+
+def _bounded(bounds: dict, eff: LinearAtom) -> dict:
+    """``bounds`` with the bound that the single-variable literal ``eff`` sets.
+
+    The bounds of a trail map each variable to its (lower, upper) pair, each
+    a (standard, infinitesimal) pair as in ``_clamped``, or None. Only a
+    literal that its bounds leave undecided is added, so they never cross.
+    """
+    var = eff.coeffs[0][0]
+    const = eff.key()[2]
+    lo, hi = bounds.get(var, (None, None))
+    if eff.rel in _LOWER_DELTA:
+        bound = (const, _LOWER_DELTA[eff.rel])
+        if lo is None or lo < bound:
+            lo = bound
+    if eff.rel in _UPPER_DELTA:
+        bound = (const, _UPPER_DELTA[eff.rel])
+        if hi is None or bound < hi:
+            hi = bound
+    tighter = dict(bounds)
+    tighter[var] = (lo, hi)
+    return tighter
+
+
+def _bound_truth(a: LinearAtom, lo: tuple | None, hi: tuple | None) -> bool | None:
+    """The truth of the single-variable atom ``a`` on every value between
+    ``lo`` and ``hi``, or None when it differs between them."""
+    positive = a.rel != "!="
+    rel = a.rel if positive else "=="
+    const = a.key()[2]
+    low = (const, _LOWER_DELTA[rel]) if rel in _LOWER_DELTA else None
+    up = (const, _UPPER_DELTA[rel]) if rel in _UPPER_DELTA else None
+    if (low is not None and hi is not None and hi < low) or (up is not None and lo is not None and up < lo):
+        return not positive
+    if (low is None or (lo is not None and low <= lo)) and (up is None or (hi is not None and hi <= up)):
+        return positive
+    return None
+
+
+def _satisfiable(f: Formula, trail: list[tuple[LinearAtom, bool]], bounds: dict, hard: int, depth: int) -> bool:
+    """Whether ``f`` has a model that satisfies ``trail``. ``bounds`` are the
+    trail's bounds, ``f`` holds no atom that they decide, and ``hard`` counts
+    the trail's literals that set no bound (multi-variable atoms and ``!=``)."""
+    if isinstance(f, FalseF):
+        return False
+    if isinstance(f, TrueF):
+        # bounds that do not cross have a value between them
+        return not hard or _theory_model(trail) is not None
+    if hard and depth % 4 == 0 and _theory_model(trail) is None:
+        return False
+    branch = _first_atom(f)
+    for value in (True, False):
+        eff = branch if value else branch.negated()
+        if len(eff.coeffs) == 1 and eff.rel != "!=":
+            tighter = _bounded(bounds, eff)
+            var = eff.coeffs[0][0]
+            g, h = _assign_atom(f, None, value, var, *tighter[var]), hard
+        else:
+            tighter, g, h = bounds, _assign_atom(f, branch.key(), value), hard + 1
+        trail.append((branch, value))
+        if _satisfiable(g, trail, tighter, h, depth + 1):
+            return True
+        trail.pop()
+    return False
+
+
+# satisfiability by formula key: the answer does not depend on the variable set
+_decided: dict[tuple, bool] = {}
+
+
+def _decide(f: Formula) -> bool:
+    """Whether ``f`` is satisfiable, as ``check_sat(f, vars).is_sat``."""
+    g = canonicalize(f)
+    key = formula_key(g)
+    hit = _decided.get(key)
+    if hit is None:
+        hit = _satisfiable(g, [], {}, 0, 0)
+        if len(_decided) < _CACHE_LIMIT:
+            _decided[key] = hit
+    return hit
+
+
 def entails(f: Formula, g: Formula, vars: VarSet) -> bool:
     """True iff every assignment satisfying ``f`` satisfies ``g``."""
-    return not check_sat(conj([f, negate(g)]), vars).is_sat
+    query = conj([f, negate(g)])
+    _debug_dump(query, vars)
+    return not _decide(query)
 
 
 def equivalent(f: Formula, g: Formula, vars: VarSet) -> bool:

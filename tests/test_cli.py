@@ -310,6 +310,15 @@ def test_unknown_object_name():
     assert main(["graph", str(FIXTURE), "--object", "Nope"]) == 2
 
 
+def test_object_past_the_cell_budget_is_a_usage_error(capsys, tmp_path):
+    names = [f"v{i}" for i in range(13)]
+    model = tmp_path / "wide.sbm"
+    model.write_text(f"model {{ vars {', '.join(names)}; object T {{ sync(request = "
+                     f"{' || '.join(f'{v} >= 1' for v in names)}); }} }}")
+    assert main(["graph", str(model), "--object", "T"]) == 2
+    assert "over the budget of 4096" in capsys.readouterr().err
+
+
 def test_bad_run_setting(capsys):
     assert main(["run", str(FIXTURE), "--steps", "0"]) == 2
     assert "max_steps" in capsys.readouterr().err

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from sbmod.dsl import parse_model
+from sbmod.dsl import collect_predicates, parse_model
 from sbmod.extract import (
     ExtractStats,
     ExtractionError,
@@ -13,7 +13,7 @@ from sbmod.extract import (
 )
 from sbmod.formulas import TRUE, Assignment, VarSet, conj, disj, var_atom
 from sbmod.graphs import ObjectGraph
-from sbmod.cells import cell_formula
+from sbmod.cells import cell_bound, cell_formula
 from sbmod.solver import check_sat, equivalent
 
 VH = VarSet(("v", "h"))
@@ -106,10 +106,24 @@ def test_extract_branching_on_request_cells():
     assert equivalent(out["s2"], var_atom("x", "<", 2), x)
 
 
-def test_extraction_cap():
+def test_seventeen_thresholds_on_one_variable_extract():
+    # 17 predicates, but they cut one line into at most 35 sign cells
     atoms = " && ".join(f"x >= {i}" for i in range(17))
     m = parse_model(f"model {{ vars x; object T {{ sync(request = {atoms}); }} }}")
-    with pytest.raises(ExtractionError):
+    stats = ExtractStats()
+    g = extract_graph(m.get("T"), m.vars, stats=stats)
+    assert len(stats.predicates) == 17
+    assert stats.satisfiable_cells_per_state["s0"] == 18
+    assert [(e.src, e.dst) for e in g.edges] == [("s0", "end")]
+
+
+def test_extraction_past_the_cell_budget_is_refused():
+    # 13 independent variables, one threshold each: up to 2^13 sign cells
+    names = [f"v{i}" for i in range(13)]
+    request = " || ".join(f"{v} >= 1" for v in names)
+    m = parse_model(f"model {{ vars {', '.join(names)}; object T {{ sync(request = {request}); }} }}")
+    assert cell_bound(list(collect_predicates(m.get("T")).atoms)) == 8192
+    with pytest.raises(ExtractionError, match="up to 8192 sign cells"):
         extract_graph(m.get("T"), m.vars)
 
 

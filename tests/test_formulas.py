@@ -211,3 +211,28 @@ def test_multivar_atom_evaluation():
     f = atom({"x": 1, "y": -1}, ">", 0)  # x > y
     assert evaluate(f, Assignment.make({"x": 3, "y": 2}))
     assert not evaluate(f, Assignment.make({"x": 2, "y": 2}))
+
+
+_LHS_RELATIONS = {"<": lambda l, c: l < c, "<=": lambda l, c: l <= c, "==": lambda l, c: l == c,
+                  ">=": lambda l, c: l >= c, ">": lambda l, c: l > c, "!=": lambda l, c: l != c}
+
+
+def test_holds_agrees_with_the_fraction_sum():
+    # single-variable atoms read the value alone; the reference sums every term
+    rng = random.Random(1313)
+    single = multi = 0
+    for _ in range(3000):
+        chosen = rng.sample(["x", "y", "z"], rng.choice([1, 1, 2, 3]))
+        a = LinearAtom.make({v: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2])) for v in chosen},
+                            rng.choice(["<", "<=", "==", ">=", ">", "!="]),
+                            Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])))
+        values = {v: Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])) for v in ("x", "y", "z")}
+        lhs = sum((c * values[v] for v, c in a.coeffs), Fraction(0))
+        assert a.holds(values) == _LHS_RELATIONS[a.rel](lhs, a.const), (a, values)
+        missing = dict(values)
+        del missing[rng.choice(a.variables())]
+        with pytest.raises(DomainMismatchError):
+            a.holds(missing)
+        single += len(a.coeffs) == 1
+        multi += len(a.coeffs) > 1
+    assert single >= 1000 and multi >= 1000

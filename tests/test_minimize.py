@@ -3,10 +3,10 @@ from __future__ import annotations
 import random
 
 from sbmod import cells, minimize, solver
-from sbmod.formulas import FALSE, VarSet, atoms_of, canonicalize, conj, disj, var_atom
+from sbmod.formulas import FALSE, VarSet, atoms_of, canonicalize, conj, disj, evaluate, var_atom
 from sbmod.minimize import _prime_implicants, _select_cover, boolean_minimize
 
-from oracles import ref_prime_implicants
+from oracles import VARS, rand_atom_pool, rand_formula, ref_prime_implicants
 
 XY = VarSet(("x", "y"))
 
@@ -40,28 +40,31 @@ def test_primes_agree_with_pairwise_merging():
         assert _select_cover(on, primes) == _select_cover(on, ref), (n, on, dc)
 
 
-def _count_queries(monkeypatch) -> list[int]:
-    calls = [0]
-    real = solver.check_sat
+def _count_queries(monkeypatch) -> dict[str, int]:
+    """Count the model searches (``check_sat``) and the decision-only ones
+    (``_decide``, which the minimizer's certificate runs through ``entails``)."""
+    calls = dict.fromkeys(("check_sat", "_decide"), 0)
+    for name in calls:
+        def counted(*args, name=name, real=getattr(solver, name)):
+            calls[name] += 1
+            return real(*args)
 
-    def counting(f, vars):
-        calls[0] += 1
-        return real(f, vars)
-
-    monkeypatch.setattr(solver, "check_sat", counting)
+        monkeypatch.setattr(solver, name, counted)
     return calls
 
 
 def test_repeat_call_makes_no_solver_query(monkeypatch):
     monkeypatch.setattr(minimize, "_cache", {})
     monkeypatch.setattr(cells, "_cache", {})
+    monkeypatch.setattr(solver, "_decided", {})
     calls = _count_queries(monkeypatch)
     f = disj([var_atom("x", ">=", 3), var_atom("x", ">=", 5), var_atom("y", "<", 1)])
     first = boolean_minimize(f, XY)
-    assert calls[0] > 0
-    calls[0] = 0
+    assert calls["check_sat"] > 0
+    assert calls["_decide"] == 2  # the certificate's two entailments
+    calls.update(check_sat=0, _decide=0)
     assert boolean_minimize(f, XY) == first
-    assert calls[0] == 0
+    assert calls == {"check_sat": 0, "_decide": 0}
 
 
 def test_memo_stops_inserting_at_the_limit(monkeypatch):
@@ -91,8 +94,25 @@ def test_guard_over_many_independent_atoms_is_left_as_written(monkeypatch):
     assert cells.cell_bound(atoms_of(f)) == 1 << 14
     calls = _count_queries(monkeypatch)
     assert boolean_minimize(f, VarSet(names)) == f
-    assert calls[0] == 0
+    assert calls == {"check_sat": 0, "_decide": 0}
 
 
 def test_unsatisfiable_guard_minimizes_to_false():
     assert boolean_minimize(conj([var_atom("x", ">=", 1), var_atom("x", "<", 0)]), XY) == FALSE
+
+
+def test_on_set_matches_evaluation_on_witnesses():
+    # the bitset walk against evaluating the guard on each cell's witness
+    rng = random.Random(1414)
+    xyzw = VarSet(VARS)
+    partial = 0
+    for _ in range(400):
+        f = canonicalize(rand_formula(rng, rng.randint(1, 4), rand_atom_pool(rng, lo=2, hi=6)))
+        atoms = cells.polarity_classes(atoms_of(f))
+        if not atoms:
+            continue
+        sat = cells.satisfiable_cells(atoms, xyzw)
+        on = minimize._on_set(f, atoms, [mask for mask, _ in sat])
+        assert on == {mask for mask, witness in sat if evaluate(f, witness)}, f
+        partial += 0 < len(on) < len(sat)
+    assert partial >= 200

@@ -6,6 +6,7 @@ from fractions import Fraction
 from sbmod import solver
 from sbmod.formulas import (
     Assignment,
+    Atom,
     LinearAtom,
     VarSet,
     conj,
@@ -236,6 +237,12 @@ def test_debug_dump_writes_each_query_to_stderr(monkeypatch, capsys):
     assert err.startswith("(set-logic QF_LRA)\n")
     assert "(assert (and " in err
     assert err.index("(declare-const v Real)") < err.index("(check-sat)")
+    # an entailment dumps its query, f and not g, although it builds no model
+    f, g = var_atom("v", ">=", 2), var_atom("v", ">", 1)
+    assert entails(f, g, VH)
+    assert capsys.readouterr().err == to_smtlib2(conj([f, negate(g)]), VH) + "\n"
+    assert entails(f, g, VH)  # a repeated query is dumped again
+    assert capsys.readouterr().err.count("(check-sat)") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -272,3 +279,39 @@ def test_bound_clamping_matches_simplex(monkeypatch):
             assert list(clamped.items()) == list(expected.items()), literals
             sat_with_splits += any((a if value else a.negated()).rel == "!=" for a, value in literals)
     assert unsat >= 100 and sat_with_splits >= 100
+
+
+# ---------------------------------------------------------------------------
+# decision-only search against the model-producing one
+
+
+def _decision_pool(rng: random.Random) -> list[Atom]:
+    # few variables and constants, so that bounds on one variable often meet
+    # at one constant, where strictness and ``!=`` decide the answer
+    pool = []
+    for _ in range(rng.randint(2, 7)):
+        chosen = rng.sample(["x", "y", "z"], rng.choice([1, 1, 1, 2]))
+        coeffs = {v: rng.choice([-2, -1, 1, 2]) for v in chosen}
+        const = Fraction(rng.randint(-2, 2), rng.choice([1, 1, 2]))
+        pool.append(Atom(LinearAtom.make(coeffs, rng.choice(["<", "<=", "==", ">=", ">", "!="]), const)))
+    return pool
+
+
+def test_decision_matches_check_sat(monkeypatch):
+    monkeypatch.setattr(solver, "_decided", {})
+    xyz = VarSet(("x", "y", "z"))
+    rng = random.Random(1313)
+    sat = unsat = entailed = 0
+    for _ in range(2000):
+        pool = _decision_pool(rng)
+        # a conjunction of small formulas is unsatisfiable often enough
+        f = conj([rand_formula(rng, rng.randint(0, 2), pool) for _ in range(rng.randint(2, 6))])
+        g = rand_formula(rng, rng.randint(0, 3), pool)
+        expected = check_sat(f, xyz).is_sat
+        assert solver._decide(f) == expected, f
+        holds = entails(f, g, xyz)
+        assert holds == (not check_sat(conj([f, negate(g)]), xyz).is_sat), (f, g)
+        sat += expected
+        unsat += not expected
+        entailed += holds and expected
+    assert sat >= 500 and unsat >= 500 and entailed >= 200

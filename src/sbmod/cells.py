@@ -33,8 +33,7 @@ Cell = tuple[int, Assignment]  # (sign mask, witness)
 # ``random-cell`` policy falls back to the solver's model
 MAX_CELLS = 1 << 12
 
-# cell tables keyed by (atom keys, variable names); like the solver's query
-# cache, it takes no new entries once it holds solver._CACHE_LIMIT of them
+# cell tables keyed by (atom keys, variable names), kept by solver.remember
 _cache: dict[tuple, tuple[Cell, ...]] = {}
 
 
@@ -84,9 +83,10 @@ def cell_bound(atoms: Sequence[LinearAtom]) -> int:
 def satisfiable_cells(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[Cell, ...]:
     """All satisfiable cells over ``atoms`` as (mask, witness), by ascending mask."""
     key = (tuple(a.key() for a in atoms), vars.names)
-    cells = _cache.get(key)
-    if cells is not None:
-        return cells
+    return solver.remember(_cache, key, lambda: _enumerate(atoms, vars))
+
+
+def _enumerate(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[Cell, ...]:
     found: list[Cell] = []
     # prefix witnesses must cover every atom's variables, not just ``vars``
     everything = VarSet(tuple(set(vars.names).union(*(a.variables() for a in atoms))))
@@ -108,7 +108,4 @@ def satisfiable_cells(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[Cell, 
             descend(i + 1, mask | (positive << i), prefix, inside)
 
     descend(0, 0, [], Assignment({v: Fraction(0) for v in everything.names}))
-    cells = tuple(sorted(found, key=lambda cell: cell[0]))
-    if len(_cache) < solver._CACHE_LIMIT:
-        _cache[key] = cells
-    return cells
+    return tuple(sorted(found, key=lambda cell: cell[0]))

@@ -15,9 +15,9 @@ import json
 import sys
 
 from . import engine
-from .compose import compose_all
-from .dsl import EmissionError, ParseError, ScenarioScript, insert_object, is_identifier, parse_model
-from .extract import ExtractionError, extract_graph, simplify_graph
+from .compose import compose_all, object_graph
+from .dsl import EmissionError, ParseError, insert_object, is_identifier, parse_model
+from .extract import ExtractionError
 from .formulas import fraction_text, to_infix
 from .graphs import Model, ObjectGraph, UnknownObjectError, to_dot, to_json_dict
 from .verify import (
@@ -71,13 +71,7 @@ def _pick_graph(model: Model, args: argparse.Namespace) -> tuple[str, ObjectGrap
         if not model.objects:
             raise UsageError("model has no objects to compose")
         return "composite", compose_all(model, simplify=args.simplify)
-    item = model.get(args.object)
-    if isinstance(item, ScenarioScript):
-        g = extract_graph(item, model.vars)
-        if args.simplify:
-            g = simplify_graph(g, model.vars)
-        return args.object, g
-    return args.object, item
+    return args.object, object_graph(model.get(args.object), model.vars, args.simplify)
 
 
 def cmd_graph(args: argparse.Namespace) -> int:

@@ -161,18 +161,20 @@ def run_graph(graphs: list[ObjectGraph], vars: VarSet) -> ObjectGraph:
     return _product(graphs, vars, merged_enabled)[0]
 
 
+def object_graph(item: ScenarioScript | ObjectGraph, vars: VarSet, simplify: bool = True) -> ObjectGraph:
+    """An object's graph: a script is extracted (and simplified), a graph is
+    taken as it is."""
+    if isinstance(item, ObjectGraph):
+        return item
+    if isinstance(item, ScenarioScript):
+        g = extract_graph(item, vars)
+        return simplify_graph(g, vars) if simplify else g
+    raise GraphError(f"{item!r} is neither a script nor a graph")
+
+
 def object_graphs(m: Model, simplify: bool = True) -> list[tuple[str, ObjectGraph]]:
-    """Each model object's graph; scripts are extracted (and simplified)."""
-    out = []
-    for named in m.objects:
-        if isinstance(named.item, ObjectGraph):
-            out.append((named.name, named.item))
-        elif isinstance(named.item, ScenarioScript):
-            g = extract_graph(named.item, m.vars)
-            out.append((named.name, simplify_graph(g, m.vars) if simplify else g))
-        else:
-            raise GraphError(f"object {named.name!r} is neither a script nor a graph")
-    return out
+    """Each model object's name and graph (``object_graph``)."""
+    return [(o.name, object_graph(o.item, m.vars, simplify)) for o in m.objects]
 
 
 def compose_all(m: Model, simplify: bool = True) -> ObjectGraph:

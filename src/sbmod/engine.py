@@ -103,7 +103,7 @@ class EventLog:
 
 # per (declarations, variable names, policy): the solver's model, restricted to
 # the variables, and the witnesses of the cells inside the selection formula
-# (None when the policy does not draw one); bounded like solver._cache
+# (None when the policy does not draw one); kept by solver.remember
 _selections: dict[tuple, tuple[Assignment | None, list[Assignment] | None]] = {}
 
 
@@ -135,12 +135,7 @@ def select_event(
     Returns None on deadlock (no such assignment exists).
     """
     key = (tuple(declarations), vars.names, policy)
-    selection = _selections.get(key)
-    if selection is None:
-        selection = _selection(declarations, vars, policy)
-        if len(_selections) < solver._CACHE_LIMIT:
-            _selections[key] = selection
-    first, inside = selection
+    first, inside = solver.remember(_selections, key, lambda: _selection(declarations, vars, policy))
     if inside is None or rng is None:
         return first
     return inside[rng.randrange(len(inside))]

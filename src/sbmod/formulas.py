@@ -181,7 +181,8 @@ class LinearAtom:
 
 
 class Formula:
-    """Base class; concrete nodes are TrueF, FalseF, Atom, Not, And, Or, Implies.
+    """Base class; concrete nodes are TrueF, FalseF, Atom, And and Or.
+    Negation is an operation, ``negate``, that pushes into the atoms.
 
     Nodes are read-only values: two nodes are equal when they have the same
     type and equal fields (``_fields``). ``_key`` is the formula_key of a
@@ -233,17 +234,6 @@ class Atom(Formula):
         return (self.atom,)
 
 
-class Not(Formula):
-    __slots__ = ("child",)
-
-    def __init__(self, child: Formula) -> None:
-        _set(self, "child", child)
-        _set(self, "_key", None)
-
-    def _fields(self) -> tuple:
-        return (self.child,)
-
-
 class And(Formula):
     __slots__ = ("children",)
 
@@ -264,18 +254,6 @@ class Or(Formula):
 
     def _fields(self) -> tuple:
         return (self.children,)
-
-
-class Implies(Formula):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_key", None)
-
-    def _fields(self) -> tuple:
-        return (self.left, self.right)
 
 
 TRUE = TrueF()
@@ -300,7 +278,8 @@ def disj(parts: Iterable[Formula]) -> Formula:
 
 
 def negate(f: Formula) -> Formula:
-    return canonicalize(Not(f))
+    """The canonical form of not ``f``."""
+    return _normalize(_nnf(f, True))
 
 
 class Assignment:
@@ -341,14 +320,10 @@ def evaluate(f: Formula, a: Assignment) -> bool:
         return False
     if isinstance(f, Atom):
         return f.atom.holds(a.values)
-    if isinstance(f, Not):
-        return not evaluate(f.child, a)
     if isinstance(f, And):
         return all(evaluate(c, a) for c in f.children)
     if isinstance(f, Or):
         return any(evaluate(c, a) for c in f.children)
-    if isinstance(f, Implies):
-        return (not evaluate(f.left, a)) or evaluate(f.right, a)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -368,10 +343,6 @@ def _nnf(f: Formula, negated: bool) -> Formula:
         return FALSE if negated else TRUE
     if isinstance(f, FalseF):
         return TRUE if negated else FALSE
-    if isinstance(f, Not):
-        return _nnf(f.child, not negated)
-    if isinstance(f, Implies):
-        return _nnf(Or((Not(f.left), f.right)), negated)
     if isinstance(f, (And, Or)):
         if f._key is not None and not negated:
             return f
@@ -437,14 +408,9 @@ def atoms_of(f: Formula) -> list[LinearAtom]:
     def walk(g: Formula) -> None:
         if isinstance(g, Atom):
             found.setdefault(g.atom.key(), g.atom)
-        elif isinstance(g, Not):
-            walk(g.child)
         elif isinstance(g, (And, Or)):
             for c in g.children:
                 walk(c)
-        elif isinstance(g, Implies):
-            walk(g.left)
-            walk(g.right)
 
     walk(f)
     return [found[k] for k in sorted(found)]
@@ -489,14 +455,10 @@ def to_infix(f: Formula) -> str:
         return "false"
     if isinstance(f, Atom):
         return _atom_infix(f.atom)
-    if isinstance(f, Not):
-        return f"!({to_infix(f.child)})"
     if isinstance(f, And):
         return " && ".join(_wrap_infix(c, for_and=True) for c in f.children)
     if isinstance(f, Or):
         return " || ".join(_wrap_infix(c, for_and=False) for c in f.children)
-    if isinstance(f, Implies):
-        return f"!({to_infix(f.left)}) || ({to_infix(f.right)})"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -531,14 +493,10 @@ def to_sexpr(f: Formula) -> str:
         return "false"
     if isinstance(f, Atom):
         return _atom_sexpr(f.atom)
-    if isinstance(f, Not):
-        return f"(not {to_sexpr(f.child)})"
     if isinstance(f, And):
         return "(and " + " ".join(to_sexpr(c) for c in f.children) + ")"
     if isinstance(f, Or):
         return "(or " + " ".join(to_sexpr(c) for c in f.children) + ")"
-    if isinstance(f, Implies):
-        return f"(=> {to_sexpr(f.left)} {to_sexpr(f.right)})"
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -52,6 +52,9 @@ class GraphError(ValueError):
 class UnknownObjectError(KeyError):
     """The model has no object of that name."""
 
+    def __str__(self) -> str:  # a KeyError's str would be the quoted name alone
+        return f"model has no object named {self.args[0]!r}"
+
 
 class EncodingError(ValueError):
     """Discrete object references an event absent from the event list."""
@@ -331,7 +334,7 @@ class Trace:
 
     def __init__(self, steps: tuple[TraceStep, ...], verdict: str, end_state: StateId) -> None:
         _set(self, "steps", steps)
-        _set(self, "verdict", verdict)  # "Safe" | "BadReached" | "Deadlock"
+        _set(self, "verdict", verdict)  # "BadReached", the one verdict a trace has
         _set(self, "end_state", end_state)
 
     def __len__(self) -> int:

@@ -41,8 +41,7 @@ from .formulas import (
     formula_key,
 )
 
-# results keyed by (formula key, variable names); like the solver's query
-# cache, it takes no new entries once it holds solver._CACHE_LIMIT of them
+# results keyed by (formula key, variable names), kept by solver.remember
 _cache: dict[tuple, Formula] = {}
 
 
@@ -112,13 +111,7 @@ def _implicant_formula(implicant: tuple[int, int], atoms: list[LinearAtom]) -> F
 def boolean_minimize(f: Formula, vars: VarSet) -> Formula:
     """Smallest equivalent disjunction-of-conjunctions found, else ``f``."""
     f = canonicalize(f)
-    key = (formula_key(f), vars.names)
-    result = _cache.get(key)
-    if result is None:
-        result = _minimize(f, vars)
-        if len(_cache) < solver._CACHE_LIMIT:
-            _cache[key] = result
-    return result
+    return solver.remember(_cache, (formula_key(f), vars.names), lambda: _minimize(f, vars))
 
 
 def _on_set(f: Formula, atoms: list[LinearAtom], masks: list[int]) -> set[int]:

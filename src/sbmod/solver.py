@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import os
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from numbers import Rational
 
@@ -240,20 +241,6 @@ class _Simplex:
             self._pivot_and_update(broken, candidate, target)
 
 
-def _bound_for(rel: str, const: Fraction) -> tuple[DeltaRational | None, DeltaRational | None]:
-    if rel == "<=":
-        return None, DeltaRational(const)
-    if rel == "<":
-        return None, DeltaRational(const, Fraction(-1))
-    if rel == ">=":
-        return DeltaRational(const), None
-    if rel == ">":
-        return DeltaRational(const, Fraction(1)), None
-    if rel == "==":
-        return DeltaRational(const), DeltaRational(const)
-    raise ValueError(rel)
-
-
 # infinitesimal part of the lower and of the upper bound that each relation sets
 _LOWER_DELTA = {">=": 0, ">": 1, "==": 0}
 _UPPER_DELTA = {"<=": 0, "<": -1, "==": 0}
@@ -307,7 +294,8 @@ def _simplex_feasible(constraints: list[tuple[LinearAtom, str]]) -> dict[str, De
             simplex.add_var(v)
     slack_of: dict[tuple, str] = {}
     for a, rel in constraints:
-        lo, hi = _bound_for(rel, a.const)
+        lo = DeltaRational(a.const, Fraction(_LOWER_DELTA[rel])) if rel in _LOWER_DELTA else None
+        hi = DeltaRational(a.const, Fraction(_UPPER_DELTA[rel])) if rel in _UPPER_DELTA else None
         if len(a.coeffs) == 1:
             var = a.coeffs[0][0]  # leading coefficient is 1 by normalization
             if not simplex.set_bound(var, lo, hi):
@@ -453,9 +441,22 @@ def _search(f: Formula, trail: list[tuple[LinearAtom, bool]], depth: int) -> dic
 
 
 # query cache: everything here is deterministic and formulas are immutable,
-# so identical queries (frequent across extraction/composition) are replayed
+# so identical queries (frequent across extraction/composition) are replayed;
+# it and every other per-process cache are kept by ``remember``
 _cache: dict[tuple, SatResult] = {}
 _CACHE_LIMIT = 200_000
+
+
+def remember(cache: dict, key: object, compute: Callable[[], object]):
+    """``cache[key]``, else ``compute()``, kept while ``cache`` holds fewer
+    than ``_CACHE_LIMIT`` entries. Only None counts as a miss, so a cached
+    False or empty tuple is a hit."""
+    value = cache.get(key)
+    if value is None:
+        value = compute()
+        if len(cache) < _CACHE_LIMIT:
+            cache[key] = value
+    return value
 
 
 def check_sat(f: Formula, vars: VarSet) -> SatResult:
@@ -466,24 +467,20 @@ def check_sat(f: Formula, vars: VarSet) -> SatResult:
     """
     _debug_dump(f, vars)
     g = canonicalize(f)
-    key = (formula_key(g), vars.names)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
+    return remember(_cache, (formula_key(g), vars.names), lambda: _solve(g, vars))
+
+
+def _solve(g: Formula, vars: VarSet) -> SatResult:
     trail: list[tuple[LinearAtom, bool]] = []
     solution = _search(g, trail, 0)
     if solution is None:
-        result = UNSAT
-    else:
-        concrete = _concretize(solution, trail)
-        names = set(vars.names) | variables_of(g)
-        model = Assignment({v: concrete.get(v, Fraction(0)) for v in sorted(names)})
-        if not evaluate(g, model):
-            raise RuntimeError("solver produced a non-model")
-        result = SatResult(model)
-    if len(_cache) < _CACHE_LIMIT:
-        _cache[key] = result
-    return result
+        return UNSAT
+    concrete = _concretize(solution, trail)
+    names = set(vars.names) | variables_of(g)
+    model = Assignment({v: concrete.get(v, Fraction(0)) for v in sorted(names)})
+    if not evaluate(g, model):
+        raise RuntimeError("solver produced a non-model")
+    return SatResult(model)
 
 
 def _debug_dump(f: Formula, vars: VarSet) -> None:
@@ -567,13 +564,7 @@ _decided: dict[tuple, bool] = {}
 def _decide(f: Formula) -> bool:
     """Whether ``f`` is satisfiable, as ``check_sat(f, vars).is_sat``."""
     g = canonicalize(f)
-    key = formula_key(g)
-    hit = _decided.get(key)
-    if hit is None:
-        hit = _satisfiable(g, [], {}, 0, 0)
-        if len(_decided) < _CACHE_LIMIT:
-            _decided[key] = hit
-    return hit
+    return remember(_decided, formula_key(g), lambda: _satisfiable(g, [], {}, 0, 0))
 
 
 def entails(f: Formula, g: Formula, vars: VarSet) -> bool:

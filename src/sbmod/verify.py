@@ -33,15 +33,12 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from . import solver
-from .compose import compose_enabled, enabled_guard, object_graphs, run_graph
+from .compose import compose_enabled, enabled_guard, object_graph, run_graph
 from .dsl import ScenarioScript, emit_script
-from .extract import extract_graph, simplify_graph
 from .formulas import FalseF, Formula, VarSet, _read_only, _set, conj, disj, evaluate, negate
 from .graphs import Edge, GraphError, Model, NamedObject, ObjectGraph, Trace, TraceStep, bfs_tree
 from .minimize import boolean_minimize
 from .runsets import CellRuns, CellSpace, runs_equal_minus_violations
-
-PROPERTY_NAME = "property"
 
 
 class InvalidPropertyError(ValueError):
@@ -80,7 +77,7 @@ class Counterexample:
 
 
 def property_graph(prop: ScenarioScript | ObjectGraph, vars: VarSet) -> ObjectGraph:
-    g = prop if isinstance(prop, ObjectGraph) else simplify_graph(extract_graph(prop, vars), vars)
+    g = object_graph(prop, vars)
     for q in sorted(g.states):
         if not isinstance(g.request[q], FalseF) or not isinstance(g.block[q], FalseF):
             raise InvalidPropertyError(
@@ -88,18 +85,11 @@ def property_graph(prop: ScenarioScript | ObjectGraph, vars: VarSet) -> ObjectGr
     return g
 
 
-def _with_property(m: Model, prop_graph: ObjectGraph) -> Model:
-    name = PROPERTY_NAME
-    while name in m.names():
-        name += "_"
-    return Model(m.vars, m.objects + (NamedObject(name, prop_graph),))
-
-
 def _composite_with(m: Model, prop: ScenarioScript | ObjectGraph) -> ObjectGraph:
     """The run graph of the model's objects and then the property, composed in
     that order."""
-    graphs = object_graphs(_with_property(m, property_graph(prop, m.vars)))
-    return run_graph([g for _, g in graphs], m.vars)
+    last = property_graph(prop, m.vars)  # before the objects', as SBM_SOLVER_DEBUG shows
+    return run_graph([object_graph(o.item, m.vars) for o in m.objects] + [last], m.vars)
 
 
 def _bad_path(g: ObjectGraph, vars: VarSet) -> Trace | None:

@@ -22,9 +22,7 @@ from sbmod.formulas import (
     Atom,
     FalseF,
     Formula,
-    Implies,
     LinearAtom,
-    Not,
     Or,
     TrueF,
     VarSet,
@@ -38,9 +36,9 @@ from sbmod.formulas import (
 from sbmod.cells import MAX_CELLS, cell_bound, polarity_classes, satisfiable_cells
 from sbmod.compose import compose_all, compose_enabled, enabled_guard
 from sbmod.dsl import IfStmt, LoopStmt, ScenarioScript, SyncStmt
-from sbmod.graphs import DiscreteObject, Edge, Model, ObjectGraph, bfs_tree
+from sbmod.graphs import DiscreteObject, Edge, Model, NamedObject, ObjectGraph, bfs_tree
 from sbmod.runsets import CellRuns
-from sbmod.verify import _with_property, property_graph
+from sbmod.verify import property_graph
 from sbmod import solver
 
 VARS = ("w", "x", "y", "z")
@@ -68,9 +66,10 @@ def rand_formula(rng: random.Random, depth: int, pool: list[Atom]) -> Formula:
         return rng.choice(pool)
     kind = rng.choice(["and", "or", "not", "implies"])
     if kind == "not":
-        return Not(rand_formula(rng, depth - 1, pool))
+        return ref_negate(rand_formula(rng, depth - 1, pool))
     if kind == "implies":
-        return Implies(rand_formula(rng, depth - 1, pool), rand_formula(rng, depth - 1, pool))
+        left = rand_formula(rng, depth - 1, pool)
+        return Or((ref_negate(left), rand_formula(rng, depth - 1, pool)))
     kids = tuple(rand_formula(rng, depth - 1, pool) for _ in range(rng.randint(2, 3)))
     return And(kids) if kind == "and" else Or(kids)
 
@@ -159,9 +158,14 @@ model { vars x;
 # without the full product, must give the same graph.
 
 
+def with_property(m: Model, prop: ScenarioScript | ObjectGraph) -> Model:
+    """``m`` with the property's graph as its last object ("$" names no DSL object)."""
+    return Model(m.vars, m.objects + (NamedObject("$property", property_graph(prop, m.vars)),))
+
+
 def reference_run_graph(m: Model, prop: ScenarioScript | ObjectGraph) -> ObjectGraph:
     """The run graph of ``m`` with the property ``prop``, by the full product."""
-    full = compose_all(_with_property(m, property_graph(prop, m.vars)))
+    full = compose_all(with_property(m, prop))
     return compose_enabled([full], m.vars)[0]
 
 
@@ -318,10 +322,6 @@ def _ref_nnf(f: Formula, negated: bool) -> Formula:
     if isinstance(f, Atom):
         a = f.atom.negated() if negated else f.atom
         return Atom(LinearAtom.make(dict(a.coeffs), a.rel, a.const))
-    if isinstance(f, Not):
-        return _ref_nnf(f.child, not negated)
-    if isinstance(f, Implies):
-        return _ref_nnf(Or((Not(f.left), f.right)), negated)
     if isinstance(f, And):
         kids = tuple(_ref_nnf(c, negated) for c in f.children)
         return Or(kids) if negated else And(kids)
@@ -365,6 +365,11 @@ def _ref_normalize(f: Formula) -> Formula:
 
 def ref_canonicalize(f: Formula) -> Formula:
     return _ref_normalize(_ref_nnf(f, False))
+
+
+def ref_negate(f: Formula) -> Formula:
+    """Not ``f``, as a raw tree in negation normal form."""
+    return _ref_nnf(f, True)
 
 
 # ---------------------------------------------------------------------------

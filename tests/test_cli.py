@@ -169,8 +169,9 @@ def test_repair_verify_on_rings_with_stutter(tmp_path, capsys, family, n, prop):
     assert main(["check", str(emitted), "--property", prop]) == 0
 
 
-def test_unknown_property_name():
+def test_unknown_property_name(capsys):
     assert main(["check", str(FIXTURE), "--property", "Nope"]) == 2
+    assert capsys.readouterr().err == "error: model has no object named 'Nope'\n"
 
 
 def test_repair_verify_with_multivariable_atoms(tmp_path, capsys):
@@ -306,8 +307,9 @@ def test_witness_past_the_str_digit_limit_prints_exactly(tmp_path, capsys):
     assert json.loads(trace.read_text().splitlines()[0])["assignment"] == expected
 
 
-def test_unknown_object_name():
+def test_unknown_object_name(capsys):
     assert main(["graph", str(FIXTURE), "--object", "Nope"]) == 2
+    assert capsys.readouterr().err == "error: model has no object named 'Nope'\n"
 
 
 def test_object_past_the_cell_budget_is_a_usage_error(capsys, tmp_path):

@@ -64,13 +64,13 @@ def test_attractor_grows_through_forced_chain():
 
 
 def test_doomed_states_empty_on_safe_model(water_tap_model):
-    from sbmod.verify import _with_property, property_graph
     from sbmod.compose import compose_all
     from sbmod.graphs import encode_discrete
     from conftest import WATER_TAP_EVENTS, two_hot_in_a_row
+    from oracles import with_property
 
     prop = encode_discrete(WATER_TAP_EVENTS, two_hot_in_a_row())
-    comp = compose_all(_with_property(water_tap_model, property_graph(prop, water_tap_model.vars)))
+    comp = compose_all(with_property(water_tap_model, prop))
     assert doomed_states(comp, water_tap_model.vars) == frozenset()
 
 

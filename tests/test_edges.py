@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sbmod.compose import compose, compose_all
+from sbmod.compose import compose
 from sbmod.dsl import ParseError, parse_model
 from sbmod.engine import ExecutionConfig, run
 from sbmod.extract import extract_graph, simplify_graph
@@ -20,7 +20,7 @@ from sbmod.formulas import Assignment, VarSet, atom, conj, var_atom
 from sbmod.graphs import Model, NamedObject, ObjectGraph
 from sbmod.runsets import CellRuns, CellSpace, runs_equal_minus_violations
 from sbmod.solver import check_sat
-from sbmod.verify import _with_property, property_graph, repair
+from sbmod.verify import repair
 
 from oracles import bounded_runs, doomed_states
 
@@ -190,11 +190,3 @@ def test_parse_error_cases():
 def test_duplicate_object_names_rejected():
     with pytest.raises(Exception):
         parse_model("model { vars v; object A { sync(); } object A { sync(); } }")
-
-
-def test_composite_with_property_keeps_unique_name(drone_base, drone_property):
-    pg = property_graph(drone_property, VH)
-    extended = _with_property(drone_base, pg)
-    assert len(extended.objects) == len(drone_base.objects) + 1
-    comp = compose_all(extended)
-    assert comp.bad

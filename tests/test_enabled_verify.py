@@ -17,8 +17,6 @@ from sbmod.runsets import CellRuns, CellSpace, runs_equal_minus_violations
 from sbmod.verify import (
     Patch,
     RepairUnsoundError,
-    _with_property,
-    property_graph,
     repair,
     synthesize_patch,
     verify_patch,
@@ -37,6 +35,7 @@ from oracles import (
     reference_run_graph,
     ring_n_text,
     token_ring_text,
+    with_property,
 )
 
 X = VarSet(("x",))
@@ -80,7 +79,7 @@ def _case(name: str, workloads) -> tuple[Model, object]:
 
 def _full_composite(m: Model, prop) -> ObjectGraph:
     """The simplified composite with every satisfiable edge."""
-    return compose_all(_with_property(m, property_graph(prop, m.vars)))
+    return compose_all(with_property(m, prop))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +160,7 @@ def test_enabled_product_on_random_objects(seed):
 def test_run_graph_matches_cut_full_composite(name, workloads):
     m, prop = _case(name, workloads)
     reference = reference_run_graph(m, prop)
-    graph = run_graph([g for _, g in object_graphs(_with_property(m, property_graph(prop, m.vars)))], m.vars)
+    graph = run_graph([g for _, g in object_graphs(with_property(m, prop))], m.vars)
     assert graph.initial == reference.initial
     assert graph.states == reference.states
     assert graph.bad == reference.bad

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from sbmod import solver
+from sbmod import cells, engine, minimize, solver
 from sbmod.formulas import (
     Assignment,
     Atom,
@@ -315,3 +315,47 @@ def test_decision_matches_check_sat(monkeypatch):
         unsat += not expected
         entailed += holds and expected
     assert sat >= 500 and unsat >= 500 and entailed >= 200
+
+
+def test_remember_stops_inserting_at_the_limit(monkeypatch):
+    monkeypatch.setattr(solver, "_CACHE_LIMIT", 3)
+    cache, calls = {}, []
+
+    def compute(k):
+        calls.append(k)
+        return 10 * k
+
+    for _ in range(2):
+        for k in range(5):
+            assert solver.remember(cache, k, lambda: compute(k)) == 10 * k
+    assert cache == {0: 0, 1: 10, 2: 20}
+    assert calls == [0, 1, 2, 3, 4, 3, 4]  # only the keys past the limit are computed again
+
+
+def test_remember_hits_on_a_cached_false_or_empty_tuple():
+    def recompute():
+        raise AssertionError("a cached value was computed again")
+
+    cache = {"decided": False, "cells": ()}
+    assert solver.remember(cache, "decided", recompute) is False
+    assert solver.remember(cache, "cells", recompute) == ()
+    assert solver.remember(cache, "new", lambda: False) is False
+    assert solver.remember(cache, "new", recompute) is False
+
+
+def test_every_per_process_cache_is_bounded(monkeypatch):
+    caches = [(solver, "_cache"), (solver, "_decided"), (cells, "_cache"), (minimize, "_cache"),
+              (engine, "_selections")]
+    for module, name in caches:
+        monkeypatch.setattr(module, name, {})
+    monkeypatch.setattr(solver, "_CACHE_LIMIT", 1)
+    q = VarSet(("q",))
+    f = disj([conj([var_atom("q", ">=", 1), var_atom("q", "<", 3)]), var_atom("q", ">", 2)])
+    assert check_sat(f, q).is_sat
+    assert entails(var_atom("q", ">", 5), f, q)
+    assert len(cells.satisfiable_cells([var_atom("q", "<", 1).atom, var_atom("q", ">", 4).atom], q)) == 3
+    assert minimize.boolean_minimize(f, q) == var_atom("q", ">=", 1)
+    rng = random.Random(0)
+    assert engine.select_event([(f, var_atom("q", "==", 2))], q, engine.RANDOM_CELL, rng) is not None
+    # each cache took its first entry and no other
+    assert [len(getattr(module, name)) for module, name in caches] == [1] * len(caches)

@@ -23,9 +23,7 @@ from sbmod.formulas import (
     Assignment,
     Atom,
     FalseF,
-    Implies,
     LinearAtom,
-    Not,
     Or,
     TrueF,
     VarSet,
@@ -46,10 +44,6 @@ def rebuild(f):
         return Atom(LinearAtom(tuple(f.atom.coeffs), f.atom.rel, Fraction(f.atom.const)))
     if isinstance(f, (TrueF, FalseF)):
         return type(f)()
-    if isinstance(f, Not):
-        return Not(rebuild(f.child))
-    if isinstance(f, Implies):
-        return Implies(rebuild(f.left), rebuild(f.right))
     return type(f)(tuple(rebuild(c) for c in f.children))
 
 
@@ -69,7 +63,6 @@ def test_same_fields_under_another_node_type_are_unequal():
     for _ in range(100):
         kids = tuple(rand_formula(rng, 2, rand_atom_pool(rng)) for _ in range(2))
         assert And(kids) != Or(kids)
-        assert Implies(*kids) != Or((Not(kids[0]), kids[1]))
     assert TRUE != FALSE and TrueF() == TRUE and FalseF() == FALSE
 
 
@@ -107,7 +100,7 @@ def read_only_instances():
     trace = Trace((TraceStep("a", a),), "BadReached", "a")
     return [
         (VarSet(("x",)), "names"), (x.atom, "rel"), (TRUE, "_key"), (FALSE, "_key"), (x, "atom"),
-        (Not(x), "child"), (And((x, x)), "children"), (Or((x, x)), "children"), (Implies(x, x), "left"),
+        (And((x, x)), "children"), (Or((x, x)), "children"),
         (a, "values"), (Edge("a", x, "a"), "dst"), (DiscreteObject.make(["a"], "a"), "initial"),
         (NamedObject("A", g), "item"), (trace.steps[0], "state"), (trace, "verdict"),
         (DeltaRational(Fraction(0)), "standard"), (SatResult(a), "model"),

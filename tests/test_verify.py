@@ -20,15 +20,13 @@ from sbmod.verify import (
     check_safety,
     compute_bad_attractor,
     find_deadlocks,
-    property_graph,
     repair,
     synthesize_patch,
     verify_patch,
-    _with_property,
 )
 
 from conftest import WATER_TAP_EVENTS, two_hot_in_a_row
-from oracles import bounded_runs, discrete_runs
+from oracles import bounded_runs, discrete_runs, with_property
 
 VH = VarSet(("v", "h"))
 X = VarSet(("x",))
@@ -101,7 +99,7 @@ def test_water_tap_safety_depends_on_stability(water_tap_model, water_tap_unstab
 
 
 def test_drone_composite_has_no_deadlocks(drone_base, drone_property):
-    comp = compose_all(_with_property(drone_base, property_graph(drone_property, VH)))
+    comp = compose_all(with_property(drone_base, drone_property))
     assert find_deadlocks(comp, VH) == frozenset()
 
 
@@ -122,7 +120,7 @@ def test_self_blocking_request_is_deadlock():
 
 
 def _composite(drone_base, drone_property):
-    return compose_all(_with_property(drone_base, property_graph(drone_property, VH)))
+    return compose_all(with_property(drone_base, drone_property))
 
 
 def test_drone_attractor_is_only_the_bad_state(drone_base, drone_property):

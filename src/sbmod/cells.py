@@ -9,12 +9,19 @@ minimization (the ON and OFF cells of a guard), the engine's
 ``random-cell`` policy (a seeded pick among cells) and run sets (cells are
 the alphabet of runs).
 
-Enumeration is a depth-first search over partial sign vectors. A prefix the
-solver finds unsatisfiable is pruned with all its completions, and a prefix
-the parent's witness already satisfies needs no query, so the work follows
-the number of satisfiable cells rather than 2^n. Each cell's witness is the
-solver's model of the full cell conjunction. ``cell_bound`` bounds that
-number from above without a query.
+When every atom has one variable, the cells are read off the number line
+without a query: a variable's t distinct constants cut its line into 2t + 1
+pieces (the constants and the open intervals between and beyond them), the
+atoms on that variable are constant on each piece, so one sample point per
+piece gives that variable's sign vectors, and since the variables are
+independent the cells are all the combinations of one vector per variable.
+Otherwise enumeration is a depth-first search over partial sign vectors. A
+prefix the solver finds unsatisfiable is pruned with all its completions,
+and a prefix the parent's witness already satisfies needs no query, so the
+work follows the number of satisfiable cells rather than 2^n. Either way,
+each cell's witness is the solver's model of the full cell conjunction, one
+query per cell. ``cell_bound`` bounds that number from above without a
+query.
 """
 
 from __future__ import annotations
@@ -27,8 +34,9 @@ from .formulas import And, Assignment, Atom, Formula, LinearAtom, VarSet, conj
 
 Cell = tuple[int, Assignment]  # (sign mask, witness)
 
-# each satisfiable cell costs a solver query or more, so callers enumerate
-# cells only while ``cell_bound`` is at most the 2^12 cells of 12 independent
+# each satisfiable cell costs a solver query for its witness (and prefix
+# queries when an atom has two variables), so callers enumerate cells only
+# while ``cell_bound`` is at most the 2^12 cells of 12 independent
 # atoms: past it, the minimizer leaves a guard as written and the engine's
 # ``random-cell`` policy falls back to the solver's model
 MAX_CELLS = 1 << 12
@@ -87,16 +95,17 @@ def satisfiable_cells(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[Cell, 
 
 
 def _enumerate(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[Cell, ...]:
+    if all(len(a.coeffs) == 1 for a in atoms):
+        return tuple((mask, _witness(atoms, mask, vars)) for mask in _line_masks(atoms))
     found: list[Cell] = []
     # prefix witnesses must cover every atom's variables, not just ``vars``
     everything = VarSet(tuple(set(vars.names).union(*(a.variables() for a in atoms))))
 
-    # queries pass the plain conjunction: check_sat canonicalizes it anyway,
-    # so the leaf query is check_sat(cell_formula(atoms, mask), vars)
+    # queries pass the plain conjunction: check_sat canonicalizes it anyway
     def descend(i: int, mask: int, literals: list[Formula], witness: Assignment) -> None:
         # the prefix over atoms[:i] is satisfiable, and ``witness`` satisfies it
         if i == len(atoms):
-            found.append((mask, solver.check_sat(And(tuple(literals)), vars).model))
+            found.append((mask, _witness(atoms, mask, vars)))
             return
         for positive in (False, True):
             prefix = literals + [_literal(atoms[i], positive)]
@@ -109,3 +118,30 @@ def _enumerate(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[Cell, ...]:
 
     descend(0, 0, [], Assignment({v: Fraction(0) for v in everything.names}))
     return tuple(sorted(found, key=lambda cell: cell[0]))
+
+
+def _witness(atoms: Sequence[LinearAtom], mask: int, vars: VarSet) -> Assignment:
+    """The solver's model of the cell, queried as the plain conjunction of its
+    literals in atom order (``check_sat(cell_formula(atoms, mask), vars)``)."""
+    literals = tuple(_literal(a, bool((mask >> i) & 1)) for i, a in enumerate(atoms))
+    return solver.check_sat(And(literals), vars).model
+
+
+def _line_masks(atoms: Sequence[LinearAtom]) -> list[int]:
+    """The satisfiable masks over single-variable atoms, in ascending order.
+
+    A variable's masks are those of its atoms at one point of each of the
+    2t + 1 pieces that its t distinct constants cut the line into; the
+    variables are independent, so the cells are every OR of one mask each.
+    """
+    by_var: dict[str, list[int]] = {}
+    for i, a in enumerate(atoms):
+        by_var.setdefault(a.coeffs[0][0], []).append(i)
+    masks = {0}
+    for var, indices in by_var.items():
+        consts = sorted({atoms[i].const for i in indices})
+        points = [consts[0] - 1, *consts, consts[-1] + 1]
+        points += [(lo + hi) / 2 for lo, hi in zip(consts, consts[1:])]
+        pieces = {sum(1 << i for i in indices if atoms[i].holds({var: p})) for p in points}
+        masks = {m | p for m in masks for p in pieces}
+    return sorted(masks)

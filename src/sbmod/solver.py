@@ -23,6 +23,13 @@ other models, and models reach every witness and trace the CLI prints.
 The solver is deterministic: identical queries yield identical models, and
 unconstrained variables are assigned 0.
 
+A query whose canonical form is an atom or a conjunction of atoms skips the
+Boolean search and goes to the theory in one call, with its literals in
+canonical order: that is the trail on which the search would reach its
+leaf, since it sets each conjunct true in that order and its periodic
+theory checks cut only prefixes that are unsatisfiable, so the model is the
+same.
+
 ``entails`` and ``equivalent`` read no model, only whether their query has
 one, so they run a decision-only search of their own, with its own cache by
 formula key, and ``check_sat``'s branching order and models stay untouched.
@@ -471,8 +478,14 @@ def check_sat(f: Formula, vars: VarSet) -> SatResult:
 
 
 def _solve(g: Formula, vars: VarSet) -> SatResult:
-    trail: list[tuple[LinearAtom, bool]] = []
-    solution = _search(g, trail, 0)
+    literals = g.children if isinstance(g, And) else (g,)
+    if all(isinstance(c, Atom) for c in literals):
+        # the trail on which ``_search`` would reach its leaf (module docstring)
+        trail = [(c.atom, True) for c in literals]
+        solution = _theory_model(trail)
+    else:
+        trail = []
+        solution = _search(g, trail, 0)
     if solution is None:
         return UNSAT
     concrete = _concretize(solution, trail)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from sbmod import cells as cells_module, solver
 from sbmod.cells import cell_bound, cell_formula, polarity_classes, satisfiable_cells, sign_mask
+from sbmod.dsl import parse_model
 from sbmod.engine import RANDOM_CELL, select_event
 from sbmod.extract import ExtractStats, extract_graph
 from sbmod.formulas import FALSE, TRUE, Assignment, VarSet, atom, atoms_of, conj, disj, evaluate, var_atom
@@ -42,7 +43,16 @@ def test_cells_match_brute_force_on_drone_predicates(drone_model):
         assert sign_mask(atoms, witness) == mask
 
 
-def test_cells_match_brute_force_on_mixed_atoms():
+def _counting_check_sat(monkeypatch) -> list:
+    """Empty the cell cache and count the ``check_sat`` calls cells make."""
+    monkeypatch.setattr(cells_module, "_cache", {})
+    calls = []
+    real = solver.check_sat
+    monkeypatch.setattr(solver, "check_sat", lambda f, vars: calls.append(f) or real(f, vars))
+    return calls
+
+
+def test_cells_match_brute_force_on_mixed_atoms(monkeypatch):
     # thresholds, equalities, a disequality and a two-variable atom
     f = disj([
         conj([var_atom("x", ">=", Fraction(1, 2)), var_atom("x", "<=", Fraction(3, 4))]),
@@ -52,12 +62,62 @@ def test_cells_match_brute_force_on_mixed_atoms():
         var_atom("y", ">", -30),
     ])
     atoms = polarity_classes(atoms_of(f))
+    calls = _counting_check_sat(monkeypatch)
     cells = satisfiable_cells(atoms, XY)
+    # the two-variable atom keeps the depth-first search and its prefix queries
+    assert len(calls) > len(cells)
+    monkeypatch.undo()
     assert {mask for mask, _ in cells} == _brute_force(atoms, XY)
     assert len(cells) < 1 << len(atoms)
     # cells partition the space: every witness lies in its own cell only
     for mask, witness in cells:
         assert evaluate(cell_formula(atoms, mask), witness)
+
+
+def _line_constant(rng: random.Random, pool: list[Fraction]) -> Fraction:
+    # repeats, fractions, negatives and numbers of more than 4,000 digits
+    if pool and rng.random() < 0.4:
+        return rng.choice(pool)
+    kind = rng.randrange(4)
+    if kind == 0:
+        c = Fraction(rng.randint(-5, 5))
+    elif kind == 1:
+        c = Fraction(rng.randint(-9, 9), rng.choice([2, 3, 7]))
+    else:
+        huge = 10 ** rng.randint(4001, 4100)
+        c = Fraction(rng.choice([-1, 1]) * huge + rng.randint(-3, 3), rng.choice([1, 1, 3]))
+    pool.append(c)
+    return c
+
+
+def test_line_cells_match_brute_force_on_single_variable_atoms():
+    rng = random.Random(1515)
+    relations = ("<", "<=", "==", ">=", ">", "!=")
+    pruned = 0
+    for _ in range(80):
+        names = ("x", "y", "z")[:rng.randint(1, 3)]
+        pool: list[Fraction] = []
+        atoms = [var_atom(rng.choice(names), rng.choice(relations), _line_constant(rng, pool)).atom
+                 for _ in range(rng.randint(1, 6))]
+        vars = VarSet(names)
+        cells = satisfiable_cells(atoms, vars)
+        expected = sorted(_brute_force(atoms, vars))
+        assert [mask for mask, _ in cells] == expected, atoms
+        for mask, witness in cells:
+            assert witness == check_sat(cell_formula(atoms, mask), vars).model
+            assert sign_mask(atoms, witness) == mask
+        pruned += len(expected) < 1 << len(atoms)
+    assert pruned >= 40
+
+
+def test_single_variable_cells_take_one_query_each(monkeypatch, workloads):
+    stats = ExtractStats()
+    model = parse_model(workloads.wide_text(7))
+    extract_graph(model.get("Wide"), model.vars, stats=stats)
+    atoms = list(stats.predicates.atoms)
+    calls = _counting_check_sat(monkeypatch)
+    cells = satisfiable_cells(atoms, model.vars)
+    assert len(calls) == len(cells) < 1 << len(atoms)
 
 
 def test_cell_cache_stops_inserting_at_the_limit(monkeypatch):

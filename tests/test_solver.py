@@ -9,6 +9,7 @@ from sbmod.formulas import (
     Atom,
     LinearAtom,
     VarSet,
+    atoms_of,
     conj,
     disj,
     evaluate,
@@ -315,6 +316,36 @@ def test_decision_matches_check_sat(monkeypatch):
         unsat += not expected
         entailed += holds and expected
     assert sat >= 500 and unsat >= 500 and entailed >= 200
+
+
+# ---------------------------------------------------------------------------
+# conjunctions of literals: one theory call against the DPLL search
+
+
+def test_conjunction_takes_the_search_leaf_model(monkeypatch):
+    def no_search(f, trail, depth):
+        raise AssertionError(f"Boolean search on a conjunction of literals: {f}")
+
+    monkeypatch.setattr(solver, "_cache", {})
+    wxyz = VarSet(("w", "x", "y", "z"))
+    rng = random.Random(1616)
+    unsat = sat_with_splits = sat_with_rows = 0
+    for _ in range(2000):
+        f = conj([Atom(a) for a in rand_conjunction(rng)])
+        trail: list[tuple[LinearAtom, bool]] = []
+        solution = solver._search(f, trail, 0)
+        with monkeypatch.context() as patched:
+            patched.setattr(solver, "_search", no_search)
+            result = check_sat(f, wxyz)
+        if solution is None:
+            assert not result.is_sat, f
+            unsat += 1
+            continue
+        concrete = solver._concretize(solution, trail)
+        assert result.model == Assignment({v: concrete.get(v, Fraction(0)) for v in wxyz.names}), f
+        sat_with_splits += any(a.rel == "!=" for a in atoms_of(f))
+        sat_with_rows += any(len(a.coeffs) == 2 for a in atoms_of(f))
+    assert unsat >= 300 and sat_with_splits >= 300 and sat_with_rows >= 300, (unsat, sat_with_splits, sat_with_rows)
 
 
 def test_remember_stops_inserting_at_the_limit(monkeypatch):

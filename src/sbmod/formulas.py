@@ -10,11 +10,13 @@ Atoms read ``sum(c_i * x_i) REL constant`` with REL one of
 ``< <= == >= > !=``. Atoms are normalized once, at construction:
 ``LinearAtom.make`` is the only builder, and it scales the coefficients so the
 first nonzero one (in variable order) is 1, flipping the relation when
-scaling by a negative; ``negated`` keeps that form, and an atom's ``key`` is
-computed once. In a key, an integral coefficient or constant is stored as its
-``int``: an int orders, compares and hashes like the equal ``Fraction``, so
-every sort and cache lookup is unchanged, but runs in C instead of through
-``Fraction``'s Python-level methods. Formula canonicalization pushes negation
+scaling by a negative; ``negated`` keeps that form. An atom's ``key`` and
+its negation are computed once: the negation is built on the first
+``negated`` call, and the two atoms then point at each other. In a key, an
+integral coefficient or constant is stored as its ``int``: an int orders,
+compares and hashes like the equal ``Fraction``, so every sort and cache
+lookup is unchanged, but runs in C instead of through ``Fraction``'s
+Python-level methods. Formula canonicalization pushes negation
 into atoms, flattens, deduplicates and sorts connectives, and is idempotent.
 
 Canonical nodes carry their ``formula_key``, stored once when they are built
@@ -95,7 +97,7 @@ class LinearAtom:
     atoms have equal keys, so equality and hashing read the key.
     """
 
-    __slots__ = ("coeffs", "rel", "const", "_key")
+    __slots__ = ("coeffs", "rel", "const", "_key", "_negation")
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, coeffs: tuple[tuple[str, Fraction], ...], rel: str, const: Fraction) -> None:
@@ -106,6 +108,7 @@ class LinearAtom:
         _set(self, "const", const)
         key_coeffs = tuple((v, _key_number(c)) for v, c in coeffs)
         _set(self, "_key", (key_coeffs, RELATIONS.index(rel), _key_number(const)))
+        _set(self, "_negation", None)
 
     def __eq__(self, other: object) -> bool:
         return type(other) is LinearAtom and other._key == self._key
@@ -132,7 +135,14 @@ class LinearAtom:
         return LinearAtom(tuple(items), rel, Fraction(const))
 
     def negated(self) -> "LinearAtom":
-        return LinearAtom(self.coeffs, _NEGATE_REL[self.rel], self.const)
+        """The atom of the negated relation, built on the first call; the two
+        atoms then point at each other, so ``a.negated().negated() is a``."""
+        other = self._negation
+        if other is None:
+            other = LinearAtom(self.coeffs, _NEGATE_REL[self.rel], self.const)
+            _set(other, "_negation", self)
+            _set(self, "_negation", other)
+        return other
 
     def polarity_rep(self) -> "LinearAtom":
         """The representative of {self, negated self}: the smaller key."""

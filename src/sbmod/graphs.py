@@ -85,11 +85,11 @@ class ObjectGraph:
 
     Immutable by convention after construction; use ``make`` so that label
     maps are total (missing entries default to false) and edges come out in
-    canonical order. Equality compares every field but ``_out``, which is
-    derived from ``edges``.
+    canonical order. Equality compares every field but ``_out`` and
+    ``_stay``, which are derived from ``edges`` and from the labels.
     """
 
-    __slots__ = ("states", "initial", "request", "block", "waitfor", "edges", "bad", "_out")
+    __slots__ = ("states", "initial", "request", "block", "waitfor", "edges", "bad", "_out", "_stay")
 
     def __init__(
         self,
@@ -112,6 +112,7 @@ class ObjectGraph:
         self._out: dict[StateId, list[Edge]] = {}
         for e in edges:
             self._out.setdefault(e.src, []).append(e)
+        self._stay: dict[StateId, Formula] = {}  # state -> its stay guard, once asked for
 
     def _fields(self) -> tuple:
         return (self.states, self.initial, self.request, self.block, self.waitfor, self.edges, self.bad)
@@ -169,7 +170,10 @@ class ObjectGraph:
 
     def stay_guard(self, q: StateId) -> Formula:
         """Guard of the implicit self-loop taken when the object does not wake."""
-        return negate(self.wake(q))
+        stay = self._stay.get(q)
+        if stay is None:
+            stay = self._stay[q] = negate(self.wake(q))
+        return stay
 
     def move(self, q: StateId, a: Assignment) -> StateId:
         """Where the object goes from ``q`` on ``a``: the target of the one

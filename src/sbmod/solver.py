@@ -7,7 +7,9 @@ variables, to the bound clamping that the simplex reduces to). Strict
 inequalities are handled symbolically with delta-rationals (value +
 infinitesimal * delta) and concretized afterwards to a small positive
 rational, so returned models are plain exact rationals that satisfy strict
-bounds strictly.
+bounds strictly. The leading coefficient of an atom is 1, so the left side of
+a single-variable literal is its variable's value, which concretization reads
+without a sum; only literals over several variables sum their terms.
 
 Disequalities are kept as primitive atoms and split into ``<`` or ``>`` at the
 theory level, by a depth-first search over the split decisions: splits in
@@ -40,6 +42,18 @@ value whose bound would cross the trail's is pruned before it is tried, and
 the trail's bounds never cross. Literals that set no bound, atoms with two
 variables and ``!=``, keep the periodic theory check, and a leaf that holds
 one runs the exact ``_theory_model``; a leaf of bounds alone is satisfiable.
+The query is compiled once into a table of connectives and distinct atoms, so
+a decision touches only the atoms it decides and their ancestors, and an undo
+trail restores them on backtrack (the occurrence lists of Moskewicz et al.,
+Chaff, DAC 2001). It branches as a search that rebuilds the residual formula
+at every decision would (the test suite keeps that search as the reference),
+so it searches the same tree. The model search ``_search`` still rebuilds the
+residual formula (``_assign_atom``): its models reach every trace, and one
+search shared with the decisions, bound propagation included, ran slower.
+
+Every atom builds its negation once and shares it (``LinearAtom.negated``), so
+the theory check, concretization, the searches and the minimizer negate a
+literal without building an atom.
 
 Everything here is self-contained and exact; no floats, no external solver.
 Set the environment variable ``SBM_SOLVER_DEBUG=1`` to dump each query in
@@ -355,12 +369,16 @@ def _concretize(values: dict[str, DeltaRational], literals: list[tuple[LinearAto
     bounds: list[Fraction] = []
     for a, value in literals:
         eff = a if value else a.negated()
-        lhs_std = Fraction(0)
-        lhs_inf = Fraction(0)
-        for var, coeff in eff.coeffs:
-            d = values.get(var, ZERO)
-            lhs_std += coeff * d.standard
-            lhs_inf += coeff * d.infinitesimal
+        if len(eff.coeffs) == 1:
+            # the leading coefficient is 1, so the left side is the value
+            d = values.get(eff.coeffs[0][0], ZERO)
+            lhs_std, lhs_inf = d.standard, d.infinitesimal
+        else:
+            lhs_std = lhs_inf = Fraction(0)
+            for var, coeff in eff.coeffs:
+                d = values.get(var, ZERO)
+                lhs_std += coeff * d.standard
+                lhs_inf += coeff * d.infinitesimal
         gap = eff.const - lhs_std
         if eff.rel in ("<", "<=") and lhs_inf > 0 and gap > 0:
             bounds.append(gap / lhs_inf)
@@ -379,26 +397,18 @@ def _concretize(values: dict[str, DeltaRational], literals: list[tuple[LinearAto
 # Boolean search
 
 
-def _assign_atom(f: Formula, key: tuple | None, value: bool, var: str | None = None,
-                 lo: tuple | None = None, hi: tuple | None = None) -> Formula:
-    """Partially evaluate a canonical formula under atom := value and, when
-    ``var`` is given, under every single-variable atom over ``var`` that the
-    bounds ``lo``, ``hi`` decide (``_bound_truth``)."""
+def _assign_atom(f: Formula, key: tuple, value: bool) -> Formula:
+    """Partially evaluate a canonical formula under atom := value."""
     if isinstance(f, (TrueF, FalseF)):
         return f
     if isinstance(f, Atom):
-        a = f.atom
-        if a.key() == key:
+        if f.atom.key() == key:
             return TRUE if value else FALSE
-        if var is not None and len(a.coeffs) == 1 and a.coeffs[0][0] == var:
-            truth = _bound_truth(a, lo, hi)
-            if truth is not None:
-                return TRUE if truth else FALSE
         return f
     if isinstance(f, And):
         kids = []
         for c in f.children:
-            g = _assign_atom(c, key, value, var, lo, hi)
+            g = _assign_atom(c, key, value)
             if isinstance(g, FalseF):
                 return FALSE
             if not isinstance(g, TrueF):
@@ -409,7 +419,7 @@ def _assign_atom(f: Formula, key: tuple | None, value: bool, var: str | None = N
     if isinstance(f, Or):
         kids = []
         for c in f.children:
-            g = _assign_atom(c, key, value, var, lo, hi)
+            g = _assign_atom(c, key, value)
             if isinstance(g, TrueF):
                 return TRUE
             if not isinstance(g, FalseF):
@@ -543,31 +553,123 @@ def _bound_truth(a: LinearAtom, lo: tuple | None, hi: tuple | None) -> bool | No
     return None
 
 
-def _satisfiable(f: Formula, trail: list[tuple[LinearAtom, bool]], bounds: dict, hard: int, depth: int) -> bool:
-    """Whether ``f`` has a model that satisfies ``trail``. ``bounds`` are the
-    trail's bounds, ``f`` holds no atom that they decide, and ``hard`` counts
-    the trail's literals that set no bound (multi-variable atoms and ``!=``)."""
-    if isinstance(f, FalseF):
-        return False
-    if isinstance(f, TrueF):
-        # bounds that do not cross have a value between them
-        return not hard or _theory_model(trail) is not None
-    if hard and depth % 4 == 0 and _theory_model(trail) is None:
-        return False
-    branch = _first_atom(f)
-    for value in (True, False):
-        eff = branch if value else branch.negated()
-        if len(eff.coeffs) == 1 and eff.rel != "!=":
-            tighter = _bounded(bounds, eff)
-            var = eff.coeffs[0][0]
-            g, h = _assign_atom(f, None, value, var, *tighter[var]), hard
+def _satisfiable(g: Formula) -> bool:
+    """Whether the canonical formula ``g`` is satisfiable, by a decision-only
+    search on a node table compiled from ``g`` once.
+
+    The table numbers the connectives and the distinct atoms of ``g`` in one
+    index space: ``value`` holds each entry's truth (None while undecided),
+    ``pending`` each connective's count of children not yet decided to its
+    unit (true under ``And``, false under ``Or``), and
+    ``parents`` each entry's connectives. Entry 0 is an ``And`` over ``g``,
+    so ``value[0]`` is the truth of ``g``. A decision assigns its atoms and
+    walks up from them; every change goes on an undo trail, which a failed
+    branch rolls back. An undecided connective always has an undecided child,
+    and the branch atom is the first one that the walk down the first
+    undecided children reaches: the first atom of the residual formula that
+    a rebuild under the decisions would leave (``tests/oracles.py`` keeps
+    that search as ``ref_satisfiable``).
+    """
+    if isinstance(g, (TrueF, FalseF)):
+        return isinstance(g, TrueF)
+    value: list[bool | None] = [None]
+    pending = [1]
+    absorbing = [False]  # the child truth that decides the connective at once
+    parents: list[list[int]] = [[-1]]
+    children: list[list[int]] = [[]]
+    atom_of: list[LinearAtom | None] = [None]
+    index: dict[tuple, int] = {}
+    by_var: dict[str, list[int]] = {}  # variable -> its single-variable atoms
+
+    def add(f: Formula, parent: int) -> None:
+        if isinstance(f, Atom):
+            i = index.get(f._key)
+            if i is None:
+                i = index[f._key] = len(value)
+                value.append(None)
+                pending.append(0)
+                absorbing.append(False)
+                parents.append([])
+                children.append([])
+                atom_of.append(f.atom)
+                if len(f.atom.coeffs) == 1:
+                    by_var.setdefault(f.atom.coeffs[0][0], []).append(i)
         else:
-            tighter, g, h = bounds, _assign_atom(f, branch.key(), value), hard + 1
-        trail.append((branch, value))
-        if _satisfiable(g, trail, tighter, h, depth + 1):
-            return True
-        trail.pop()
-    return False
+            i = len(value)
+            value.append(None)
+            pending.append(len(f.children))
+            absorbing.append(isinstance(f, Or))
+            parents.append([])
+            children.append([])
+            atom_of.append(None)
+            for c in f.children:
+                add(c, i)
+        parents[i].append(parent)
+        children[parent].append(i)
+
+    add(g, 0)
+    undo: list[int] = []  # i: value[i] was set; ~i: pending[i] was lowered
+
+    def assign(i: int, truth: bool) -> None:
+        value[i] = truth
+        undo.append(i)
+        for p in parents[i]:
+            while value[p] is None:
+                if truth != absorbing[p]:
+                    pending[p] -= 1
+                    undo.append(~p)
+                    if pending[p]:
+                        break
+                value[p] = truth
+                undo.append(p)
+                p = parents[p][0]
+                if p < 0:
+                    break
+
+    def search(trail: list[tuple[LinearAtom, bool]], bounds: dict, hard: int, depth: int) -> bool:
+        done = value[0]
+        if done is not None:
+            # bounds that do not cross have a value between them
+            return done and (not hard or _theory_model(trail) is not None)
+        if hard and depth % 4 == 0 and _theory_model(trail) is None:
+            return False
+        i = 0
+        while atom_of[i] is None:
+            for c in children[i]:
+                if value[c] is None:
+                    i = c
+                    break
+            else:
+                raise RuntimeError("an undecided connective has no undecided child")
+        branch = atom_of[i]
+        mark = len(undo)
+        for truth in (True, False):
+            eff = branch if truth else branch.negated()
+            if len(eff.coeffs) == 1 and eff.rel != "!=":
+                tighter = _bounded(bounds, eff)
+                lo, hi = tighter[eff.coeffs[0][0]]
+                for j in by_var[eff.coeffs[0][0]]:
+                    if value[j] is None:
+                        decided = _bound_truth(atom_of[j], lo, hi)
+                        if decided is not None:
+                            assign(j, decided)
+                h = hard
+            else:
+                tighter, h = bounds, hard + 1
+                assign(i, truth)
+            trail.append((branch, truth))
+            if search(trail, tighter, h, depth + 1):
+                return True
+            trail.pop()
+            while len(undo) > mark:
+                j = undo.pop()
+                if j >= 0:
+                    value[j] = None
+                else:
+                    pending[~j] += 1
+        return False
+
+    return search([], {}, 0, 0)
 
 
 # satisfiability by formula key: the answer does not depend on the variable set
@@ -577,7 +679,7 @@ _decided: dict[tuple, bool] = {}
 def _decide(f: Formula) -> bool:
     """Whether ``f`` is satisfiable, as ``check_sat(f, vars).is_sat``."""
     g = canonicalize(f)
-    return remember(_decided, formula_key(g), lambda: _satisfiable(g, [], {}, 0, 0))
+    return remember(_decided, formula_key(g), lambda: _satisfiable(g))
 
 
 def entails(f: Formula, g: Formula, vars: VarSet) -> bool:

@@ -3,9 +3,12 @@
 Nothing here may import from sbmod.solver internals beyond its public
 results: the Fourier-Motzkin check below is a from-scratch decision procedure
 for conjunctions, kept deliberately separate from the simplex path it
-cross-checks. The one exception is the reference ``!=`` splitter, which calls
+cross-checks. The exceptions are the reference ``!=`` splitter, which calls
 ``solver._feasible`` on purpose: it pins which split the solver settles on
-and so which model it returns, not whether the simplex is right.
+and so which model it returns, not whether the simplex is right; and the
+reference decision search, which calls the solver's theory check, bound
+helpers and branching rule on purpose: it pins the search tree, not whether
+the theory layer is right.
 """
 
 from __future__ import annotations
@@ -427,6 +430,114 @@ def ref_theory_model(literals: list[tuple[LinearAtom, bool]]):
         if model is not None:
             return model
     return None
+
+
+# ---------------------------------------------------------------------------
+# reference concretization: the left side of every literal as the generic sum
+# over its coefficients, as ``solver._concretize`` computed it before it read a
+# single-variable literal's value directly
+
+
+def ref_first_delta(values, literals: list[tuple[LinearAtom, bool]]) -> Fraction:
+    """The first delta that concretization tries: half the smallest gap bound."""
+    bounds: list[Fraction] = []
+    for a, value in literals:
+        eff = a if value else a.negated()
+        lhs_std = Fraction(0)
+        lhs_inf = Fraction(0)
+        for var, coeff in eff.coeffs:
+            d = values.get(var, solver.ZERO)
+            lhs_std += coeff * d.standard
+            lhs_inf += coeff * d.infinitesimal
+        gap = eff.const - lhs_std
+        if eff.rel in ("<", "<=") and lhs_inf > 0 and gap > 0:
+            bounds.append(gap / lhs_inf)
+        elif eff.rel in (">", ">=") and lhs_inf < 0 and gap < 0:
+            bounds.append(gap / lhs_inf)
+    return min(bounds + [Fraction(1)]) / 2
+
+
+def ref_concretize(values, literals: list[tuple[LinearAtom, bool]]) -> dict[str, Fraction]:
+    delta = ref_first_delta(values, literals)
+    for _ in range(64):
+        concrete = {v: d.concretize(delta) for v, d in values.items()}
+        if all((a.holds(concrete) if value else not a.holds(concrete)) for a, value in literals):
+            return concrete
+        delta /= 2
+    raise AssertionError("delta concretization failed to converge")
+
+
+# ---------------------------------------------------------------------------
+# reference decision-only search: the residual formula is rebuilt at every
+# decision, and every single-variable atom that the trail's bounds decide is
+# assigned along with it. ``solver._satisfiable`` searches the same tree on a
+# compiled node table and must give the same verdict.
+
+
+def _ref_assign_atom(f: Formula, key: tuple | None, value: bool, var: str | None = None,
+                     lo: tuple | None = None, hi: tuple | None = None) -> Formula:
+    if isinstance(f, (TrueF, FalseF)):
+        return f
+    if isinstance(f, Atom):
+        a = f.atom
+        if a.key() == key:
+            return TRUE if value else FALSE
+        if var is not None and len(a.coeffs) == 1 and a.coeffs[0][0] == var:
+            truth = solver._bound_truth(a, lo, hi)
+            if truth is not None:
+                return TRUE if truth else FALSE
+        return f
+    if isinstance(f, And):
+        kids = []
+        for c in f.children:
+            g = _ref_assign_atom(c, key, value, var, lo, hi)
+            if isinstance(g, FalseF):
+                return FALSE
+            if not isinstance(g, TrueF):
+                kids.append(g)
+        if not kids:
+            return TRUE
+        return kids[0] if len(kids) == 1 else And(tuple(kids))
+    if isinstance(f, Or):
+        kids = []
+        for c in f.children:
+            g = _ref_assign_atom(c, key, value, var, lo, hi)
+            if isinstance(g, TrueF):
+                return TRUE
+            if not isinstance(g, FalseF):
+                kids.append(g)
+        if not kids:
+            return FALSE
+        return kids[0] if len(kids) == 1 else Or(tuple(kids))
+    raise TypeError(f"unexpected node in canonical formula: {f!r}")
+
+
+def ref_satisfiable(f: Formula, trail=None, bounds=None, hard: int = 0, depth: int = 0) -> bool:
+    """Whether the canonical ``f`` has a model that satisfies ``trail``;
+    ``bounds`` are the trail's bounds and ``hard`` counts its literals that set
+    no bound."""
+    trail = [] if trail is None else trail
+    bounds = {} if bounds is None else bounds
+    if isinstance(f, FalseF):
+        return False
+    if isinstance(f, TrueF):
+        return not hard or solver._theory_model(trail) is not None
+    if hard and depth % 4 == 0 and solver._theory_model(trail) is None:
+        return False
+    branch = solver._first_atom(f)
+    for value in (True, False):
+        eff = branch if value else branch.negated()
+        if len(eff.coeffs) == 1 and eff.rel != "!=":
+            tighter = solver._bounded(bounds, eff)
+            var = eff.coeffs[0][0]
+            g, h = _ref_assign_atom(f, None, value, var, *tighter[var]), hard
+        else:
+            tighter, g, h = bounds, _ref_assign_atom(f, branch.key(), value), hard + 1
+        trail.append((branch, value))
+        if ref_satisfiable(g, trail, tighter, h, depth + 1):
+            return True
+        trail.pop()
+    return False
 
 
 # ---------------------------------------------------------------------------

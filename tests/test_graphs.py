@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sbmod import graphs
 from sbmod.compose import compose_all
 from sbmod.formulas import FALSE, TRUE, VarSet, disj, var_atom
 from sbmod.graphs import (
@@ -51,6 +52,25 @@ def test_stay_guard_complements_wake():
     )
     assert g.stay_guard("a") == var_atom("x", ">=", 5)
     assert g.stay_guard("b") == TRUE
+
+
+def test_stay_guard_is_computed_once(monkeypatch):
+    def make():
+        return ObjectGraph.make(states=["a", "b"], initial="a",
+                                request={"a": var_atom("x", "<", 5)}, waitfor={"b": var_atom("x", ">", 7)},
+                                edges=[("a", var_atom("x", "<", 5), "b")])
+
+    calls = []
+    negate = graphs.negate
+    monkeypatch.setattr(graphs, "negate", lambda f: calls.append(f) or negate(f))
+    g = make()
+    stay = g.stay_guard("a")
+    assert g.stay_guard("a") is stay and g.stay_guard("b") is g.stay_guard("b")
+    assert calls == [g.wake("a"), g.wake("b")]
+    # equality ignores what is cached; the graph takes no new attribute
+    assert g == make() and make().stay_guard("a") == stay
+    with pytest.raises(AttributeError):
+        g.extra = None
 
 
 def test_encode_discrete_single_object():

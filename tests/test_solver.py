@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from sbmod import cells, engine, minimize, solver
 from sbmod.formulas import (
+    RELATIONS,
     Assignment,
     Atom,
     LinearAtom,
@@ -24,6 +25,9 @@ from oracles import (
     rand_atom_pool,
     rand_conjunction,
     rand_formula,
+    ref_concretize,
+    ref_first_delta,
+    ref_satisfiable,
     ref_theory_model,
 )
 
@@ -283,6 +287,42 @@ def test_bound_clamping_matches_simplex(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# concretization: a single-variable literal reads its variable's value
+
+
+def test_single_variable_concretization_matches_the_generic_sum():
+    rng = random.Random(1717)
+    rels: set[str] = set()
+    halved = strict = fractional = negative = 0
+    for _ in range(1500):
+        literals = _single_variable_literals(rng)
+        values = solver._theory_model(literals)
+        if values is None:
+            continue
+        first = ref_first_delta(values, literals)
+        moving = [v for v, d in values.items() if d.infinitesimal]
+        if moving and rng.random() < 0.5:
+            # a disequality on the value at the first delta sets no delta bound
+            # and holds of the symbolic model, but fails at that delta
+            var = rng.choice(moving)
+            a = LinearAtom.make({var: 1}, "==", values[var].concretize(first))
+            literal = (a, False) if rng.random() < 0.5 else (a.negated(), True)
+            literals.insert(rng.randint(0, len(literals)), literal)
+        concrete = solver._concretize(values, literals)
+        assert list(concrete.items()) == list(ref_concretize(values, literals).items()), literals
+        halved += concrete != {v: d.concretize(first) for v, d in values.items()}
+        for a, value in literals:
+            eff = a if value else a.negated()
+            rels.add(eff.rel)
+            strict += eff.rel in ("<", ">")
+            fractional += eff.const.denominator != 1
+            negative += eff.const < 0
+    assert rels == set(RELATIONS)
+    assert halved >= 100 and strict >= 500 and fractional >= 500 and negative >= 500, (
+        halved, strict, fractional, negative)
+
+
+# ---------------------------------------------------------------------------
 # decision-only search against the model-producing one
 
 
@@ -316,6 +356,32 @@ def test_decision_matches_check_sat(monkeypatch):
         unsat += not expected
         entailed += holds and expected
     assert sat >= 500 and unsat >= 500 and entailed >= 200
+
+
+def test_compiled_decision_search_matches_the_reference(monkeypatch):
+    calls: list[list[tuple[LinearAtom, bool]]] = []
+    theory = solver._theory_model
+    monkeypatch.setattr(solver, "_theory_model", lambda literals: calls.append(list(literals)) or theory(literals))
+    rng = random.Random(1818)
+    sat = unsat = one_variable = two_variable = disequality = 0
+    for _ in range(2000):
+        pool = _decision_pool(rng)
+        f = conj([rand_formula(rng, rng.randint(0, 3), pool) for _ in range(rng.randint(1, 6))])
+        expected = ref_satisfiable(f)
+        reference_calls = calls[:]
+        calls.clear()
+        assert solver._satisfiable(f) == expected, f
+        # the same tree: the same trails reach the theory check, in the same order
+        assert calls == reference_calls, f
+        calls.clear()
+        sat += expected
+        unsat += not expected
+        atoms = atoms_of(f)
+        one_variable += any(len(a.coeffs) == 1 for a in atoms)
+        two_variable += any(len(a.coeffs) == 2 for a in atoms)
+        disequality += any(a.rel == "!=" for a in atoms)
+    assert min(sat, unsat, one_variable, two_variable, disequality) >= 500, (
+        sat, unsat, one_variable, two_variable, disequality)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from sbmod.engine import ExecutionConfig, LogEntry
 from sbmod.extract import ScriptState
 from sbmod.formulas import (
     FALSE,
+    RELATIONS,
     TRUE,
     And,
     Assignment,
@@ -80,6 +81,25 @@ def test_value_types_keep_value_equality():
     assert Assignment.make({"x": 1}) != Assignment.make({"x": 2})
     one, delta = DeltaRational(Fraction(1)), DeltaRational(Fraction(0), Fraction(1))
     assert one - delta == DeltaRational(Fraction(1), Fraction(-1)) != one
+
+
+def test_an_atom_and_its_negation_point_at_each_other():
+    a = LinearAtom.make({"x": 2, "y": -4}, ">=", 6)
+    n = a.negated()
+    assert n is a.negated() and n.negated() is a
+    # keys, equality and hashing are those of atoms built on their own
+    built = LinearAtom(a.coeffs, "<", a.const)
+    assert n.key() == built.key() == (a.key()[0], RELATIONS.index("<"), a.key()[2])
+    assert n == built and hash(n) == hash(built) and n != a
+    fresh = LinearAtom.make({"x": 1, "y": -2}, ">=", 3)
+    assert a == fresh and hash(a) == hash(fresh) and a.key() == fresh.key()
+    assert fresh.negated() == n and fresh.negated() is not n
+    for atom in (a, n):
+        with pytest.raises(AttributeError):
+            atom._negation = None
+        with pytest.raises(AttributeError):
+            del atom._negation
+    assert a.negated() is n and n.negated() is a
 
 
 def test_graph_equality_ignores_the_out_edge_index():

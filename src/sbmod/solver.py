@@ -1,7 +1,7 @@
 """Satisfiability of quantifier-free linear real arithmetic, with models.
 
 Architecture: a small DPLL search over the Boolean structure (branching on
-atoms and partially evaluating the formula) hands conjunctions of theory
+atoms and deciding the connectives above them) hands conjunctions of theory
 literals to a general-simplex feasibility check (when no atom has two
 variables, to the bound clamping that the simplex reduces to). Strict
 inequalities are handled symbolically with delta-rationals (value +
@@ -32,24 +32,26 @@ leaf, since it sets each conjunct true in that order and its periodic
 theory checks cut only prefixes that are unsatisfiable, so the model is the
 same.
 
+There is one Boolean search, ``_search``. It compiles the canonical query
+once into a table of connectives and distinct atoms, so a decision touches
+only the atoms it decides and their ancestors, and an undo trail restores
+them on backtrack (the occurrence lists of Moskewicz et al., Chaff, DAC
+2001). It branches as a search that rebuilds the residual formula at every
+decision would (the test suite keeps that search as the reference), so
+``check_sat`` searches the same tree, reaches the same leaf and returns the
+same model.
+
 ``entails`` and ``equivalent`` read no model, only whether their query has
-one, so they run a decision-only search of their own, with its own cache by
-formula key, and ``check_sat``'s branching order and models stay untouched.
-It adds the bound propagation of Dutertre & de Moura: after each decision,
-every single-variable atom that the trail's bounds decide (the same
-(standard, infinitesimal) pairs as the bound clamping) is assigned. So a
-value whose bound would cross the trail's is pruned before it is tried, and
-the trail's bounds never cross. Literals that set no bound, atoms with two
-variables and ``!=``, keep the periodic theory check, and a leaf that holds
-one runs the exact ``_theory_model``; a leaf of bounds alone is satisfiable.
-The query is compiled once into a table of connectives and distinct atoms, so
-a decision touches only the atoms it decides and their ancestors, and an undo
-trail restores them on backtrack (the occurrence lists of Moskewicz et al.,
-Chaff, DAC 2001). It branches as a search that rebuilds the residual formula
-at every decision would (the test suite keeps that search as the reference),
-so it searches the same tree. The model search ``_search`` still rebuilds the
-residual formula (``_assign_atom``): its models reach every trace, and one
-search shared with the decisions, bound propagation included, ran slower.
+one, so they search with ``propagate`` and keep their own cache by formula
+key. That adds the bound propagation of Dutertre & de Moura: after each
+decision, every single-variable atom that the trail's bounds decide (the
+same (standard, infinitesimal) pairs as the bound clamping) is assigned. So
+a value whose bound would cross the trail's is pruned before it is tried,
+and the trail's bounds never cross. Literals that set no bound, atoms with
+two variables and ``!=``, keep the periodic theory check, and a leaf that
+holds one runs the exact ``_theory_model``; a leaf of bounds alone is
+satisfiable. Propagation stops on shorter trails, which would change the
+models, so ``check_sat`` searches without it.
 
 Every atom builds its negation once and shares it (``LinearAtom.negated``), so
 the theory check, concretization, the searches and the minimizer negate a
@@ -69,8 +71,6 @@ from fractions import Fraction
 from numbers import Rational
 
 from .formulas import (
-    FALSE,
-    TRUE,
     And,
     Assignment,
     Atom,
@@ -267,31 +267,37 @@ _LOWER_DELTA = {">=": 0, ">": 1, "==": 0}
 _UPPER_DELTA = {"<=": 0, "<": -1, "==": 0}
 
 
+def _tightened(lo: tuple | None, hi: tuple | None, const: Rational, rel: str) -> tuple:
+    """The (lower, upper) pair ``lo``, ``hi`` tightened by ``x rel const``.
+
+    Each bound is a (standard, infinitesimal) pair, compared
+    lexicographically as a ``DeltaRational`` is, or None when absent. The
+    standard part is the constant as an atom's key holds it, an ``int`` when
+    integral, which keeps the comparisons cheap.
+    """
+    if rel in _LOWER_DELTA:
+        bound = (const, _LOWER_DELTA[rel])
+        if lo is None or lo < bound:
+            lo = bound
+    if rel in _UPPER_DELTA:
+        bound = (const, _UPPER_DELTA[rel])
+        if hi is None or bound < hi:
+            hi = bound
+    return lo, hi
+
+
 def _clamped(constraints: list[tuple[LinearAtom, str]]) -> dict[str, DeltaRational] | None:
     """``_feasible`` when no atom has two variables. The simplex then has no
     rows, and ``solve`` only clamps each variable from 0 into its bounds: the
-    same values, computed on (standard, infinitesimal) pairs. A standard part
-    is the constant as the atom's key holds it, an ``int`` when integral,
-    which keeps the comparisons cheap."""
-    lower: dict[str, tuple[Rational, int] | None] = {}
-    upper: dict[str, tuple[Rational, int] | None] = {}
+    same values, computed on the pairs of ``_tightened``."""
+    bounds: dict[str, tuple] = {}
     for a, rel in constraints:
         var = a.coeffs[0][0]  # leading coefficient is 1 by normalization
-        const = a.key()[2]
-        lo, hi = lower.setdefault(var, None), upper.setdefault(var, None)
-        if rel in _LOWER_DELTA:
-            bound = (const, _LOWER_DELTA[rel])
-            if lo is None or lo < bound:
-                lower[var] = lo = bound
-        if rel in _UPPER_DELTA:
-            bound = (const, _UPPER_DELTA[rel])
-            if hi is None or bound < hi:
-                upper[var] = hi = bound
+        lo, hi = bounds[var] = _tightened(*bounds.get(var, (None, None)), a.key()[2], rel)
         if lo is not None and hi is not None and hi < lo:
             return None
     values = {}
-    for var, lo in lower.items():
-        hi = upper[var]
+    for var, (lo, hi) in bounds.items():
         if lo is not None and (0, 0) < lo:
             values[var] = DeltaRational(Fraction(lo[0]), Fraction(lo[1]))
         elif hi is not None and hi < (0, 0):
@@ -394,67 +400,7 @@ def _concretize(values: dict[str, DeltaRational], literals: list[tuple[LinearAto
 
 
 # ---------------------------------------------------------------------------
-# Boolean search
-
-
-def _assign_atom(f: Formula, key: tuple, value: bool) -> Formula:
-    """Partially evaluate a canonical formula under atom := value."""
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Atom):
-        if f.atom.key() == key:
-            return TRUE if value else FALSE
-        return f
-    if isinstance(f, And):
-        kids = []
-        for c in f.children:
-            g = _assign_atom(c, key, value)
-            if isinstance(g, FalseF):
-                return FALSE
-            if not isinstance(g, TrueF):
-                kids.append(g)
-        if not kids:
-            return TRUE
-        return kids[0] if len(kids) == 1 else And(tuple(kids))
-    if isinstance(f, Or):
-        kids = []
-        for c in f.children:
-            g = _assign_atom(c, key, value)
-            if isinstance(g, TrueF):
-                return TRUE
-            if not isinstance(g, FalseF):
-                kids.append(g)
-        if not kids:
-            return FALSE
-        return kids[0] if len(kids) == 1 else Or(tuple(kids))
-    raise TypeError(f"unexpected node in canonical formula: {f!r}")
-
-
-def _first_atom(f: Formula) -> LinearAtom:
-    if isinstance(f, Atom):
-        return f.atom
-    if isinstance(f, (And, Or)):
-        return _first_atom(f.children[0])
-    raise TypeError(f"unexpected node in canonical formula: {f!r}")
-
-
-def _search(f: Formula, trail: list[tuple[LinearAtom, bool]], depth: int) -> dict[str, DeltaRational] | None:
-    if isinstance(f, FalseF):
-        return None
-    if isinstance(f, TrueF):
-        return _theory_model(trail)
-    # periodic theory pruning keeps arithmetic-inconsistent trails from
-    # blowing up the Boolean search on formulas with many atoms
-    if depth and depth % 4 == 0 and _theory_model(trail) is None:
-        return None
-    branch = _first_atom(f)
-    for value in (True, False):
-        trail.append((branch, value))
-        result = _search(_assign_atom(f, branch.key(), value), trail, depth + 1)
-        if result is not None:
-            return result
-        trail.pop()
-    return None
+# satisfiability with models
 
 
 # query cache: everything here is deterministic and formulas are immutable,
@@ -495,7 +441,7 @@ def _solve(g: Formula, vars: VarSet) -> SatResult:
         solution = _theory_model(trail)
     else:
         trail = []
-        solution = _search(g, trail, 0)
+        solution = _search(g, trail, propagate=False)
     if solution is None:
         return UNSAT
     concrete = _concretize(solution, trail)
@@ -512,29 +458,19 @@ def _debug_dump(f: Formula, vars: VarSet) -> None:
 
 
 # ---------------------------------------------------------------------------
-# decision-only search, for the queries that read no model
+# Boolean search
 
 
 def _bounded(bounds: dict, eff: LinearAtom) -> dict:
     """``bounds`` with the bound that the single-variable literal ``eff`` sets.
 
-    The bounds of a trail map each variable to its (lower, upper) pair, each
-    a (standard, infinitesimal) pair as in ``_clamped``, or None. Only a
-    literal that its bounds leave undecided is added, so they never cross.
+    The bounds of a trail map each variable to its (lower, upper) pair of
+    ``_tightened``. Only a literal that its bounds leave undecided is added,
+    so they never cross.
     """
     var = eff.coeffs[0][0]
-    const = eff.key()[2]
-    lo, hi = bounds.get(var, (None, None))
-    if eff.rel in _LOWER_DELTA:
-        bound = (const, _LOWER_DELTA[eff.rel])
-        if lo is None or lo < bound:
-            lo = bound
-    if eff.rel in _UPPER_DELTA:
-        bound = (const, _UPPER_DELTA[eff.rel])
-        if hi is None or bound < hi:
-            hi = bound
     tighter = dict(bounds)
-    tighter[var] = (lo, hi)
+    tighter[var] = _tightened(*bounds.get(var, (None, None)), eff.key()[2], eff.rel)
     return tighter
 
 
@@ -542,10 +478,7 @@ def _bound_truth(a: LinearAtom, lo: tuple | None, hi: tuple | None) -> bool | No
     """The truth of the single-variable atom ``a`` on every value between
     ``lo`` and ``hi``, or None when it differs between them."""
     positive = a.rel != "!="
-    rel = a.rel if positive else "=="
-    const = a.key()[2]
-    low = (const, _LOWER_DELTA[rel]) if rel in _LOWER_DELTA else None
-    up = (const, _UPPER_DELTA[rel]) if rel in _UPPER_DELTA else None
+    low, up = _tightened(None, None, a.key()[2], a.rel if positive else "==")
     if (low is not None and hi is not None and hi < low) or (up is not None and lo is not None and up < lo):
         return not positive
     if (low is None or (lo is not None and low <= lo)) and (up is None or (hi is not None and hi <= up)):
@@ -553,25 +486,39 @@ def _bound_truth(a: LinearAtom, lo: tuple | None, hi: tuple | None) -> bool | No
     return None
 
 
-def _satisfiable(g: Formula) -> bool:
-    """Whether the canonical formula ``g`` is satisfiable, by a decision-only
-    search on a node table compiled from ``g`` once.
+def _search(
+    g: Formula, trail: list[tuple[LinearAtom, bool]], propagate: bool
+) -> dict[str, DeltaRational] | None:
+    """The first leaf of a DPLL search over the canonical formula ``g`` that
+    the theory accepts: its ``_theory_model`` solution, with the leaf's
+    decisions left in ``trail``, or None when ``g`` is unsatisfiable.
 
-    The table numbers the connectives and the distinct atoms of ``g`` in one
-    index space: ``value`` holds each entry's truth (None while undecided),
-    ``pending`` each connective's count of children not yet decided to its
-    unit (true under ``And``, false under ``Or``), and
-    ``parents`` each entry's connectives. Entry 0 is an ``And`` over ``g``,
-    so ``value[0]`` is the truth of ``g``. A decision assigns its atoms and
-    walks up from them; every change goes on an undo trail, which a failed
-    branch rolls back. An undecided connective always has an undecided child,
-    and the branch atom is the first one that the walk down the first
-    undecided children reaches: the first atom of the residual formula that
-    a rebuild under the decisions would leave (``tests/oracles.py`` keeps
-    that search as ``ref_satisfiable``).
+    The branch atom is the first atom of the residual formula that a rebuild
+    under the decisions would leave, tried true before false, and every
+    fourth depth the trail is theory-checked and cut when infeasible
+    (``tests/oracles.py`` keeps that rebuild search as ``ref_search``). The
+    search runs on a node table compiled from ``g`` once. The table numbers
+    the connectives and the distinct atoms of ``g`` in one index space:
+    ``value`` holds each entry's truth (None while undecided), ``pending``
+    each connective's count of children not yet decided to its unit (true
+    under ``And``, false under ``Or``), and ``parents`` each entry's
+    connectives. Entry 0 is an ``And`` over ``g``, so ``value[0]`` is the
+    truth of ``g``. A decision assigns its atoms and walks up from them;
+    every change goes on an undo trail, which a failed branch rolls back. An
+    undecided connective always has an undecided child, and the branch atom
+    is the first one that the walk down the first undecided children reaches.
+
+    ``propagate`` is for the queries that read no model (``_decide``): a
+    decision on a single-variable literal other than ``!=`` then assigns
+    every single-variable atom that the trail's bounds decide, itself
+    included, and only the literals that set no bound call for theory
+    checks. A leaf of bounds alone returns an empty solution, since bounds
+    that do not cross have a value between them.
     """
-    if isinstance(g, (TrueF, FalseF)):
-        return isinstance(g, TrueF)
+    if isinstance(g, FalseF):
+        return None
+    if isinstance(g, TrueF):
+        return _theory_model(trail)
     value: list[bool | None] = [None]
     pending = [1]
     absorbing = [False]  # the child truth that decides the connective at once
@@ -626,13 +573,14 @@ def _satisfiable(g: Formula) -> bool:
                 if p < 0:
                     break
 
-    def search(trail: list[tuple[LinearAtom, bool]], bounds: dict, hard: int, depth: int) -> bool:
+    def search(bounds: dict, hard: int, depth: int) -> dict[str, DeltaRational] | None:
         done = value[0]
         if done is not None:
-            # bounds that do not cross have a value between them
-            return done and (not hard or _theory_model(trail) is not None)
+            if not done:
+                return None
+            return _theory_model(trail) if hard else {}
         if hard and depth % 4 == 0 and _theory_model(trail) is None:
-            return False
+            return None
         i = 0
         while atom_of[i] is None:
             for c in children[i]:
@@ -645,7 +593,7 @@ def _satisfiable(g: Formula) -> bool:
         mark = len(undo)
         for truth in (True, False):
             eff = branch if truth else branch.negated()
-            if len(eff.coeffs) == 1 and eff.rel != "!=":
+            if propagate and len(eff.coeffs) == 1 and eff.rel != "!=":
                 tighter = _bounded(bounds, eff)
                 lo, hi = tighter[eff.coeffs[0][0]]
                 for j in by_var[eff.coeffs[0][0]]:
@@ -658,8 +606,9 @@ def _satisfiable(g: Formula) -> bool:
                 tighter, h = bounds, hard + 1
                 assign(i, truth)
             trail.append((branch, truth))
-            if search(trail, tighter, h, depth + 1):
-                return True
+            solution = search(tighter, h, depth + 1)
+            if solution is not None:
+                return solution
             trail.pop()
             while len(undo) > mark:
                 j = undo.pop()
@@ -667,9 +616,9 @@ def _satisfiable(g: Formula) -> bool:
                     value[j] = None
                 else:
                     pending[~j] += 1
-        return False
+        return None
 
-    return search([], {}, 0, 0)
+    return search({}, 0, 0)
 
 
 # satisfiability by formula key: the answer does not depend on the variable set
@@ -679,7 +628,7 @@ _decided: dict[tuple, bool] = {}
 def _decide(f: Formula) -> bool:
     """Whether ``f`` is satisfiable, as ``check_sat(f, vars).is_sat``."""
     g = canonicalize(f)
-    return remember(_decided, formula_key(g), lambda: _satisfiable(g))
+    return remember(_decided, formula_key(g), lambda: _search(g, [], propagate=True) is not None)
 
 
 def entails(f: Formula, g: Formula, vars: VarSet) -> bool:

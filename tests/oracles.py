@@ -6,9 +6,8 @@ for conjunctions, kept deliberately separate from the simplex path it
 cross-checks. The exceptions are the reference ``!=`` splitter, which calls
 ``solver._feasible`` on purpose: it pins which split the solver settles on
 and so which model it returns, not whether the simplex is right; and the
-reference decision search, which calls the solver's theory check, bound
-helpers and branching rule on purpose: it pins the search tree, not whether
-the theory layer is right.
+reference searches, which call the solver's theory check and bound helpers
+on purpose: they pin the search tree, not whether the theory layer is right.
 """
 
 from __future__ import annotations
@@ -115,6 +114,20 @@ def token_ring_text(n: int) -> str:
                      f"sync(request = x == {(i + 1) % n}, block = x == {i}); }} }}")
     lines.append(f"  object Idle {{ loop {{ sync(request = x == {n}); }} }}")
     lines.append(f"  object ReachLast {{ sync(waitfor = x == {n - 1}); sync(); mark bad; }}")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def indep_text(n: int) -> str:
+    """The indep-n family: object Oi requests ``vi >= 1 || vi <= 0`` over its
+    own variable, and property P marks bad one step after ``v0 >= 5``. The
+    objects move independently, so the moves into one target tuple number
+    2^n."""
+    names = [f"v{i}" for i in range(n)]
+    lines = ["model {", f"  vars {', '.join(names)};"]
+    for v in names:
+        lines.append(f"  object O{v[1:]} {{ loop {{ sync(request = {v} >= 1 || {v} <= 0); }} }}")
+    lines.append("  object P { sync(waitfor = v0 >= 5); sync(); mark bad; }")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -468,10 +481,12 @@ def ref_concretize(values, literals: list[tuple[LinearAtom, bool]]) -> dict[str,
 
 
 # ---------------------------------------------------------------------------
-# reference decision-only search: the residual formula is rebuilt at every
-# decision, and every single-variable atom that the trail's bounds decide is
-# assigned along with it. ``solver._satisfiable`` searches the same tree on a
-# compiled node table and must give the same verdict.
+# reference searches: the residual formula is rebuilt at every decision.
+# ``ref_search`` assigns the decided atom alone and returns the leaf's theory
+# solution; ``ref_satisfiable`` also assigns every single-variable atom that
+# the trail's bounds decide. ``solver._search`` searches the same trees on a
+# compiled node table, without and with ``propagate``, and must reach the
+# same leaves.
 
 
 def _ref_assign_atom(f: Formula, key: tuple | None, value: bool, var: str | None = None,
@@ -512,6 +527,33 @@ def _ref_assign_atom(f: Formula, key: tuple | None, value: bool, var: str | None
     raise TypeError(f"unexpected node in canonical formula: {f!r}")
 
 
+def _ref_first_atom(f: Formula) -> LinearAtom:
+    while not isinstance(f, Atom):
+        f = f.children[0]
+    return f.atom
+
+
+def ref_search(f: Formula, trail: list[tuple[LinearAtom, bool]], depth: int = 0):
+    """The ``_theory_model`` solution of the first leaf of the canonical ``f``
+    that the theory accepts, with its decisions left in ``trail``, or None."""
+    if isinstance(f, FalseF):
+        return None
+    if isinstance(f, TrueF):
+        return solver._theory_model(trail)
+    # periodic theory pruning keeps arithmetic-inconsistent trails from
+    # blowing up the Boolean search on formulas with many atoms
+    if depth and depth % 4 == 0 and solver._theory_model(trail) is None:
+        return None
+    branch = _ref_first_atom(f)
+    for value in (True, False):
+        trail.append((branch, value))
+        result = ref_search(_ref_assign_atom(f, branch.key(), value), trail, depth + 1)
+        if result is not None:
+            return result
+        trail.pop()
+    return None
+
+
 def ref_satisfiable(f: Formula, trail=None, bounds=None, hard: int = 0, depth: int = 0) -> bool:
     """Whether the canonical ``f`` has a model that satisfies ``trail``;
     ``bounds`` are the trail's bounds and ``hard`` counts its literals that set
@@ -524,7 +566,7 @@ def ref_satisfiable(f: Formula, trail=None, bounds=None, hard: int = 0, depth: i
         return not hard or solver._theory_model(trail) is not None
     if hard and depth % 4 == 0 and solver._theory_model(trail) is None:
         return False
-    branch = solver._first_atom(f)
+    branch = _ref_first_atom(f)
     for value in (True, False):
         eff = branch if value else branch.negated()
         if len(eff.coeffs) == 1 and eff.rel != "!=":

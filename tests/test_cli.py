@@ -9,7 +9,7 @@ from sbmod.cli import main
 from sbmod.dsl import MAX_NESTING, parse_model
 from sbmod.verify import Safe, check_safety
 
-from oracles import WATER_TAP_TEXT
+from oracles import WATER_TAP_TEXT, indep_text
 
 FIXTURE = Path(__file__).parent / "fixtures" / "drone.sbm"
 
@@ -167,6 +167,20 @@ def test_repair_verify_on_rings_with_stutter(tmp_path, capsys, family, n, prop):
     assert main(["repair", str(src), "--property", prop, "--verify", "--emit-model", str(emitted)]) == 0
     assert capsys.readouterr().out.endswith(THREE_PASSES)
     assert main(["check", str(emitted), "--property", prop]) == 0
+
+
+def test_check_indep_model_trace(tmp_path, capsys):
+    # every guard is a disjunction, so the step's model comes from the
+    # Boolean search, not from the one theory call for a conjunction
+    src = tmp_path / "indep6.sbm"
+    src.write_text(indep_text(6))
+    assert main(["check", str(src), "--property", "P"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "Violation: bad state s0⊗s0⊗s0⊗s0⊗s0⊗s0⊗s1 reachable in 1 steps\n"
+        "  step 1 at s0⊗s0⊗s0⊗s0⊗s0⊗s0⊗s0: {v0=5, v1=1/2, v2=1/2, v3=1/2, v4=1/2, v5=1/2}\n"
+    )
+    assert captured.err == ""
 
 
 def test_unknown_property_name(capsys):

@@ -11,6 +11,7 @@ from sbmod.formulas import (
     LinearAtom,
     VarSet,
     atoms_of,
+    canonicalize,
     conj,
     disj,
     evaluate,
@@ -28,6 +29,7 @@ from oracles import (
     ref_concretize,
     ref_first_delta,
     ref_satisfiable,
+    ref_search,
     ref_theory_model,
 )
 
@@ -370,7 +372,7 @@ def test_compiled_decision_search_matches_the_reference(monkeypatch):
         expected = ref_satisfiable(f)
         reference_calls = calls[:]
         calls.clear()
-        assert solver._satisfiable(f) == expected, f
+        assert (solver._search(f, [], propagate=True) is not None) == expected, f
         # the same tree: the same trails reach the theory check, in the same order
         assert calls == reference_calls, f
         calls.clear()
@@ -389,8 +391,8 @@ def test_compiled_decision_search_matches_the_reference(monkeypatch):
 
 
 def test_conjunction_takes_the_search_leaf_model(monkeypatch):
-    def no_search(f, trail, depth):
-        raise AssertionError(f"Boolean search on a conjunction of literals: {f}")
+    def no_search(*args):
+        raise AssertionError(f"Boolean search on a conjunction of literals: {args[0]}")
 
     monkeypatch.setattr(solver, "_cache", {})
     wxyz = VarSet(("w", "x", "y", "z"))
@@ -399,7 +401,7 @@ def test_conjunction_takes_the_search_leaf_model(monkeypatch):
     for _ in range(2000):
         f = conj([Atom(a) for a in rand_conjunction(rng)])
         trail: list[tuple[LinearAtom, bool]] = []
-        solution = solver._search(f, trail, 0)
+        solution = ref_search(f, trail)
         with monkeypatch.context() as patched:
             patched.setattr(solver, "_search", no_search)
             result = check_sat(f, wxyz)
@@ -412,6 +414,48 @@ def test_conjunction_takes_the_search_leaf_model(monkeypatch):
         sat_with_splits += any(a.rel == "!=" for a in atoms_of(f))
         sat_with_rows += any(len(a.coeffs) == 2 for a in atoms_of(f))
     assert unsat >= 300 and sat_with_splits >= 300 and sat_with_rows >= 300, (unsat, sat_with_splits, sat_with_rows)
+
+
+# ---------------------------------------------------------------------------
+# the model search on its compiled table against the rebuild search
+
+
+def test_model_search_matches_the_rebuild_reference(monkeypatch):
+    calls: list[list[tuple[LinearAtom, bool]]] = []
+    theory = solver._theory_model
+    monkeypatch.setattr(solver, "_theory_model", lambda literals: calls.append(list(literals)) or theory(literals))
+    monkeypatch.setattr(solver, "_cache", {})
+    wxyz = VarSet(("w", "x", "y", "z"))
+    rng = random.Random(1919)
+    sat = unsat = one_variable = two_variable = disequality = 0
+    for n in range(2400):
+        pool = rand_atom_pool(rng) if n % 2 else _decision_pool(rng)
+        g = canonicalize(conj([rand_formula(rng, rng.randint(0, 3), pool) for _ in range(rng.randint(1, 6))]))
+        expected_trail: list[tuple[LinearAtom, bool]] = []
+        expected = ref_search(g, expected_trail)
+        reference_calls = calls[:]
+        calls.clear()
+        trail: list[tuple[LinearAtom, bool]] = []
+        solution = solver._search(g, trail, propagate=False)
+        # the same tree: the same trails reach the theory check, in the same order
+        assert calls == reference_calls, g
+        assert trail == expected_trail, g
+        assert solution == expected and (solution is None or list(solution) == list(expected)), g
+        result = check_sat(g, wxyz)
+        calls.clear()
+        if expected is None:
+            assert not result.is_sat, g
+            unsat += 1
+        else:
+            concrete = solver._concretize(expected, expected_trail)
+            assert result.model == Assignment({v: concrete.get(v, Fraction(0)) for v in wxyz.names}), g
+            sat += 1
+        atoms = atoms_of(g)
+        one_variable += any(len(a.coeffs) == 1 for a in atoms)
+        two_variable += any(len(a.coeffs) == 2 for a in atoms)
+        disequality += any(a.rel == "!=" for a in atoms)
+    assert min(sat, unsat, one_variable, two_variable, disequality) >= 500, (
+        sat, unsat, one_variable, two_variable, disequality)
 
 
 def test_remember_stops_inserting_at_the_limit(monkeypatch):

@@ -5,19 +5,20 @@ assignments: states are tuples of part states (named by joining them with
 ``JOIN``), request/block/waitfor labels are part-wise disjunctions, and a
 move takes one out-edge or the implicit stay loop (materialized here) of
 each part, whose guard conjunction labels the composite edge. Moves are
-listed by a depth-first search over the parts that drops every prefix whose
-guard conjunction is unsatisfiable. Only the part reachable from the initial
-tuple is built, which is what keeps desk-scale models small. A composite
-state is bad as soon as any part is.
+listed by a depth-first search over the parts that conjoins one part's
+guard at a time onto the canonical prefix and drops every prefix that is
+unsatisfiable. Only the part reachable from the initial tuple is built,
+which is what keeps desk-scale models small. A composite state is bad as
+soon as any part is.
 
-``compose`` keeps every move whose guard is satisfiable; it is the full
-product behind ``graph --composite``. ``run_graph`` builds the run graph, on
-which checking and repair run: it merges the moves into one target tuple
-into one minimized guard, as ``simplify_graph`` merges parallel edges, and
-keeps the merged edges that can fire (their guard meets the source's
+There are two products. ``compose`` keeps every move whose guard is
+satisfiable; it is the full product behind ``graph --composite``.
+``run_graph`` builds the run graph, on which checking, repair and patch
+verification run: it merges the moves into one target tuple into one
+minimized guard, as ``simplify_graph`` merges parallel edges, and keeps the
+merged edges that can fire (their guard meets the source's
 request-and-not-blocked formula), so it builds just the states that runs
-reach. ``compose_enabled`` keeps the enabled moves unmerged; patch
-verification composes a patch onto a run graph with it.
+reach. Patch verification composes a patch onto a run graph with it too.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections.abc import Callable, Iterable, Iterator
 from . import solver
 from .dsl import ScenarioScript
 from .extract import extract_graph, simplify_graph
-from .formulas import Formula, VarSet, conj, disj, negate
+from .formulas import TRUE, Formula, VarSet, conj, disj, negate
 from .graphs import Edge, GraphError, Model, ObjectGraph
 from .minimize import boolean_minimize
 
@@ -58,20 +59,19 @@ def _moves(graphs: list[ObjectGraph], qs: tuple[str, ...], vars: VarSet) -> Iter
     options = [_outgoing_with_stay(g, q) for g, q in zip(graphs, qs)]
     last = len(options) - 1
 
-    def extend(i: int, guards: list[Formula], targets: tuple[str, ...], moved: bool) -> Iterator[_Move]:
+    def extend(i: int, prefix: Formula, targets: tuple[str, ...], moved: bool) -> Iterator[_Move]:
         for e, stay in options[i]:
             if i == last and stay and not moved:
                 continue
-            prefix = guards + [e.guard]
-            guard = conj(prefix)
+            guard = conj([prefix, e.guard])
             if not solver.check_sat(guard, vars).is_sat:
                 continue  # unsatisfiable, and so is every move extending it
             if i == last:
                 yield guard, targets + (e.dst,)
             else:
-                yield from extend(i + 1, prefix, targets + (e.dst,), moved or not stay)
+                yield from extend(i + 1, guard, targets + (e.dst,), moved or not stay)
 
-    return extend(0, [], (), False)
+    return extend(0, TRUE, (), False)
 
 
 def _product(graphs: list[ObjectGraph], vars: VarSet,
@@ -127,21 +127,10 @@ def compose(g1: ObjectGraph, g2: ObjectGraph, vars: VarSet) -> ObjectGraph:
     return _product([g1, g2], vars, lambda moves, _: moves)[0]
 
 
-def compose_enabled(graphs: list[ObjectGraph],
-                    vars: VarSet) -> tuple[ObjectGraph, dict[str, tuple[str, ...]]]:
-    """The product along enabled moves only, and its state -> tuple map.
-
-    Its states are the tuples that runs reach and its edges are exactly the
-    enabled moves.
-    """
-    def enabled_moves(moves: Iterator[_Move], enabled: Formula) -> Iterator[_Move]:
-        return (m for m in moves if solver.check_sat(conj([m[0], enabled]), vars).is_sat)
-
-    return _product(graphs, vars, enabled_moves)
-
-
-def run_graph(graphs: list[ObjectGraph], vars: VarSet) -> ObjectGraph:
-    """The run graph of the parts' product: the tuples that runs reach.
+def run_graph(graphs: list[ObjectGraph],
+              vars: VarSet) -> tuple[ObjectGraph, dict[str, tuple[str, ...]]]:
+    """The run graph of the parts' product, and its state -> tuple map: the
+    tuples that runs reach.
 
     The moves into one target tuple merge into one edge guarded by
     ``boolean_minimize`` of their disjunction, and an edge is kept when that
@@ -158,7 +147,7 @@ def run_graph(graphs: list[ObjectGraph], vars: VarSet) -> ObjectGraph:
             if solver.check_sat(conj([guard, enabled]), vars).is_sat:
                 yield guard, targets
 
-    return _product(graphs, vars, merged_enabled)[0]
+    return _product(graphs, vars, merged_enabled)
 
 
 def object_graph(item: ScenarioScript | ObjectGraph, vars: VarSet, simplify: bool = True) -> ObjectGraph:
@@ -183,6 +172,7 @@ def compose_all(m: Model, simplify: bool = True) -> ObjectGraph:
     if not graphs:
         raise GraphError("model has no objects")
     result = graphs[0][1]
+    # binary, not one n-ary _product: each intermediate composite's moves are shared by many tuples
     for _, g in graphs[1:]:
         result = compose(result, g, m.vars)
     if simplify:

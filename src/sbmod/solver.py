@@ -4,8 +4,10 @@ Architecture: a small DPLL search over the Boolean structure (branching on
 atoms and deciding the connectives above them) hands conjunctions of theory
 literals to a general-simplex feasibility check (when no atom has two
 variables, to the bound clamping that the simplex reduces to). Strict
-inequalities are handled symbolically with delta-rationals (value +
-infinitesimal * delta) and concretized afterwards to a small positive
+inequalities are handled symbolically with delta-rationals (standard +
+infinitesimal * delta), written as (standard, infinitesimal) pairs whose
+tuple order is the delta order, in the simplex, the bound clamping and
+propagation alike, and concretized afterwards to a small positive
 rational, so returned models are plain exact rationals that satisfy strict
 bounds strictly. The leading coefficient of an atom is 1, so the left side of
 a single-variable literal is its variable's value, which concretization reads
@@ -45,7 +47,7 @@ same model.
 one, so they search with ``propagate`` and keep their own cache by formula
 key. That adds the bound propagation of Dutertre & de Moura: after each
 decision, every single-variable atom that the trail's bounds decide (the
-same (standard, infinitesimal) pairs as the bound clamping) is assigned. So
+same delta-rational pairs as the bound clamping) is assigned. So
 a value whose bound would cross the trail's is pruned before it is tried,
 and the trail's bounds never cross. Literals that set no bound, atoms with
 two variables and ``!=``, keep the periodic theory check, and a leaf that
@@ -92,51 +94,6 @@ from .formulas import (
 )
 
 
-class DeltaRational:
-    """A rational plus an infinitesimal multiple of a symbolic delta > 0.
-
-    Comparison is lexicographic on (standard, infinitesimal), which is exactly
-    the ordering of standard + infinitesimal*delta for delta small enough.
-    """
-
-    __slots__ = ("standard", "infinitesimal")
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, standard: Fraction, infinitesimal: Fraction = Fraction(0)) -> None:
-        _set(self, "standard", standard)
-        _set(self, "infinitesimal", infinitesimal)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is DeltaRational and other._key() == self._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __add__(self, other: "DeltaRational") -> "DeltaRational":
-        return DeltaRational(self.standard + other.standard, self.infinitesimal + other.infinitesimal)
-
-    def __sub__(self, other: "DeltaRational") -> "DeltaRational":
-        return DeltaRational(self.standard - other.standard, self.infinitesimal - other.infinitesimal)
-
-    def scaled(self, k: Fraction) -> "DeltaRational":
-        return DeltaRational(self.standard * k, self.infinitesimal * k)
-
-    def _key(self) -> tuple[Fraction, Fraction]:
-        return (self.standard, self.infinitesimal)
-
-    def __lt__(self, other: "DeltaRational") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "DeltaRational") -> bool:
-        return self._key() <= other._key()
-
-    def concretize(self, delta: Fraction) -> Fraction:
-        return self.standard + self.infinitesimal * delta
-
-
-ZERO = DeltaRational(Fraction(0))
-
-
 class SatResult:
     """Outcome of a satisfiability query: a model, or None for Unsat."""
 
@@ -156,6 +113,17 @@ UNSAT = SatResult(None)
 
 # ---------------------------------------------------------------------------
 # theory layer: conjunction feasibility via bounds + general simplex
+#
+# A delta-rational, standard + infinitesimal * delta for a symbolic delta > 0,
+# is the pair (standard, infinitesimal). Tuple order is the delta order: it is
+# lexicographic, which is the order of the sums for every delta small enough.
+
+ZERO = (0, 0)
+
+
+def _shifted(d: tuple, diff: tuple, k: Rational) -> tuple:
+    """The delta-rational ``d + k * diff``."""
+    return d[0] + k * diff[0], d[1] + k * diff[1]
 
 
 class _Simplex:
@@ -163,9 +131,9 @@ class _Simplex:
 
     def __init__(self) -> None:
         self.order: list[str] = []  # fixed variable order; index is Bland priority
-        self.value: dict[str, DeltaRational] = {}
-        self.lower: dict[str, DeltaRational] = {}
-        self.upper: dict[str, DeltaRational] = {}
+        self.value: dict[str, tuple] = {}
+        self.lower: dict[str, tuple] = {}
+        self.upper: dict[str, tuple] = {}
         self.rows: dict[str, dict[str, Fraction]] = {}  # basic -> {nonbasic: coeff}
 
     def add_var(self, name: str) -> None:
@@ -179,7 +147,7 @@ class _Simplex:
         self.add_var(slack)
         self.rows[slack] = dict(combo)
 
-    def set_bound(self, var: str, lo: DeltaRational | None, hi: DeltaRational | None) -> bool:
+    def set_bound(self, var: str, lo: tuple | None, hi: tuple | None) -> bool:
         if lo is not None and (var not in self.lower or self.lower[var] < lo):
             self.lower[var] = lo
         if hi is not None and (var not in self.upper or hi < self.upper[var]):
@@ -188,12 +156,13 @@ class _Simplex:
             return False
         return True
 
-    def _update(self, var: str, val: DeltaRational) -> None:
-        diff = val - self.value[var]
+    def _update(self, var: str, val: tuple) -> None:
+        old = self.value[var]
+        diff = (val[0] - old[0], val[1] - old[1])
         for b, row in self.rows.items():
             coeff = row.get(var)
             if coeff:
-                self.value[b] = self.value[b] + diff.scaled(coeff)
+                self.value[b] = _shifted(self.value[b], diff, coeff)
         self.value[var] = val
 
     def _pivot(self, xi: str, xj: str) -> None:
@@ -210,16 +179,17 @@ class _Simplex:
                         del other[v]
         self.rows[xj] = new_row
 
-    def _pivot_and_update(self, xi: str, xj: str, target: DeltaRational) -> None:
+    def _pivot_and_update(self, xi: str, xj: str, target: tuple) -> None:
         aij = self.rows[xi][xj]
-        theta = (target - self.value[xi]).scaled(Fraction(1) / aij)
+        old = self.value[xi]
+        theta = ((target[0] - old[0]) / aij, (target[1] - old[1]) / aij)
         self.value[xi] = target
-        self.value[xj] = self.value[xj] + theta
+        self.value[xj] = _shifted(self.value[xj], theta, 1)
         for b, row in self.rows.items():
             if b != xi:
                 coeff = row.get(xj)
                 if coeff:
-                    self.value[b] = self.value[b] + theta.scaled(coeff)
+                    self.value[b] = _shifted(self.value[b], theta, coeff)
         self._pivot(xi, xj)
 
     def solve(self) -> bool:
@@ -270,9 +240,8 @@ _UPPER_DELTA = {"<=": 0, "<": -1, "==": 0}
 def _tightened(lo: tuple | None, hi: tuple | None, const: Rational, rel: str) -> tuple:
     """The (lower, upper) pair ``lo``, ``hi`` tightened by ``x rel const``.
 
-    Each bound is a (standard, infinitesimal) pair, compared
-    lexicographically as a ``DeltaRational`` is, or None when absent. The
-    standard part is the constant as an atom's key holds it, an ``int`` when
+    Each bound is a delta-rational pair, or None when absent. The standard
+    part is the constant as an atom's key holds it, an ``int`` when
     integral, which keeps the comparisons cheap.
     """
     if rel in _LOWER_DELTA:
@@ -286,10 +255,10 @@ def _tightened(lo: tuple | None, hi: tuple | None, const: Rational, rel: str) ->
     return lo, hi
 
 
-def _clamped(constraints: list[tuple[LinearAtom, str]]) -> dict[str, DeltaRational] | None:
+def _clamped(constraints: list[tuple[LinearAtom, str]]) -> dict[str, tuple] | None:
     """``_feasible`` when no atom has two variables. The simplex then has no
     rows, and ``solve`` only clamps each variable from 0 into its bounds: the
-    same values, computed on the pairs of ``_tightened``."""
+    same values, the bounds of ``_tightened`` themselves."""
     bounds: dict[str, tuple] = {}
     for a, rel in constraints:
         var = a.coeffs[0][0]  # leading coefficient is 1 by normalization
@@ -298,31 +267,31 @@ def _clamped(constraints: list[tuple[LinearAtom, str]]) -> dict[str, DeltaRation
             return None
     values = {}
     for var, (lo, hi) in bounds.items():
-        if lo is not None and (0, 0) < lo:
-            values[var] = DeltaRational(Fraction(lo[0]), Fraction(lo[1]))
-        elif hi is not None and hi < (0, 0):
-            values[var] = DeltaRational(Fraction(hi[0]), Fraction(hi[1]))
+        if lo is not None and ZERO < lo:
+            values[var] = lo
+        elif hi is not None and hi < ZERO:
+            values[var] = hi
         else:
             values[var] = ZERO
     return values
 
 
-def _feasible(constraints: list[tuple[LinearAtom, str]]) -> dict[str, DeltaRational] | None:
+def _feasible(constraints: list[tuple[LinearAtom, str]]) -> dict[str, tuple] | None:
     """Feasibility of atoms under effective relations (no ``!=`` here)."""
     if all(len(a.coeffs) == 1 for a, _ in constraints):
         return _clamped(constraints)
     return _simplex_feasible(constraints)
 
 
-def _simplex_feasible(constraints: list[tuple[LinearAtom, str]]) -> dict[str, DeltaRational] | None:
+def _simplex_feasible(constraints: list[tuple[LinearAtom, str]]) -> dict[str, tuple] | None:
     simplex = _Simplex()
     for a, _ in constraints:
         for v in a.variables():
             simplex.add_var(v)
     slack_of: dict[tuple, str] = {}
     for a, rel in constraints:
-        lo = DeltaRational(a.const, Fraction(_LOWER_DELTA[rel])) if rel in _LOWER_DELTA else None
-        hi = DeltaRational(a.const, Fraction(_UPPER_DELTA[rel])) if rel in _UPPER_DELTA else None
+        lo = (a.const, _LOWER_DELTA[rel]) if rel in _LOWER_DELTA else None
+        hi = (a.const, _UPPER_DELTA[rel]) if rel in _UPPER_DELTA else None
         if len(a.coeffs) == 1:
             var = a.coeffs[0][0]  # leading coefficient is 1 by normalization
             if not simplex.set_bound(var, lo, hi):
@@ -341,7 +310,7 @@ def _simplex_feasible(constraints: list[tuple[LinearAtom, str]]) -> dict[str, De
     return {v: simplex.value[v] for v in simplex.order if not v.startswith("$s")}
 
 
-def _theory_model(literals: list[tuple[LinearAtom, bool]]) -> dict[str, DeltaRational] | None:
+def _theory_model(literals: list[tuple[LinearAtom, bool]]) -> dict[str, tuple] | None:
     """Solve a conjunction of signed atoms, splitting ``!=`` into ``<`` or ``>``
     depth-first and skipping the subtree of an infeasible decided prefix."""
     plain: list[tuple[LinearAtom, str]] = []
@@ -359,7 +328,7 @@ def _theory_model(literals: list[tuple[LinearAtom, bool]]) -> dict[str, DeltaRat
 
 def _split(
     decided: list[tuple[LinearAtom, str]], splits: list[LinearAtom], i: int
-) -> dict[str, DeltaRational] | None:
+) -> dict[str, tuple] | None:
     for rel in ("<", ">"):
         prefix = decided + [(splits[i], rel)]
         result = _feasible(prefix)
@@ -370,21 +339,20 @@ def _split(
     return None
 
 
-def _concretize(values: dict[str, DeltaRational], literals: list[tuple[LinearAtom, bool]]) -> dict[str, Fraction]:
+def _concretize(values: dict[str, tuple], literals: list[tuple[LinearAtom, bool]]) -> dict[str, Fraction]:
     """Pick a concrete rational delta small enough to keep every constraint true."""
     bounds: list[Fraction] = []
     for a, value in literals:
         eff = a if value else a.negated()
         if len(eff.coeffs) == 1:
             # the leading coefficient is 1, so the left side is the value
-            d = values.get(eff.coeffs[0][0], ZERO)
-            lhs_std, lhs_inf = d.standard, d.infinitesimal
+            lhs_std, lhs_inf = values.get(eff.coeffs[0][0], ZERO)
         else:
             lhs_std = lhs_inf = Fraction(0)
             for var, coeff in eff.coeffs:
-                d = values.get(var, ZERO)
-                lhs_std += coeff * d.standard
-                lhs_inf += coeff * d.infinitesimal
+                std, inf = values.get(var, ZERO)
+                lhs_std += coeff * std
+                lhs_inf += coeff * inf
         gap = eff.const - lhs_std
         if eff.rel in ("<", "<=") and lhs_inf > 0 and gap > 0:
             bounds.append(gap / lhs_inf)
@@ -392,7 +360,7 @@ def _concretize(values: dict[str, DeltaRational], literals: list[tuple[LinearAto
             bounds.append(gap / lhs_inf)
     delta = min(bounds + [Fraction(1)]) / 2
     for _ in range(64):
-        concrete = {v: d.concretize(delta) for v, d in values.items()}
+        concrete = {v: std + inf * delta for v, (std, inf) in values.items()}
         if all((a.holds(concrete) if value else not a.holds(concrete)) for a, value in literals):
             return concrete
         delta /= 2  # only exact-hit disequalities can land here
@@ -488,7 +456,7 @@ def _bound_truth(a: LinearAtom, lo: tuple | None, hi: tuple | None) -> bool | No
 
 def _search(
     g: Formula, trail: list[tuple[LinearAtom, bool]], propagate: bool
-) -> dict[str, DeltaRational] | None:
+) -> dict[str, tuple] | None:
     """The first leaf of a DPLL search over the canonical formula ``g`` that
     the theory accepts: its ``_theory_model`` solution, with the leaf's
     decisions left in ``trail``, or None when ``g`` is unsatisfiable.
@@ -573,7 +541,7 @@ def _search(
                 if p < 0:
                     break
 
-    def search(bounds: dict, hard: int, depth: int) -> dict[str, DeltaRational] | None:
+    def search(bounds: dict, hard: int, depth: int) -> dict[str, tuple] | None:
         done = value[0]
         if done is not None:
             if not done:

@@ -21,9 +21,11 @@ maximally permissive supervisor over the states the closed loop reaches
 (Ramadge and Wonham, SIAM J. Control Optim. 1987).
 
 Patch verification reads all three soundness clauses off two run graphs:
-the original, and the patch composed onto it along enabled moves. The
-run-set clause compares the two exactly, for runs of every length, by a
-search over the pairs of states that one run reaches in both.
+the original, and the run graph of the original and the patch tracker, built
+by the same ``run_graph`` (its state -> tuple map says which original state
+each patched state shadows). The run-set clause compares the two exactly,
+for runs of every length, by a search over the pairs of states that one run
+reaches in both.
 
 Every solver query ranges over the caller's variable set, the model's.
 """
@@ -33,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from . import solver
-from .compose import compose_enabled, enabled_guard, object_graph, run_graph
+from .compose import enabled_guard, object_graph, run_graph
 from .dsl import ScenarioScript, emit_script
 from .formulas import FalseF, Formula, VarSet, _read_only, _set, conj, disj, evaluate, negate
 from .graphs import Edge, GraphError, Model, NamedObject, ObjectGraph, Trace, TraceStep, bfs_tree
@@ -89,7 +91,7 @@ def _composite_with(m: Model, prop: ScenarioScript | ObjectGraph) -> ObjectGraph
     """The run graph of the model's objects and then the property, composed in
     that order."""
     last = property_graph(prop, m.vars)  # before the objects', as SBM_SOLVER_DEBUG shows
-    return run_graph([object_graph(o.item, m.vars) for o in m.objects] + [last], m.vars)
+    return run_graph([object_graph(o.item, m.vars) for o in m.objects] + [last], m.vars)[0]
 
 
 def _bad_path(g: ObjectGraph, vars: VarSet) -> Trace | None:
@@ -167,7 +169,7 @@ def find_deadlocks(g: ObjectGraph, vars: VarSet) -> frozenset[str]:
     Reachability follows enabled edges only: a state behind a permanently
     disabled guard cannot occur in any run, so it cannot deadlock one.
     """
-    return _deadlocks(run_graph([g], vars), vars)
+    return _deadlocks(run_graph([g], vars)[0], vars)
 
 
 def compute_bad_attractor(g: ObjectGraph, initial_bad: Iterable[str], vars: VarSet) -> frozenset[str]:
@@ -178,7 +180,7 @@ def compute_bad_attractor(g: ObjectGraph, initial_bad: Iterable[str], vars: VarS
     Raises GraphError when a seed is not reachable along enabled moves and
     UnrepairableError when the initial state falls in.
     """
-    return _attractor(run_graph([g], vars), initial_bad)
+    return _attractor(run_graph([g], vars)[0], initial_bad)
 
 
 class Patch:
@@ -308,8 +310,8 @@ def verify_patch(
 
     All three read off one original run graph (model plus property; pass
     the one ``repair`` returned as ``composite`` to skip composing it again)
-    and one patched run graph (the patch tracker composed onto it along
-    enabled moves): (a) the patched composite reaches no bad state (else
+    and one patched run graph, ``run_graph`` of the original and the patch
+    tracker: (a) the patched composite reaches no bad state (else
     ``violation`` holds the shortest counterexample); (b) the patch
     introduces no deadlocks; (c) the runs of the patched model are exactly
     the runs of the original minus the violating ones (those entering the
@@ -324,7 +326,7 @@ def verify_patch(
     report = Report()
     vars = m.vars
     original = composite if composite is not None else _composite_with(m, prop)
-    patched, parts = compose_enabled([original, patch.tracker], vars)
+    patched, parts = run_graph([original, patch.tracker], vars)
 
     violation = _bad_path(patched, vars)
     report.safe_after_patch = violation is None

@@ -36,7 +36,7 @@ from sbmod.formulas import (
     negate,
 )
 from sbmod.cells import MAX_CELLS, cell_bound, polarity_classes, satisfiable_cells
-from sbmod.compose import compose_all, compose_enabled, enabled_guard
+from sbmod.compose import compose_all, enabled_guard
 from sbmod.dsl import IfStmt, LoopStmt, ScenarioScript, SyncStmt
 from sbmod.graphs import DiscreteObject, Edge, Model, NamedObject, ObjectGraph, bfs_tree
 from sbmod.runsets import CellRuns
@@ -181,8 +181,7 @@ def with_property(m: Model, prop: ScenarioScript | ObjectGraph) -> Model:
 
 def reference_run_graph(m: Model, prop: ScenarioScript | ObjectGraph) -> ObjectGraph:
     """The run graph of ``m`` with the property ``prop``, by the full product."""
-    full = compose_all(with_property(m, prop))
-    return compose_enabled([full], m.vars)[0]
+    return enabled_cut(compose_all(with_property(m, prop)), m.vars)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +222,21 @@ def enabled_edges(g: ObjectGraph, vars: VarSet) -> dict[str, list[Edge]]:
 def enabled_reachable(g: ObjectGraph, table: dict[str, list[Edge]]) -> list[str]:
     """States some run can reach, BFS order."""
     return [g.initial] + [e.dst for e in bfs_tree(g.initial, table.__getitem__)]
+
+
+def enabled_cut(g: ObjectGraph, vars: VarSet) -> ObjectGraph:
+    """``g`` cut down to the states some run reaches and their enabled edges."""
+    table = enabled_edges(g, vars)
+    reached = enabled_reachable(g, table)
+    return ObjectGraph.make(
+        states=reached,
+        initial=g.initial,
+        request={q: g.request[q] for q in reached},
+        block={q: g.block[q] for q in reached},
+        waitfor={q: g.waitfor[q] for q in reached},
+        edges=[(e.src, e.guard, e.dst) for q in reached for e in table[q]],
+        bad=g.bad & set(reached),
+    )
 
 
 def doomed_states(g: ObjectGraph, vars: VarSet) -> frozenset[str]:
@@ -459,9 +473,9 @@ def ref_first_delta(values, literals: list[tuple[LinearAtom, bool]]) -> Fraction
         lhs_std = Fraction(0)
         lhs_inf = Fraction(0)
         for var, coeff in eff.coeffs:
-            d = values.get(var, solver.ZERO)
-            lhs_std += coeff * d.standard
-            lhs_inf += coeff * d.infinitesimal
+            std, inf = values.get(var, (0, 0))
+            lhs_std += coeff * std
+            lhs_inf += coeff * inf
         gap = eff.const - lhs_std
         if eff.rel in ("<", "<=") and lhs_inf > 0 and gap > 0:
             bounds.append(gap / lhs_inf)
@@ -473,7 +487,7 @@ def ref_first_delta(values, literals: list[tuple[LinearAtom, bool]]) -> Fraction
 def ref_concretize(values, literals: list[tuple[LinearAtom, bool]]) -> dict[str, Fraction]:
     delta = ref_first_delta(values, literals)
     for _ in range(64):
-        concrete = {v: d.concretize(delta) for v, d in values.items()}
+        concrete = {v: std + inf * delta for v, (std, inf) in values.items()}
         if all((a.holds(concrete) if value else not a.holds(concrete)) for a, value in literals):
             return concrete
         delta /= 2

@@ -205,6 +205,56 @@ def test_repair_verify_with_multivariable_atoms(tmp_path, capsys):
             "run containment: pass") in out
 
 
+# Walker requests regions bounded by two-variable atoms, so every model the
+# solver returns here comes from the simplex, strict bounds included.
+SIMPLEX_MODEL = """model { vars x, y;
+  object Walker { loop { sync(request = x + y > 1 && x - y < 2 || x == 0 && y != 1 || 2*x - y >= 3); } }
+  object Fence { loop { sync(block = x - 2*y > 4); } }
+  object NoBig { sync(waitfor = x + y > 1 && x > y); sync(waitfor = 2*x - y > 3); sync(); mark bad; }
+}
+"""
+
+SIMPLEX_PATCH = """object Patch {
+  sync(waitfor = x - y > 0 && x + y > 1);
+  loop {
+    sync(block = x - 1/2*y > 3/2);
+  }
+}
+"""
+
+SIMPLEX_RUN = [
+    ("0", "3/2", ["Walker"]), ("2", "1", ["Walker", "NoBig"]), ("3", "1", ["Walker", "NoBig"]),
+    ("-1/2", "2", ["Walker"]), ("4/3", "-1/3", ["Walker"]), ("2", "1", ["Walker"]), ("0", "0", ["Walker"]),
+    ("1/2", "1", ["Walker"]), ("2", "1", ["Walker"]), ("3/2", "0", ["Walker"]), ("2", "1", ["Walker"]),
+    ("2", "0", ["Walker"]), ("0", "0", ["Walker"]), ("3/2", "-1/2", ["Walker"]), ("3", "1", ["Walker"]),
+    ("0", "3/2", ["Walker"]), ("0", "3/2", ["Walker"]), ("0", "0", ["Walker"]), ("3", "1", ["Walker"]),
+    ("3", "1", ["Walker"]),
+]
+
+
+def test_cli_output_on_simplex_models(tmp_path, capsys):
+    src, emitted = tmp_path / "simplex.sbm", tmp_path / "patched.sbm"
+    src.write_text(SIMPLEX_MODEL)
+    assert main(["check", str(src), "--property", "NoBig"]) == 1
+    assert capsys.readouterr().out == (
+        "Violation: bad state s0⊗s0⊗s2 reachable in 2 steps\n"
+        "  step 1 at s0⊗s0⊗s0: {x=3/2, y=0}\n"
+        "  step 2 at s0⊗s0⊗s1: {x=2, y=0}\n")
+    assert main(["repair", str(src), "--property", "NoBig", "--verify", "--emit-model", str(emitted)]) == 0
+    assert capsys.readouterr().out == (
+        "reachable bad states: s0⊗s0⊗s2\n"
+        "cutting at s0⊗s0⊗s1: blocking x - 1/2*y > 3/2\n"
+        + SIMPLEX_PATCH
+        + "verification: safety after patch: pass; no new deadlocks: pass; run containment: pass\n")
+    patch = "\n".join("  " + line for line in SIMPLEX_PATCH.splitlines())
+    assert emitted.read_text() == SIMPLEX_MODEL.replace("\n}\n", f"\n\n{patch}\n}}\n")
+    assert main(["run", str(src), "--policy", "random-cell", "--seed", "3", "--log", "-"]) == 0
+    out = capsys.readouterr()
+    assert [json.loads(line) for line in out.out.splitlines()] == [
+        {"assignment": {"x": x, "y": y}, "step": i, "woke": woke} for i, (x, y, woke) in enumerate(SIMPLEX_RUN, 1)]
+    assert out.err == "20 steps, stopped by max-steps\n"
+
+
 def test_emit_model_after_trailing_comment(tmp_path, capsys):
     src = tmp_path / "commented.sbm"
     src.write_text(

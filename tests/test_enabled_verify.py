@@ -1,5 +1,5 @@
-"""Analysis along enabled moves: the enabled-move product against the full
-product plus an enabled-edge filter, the patch's tracker against the run
+"""Analysis along enabled moves: the run graph against the full product plus
+an enabled-edge filter, the patch's tracker against the run
 graph, the unbounded run-set comparison against the bounded reference, and
 the one move rule."""
 
@@ -9,9 +9,10 @@ import random
 
 import pytest
 
-from sbmod.compose import JOIN, compose, compose_all, compose_enabled, object_graphs, run_graph
+from sbmod import solver
+from sbmod.compose import JOIN, compose, compose_all, enabled_guard, object_graphs, run_graph
 from sbmod.dsl import parse_model
-from sbmod.formulas import FALSE, VarSet, disj, var_atom
+from sbmod.formulas import FALSE, VarSet, conj, disj, var_atom
 from sbmod.graphs import GraphError, Model, NamedObject, ObjectGraph, encode_discrete
 from sbmod.runsets import CellRuns, CellSpace, runs_equal_minus_violations
 from sbmod.verify import (
@@ -83,24 +84,34 @@ def _full_composite(m: Model, prop) -> ObjectGraph:
 
 
 # ---------------------------------------------------------------------------
-# the enabled-move product
+# the run graph of two parts against the filtered full product
 
 
-def _assert_enabled_product_matches(g1: ObjectGraph, g2: ObjectGraph, vars) -> ObjectGraph:
+def _assert_run_graph_matches(g1: ObjectGraph, g2: ObjectGraph, vars) -> ObjectGraph:
+    """The run graph of ``g1`` and ``g2`` has the states, labels, bad set and
+    parts of their full product cut to enabled moves, and out of each state
+    one edge per destination that fires exactly where the cut's edges into
+    that destination do."""
     full = compose(g1, g2, vars)
     table = enabled_edges(full, vars)
     reached = enabled_reachable(full, table)
-    lazy, pairs = compose_enabled([g1, g2], vars)
-    assert lazy.initial == full.initial
-    assert sorted(lazy.states) == sorted(reached)
-    assert lazy.bad == full.bad & set(reached)
+    graph, parts = run_graph([g1, g2], vars)
+    assert graph.initial == full.initial
+    assert sorted(graph.states) == sorted(reached)
+    assert graph.bad == full.bad & set(reached)
+    # the full product names a pair by joining it; part names may hold JOIN too
+    pairs = {q: [(a, b) for a in g1.states for b in g2.states if a + JOIN + b == q] for q in reached}
+    assert parts == {q: pair for q, (pair,) in pairs.items()}
     for q in reached:
-        assert lazy.out_edges(q) == table[q]  # same edges, guards and order
-        assert JOIN.join(pairs[q]) == q
-        assert pairs[q][0] in g1.states and pairs[q][1] in g2.states
         for labels in ("request", "block", "waitfor"):
-            assert getattr(lazy, labels)[q] == getattr(full, labels)[q]
-    return lazy
+            assert getattr(graph, labels)[q] == getattr(full, labels)[q]
+        enabled = enabled_guard(full, q)
+        out = graph.out_edges(q)
+        assert [e.dst for e in out] == sorted({e.dst for e in table[q]})
+        for e in out:
+            into = disj([r.guard for r in table[q] if r.dst == e.dst])
+            assert solver.equivalent(conj([e.guard, enabled]), conj([into, enabled]), vars), (q, e.dst)
+    return graph
 
 
 @pytest.mark.parametrize("name, patched_states", [
@@ -109,11 +120,11 @@ def _assert_enabled_product_matches(g1: ObjectGraph, g2: ObjectGraph, vars) -> O
 def test_enabled_product_matches_filtered_full_product(name, patched_states, workloads):
     m, prop = _case(name, workloads)
     patch, _, composite = repair(m, prop)
-    lazy = _assert_enabled_product_matches(composite, patch.tracker, m.vars)
+    patched = _assert_run_graph_matches(composite, patch.tracker, m.vars)
     if patched_states is not None:
-        assert len(lazy.states) == patched_states
+        assert len(patched.states) == patched_states
     report = verify_patch(m, patch, prop, composite)
-    assert report.ok and report.details["patched_states"] == len(lazy.states)
+    assert report.ok and report.details["patched_states"] == len(patched.states)
 
 
 def test_enabled_product_of_model_objects(workloads):
@@ -121,7 +132,7 @@ def test_enabled_product_of_model_objects(workloads):
     for name in ("drone", "ring"):
         m, _ = _case(name, workloads)
         (_, a), (_, b), *_ = object_graphs(m)
-        _assert_enabled_product_matches(a, b, m.vars)
+        _assert_run_graph_matches(a, b, m.vars)
 
 
 def _random_object(rng: random.Random, name: str) -> ObjectGraph:
@@ -144,7 +155,7 @@ def _random_object(rng: random.Random, name: str) -> ObjectGraph:
 @pytest.mark.parametrize("seed", range(8))
 def test_enabled_product_on_random_objects(seed):
     rng = random.Random(seed)
-    _assert_enabled_product_matches(_random_object(rng, "a"), _random_object(rng, "b"), VarSet(("x", "y")))
+    _assert_run_graph_matches(_random_object(rng, "a"), _random_object(rng, "b"), VarSet(("x", "y")))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +171,7 @@ def test_enabled_product_on_random_objects(seed):
 def test_run_graph_matches_cut_full_composite(name, workloads):
     m, prop = _case(name, workloads)
     reference = reference_run_graph(m, prop)
-    graph = run_graph([g for _, g in object_graphs(with_property(m, prop))], m.vars)
+    graph, _ = run_graph([g for _, g in object_graphs(with_property(m, prop))], m.vars)
     assert graph.initial == reference.initial
     assert graph.states == reference.states
     assert graph.bad == reference.bad
@@ -199,7 +210,7 @@ def test_run_graph_patch_keeps_the_full_patchs_runs(name, workloads):
     patch, attractor, composite = repair(m, prop)
     over_full = synthesize_patch(full, doomed_states(full, m.vars), m.vars)
     assert len(patch.tracker.states) <= len(over_full.tracker.states)
-    patched = [compose_enabled([composite, p.tracker], m.vars)[0] for p in (patch, over_full)]
+    patched = [run_graph([composite, p.tracker], m.vars)[0] for p in (patch, over_full)]
     space = CellSpace.for_graphs(patched, m.vars)
     a, b = (CellRuns(g, space) for g in patched)
     assert runs_equal_minus_violations(a, b, frozenset()) is None
@@ -242,9 +253,9 @@ def _mutants(patch: Patch, composite: ObjectGraph, vars, rng: random.Random) -> 
 def _difference_against_reference(m: Model, composite: ObjectGraph, patch: Patch,
                                    depth: int) -> tuple[str, object]:
     vars = m.vars
-    lazy, _ = compose_enabled([composite, patch.tracker], vars)
+    lazy, _ = run_graph([composite, patch.tracker], vars)
     full = compose(composite, patch.tracker, vars)
-    # one alphabet for both sides: the full product's atoms cover the lazy one's
+    # one alphabet for both sides: the full product's atoms cover the run graph's
     space = CellSpace.for_graphs([composite, full], vars)
     doomed = doomed_states(composite, vars)
     original = CellRuns(composite, space)

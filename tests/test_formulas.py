@@ -186,6 +186,22 @@ def test_canonicalize_agrees_with_reference_tree_walk():
         _assert_matches_reference(negate(g), ref_negate(g))
 
 
+def test_prefix_conjunction_grows_one_part_at_a_time():
+    # compose._moves extends its canonical prefix by one guard per part; the
+    # query must be the conjunction of the whole guard list, key for key
+    rng = random.Random(5505)
+    for _ in range(1000):
+        pool = rand_atom_pool(rng)
+        parts = [rand_formula(rng, rng.randint(0, 3), pool) for _ in range(rng.randint(1, 6))]
+        parts += rng.sample([TRUE, FALSE], rng.randint(0, 1))
+        rng.shuffle(parts)
+        prefix = TRUE
+        for i, part in enumerate(parts):
+            prefix = conj([prefix, part])
+            whole = conj(parts[:i + 1])
+            assert prefix == whole and formula_key(prefix) == formula_key(whole), parts[:i + 1]
+
+
 def test_varset_sorted_and_validated():
     assert VarSet(("h", "v")).names == VarSet(("v", "h")).names == ("h", "v")
     with pytest.raises(ValueError):

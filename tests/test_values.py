@@ -33,7 +33,7 @@ from sbmod.formulas import (
 )
 from sbmod.graphs import DiscreteObject, Edge, NamedObject, ObjectGraph, Trace, TraceStep
 from sbmod.runsets import CellSpace
-from sbmod.solver import DeltaRational, SatResult
+from sbmod.solver import SatResult
 from sbmod.verify import Counterexample, Safe
 
 from oracles import rand_atom_pool, rand_formula
@@ -79,8 +79,6 @@ def test_value_types_keep_value_equality():
     assert VarSet(("y", "x")) == VarSet(("x", "y")) and hash(VarSet(("y", "x"))) == hash(VarSet(("x", "y")))
     assert Assignment.make({"x": 1, "y": 2}) == Assignment({"y": Fraction(2), "x": Fraction(1)})
     assert Assignment.make({"x": 1}) != Assignment.make({"x": 2})
-    one, delta = DeltaRational(Fraction(1)), DeltaRational(Fraction(0), Fraction(1))
-    assert one - delta == DeltaRational(Fraction(1), Fraction(-1)) != one
 
 
 def test_an_atom_and_its_negation_point_at_each_other():
@@ -123,7 +121,7 @@ def read_only_instances():
         (And((x, x)), "children"), (Or((x, x)), "children"),
         (a, "values"), (Edge("a", x, "a"), "dst"), (DiscreteObject.make(["a"], "a"), "initial"),
         (NamedObject("A", g), "item"), (trace.steps[0], "state"), (trace, "verdict"),
-        (DeltaRational(Fraction(0)), "standard"), (SatResult(a), "model"),
+        (SatResult(a), "model"),
         (ExecutionConfig(max_steps=1), "max_steps"), (LogEntry(1, a, ()), "woke"),
         (Safe(g), "composite"), (Counterexample(trace, g), "trace"), (ScriptState(None, -1), "location"),
         (CellSpace(("x",), (), (a,), {0: (0,)}), "witnesses"), (PredicateSet(()), "atoms"),

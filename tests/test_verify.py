@@ -410,33 +410,31 @@ def _count_calls(monkeypatch, names: tuple[str, ...], module=None) -> dict[str, 
 
 
 def _assert_run_graph_then_patch(calls: dict[str, list], products: dict[str, list]) -> list:
-    """One run_graph build, and one compose_enabled that composes the patch
-    onto that run graph; no full product is folded. Returns the run_graph
-    call's parts."""
-    ((parts, graph),) = calls["run_graph"]
-    ((args, _),) = calls["compose_enabled"]
-    assert len(args[0]) == 2 and args[0][0] is graph
+    """Two run_graph builds: the model's, then the patch composed onto that
+    run graph; no full product is folded. Returns the model's parts."""
+    (model_args, (graph, _)), (patch_args, _) = calls["run_graph"]
+    assert len(patch_args[0]) == 2 and patch_args[0][0] is graph
     assert products["compose_all"] == [] and products["compose"] == []
-    return parts[0]
+    return model_args[0]
 
 
 def test_verify_patch_composes_once(drone_base, drone_property, monkeypatch):
     patch, _, composite = repair(drone_base, drone_property)
-    calls = _count_calls(monkeypatch, ("run_graph", "check_safety", "compose_enabled"))
+    calls = _count_calls(monkeypatch, ("run_graph", "check_safety"))
     products = _count_calls(monkeypatch, ("compose", "compose_all"), _COMPOSE_MODULE)
     assert verify_patch(drone_base, patch, drone_property).ok
     assert calls["check_safety"] == []
     # no full product, original or patched, is built
     _assert_run_graph_then_patch(calls, products)
-    assert calls["compose_enabled"][0][0][0][1] is patch.tracker
+    assert calls["run_graph"][1][0][0][1] is patch.tracker
 
-    # handed repair's run graph, verify_patch composes nothing of its own
+    # handed repair's run graph, verify_patch composes only the patch onto it
     for counted in (*calls.values(), *products.values()):
         counted.clear()
     assert verify_patch(drone_base, patch, drone_property, composite).ok
-    assert calls["run_graph"] == [] and products["compose_all"] == []
-    ((args, _),) = calls["compose_enabled"]
-    assert args[0][0] is composite
+    assert products["compose_all"] == []
+    ((args, _),) = calls["run_graph"]
+    assert args[0][0] is composite and args[0][1] is patch.tracker
 
 
 def test_repair_verify_counts(monkeypatch, capsys):
@@ -444,10 +442,11 @@ def test_repair_verify_counts(monkeypatch, capsys):
 
     from conftest import FIXTURES
 
-    calls = _count_calls(monkeypatch, ("run_graph", "compose_enabled"))
+    calls = _count_calls(monkeypatch, ("run_graph",))
     products = _count_calls(monkeypatch, ("compose", "compose_all"), _COMPOSE_MODULE)
     assert main(["repair", str(FIXTURES / "drone.sbm"), "--property", "NoConsecutiveSharpTurns", "--verify"]) == 0
     assert "run containment: pass" in capsys.readouterr().out
-    # one run graph per run: repair's, shared with verify_patch
+    # one run graph per run: repair's, shared with verify_patch, which
+    # composes the patch onto it
     parts = _assert_run_graph_then_patch(calls, products)
     assert len(parts) == 4  # three objects and the property

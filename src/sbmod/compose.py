@@ -64,7 +64,7 @@ def _moves(graphs: list[ObjectGraph], qs: tuple[str, ...], vars: VarSet) -> Iter
             if i == last and stay and not moved:
                 continue
             guard = conj([prefix, e.guard])
-            if not solver.check_sat(guard, vars).is_sat:
+            if not solver.satisfiable(guard, vars):
                 continue  # unsatisfiable, and so is every move extending it
             if i == last:
                 yield guard, targets + (e.dst,)
@@ -144,7 +144,7 @@ def run_graph(graphs: list[ObjectGraph],
         for dst in sorted(groups):
             targets, guards = groups[dst]
             guard = boolean_minimize(disj(guards), vars)
-            if solver.check_sat(conj([guard, enabled]), vars).is_sat:
+            if solver.satisfiable(conj([guard, enabled]), vars):
                 yield guard, targets
 
     return _product(graphs, vars, merged_enabled)

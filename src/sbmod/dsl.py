@@ -708,7 +708,7 @@ def structure_graph(g: ObjectGraph) -> list:
         out = g.out_edges(q)
         for a in out:
             for b in out:
-                if a.key() < b.key() and solver.check_sat(conj([a.guard, b.guard]), vars).is_sat:
+                if a.key() < b.key() and solver.satisfiable(conj([a.guard, b.guard]), vars):
                     raise EmissionError(f"state {q!r} has overlapping guards; graph is nondeterministic")
         covered = disj([e.guard for e in out])
         if not solver.equivalent(covered, g.wake(q), vars):

@@ -353,7 +353,7 @@ def materialized_edges(g: ObjectGraph, q: StateId, vars: VarSet) -> list[Edge]:
     """Explicit out-edges plus the stay self-loop, when satisfiable over ``vars``."""
     out = g.out_edges(q)
     stay = g.stay_guard(q)
-    if solver.check_sat(stay, vars).is_sat:
+    if solver.satisfiable(stay, vars):
         out = out + [Edge(q, stay, q)]
     return out
 

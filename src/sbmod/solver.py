@@ -43,17 +43,17 @@ decision would (the test suite keeps that search as the reference), so
 ``check_sat`` searches the same tree, reaches the same leaf and returns the
 same model.
 
-``entails`` and ``equivalent`` read no model, only whether their query has
-one, so they search with ``propagate`` and keep their own cache by formula
-key. That adds the bound propagation of Dutertre & de Moura: after each
-decision, every single-variable atom that the trail's bounds decide (the
-same delta-rational pairs as the bound clamping) is assigned. So
-a value whose bound would cross the trail's is pruned before it is tried,
-and the trail's bounds never cross. Literals that set no bound, atoms with
-two variables and ``!=``, keep the periodic theory check, and a leaf that
-holds one runs the exact ``_theory_model``; a leaf of bounds alone is
-satisfiable. Propagation stops on shorter trails, which would change the
-models, so ``check_sat`` searches without it.
+``satisfiable`` answers the yes/no questions (``entails``, ``equivalent``).
+It reads no model, only whether the query has one, so it searches with
+``propagate`` and keeps its own cache by formula key. That adds the bound
+propagation of Dutertre & de Moura: after each decision, every
+single-variable atom that the trail's bounds decide (the same delta-rational
+pairs as the bound clamping) is assigned. So a value whose bound would cross
+the trail's is pruned before it is tried, and the trail's bounds never
+cross. Literals that set no bound, atoms with two variables and ``!=``, keep
+the periodic theory check, and a leaf that holds one runs the exact
+``_theory_model``; a leaf of bounds alone is satisfiable. Propagation stops
+on shorter trails, which would change the models, so ``check_sat`` does not.
 
 Every atom builds its negation once and shares it (``LinearAtom.negated``), so
 the theory check, concretization, the searches and the minimizer negate a
@@ -290,8 +290,7 @@ def _simplex_feasible(constraints: list[tuple[LinearAtom, str]]) -> dict[str, tu
             simplex.add_var(v)
     slack_of: dict[tuple, str] = {}
     for a, rel in constraints:
-        lo = (a.const, _LOWER_DELTA[rel]) if rel in _LOWER_DELTA else None
-        hi = (a.const, _UPPER_DELTA[rel]) if rel in _UPPER_DELTA else None
+        lo, hi = _tightened(None, None, a.const, rel)
         if len(a.coeffs) == 1:
             var = a.coeffs[0][0]  # leading coefficient is 1 by normalization
             if not simplex.set_bound(var, lo, hi):
@@ -476,7 +475,7 @@ def _search(
     undecided connective always has an undecided child, and the branch atom
     is the first one that the walk down the first undecided children reaches.
 
-    ``propagate`` is for the queries that read no model (``_decide``): a
+    ``propagate`` is for the queries that read no model (``satisfiable``): a
     decision on a single-variable literal other than ``!=`` then assigns
     every single-variable atom that the trail's bounds decide, itself
     included, and only the literals that set no bound call for theory
@@ -593,17 +592,18 @@ def _search(
 _decided: dict[tuple, bool] = {}
 
 
-def _decide(f: Formula) -> bool:
-    """Whether ``f`` is satisfiable, as ``check_sat(f, vars).is_sat``."""
+def satisfiable(f: Formula, vars: VarSet) -> bool:
+    """Whether ``f`` is satisfiable, as ``check_sat(f, vars).is_sat``, but with
+    no model, so no ``evaluate`` gate: ``test_decision_matches_check_sat``
+    checks the answers. Dumps the query as ``check_sat`` does."""
+    _debug_dump(f, vars)
     g = canonicalize(f)
     return remember(_decided, formula_key(g), lambda: _search(g, [], propagate=True) is not None)
 
 
 def entails(f: Formula, g: Formula, vars: VarSet) -> bool:
     """True iff every assignment satisfying ``f`` satisfies ``g``."""
-    query = conj([f, negate(g)])
-    _debug_dump(query, vars)
-    return not _decide(query)
+    return not satisfiable(conj([f, negate(g)]), vars)
 
 
 def equivalent(f: Formula, g: Formula, vars: VarSet) -> bool:

@@ -128,7 +128,7 @@ def _deadlocks(g: ObjectGraph, vars: VarSet) -> frozenset[str]:
     # a run-graph state with an out-edge has a satisfiable enabled guard
     return frozenset(
         q for q in g.states
-        if not g.out_edges(q) and not solver.check_sat(enabled_guard(g, q), vars).is_sat
+        if not g.out_edges(q) and not solver.satisfiable(enabled_guard(g, q), vars)
     )
 
 
@@ -231,7 +231,7 @@ def synthesize_patch(
         edges = kept[q]
         for i, a in enumerate(edges):
             for b in edges[i + 1:]:
-                if solver.check_sat(conj([a.guard, b.guard]), vars).is_sat:
+                if solver.satisfiable(conj([a.guard, b.guard]), vars):
                     raise DeterminizationError(
                         f"overlapping guards out of {q!r}; tracker cannot be deterministic")
 
@@ -239,9 +239,9 @@ def synthesize_patch(
     waitfor = {q: boolean_minimize(disj([e.guard for e in kept[q]]), vars) for q in tracked}
     for q in tracked:
         enabled = enabled_guard(g, q)
-        if not solver.check_sat(enabled, vars).is_sat:
+        if not solver.satisfiable(enabled, vars):
             continue  # was already deadlocked before the patch
-        if not solver.check_sat(conj([enabled, negate(block_at[q])]), vars).is_sat:
+        if not solver.satisfiable(conj([enabled, negate(block_at[q])]), vars):
             report = Report(details={"deadlocked_state": q})
             raise RepairUnsoundError(f"patch would deadlock state {q!r}", report)
 

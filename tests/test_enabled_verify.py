@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from sbmod import solver
+from sbmod import cells, minimize, solver
 from sbmod.compose import JOIN, compose, compose_all, enabled_guard, object_graphs, run_graph
 from sbmod.dsl import parse_model
 from sbmod.formulas import FALSE, VarSet, conj, disj, var_atom
@@ -31,6 +31,7 @@ from oracles import (
     doomed_states,
     enabled_edges,
     enabled_reachable,
+    indep_text,
     rand_atom_pool,
     rand_formula,
     reference_run_graph,
@@ -75,6 +76,8 @@ def _case(name: str, workloads) -> tuple[Model, object]:
         return _parsed(ring_n_text(int(size or 5)), "P")
     if family == "token_ring":
         return _parsed(token_ring_text(int(size or 4)), "ReachLast")
+    if family == "indep":
+        return _parsed(indep_text(int(size or 4)), "P")
     raise KeyError(name)
 
 
@@ -313,6 +316,30 @@ def test_verify_patch_on_ring_n(n):
     # each station requests its own value and the next one blocks it, so no
     # run gets past the initial state
     assert report.details["patched_states"] == 1
+
+
+@pytest.mark.parametrize("name", ["indep:4", "ring:5"])
+def test_warm_repair_and_verify_build_no_model(name, workloads, monkeypatch):
+    # the yes/no questions of the product, the deadlock checks and the patch
+    # go through ``satisfiable``; with the caches warm, a safe patched run
+    # graph leaves no question that needs a model
+    for module, cache in [(solver, "_cache"), (solver, "_decided"), (cells, "_cache"), (minimize, "_cache")]:
+        monkeypatch.setattr(module, cache, {})
+    m, prop = _case(name, workloads)
+
+    def round_trip():
+        patch, attractor, composite = repair(m, prop)
+        return patch.tracker, attractor, composite, verify_patch(m, patch, prop, composite)
+
+    tracker, attractor, composite, report = round_trip()
+
+    def no_model(f, vars):
+        raise AssertionError("a yes/no question built a model")
+
+    monkeypatch.setattr(solver, "check_sat", no_model)
+    again = round_trip()
+    assert again[:3] == (tracker, attractor, composite)
+    assert again[3].summary() == report.summary() and again[3].details == report.details
 
 
 # ---------------------------------------------------------------------------

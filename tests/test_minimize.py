@@ -42,8 +42,8 @@ def test_primes_agree_with_pairwise_merging():
 
 def _count_queries(monkeypatch) -> dict[str, int]:
     """Count the model searches (``check_sat``) and the decision-only ones
-    (``_decide``, which the minimizer's certificate runs through ``entails``)."""
-    calls = dict.fromkeys(("check_sat", "_decide"), 0)
+    (``satisfiable``, which the minimizer's certificate runs through ``entails``)."""
+    calls = dict.fromkeys(("check_sat", "satisfiable"), 0)
     for name in calls:
         def counted(*args, name=name, real=getattr(solver, name)):
             calls[name] += 1
@@ -61,10 +61,10 @@ def test_repeat_call_makes_no_solver_query(monkeypatch):
     f = disj([var_atom("x", ">=", 3), var_atom("x", ">=", 5), var_atom("y", "<", 1)])
     first = boolean_minimize(f, XY)
     assert calls["check_sat"] > 0
-    assert calls["_decide"] == 2  # the certificate's two entailments
-    calls.update(check_sat=0, _decide=0)
+    assert calls["satisfiable"] == 2  # the certificate's two entailments
+    calls.update(check_sat=0, satisfiable=0)
     assert boolean_minimize(f, XY) == first
-    assert calls == {"check_sat": 0, "_decide": 0}
+    assert calls == {"check_sat": 0, "satisfiable": 0}
 
 
 def test_memo_stops_inserting_at_the_limit(monkeypatch):
@@ -94,7 +94,7 @@ def test_guard_over_many_independent_atoms_is_left_as_written(monkeypatch):
     assert cells.cell_bound(atoms_of(f)) == 1 << 14
     calls = _count_queries(monkeypatch)
     assert boolean_minimize(f, VarSet(names)) == f
-    assert calls == {"check_sat": 0, "_decide": 0}
+    assert calls == {"check_sat": 0, "satisfiable": 0}
 
 
 def test_unsatisfiable_guard_minimizes_to_false():

@@ -10,6 +10,7 @@ from sbmod.formulas import (
     Atom,
     LinearAtom,
     VarSet,
+    atom,
     atoms_of,
     canonicalize,
     conj,
@@ -245,6 +246,21 @@ def test_debug_dump_writes_each_query_to_stderr(monkeypatch, capsys):
     assert capsys.readouterr().err.count("(check-sat)") == 1
 
 
+def test_satisfiable_dumps_what_check_sat_dumps(monkeypatch, capsys):
+    monkeypatch.setenv("SBM_SOLVER_DEBUG", "1")
+    xy = VarSet(("x", "y"))
+    two = atom({"x": 1, "y": -1}, "<", Fraction(1, 2))
+    for f in [
+        conj([two, var_atom("x", ">=", 2)]),
+        disj([conj([two, var_atom("y", "!=", 0)]), var_atom("x", "<", -1)]),
+        conj([atom({"x": 1, "y": 1}, "==", 3), var_atom("x", ">", 3), var_atom("y", ">", 0)]),
+    ]:
+        expected = check_sat(f, xy).is_sat
+        dumped = capsys.readouterr().err
+        assert solver.satisfiable(f, xy) == expected
+        assert capsys.readouterr().err == dumped == to_smtlib2(f, xy) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # single-variable conjunctions: bound clamping against the simplex
 
@@ -344,7 +360,7 @@ def test_decision_matches_check_sat(monkeypatch):
         f = conj([rand_formula(rng, rng.randint(0, 2), pool) for _ in range(rng.randint(2, 6))])
         g = rand_formula(rng, rng.randint(0, 3), pool)
         expected = check_sat(f, xyz).is_sat
-        assert solver._decide(f) == expected, f
+        assert solver.satisfiable(f, xyz) == expected, f
         holds = entails(f, g, xyz)
         assert holds == (not check_sat(conj([f, negate(g)]), xyz).is_sat), (f, g)
         sat += expected

@@ -22,7 +22,7 @@ from .formulas import (
     to_sexpr,
     var_atom,
 )
-from .solver import SatResult, check_sat, entails, equivalent, satisfiable
+from .solver import check_sat, entails, equivalent, satisfiable
 from .graphs import DiscreteObject, Model, NamedObject, ObjectGraph, Trace, encode_discrete, to_dot, to_json_dict
 from .dsl import ParseError, PredicateSet, ScenarioScript, collect_predicates, emit_script, parse_model
 from .extract import ExtractStats, ScriptState, extract_graph, initial_state, simplify_graph, step_script
@@ -46,7 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Assignment", "Formula", "LinearAtom", "VarSet", "atom", "canonicalize", "conj",
     "disj", "evaluate", "negate", "to_infix", "to_sexpr", "var_atom",
-    "SatResult", "check_sat", "entails", "equivalent", "satisfiable",
+    "check_sat", "entails", "equivalent", "satisfiable",
     "DiscreteObject", "Model", "NamedObject", "ObjectGraph", "Trace", "encode_discrete",
     "to_dot", "to_json_dict",
     "ParseError", "PredicateSet", "ScenarioScript", "collect_predicates", "emit_script",

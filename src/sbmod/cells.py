@@ -111,7 +111,7 @@ def _enumerate(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[Cell, ...]:
             prefix = literals + [_literal(atoms[i], positive)]
             inside = witness
             if atoms[i].holds(witness.values) != positive:
-                inside = solver.check_sat(And(tuple(prefix)), everything).model
+                inside = solver.check_sat(And(tuple(prefix)), everything)
                 if inside is None:
                     continue
             descend(i + 1, mask | (positive << i), prefix, inside)
@@ -124,7 +124,7 @@ def _witness(atoms: Sequence[LinearAtom], mask: int, vars: VarSet) -> Assignment
     """The solver's model of the cell, queried as the plain conjunction of its
     literals in atom order (``check_sat(cell_formula(atoms, mask), vars)``)."""
     literals = tuple(_literal(a, bool((mask >> i) & 1)) for i, a in enumerate(atoms))
-    return solver.check_sat(And(literals), vars).model
+    return solver.check_sat(And(literals), vars)
 
 
 def _line_masks(atoms: Sequence[LinearAtom]) -> list[int]:

@@ -87,9 +87,6 @@ class EventLog:
         self.entries: list[LogEntry] = []
         self.stop_reason = "max-steps"  # "max-steps" | "deadlock" | "ended"
 
-    def assignments(self) -> list[Assignment]:
-        return [e.assignment for e in self.entries]
-
     def to_jsonl(self) -> str:
         lines = []
         for e in self.entries:
@@ -113,9 +110,9 @@ def _selection(declarations: list[tuple[Formula, Formula]], vars: VarSet,
     blocks = disj([b for _, b in declarations])
     base = conj([requests, negate(blocks)])
     first = solver.check_sat(base, vars)
-    if not first.is_sat:
+    if first is None:
         return None, None
-    model = first.model.restricted_to(vars)
+    model = first.restricted_to(vars)
     if policy == FIRST_MODEL:
         return model, None
     atoms = polarity_classes(atoms_of(base))

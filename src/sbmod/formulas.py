@@ -152,25 +152,17 @@ class LinearAtom:
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.coeffs)
 
-    def lhs_value(self, values: Mapping[str, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for var, coeff in self.coeffs:
-            try:
-                total += coeff * values[var]
-            except KeyError:
-                raise DomainMismatchError(f"assignment missing variable {var!r}")
-        return total
-
     def holds(self, values: Mapping[str, Fraction]) -> bool:
-        if len(self.coeffs) == 1:
-            # the leading coefficient is 1, so the left side is the value
-            var = self.coeffs[0][0]
-            try:
-                lhs = values[var]
-            except KeyError:
-                raise DomainMismatchError(f"assignment missing variable {var!r}")
-        else:
-            lhs = self.lhs_value(values)
+        try:
+            if len(self.coeffs) == 1:
+                # the leading coefficient is 1, so the left side is the value
+                lhs = values[self.coeffs[0][0]]
+            else:
+                lhs = Fraction(0)
+                for var, coeff in self.coeffs:
+                    lhs += coeff * values[var]
+        except KeyError as missing:
+            raise DomainMismatchError(f"assignment missing variable {missing.args[0]!r}")
         if self.rel == "<":
             return lhs < self.const
         if self.rel == "<=":

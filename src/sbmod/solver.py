@@ -1,5 +1,9 @@
 """Satisfiability of quantifier-free linear real arithmetic, with models.
 
+A model query, ``check_sat``, returns the model, an ``Assignment``, or None
+when the query is unsatisfiable; a yes/no query, ``satisfiable``, returns a
+bool.
+
 Architecture: a small DPLL search over the Boolean structure (branching on
 atoms and deciding the connectives above them) hands conjunctions of theory
 literals to a general-simplex feasibility check (when no atom has two
@@ -82,8 +86,6 @@ from .formulas import (
     Or,
     TrueF,
     VarSet,
-    _read_only,
-    _set,
     canonicalize,
     conj,
     evaluate,
@@ -92,23 +94,6 @@ from .formulas import (
     to_sexpr,
     variables_of,
 )
-
-
-class SatResult:
-    """Outcome of a satisfiability query: a model, or None for Unsat."""
-
-    __slots__ = ("model",)
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, model: Assignment | None) -> None:
-        _set(self, "model", model)
-
-    @property
-    def is_sat(self) -> bool:
-        return self.model is not None
-
-
-UNSAT = SatResult(None)
 
 
 # ---------------------------------------------------------------------------
@@ -373,24 +358,25 @@ def _concretize(values: dict[str, tuple], literals: list[tuple[LinearAtom, bool]
 # query cache: everything here is deterministic and formulas are immutable,
 # so identical queries (frequent across extraction/composition) are replayed;
 # it and every other per-process cache are kept by ``remember``
-_cache: dict[tuple, SatResult] = {}
+_cache: dict[tuple, Assignment | None] = {}
 _CACHE_LIMIT = 200_000
+_MISS = object()
 
 
 def remember(cache: dict, key: object, compute: Callable[[], object]):
     """``cache[key]``, else ``compute()``, kept while ``cache`` holds fewer
-    than ``_CACHE_LIMIT`` entries. Only None counts as a miss, so a cached
-    False or empty tuple is a hit."""
-    value = cache.get(key)
-    if value is None:
+    than ``_CACHE_LIMIT`` entries. A present key is a hit, so a cached None,
+    False or empty tuple is answered from the cache."""
+    value = cache.get(key, _MISS)
+    if value is _MISS:
         value = compute()
         if len(cache) < _CACHE_LIMIT:
             cache[key] = value
     return value
 
 
-def check_sat(f: Formula, vars: VarSet) -> SatResult:
-    """Decide satisfiability of ``f``; on Sat, return a concrete rational model.
+def check_sat(f: Formula, vars: VarSet) -> Assignment | None:
+    """A concrete rational model of ``f``, or None when ``f`` is unsatisfiable.
 
     The model covers every variable in ``vars`` (and any extra variables the
     formula mentions); unconstrained variables are assigned 0. Deterministic.
@@ -400,7 +386,7 @@ def check_sat(f: Formula, vars: VarSet) -> SatResult:
     return remember(_cache, (formula_key(g), vars.names), lambda: _solve(g, vars))
 
 
-def _solve(g: Formula, vars: VarSet) -> SatResult:
+def _solve(g: Formula, vars: VarSet) -> Assignment | None:
     literals = g.children if isinstance(g, And) else (g,)
     if all(isinstance(c, Atom) for c in literals):
         # the trail on which ``_search`` would reach its leaf (module docstring)
@@ -410,13 +396,13 @@ def _solve(g: Formula, vars: VarSet) -> SatResult:
         trail = []
         solution = _search(g, trail, propagate=False)
     if solution is None:
-        return UNSAT
+        return None
     concrete = _concretize(solution, trail)
     names = set(vars.names) | variables_of(g)
     model = Assignment({v: concrete.get(v, Fraction(0)) for v in sorted(names)})
     if not evaluate(g, model):
         raise RuntimeError("solver produced a non-model")
-    return SatResult(model)
+    return model
 
 
 def _debug_dump(f: Formula, vars: VarSet) -> None:
@@ -593,9 +579,10 @@ _decided: dict[tuple, bool] = {}
 
 
 def satisfiable(f: Formula, vars: VarSet) -> bool:
-    """Whether ``f`` is satisfiable, as ``check_sat(f, vars).is_sat``, but with
-    no model, so no ``evaluate`` gate: ``test_decision_matches_check_sat``
-    checks the answers. Dumps the query as ``check_sat`` does."""
+    """Whether ``f`` is satisfiable, as ``check_sat(f, vars) is not None``,
+    but with no model, so no ``evaluate`` gate:
+    ``test_decision_matches_check_sat`` checks the answers. Dumps the query
+    as ``check_sat`` does."""
     _debug_dump(f, vars)
     g = canonicalize(f)
     return remember(_decided, formula_key(g), lambda: _search(g, [], propagate=True) is not None)

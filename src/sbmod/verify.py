@@ -114,7 +114,7 @@ def _bad_path(g: ObjectGraph, vars: VarSet) -> Trace | None:
     steps = []
     for e in path:
         query = conj([e.guard, enabled_guard(g, e.src)])
-        model = solver.check_sat(query, vars).model
+        model = solver.check_sat(query, vars)
         if model is None:
             raise RuntimeError(f"enabled edge out of {e.src!r} lost satisfiability")
         a = model.restricted_to(vars)

@@ -193,13 +193,13 @@ def reference_run_graph(m: Model, prop: ScenarioScript | ObjectGraph) -> ObjectG
 def ref_select_event(declarations, vars: VarSet, policy: str = "first-model", rng=None):
     base = conj([disj([r for r, _ in declarations]), negate(disj([b for _, b in declarations]))])
     first = solver.check_sat(base, vars)
-    if not first.is_sat:
+    if first is None:
         return None
     if policy == "first-model" or rng is None:
-        return first.model.restricted_to(vars)
+        return first.restricted_to(vars)
     atoms = polarity_classes(atoms_of(base))
     if not atoms or cell_bound(atoms) > MAX_CELLS:
-        return first.model.restricted_to(vars)
+        return first.restricted_to(vars)
     inside = [w for _, w in satisfiable_cells(atoms, vars) if evaluate(base, w)]
     return inside[rng.randrange(len(inside))].restricted_to(vars)
 
@@ -215,7 +215,7 @@ def enabled_edges(g: ObjectGraph, vars: VarSet) -> dict[str, list[Edge]]:
     table = {}
     for q in g.reachable():
         enabled = enabled_guard(g, q)
-        table[q] = [e for e in g.out_edges(q) if solver.check_sat(conj([e.guard, enabled]), vars).is_sat]
+        table[q] = [e for e in g.out_edges(q) if solver.check_sat(conj([e.guard, enabled]), vars) is not None]
     return table
 
 

@@ -75,7 +75,7 @@ def backward_check(vars, script, graph, rng, paths, depth):
         for _ in range(depth):
             options = materialized_edges(graph, q, vars)
             e = options[rng.randrange(len(options))]
-            model = check_sat(e.guard, vars).model
+            model = check_sat(e.guard, vars)
             assert model is not None and evaluate(e.guard, model)
             s = step_script(s, model.restricted_to(vars))
             assert s.name == e.dst

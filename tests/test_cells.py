@@ -28,7 +28,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "sbmod"
 def _brute_force(atoms, vars):
     # reference enumeration: one query per mask
     return {mask for mask in range(1 << len(atoms))
-            if check_sat(cell_formula(atoms, mask), vars).is_sat}
+            if check_sat(cell_formula(atoms, mask), vars) is not None}
 
 
 def test_cells_match_brute_force_on_drone_predicates(drone_model):
@@ -39,7 +39,7 @@ def test_cells_match_brute_force_on_drone_predicates(drone_model):
     masks = [mask for mask, _ in cells]
     assert masks == sorted(_brute_force(atoms, drone_model.vars))
     for mask, witness in cells:
-        assert witness == check_sat(cell_formula(atoms, mask), drone_model.vars).model
+        assert witness == check_sat(cell_formula(atoms, mask), drone_model.vars)
         assert sign_mask(atoms, witness) == mask
 
 
@@ -104,7 +104,7 @@ def test_line_cells_match_brute_force_on_single_variable_atoms():
         expected = sorted(_brute_force(atoms, vars))
         assert [mask for mask, _ in cells] == expected, atoms
         for mask, witness in cells:
-            assert witness == check_sat(cell_formula(atoms, mask), vars).model
+            assert witness == check_sat(cell_formula(atoms, mask), vars)
             assert sign_mask(atoms, witness) == mask
         pruned += len(expected) < 1 << len(atoms)
     assert pruned >= 40

@@ -64,7 +64,7 @@ def test_commutative_and_associative_up_to_isomorphism(drone_model):
 def test_all_composite_guards_satisfiable(drone_model):
     comp = compose_all(drone_model)
     for e in comp.edges:
-        assert check_sat(e.guard, VH).is_sat
+        assert check_sat(e.guard, VH) is not None
 
 
 def test_drone_composite_has_six_states(drone_model):
@@ -130,7 +130,7 @@ def test_enabled_guard_examples(drone_model):
     terminal = [q for q in comp.states if equivalent(comp.request[q], TRUE, VH) and q not in comp.bad]
     assert terminal
     for q in terminal:
-        assert check_sat(enabled_guard(comp, q), VH).is_sat
+        assert check_sat(enabled_guard(comp, q), VH) is not None
 
     nothing = ObjectGraph.make(states=["d"], initial="d")
     assert enabled_guard(nothing, "d") == FALSE
@@ -144,4 +144,4 @@ def test_self_blocking_state_is_disabled():
         request={"d": var_atom("x", "<", 5)},
         block={"d": var_atom("x", "<", 5)},
     )
-    assert not check_sat(enabled_guard(g, "d"), VarSet(("x",))).is_sat
+    assert check_sat(enabled_guard(g, "d"), VarSet(("x",))) is None

@@ -85,7 +85,7 @@ def test_multivariable_guards_through_extraction():
     g = simplify_graph(extract_graph(m.get("Sum"), m.vars), m.vars)
     assert len(g.states) == 2
     (entry,) = [e for e in g.out_edges("s0") if e.dst == "s1"]
-    model = check_sat(entry.guard, m.vars).model
+    model = check_sat(entry.guard, m.vars)
     assert model["x"] + model["y"] >= 10
     log = run(m, ExecutionConfig(max_steps=2))
     first = log.entries[0].assignment
@@ -145,9 +145,9 @@ def test_solver_thread_safety(drone_model):
     for i in range(40):
         f = conj([var_atom("v", ">=", i % 7), var_atom("v", "<", (i % 7) + (i % 3))])
         queries.append(f)
-    serial = [check_sat(f, VH).is_sat for f in queries]
+    serial = [check_sat(f, VH) is not None for f in queries]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda f: check_sat(f, VH).is_sat, queries))
+        parallel = list(pool.map(lambda f: check_sat(f, VH) is not None, queries))
     assert serial == parallel
 
     with ThreadPoolExecutor(max_workers=4) as pool:

@@ -169,11 +169,11 @@ def test_composite_paths_replay_in_engine(drone_base):
         object_states = [initial_state(s) for s in scripts]
         for _ in range(6):
             options = [e for e in comp.out_edges(state)
-                       if check_sat(conj([e.guard, enabled_guard(comp, state)]), VH).is_sat]
+                       if check_sat(conj([e.guard, enabled_guard(comp, state)]), VH) is not None]
             if not options:
                 break
             edge = options[rng.randrange(len(options))]
-            a = check_sat(conj([edge.guard, enabled_guard(comp, state)]), VH).model.restricted_to(VH)
+            a = check_sat(conj([edge.guard, enabled_guard(comp, state)]), VH).restricted_to(VH)
             object_states = [step_script(s, a) for s in object_states]
             state = edge.dst
             assert state == JOIN.join(s.name for s in object_states)

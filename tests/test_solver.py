@@ -40,13 +40,13 @@ VH = VarSet(("v", "h"))
 def test_sat_with_model():
     f = conj([var_atom("v", ">=", 2), var_atom("h", "==", 0)])
     r = check_sat(f, VH)
-    assert r.is_sat
-    assert evaluate(f, r.model)
+    assert r is not None
+    assert evaluate(f, r)
 
 
 def test_unsat_contradiction():
     f = conj([var_atom("x", "<", 5), var_atom("x", ">=", 5)])
-    assert not check_sat(f, VarSet(("x",))).is_sat
+    assert check_sat(f, VarSet(("x",))) is None
 
 
 def test_interval_intersection():
@@ -57,33 +57,33 @@ def test_interval_intersection():
         var_atom("v", ">", -5), var_atom("v", "<", 5), var_atom("v", "==", 0),
     ])
     r = check_sat(f, VH)
-    assert r.is_sat
-    assert r.model["v"] == 0
-    assert Fraction(18) <= r.model["h"] < Fraction(20)
+    assert r is not None
+    assert r["v"] == 0
+    assert Fraction(18) <= r["h"] < Fraction(20)
 
 
 def test_strict_inequalities_satisfied_strictly():
     f = conj([var_atom("x", ">", 0), var_atom("x", "<", Fraction(1, 1000))])
     r = check_sat(f, VarSet(("x",)))
-    assert r.is_sat
-    assert 0 < r.model["x"] < Fraction(1, 1000)
+    assert r is not None
+    assert 0 < r["x"] < Fraction(1, 1000)
 
 
 def test_disequality_split():
     f = conj([var_atom("x", "!=", 0), var_atom("x", ">=", 0), var_atom("x", "<=", 1)])
     r = check_sat(f, VarSet(("x",)))
-    assert r.is_sat
-    assert 0 < r.model["x"] <= 1
+    assert r is not None
+    assert 0 < r["x"] <= 1
 
 
 def test_unconstrained_variables_default_to_zero():
     r = check_sat(var_atom("v", ">=", 2), VH)
-    assert r.model["h"] == 0
+    assert r["h"] == 0
 
 
 def test_determinism():
     f = disj([conj([var_atom("v", ">=", 2), var_atom("h", "<", 0)]), var_atom("h", ">", 7)])
-    models = [check_sat(f, VH).model for _ in range(3)]
+    models = [check_sat(f, VH) for _ in range(3)]
     assert models[0] == models[1] == models[2]
 
 
@@ -126,15 +126,15 @@ def test_model_soundness_randomized():
     for _ in range(1500):
         f = rand_formula(rng, rng.randint(1, 6), rand_atom_pool(rng))
         r = check_sat(f, vars)
-        if r.is_sat:
-            assert evaluate(f, r.model)
+        if r is not None:
+            assert evaluate(f, r)
 
 
 def test_conjunction_agrees_with_fourier_motzkin():
     rng = random.Random(5)
     for _ in range(400):
         atoms = rand_conjunction(rng)
-        ours = check_sat(conj([_wrap(a) for a in atoms]), VarSet(("w", "x", "y", "z"))).is_sat
+        ours = check_sat(conj([_wrap(a) for a in atoms]), VarSet(("w", "x", "y", "z"))) is not None
         oracle = fourier_motzkin_satisfiable(atoms)
         assert ours == oracle
 
@@ -153,14 +153,14 @@ def test_multivar_constraints_via_simplex():
         var_atom("x", "<=", 6),
     ])
     r = check_sat(f, VarSet(("x", "y")))
-    assert r.is_sat
-    assert evaluate(f, r.model)
+    assert r is not None
+    assert evaluate(f, r)
     unsat = conj([
         _wrap_atoms({"x": 1, "y": 1}, ">=", 10),
         var_atom("x", "<=", 2),
         var_atom("y", "<=", 2),
     ])
-    assert not check_sat(unsat, VarSet(("x", "y"))).is_sat
+    assert check_sat(unsat, VarSet(("x", "y"))) is None
 
 
 def _wrap_atoms(coeffs, rel, const):
@@ -228,7 +228,7 @@ def test_split_search_prunes_infeasible_prefixes(monkeypatch):
     assert model == ref_theory_model(literals)
     f = conj([var_atom("x", ">=", 0), var_atom("x", "<=", k - 1)]
              + [var_atom("x", "!=", i) for i in range(k)])
-    assert check_sat(f, VarSet(("x",))).model == Assignment({"x": Fraction(1, 2)})
+    assert check_sat(f, VarSet(("x",))) == Assignment({"x": Fraction(1, 2)})
 
 
 def test_debug_dump_writes_each_query_to_stderr(monkeypatch, capsys):
@@ -255,7 +255,7 @@ def test_satisfiable_dumps_what_check_sat_dumps(monkeypatch, capsys):
         disj([conj([two, var_atom("y", "!=", 0)]), var_atom("x", "<", -1)]),
         conj([atom({"x": 1, "y": 1}, "==", 3), var_atom("x", ">", 3), var_atom("y", ">", 0)]),
     ]:
-        expected = check_sat(f, xy).is_sat
+        expected = check_sat(f, xy) is not None
         dumped = capsys.readouterr().err
         assert solver.satisfiable(f, xy) == expected
         assert capsys.readouterr().err == dumped == to_smtlib2(f, xy) + "\n"
@@ -359,10 +359,10 @@ def test_decision_matches_check_sat(monkeypatch):
         # a conjunction of small formulas is unsatisfiable often enough
         f = conj([rand_formula(rng, rng.randint(0, 2), pool) for _ in range(rng.randint(2, 6))])
         g = rand_formula(rng, rng.randint(0, 3), pool)
-        expected = check_sat(f, xyz).is_sat
+        expected = check_sat(f, xyz) is not None
         assert solver.satisfiable(f, xyz) == expected, f
         holds = entails(f, g, xyz)
-        assert holds == (not check_sat(conj([f, negate(g)]), xyz).is_sat), (f, g)
+        assert holds == (check_sat(conj([f, negate(g)]), xyz) is None), (f, g)
         sat += expected
         unsat += not expected
         entailed += holds and expected
@@ -415,11 +415,11 @@ def test_conjunction_takes_the_search_leaf_model(monkeypatch):
             patched.setattr(solver, "_search", no_search)
             result = check_sat(f, wxyz)
         if solution is None:
-            assert not result.is_sat, f
+            assert result is None, f
             unsat += 1
             continue
         concrete = solver._concretize(solution, trail)
-        assert result.model == Assignment({v: concrete.get(v, Fraction(0)) for v in wxyz.names}), f
+        assert result == Assignment({v: concrete.get(v, Fraction(0)) for v in wxyz.names}), f
         sat_with_splits += any(a.rel == "!=" for a in atoms_of(f))
         sat_with_rows += any(len(a.coeffs) == 2 for a in atoms_of(f))
     assert unsat >= 300 and sat_with_splits >= 300 and sat_with_rows >= 300, (unsat, sat_with_splits, sat_with_rows)
@@ -453,11 +453,11 @@ def test_model_search_matches_the_rebuild_reference(monkeypatch):
         result = check_sat(g, wxyz)
         calls.clear()
         if expected is None:
-            assert not result.is_sat, g
+            assert result is None, g
             unsat += 1
         else:
             concrete = solver._concretize(expected, expected_trail)
-            assert result.model == Assignment({v: concrete.get(v, Fraction(0)) for v in wxyz.names}), g
+            assert result == Assignment({v: concrete.get(v, Fraction(0)) for v in wxyz.names}), g
             sat += 1
         atoms = atoms_of(g)
         one_variable += any(len(a.coeffs) == 1 for a in atoms)
@@ -493,6 +493,19 @@ def test_remember_hits_on_a_cached_false_or_empty_tuple():
     assert solver.remember(cache, "new", recompute) is False
 
 
+def test_remember_keeps_a_cached_none():
+    # check_sat caches None for an unsatisfiable query; asking again must not solve it again
+    cache, calls = {}, []
+
+    def compute():
+        calls.append(1)
+        return None
+
+    assert solver.remember(cache, "unsat", compute) is None
+    assert solver.remember(cache, "unsat", compute) is None
+    assert len(calls) == 1
+
+
 def test_every_per_process_cache_is_bounded(monkeypatch):
     caches = [(solver, "_cache"), (solver, "_decided"), (cells, "_cache"), (minimize, "_cache"),
               (engine, "_selections")]
@@ -501,7 +514,7 @@ def test_every_per_process_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(solver, "_CACHE_LIMIT", 1)
     q = VarSet(("q",))
     f = disj([conj([var_atom("q", ">=", 1), var_atom("q", "<", 3)]), var_atom("q", ">", 2)])
-    assert check_sat(f, q).is_sat
+    assert check_sat(f, q) is not None
     assert entails(var_atom("q", ">", 5), f, q)
     assert len(cells.satisfiable_cells([var_atom("q", "<", 1).atom, var_atom("q", ">", 4).atom], q)) == 3
     assert minimize.boolean_minimize(f, q) == var_atom("q", ">=", 1)

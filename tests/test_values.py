@@ -33,7 +33,6 @@ from sbmod.formulas import (
 )
 from sbmod.graphs import DiscreteObject, Edge, NamedObject, ObjectGraph, Trace, TraceStep
 from sbmod.runsets import CellSpace
-from sbmod.solver import SatResult
 from sbmod.verify import Counterexample, Safe
 
 from oracles import rand_atom_pool, rand_formula
@@ -121,7 +120,6 @@ def read_only_instances():
         (And((x, x)), "children"), (Or((x, x)), "children"),
         (a, "values"), (Edge("a", x, "a"), "dst"), (DiscreteObject.make(["a"], "a"), "initial"),
         (NamedObject("A", g), "item"), (trace.steps[0], "state"), (trace, "verdict"),
-        (SatResult(a), "model"),
         (ExecutionConfig(max_steps=1), "max_steps"), (LogEntry(1, a, ()), "woke"),
         (Safe(g), "composite"), (Counterexample(trace, g), "trace"), (ScriptState(None, -1), "location"),
         (CellSpace(("x",), (), (a,), {0: (0,)}), "witnesses"), (PredicateSet(()), "atoms"),

@@ -133,7 +133,7 @@ def test_drone_attractor_is_only_the_bad_state(drone_base, drone_property):
         if q in attractor:
             continue
         succs = {e.dst for e in comp.out_edges(q)
-                 if check_sat(conj([e.guard, enabled_guard(comp, q)]), VH).is_sat}
+                 if check_sat(conj([e.guard, enabled_guard(comp, q)]), VH) is not None}
         assert not (succs and succs <= attractor)
 
 
@@ -193,7 +193,7 @@ def test_drone_patch_cuts_exactly_the_sharp_turn(drone_base, drone_property):
     assert guard == var_atom("h", ">=", 18)
     # the cut state is the composite state reached by the sharp climb
     (entry,) = [e for e in comp.out_edges(comp.initial)
-                if check_sat(conj([e.guard, var_atom("v", ">=", 4)]), VH).is_sat]
+                if check_sat(conj([e.guard, var_atom("v", ">=", 4)]), VH) is not None]
     assert entry.dst == state
     assert len(patch.tracker.states) == len(comp.states) - 1
 
@@ -249,7 +249,7 @@ def test_patch_composability_removes_one_edge(drone_base, drone_property):
         out = set()
         for q in g.reachable():
             for e in g.out_edges(q):
-                if check_sat(conj([e.guard, enabled_guard(g, q)]), vars).is_sat:
+                if check_sat(conj([e.guard, enabled_guard(g, q)]), vars) is not None:
                     out.add((e.src, e.dst))
         return out
 

@@ -5,56 +5,84 @@ request/waitfor/block formulas over real variables; an exact QF-LRA solver
 selects each triggered assignment. The package executes such models, extracts
 the objects' underlying transition graphs, composes them, model-checks safety
 properties, and synthesizes blocking patch objects that repair violations.
+
+Importing the package executes none of its modules. Every submodule but
+``cli`` is registered lazily in ``sys.modules``, and runs when one of its
+attributes is first read; the public names below are served from their
+modules on first use. So a CLI verb executes only the modules it runs. Each
+lazy module is also a package attribute, except ``compose``: ``sbmod.compose``
+is the function ``compose.compose``.
+
+The import rule inside the package follows from that: ``from . import x``
+binds the lazy module and defers ``x`` until ``x.name`` is read, while
+``from .x import y`` (like ``import sbmod.x``) executes ``x`` at once. A
+module that some caller may not need is reached the first way, or, for
+``compose``, by an import inside the function that needs it.
 """
 
-from .formulas import (
-    Assignment,
-    Formula,
-    LinearAtom,
-    VarSet,
-    atom,
-    canonicalize,
-    conj,
-    disj,
-    evaluate,
-    negate,
-    to_infix,
-    to_sexpr,
-    var_atom,
-)
-from .solver import check_sat, entails, equivalent, satisfiable
-from .graphs import DiscreteObject, Model, NamedObject, ObjectGraph, Trace, encode_discrete, to_dot, to_json_dict
-from .dsl import ParseError, PredicateSet, ScenarioScript, collect_predicates, emit_script, parse_model
-from .extract import ExtractStats, ScriptState, extract_graph, initial_state, simplify_graph, step_script
-from .compose import compose, compose_all, enabled_guard
-from .verify import (
-    Counterexample,
-    Patch,
-    Report,
-    Safe,
-    check_safety,
-    compute_bad_attractor,
-    find_deadlocks,
-    repair,
-    synthesize_patch,
-    verify_patch,
-)
-from .engine import EventLog, ExecutionConfig, run, select_event
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assignment", "Formula", "LinearAtom", "VarSet", "atom", "canonicalize", "conj",
-    "disj", "evaluate", "negate", "to_infix", "to_sexpr", "var_atom",
-    "check_sat", "entails", "equivalent", "satisfiable",
-    "DiscreteObject", "Model", "NamedObject", "ObjectGraph", "Trace", "encode_discrete",
-    "to_dot", "to_json_dict",
-    "ParseError", "PredicateSet", "ScenarioScript", "collect_predicates", "emit_script",
-    "parse_model",
-    "ExtractStats", "ScriptState", "extract_graph", "initial_state", "simplify_graph",
-    "step_script",
-    "compose", "compose_all", "enabled_guard",
-    "Counterexample", "Patch", "Report", "Safe", "check_safety", "compute_bad_attractor",
-    "find_deadlocks", "repair", "synthesize_patch", "verify_patch",
-    "EventLog", "ExecutionConfig", "run", "select_event",
-]
+# the public names, by the module that defines them
+_API = {
+    "formulas": (
+        "Assignment", "Formula", "LinearAtom", "VarSet", "atom", "canonicalize", "conj",
+        "disj", "evaluate", "negate", "to_infix", "to_sexpr", "var_atom",
+    ),
+    "solver": ("check_sat", "entails", "equivalent", "satisfiable"),
+    "graphs": (
+        "DiscreteObject", "Model", "NamedObject", "ObjectGraph", "Trace", "encode_discrete",
+        "to_dot", "to_json_dict",
+    ),
+    "dsl": (
+        "ParseError", "PredicateSet", "ScenarioScript", "collect_predicates", "emit_script",
+        "parse_model",
+    ),
+    "extract": (
+        "ExtractStats", "ScriptState", "extract_graph", "initial_state", "simplify_graph",
+        "step_script",
+    ),
+    "compose": ("compose", "compose_all", "enabled_guard"),
+    "verify": (
+        "Counterexample", "Patch", "Report", "Safe", "check_safety", "compute_bad_attractor",
+        "find_deadlocks", "repair", "synthesize_patch", "verify_patch",
+    ),
+    "engine": ("EventLog", "ExecutionConfig", "run", "select_event"),
+}
+_HOME = {name: module for module, names in _API.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def _register_lazily(name: str) -> ModuleType:
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# cli is left out: ``python -m sbmod.cli`` warns when its module is already in
+# sys.modules
+for _name in ("cells", "compose", "dsl", "engine", "extract", "formulas", "graphs",
+              "minimize", "runsets", "solver", "verify"):
+    _module = _register_lazily(_name)
+    if _name not in _HOME:  # sbmod.compose stays the function
+        globals()[_name] = _module
+del _name, _module
+
+
+def __getattr__(name: str) -> object:
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(sys.modules[f"{__name__}.{home}"], name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -14,21 +14,18 @@ import argparse
 import json
 import sys
 
-from . import engine
-from .compose import compose_all, object_graph
+# A verb executes only the modules it reads (see the package docstring).
+from . import engine, extract, verify
 from .dsl import EmissionError, ParseError, insert_object, is_identifier, parse_model
-from .extract import ExtractionError
 from .formulas import fraction_text, to_infix
-from .graphs import Model, ObjectGraph, UnknownObjectError, to_dot, to_json_dict
-from .verify import (
-    Counterexample,
-    InvalidPropertyError,
-    RepairUnsoundError,
-    Safe,
-    UnrepairableError,
-    check_safety,
-    repair,
-    verify_patch,
+from .graphs import (
+    FIRST_MODEL,
+    POLICIES,
+    Model,
+    ObjectGraph,
+    UnknownObjectError,
+    to_dot,
+    to_json_dict,
 )
 
 OK, VIOLATION, USAGE, INTERNAL = 0, 1, 2, 3
@@ -67,6 +64,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _pick_graph(model: Model, args: argparse.Namespace) -> tuple[str, ObjectGraph]:
+    from .compose import compose_all, object_graph  # sbmod.compose is the function
+
     if args.composite:
         if not model.objects:
             raise UsageError("model has no objects to compose")
@@ -84,7 +83,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     return OK
 
 
-def _trace_jsonl(result: Counterexample) -> str:
+def _trace_jsonl(result: verify.Counterexample) -> str:
     lines = []
     for i, step in enumerate(result.trace.steps, start=1):
         lines.append(json.dumps({
@@ -99,8 +98,8 @@ def _trace_jsonl(result: Counterexample) -> str:
 def cmd_check(args: argparse.Namespace) -> int:
     model = _load_model(args.path)
     prop = model.get(args.property)
-    result = check_safety(model.without(args.property), prop)
-    if isinstance(result, Safe):
+    result = verify.check_safety(model.without(args.property), prop)
+    if isinstance(result, verify.Safe):
         print("Safe")
         return OK
     print(f"Violation: bad state {result.trace.end_state} reachable "
@@ -119,7 +118,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
                          "that is neither a keyword nor the name of an object of the model")
     prop = model.get(args.property)
     base = model.without(args.property)
-    patch, attractor, composite = repair(base, prop, name=args.name)
+    patch, attractor, composite = verify.repair(base, prop, name=args.name)
     cuts = patch.cut_edges()
     if not attractor:
         print("model already satisfies the property; emitting an identity patch")
@@ -138,7 +137,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
             patched_text = insert_object(handle.read(), text)
         _write(args.emit_model, patched_text)
     if args.verify:
-        report = verify_patch(base, patch, prop, composite)
+        report = verify.verify_patch(base, patch, prop, composite)
         print(f"verification: {report.summary()}")
     return OK
 
@@ -155,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--steps", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--policy", choices=engine.POLICIES, default=engine.FIRST_MODEL)
+    p.add_argument("--policy", choices=POLICIES, default=FIRST_MODEL)
     p.add_argument("--log", default=None, help="write the event log (JSONL) here")
     p.set_defaults(func=cmd_run)
 
@@ -191,17 +190,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, UnknownObjectError, ExtractionError, InvalidPropertyError,
-            engine.ConfigError, UsageError) as err:
+    except (ParseError, OSError, UnknownObjectError, extract.ExtractionError,
+            verify.InvalidPropertyError, engine.ConfigError, UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
-    except UnrepairableError as err:
+    except verify.UnrepairableError as err:
         print(f"unrepairable: {err}", file=sys.stderr)
         return VIOLATION
     except EmissionError as err:
         print(f"unrepairable: the patch cannot be written as a scenario script: {err}", file=sys.stderr)
         return VIOLATION
-    except RepairUnsoundError as err:
+    except verify.RepairUnsoundError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return INTERNAL
     except Exception as err:  # noqa: BLE001 - the CLI boundary reports everything

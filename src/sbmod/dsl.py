@@ -36,8 +36,7 @@ import re
 from contextlib import contextmanager
 from fractions import Fraction
 
-from . import solver
-from .cells import polarity_classes
+from . import cells, minimize, solver
 from .formulas import (
     FALSE,
     TRUE,
@@ -58,7 +57,6 @@ from .formulas import (
     to_infix,
 )
 from .graphs import Edge, GraphError, Model, NamedObject, ObjectGraph, _graph_vars, bfs_tree
-from .minimize import boolean_minimize
 
 # Parser limits, each a ParseError when exceeded. Parentheses, ``!``, blocks
 # and else-if arms nest at most MAX_NESTING deep, so that every later
@@ -198,7 +196,7 @@ def collect_predicates(script: ScenarioScript) -> PredicateSet:
                 walk(st.body)
 
     walk(script.body)
-    return PredicateSet(tuple(polarity_classes(found)))
+    return PredicateSet(tuple(cells.polarity_classes(found)))
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +798,7 @@ def structure_graph(g: ObjectGraph) -> list:
         entry: dict[str, Formula] = {}
         for s in order:
             incoming = [e.guard for q in reachable for e in adv[q] if e.dst == s]
-            entry[s] = boolean_minimize(disj(incoming), vars)
+            entry[s] = minimize.boolean_minimize(disj(incoming), vars)
         # falling through the chunk chain re-tests entry conditions, so every
         # edge into the suffix must deny the entries it skips over
         pos = {s: i for i, s in enumerate(order)}

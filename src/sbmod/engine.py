@@ -45,11 +45,7 @@ from .formulas import (
     fraction_text,
     negate,
 )
-from .graphs import Model, ObjectGraph
-
-FIRST_MODEL = "first-model"
-RANDOM_CELL = "random-cell"
-POLICIES = (FIRST_MODEL, RANDOM_CELL)
+from .graphs import FIRST_MODEL, POLICIES, RANDOM_CELL, Model, ObjectGraph
 
 
 class ConfigError(ValueError):

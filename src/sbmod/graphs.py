@@ -321,6 +321,13 @@ class Model:
         return Model(self.vars, kept)
 
 
+# How the engine selects each step's event (see engine.py). They sit with the
+# model so that ``run --policy`` can offer them without loading the engine.
+FIRST_MODEL = "first-model"
+RANDOM_CELL = "random-cell"
+POLICIES = (FIRST_MODEL, RANDOM_CELL)
+
+
 class TraceStep:
     __slots__ = ("state", "assignment")
     __setattr__ = __delattr__ = _read_only

@@ -34,13 +34,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from . import solver
+from . import runsets, solver
 from .compose import enabled_guard, object_graph, run_graph
 from .dsl import ScenarioScript, emit_script
 from .formulas import FalseF, Formula, VarSet, _read_only, _set, conj, disj, evaluate, negate
 from .graphs import Edge, GraphError, Model, NamedObject, ObjectGraph, Trace, TraceStep, bfs_tree
 from .minimize import boolean_minimize
-from .runsets import CellRuns, CellSpace, runs_equal_minus_violations
 
 
 class InvalidPropertyError(ValueError):
@@ -340,9 +339,9 @@ def verify_patch(
         report.details["new_deadlocks"] = new_deadlocks
 
     doomed = _doomed(original)
-    space = CellSpace.for_graphs([original, patched], vars)
-    runs_orig = CellRuns(original, space)
-    witness = runs_equal_minus_violations(runs_orig, CellRuns(patched, space), doomed)
+    space = runsets.CellSpace.for_graphs([original, patched], vars)
+    runs_orig = runsets.CellRuns(original, space)
+    witness = runsets.runs_equal_minus_violations(runs_orig, runsets.CellRuns(patched, space), doomed)
     report.containment_ok = witness is None
     if witness is not None:
         kind = "lost_run" if runs_orig.accepts(witness, avoid=doomed) else "foreign_run"

@@ -396,7 +396,7 @@ def test_internal_failure_is_not_a_usage_error(monkeypatch, capsys):
     def broken(model, prop):
         raise DomainMismatchError("assignment missing variable 'z'")
 
-    monkeypatch.setattr("sbmod.cli.check_safety", broken)
+    monkeypatch.setattr("sbmod.verify.check_safety", broken)
     assert main(["check", str(FIXTURE), "--property", "NoConsecutiveSharpTurns"]) == 3
     assert "internal error" in capsys.readouterr().err
 
@@ -407,7 +407,7 @@ def test_unsound_repair_is_an_internal_error(monkeypatch, capsys, tmp_path):
     def unsound(model, patch, prop, composite):
         raise RepairUnsoundError("repair is unsound: run containment: FAIL", Report(containment_ok=False))
 
-    monkeypatch.setattr("sbmod.cli.verify_patch", unsound)
+    monkeypatch.setattr("sbmod.verify.verify_patch", unsound)
     argv = ["repair", str(FIXTURE), "--property", "NoConsecutiveSharpTurns", "--verify",
             "--out", str(tmp_path / "patch.sbm")]
     assert main(argv) == 3

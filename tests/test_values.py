@@ -1,8 +1,9 @@
-"""The package's value types: equality, hashing and immutability, and the
-modules a CLI call imports."""
+"""The package's value types: equality, hashing and immutability; the
+modules a CLI call imports and executes; and the package API."""
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -141,10 +142,58 @@ def test_read_only_types_refuse_assignment(value, field):
     assert getattr(value, field) is before
 
 
+def fresh_python(code: str, *args: str, cwd: Path | None = None) -> str:
+    """The last line that ``code`` prints in a fresh ``python -S`` process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sbmod.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code, *args], env=env, cwd=cwd,
+                         capture_output=True, text=True, check=True, timeout=60)
+    return out.stdout.splitlines()[-1]
+
+
+# the sbmod modules that have executed; reading any attribute of a lazy module
+# executes it, so only its type tells
+EXECUTED = ("sorted(n[len('sbmod.'):] for n, m in sys.modules.items() "
+            "if n.startswith('sbmod.') and type(m) is types.ModuleType)")
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     code = ("import sys, sbmod.cli; "
             "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=str(Path(sbmod.__file__).resolve().parent.parent))
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert fresh_python(code) == "[]"
+
+
+def test_each_verb_executes_only_the_modules_it_runs(tmp_path, workloads):
+    (tmp_path / "ring.sbm").write_text(workloads.ring_text(5))
+    code = ("import json, sys, types; from sbmod.cli import main; status = main(sys.argv[1:]); "
+            f"print(json.dumps([status, {EXECUTED}, 'random' in sys.modules]))")
+
+    def executed(*argv: str) -> tuple[int, set[str], bool]:
+        status, modules, random_imported = json.loads(fresh_python(code, *argv, cwd=tmp_path))
+        return status, set(modules), random_imported
+
+    assert executed("validate", "ring.sbm") == (0, {"cli", "dsl", "formulas", "graphs"}, False)
+    status, modules, random_imported = executed("check", "ring.sbm", "--property", "AllMarked")
+    assert status == 1 and "verify" in modules
+    assert not modules & {"engine", "runsets"} and not random_imported
+    status, modules, _ = executed("graph", "ring.sbm", "--object", "C0")
+    assert status == 0 and "compose" in modules
+    assert not modules & {"verify", "runsets", "engine"}
+
+
+def test_package_api_keeps_its_shape():
+    for name in sbmod.__all__:
+        value = getattr(sbmod, name)
+        assert value.__module__.startswith("sbmod.")
+        assert vars(sys.modules[value.__module__])[name] is value
+    namespace: dict = {}
+    exec("from sbmod import *", namespace)
+    assert set(sbmod.__all__) <= namespace.keys()
+    assert set(sbmod.__all__) <= set(dir(sbmod))
+    assert not hasattr(sbmod, "SatResult")
+    code = ("import json, sys, types, sbmod; "
+            f"print(json.dumps([{EXECUTED}, sorted(n for n in sys.modules if n.startswith('sbmod.'))]))")
+    executed, registered = json.loads(fresh_python(code))
+    assert executed == []
+    assert registered == [f"sbmod.{m}" for m in (
+        "cells", "compose", "dsl", "engine", "extract", "formulas", "graphs", "minimize",
+        "runsets", "solver", "verify")]

@@ -7,17 +7,25 @@ the objects' underlying transition graphs, composes them, model-checks safety
 properties, and synthesizes blocking patch objects that repair violations.
 
 Importing the package executes none of its modules. Every submodule but
-``cli`` is registered lazily in ``sys.modules``, and runs when one of its
+``cli`` is registered lazily in ``sys.modules`` and runs when one of its
 attributes is first read; the public names below are served from their
-modules on first use. So a CLI verb executes only the modules it runs. Each
-lazy module is also a package attribute, except ``compose``: ``sbmod.compose``
-is the function ``compose.compose``.
+modules on first use. So a CLI verb executes only the modules it runs.
 
-The import rule inside the package follows from that: ``from . import x``
-binds the lazy module and defers ``x`` until ``x.name`` is read, while
-``from .x import y`` (like ``import sbmod.x``) executes ``x`` at once. A
-module that some caller may not need is reached the first way, or, for
-``compose``, by an import inside the function that needs it.
+Inside the package, ``from . import x`` binds the lazy module and defers
+``x`` until ``x.name`` is read, while ``from .x import y`` (like
+``import sbmod.x``) executes ``x`` at once. Modules use the second form
+except where a verb may not need the module; this list is the whole of that
+decision:
+
+- ``cli`` defers ``engine``, ``extract`` and ``verify``. It imports
+  ``compose`` inside ``_pick_graph``, because ``sbmod.compose`` is the
+  function ``compose.compose``, not the module.
+- ``dsl`` defers ``cells`` and ``minimize``, which only the emitter needs.
+- ``verify`` defers ``runsets``, which only ``verify_patch`` needs.
+- The run policy names live in ``graphs``, so that building the CLI's parser
+  does not execute ``engine``.
+
+``tests/test_values.py`` checks the modules each verb executes.
 """
 
 import sys

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-# A verb executes only the modules it reads (see the package docstring).
+# engine, extract and verify are deferred (see the package docstring)
 from . import engine, extract, verify
 from .dsl import EmissionError, ParseError, insert_object, is_identifier, parse_model
 from .formulas import fraction_text, to_infix
@@ -190,8 +190,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, UnknownObjectError, extract.ExtractionError,
-            verify.InvalidPropertyError, engine.ConfigError, UsageError) as err:
+    except (ParseError, OSError, UnknownObjectError, UsageError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return USAGE
+    # reading these names executes their modules, so they come after the
+    # errors that every verb can raise
+    except (extract.ExtractionError, verify.InvalidPropertyError, engine.ConfigError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
     except verify.UnrepairableError as err:

@@ -36,6 +36,7 @@ import re
 from contextlib import contextmanager
 from fractions import Fraction
 
+# cells and minimize are deferred (see the package docstring)
 from . import cells, minimize, solver
 from .formulas import (
     FALSE,

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+# runsets is deferred (see the package docstring)
 from . import runsets, solver
 from .compose import enabled_guard, object_graph, run_graph
 from .dsl import ScenarioScript, emit_script

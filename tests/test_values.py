@@ -143,11 +143,11 @@ def test_read_only_types_refuse_assignment(value, field):
 
 
 def fresh_python(code: str, *args: str, cwd: Path | None = None) -> str:
-    """The last line that ``code`` prints in a fresh ``python -S`` process."""
+    """What ``code`` prints to stdout in a fresh ``python -S`` process."""
     env = dict(os.environ, PYTHONPATH=str(Path(sbmod.__file__).resolve().parent.parent))
     out = subprocess.run([sys.executable, "-S", "-c", code, *args], env=env, cwd=cwd,
                          capture_output=True, text=True, check=True, timeout=60)
-    return out.stdout.splitlines()[-1]
+    return out.stdout
 
 
 # the sbmod modules that have executed; reading any attribute of a lazy module
@@ -159,19 +159,26 @@ EXECUTED = ("sorted(n[len('sbmod.'):] for n, m in sys.modules.items() "
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     code = ("import sys, sbmod.cli; "
             "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))")
-    assert fresh_python(code) == "[]"
+    assert fresh_python(code).strip() == "[]"
 
 
 def test_each_verb_executes_only_the_modules_it_runs(tmp_path, workloads):
     (tmp_path / "ring.sbm").write_text(workloads.ring_text(5))
+    (tmp_path / "bad.sbm").write_text("vars x\nobject\n")
     code = ("import json, sys, types; from sbmod.cli import main; status = main(sys.argv[1:]); "
             f"print(json.dumps([status, {EXECUTED}, 'random' in sys.modules]))")
 
     def executed(*argv: str) -> tuple[int, set[str], bool]:
-        status, modules, random_imported = json.loads(fresh_python(code, *argv, cwd=tmp_path))
+        # the verb prints first; the last line is the probe's
+        last = fresh_python(code, *argv, cwd=tmp_path).splitlines()[-1]
+        status, modules, random_imported = json.loads(last)
         return status, set(modules), random_imported
 
-    assert executed("validate", "ring.sbm") == (0, {"cli", "dsl", "formulas", "graphs"}, False)
+    validate_set = {"cli", "dsl", "formulas", "graphs"}
+    assert executed("validate", "ring.sbm") == (0, validate_set, False)
+    # reporting a usage error executes no more than the verb did
+    assert executed("validate", "missing.sbm") == (2, validate_set, False)
+    assert executed("validate", "bad.sbm") == (2, validate_set, False)
     status, modules, random_imported = executed("check", "ring.sbm", "--property", "AllMarked")
     assert status == 1 and "verify" in modules
     assert not modules & {"engine", "runsets"} and not random_imported

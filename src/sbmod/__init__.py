@@ -21,7 +21,9 @@ decision:
   ``compose`` inside ``_pick_graph``, because ``sbmod.compose`` is the
   function ``compose.compose``, not the module.
 - ``dsl`` defers ``cells`` and ``minimize``, which only the emitter needs.
-- ``verify`` defers ``runsets``, which only ``verify_patch`` needs.
+- ``runsets`` is executed by no verb: ``verify`` reads the run-set clause
+  off the patched run graph. It stays registered because the tests decode
+  runs with it and the benchmark's tracer reads it from ``sys.modules``.
 - The run policy names live in ``graphs``, so that building the CLI's parser
   does not execute ``engine``.
 

@@ -11,7 +11,6 @@ models, bad run settings), 3 for internal errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 # engine, extract and verify are deferred (see the package docstring)
@@ -77,6 +76,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
     model = _load_model(args.path)
     name, g = _pick_graph(model, args)
     if args.format == "json":
+        import json  # only the JSON writers pay for it
+
         _write(args.out, json.dumps(to_json_dict(g), indent=2, sort_keys=True) + "\n")
     else:
         _write(args.out, to_dot(g, name))
@@ -84,6 +85,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _trace_jsonl(result: verify.Counterexample) -> str:
+    import json
+
     lines = []
     for i, step in enumerate(result.trace.steps, start=1):
         lines.append(json.dumps({

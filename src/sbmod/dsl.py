@@ -774,6 +774,13 @@ def structure_graph(g: ObjectGraph) -> list:
             code.extend(_if_chain([(e.guard, region(e.dst, local_stops)) for e in edges]))
             if shared:
                 code.extend(_suffix(shared, stops))
+                # an arm that leaves for an outer stop or the loop start emits
+                # nothing for it and would fall through into the suffix's
+                # unconditional last chunk
+                for e in edges:
+                    exits = {e.dst} | {x.dst for s in arm_reach[e] - shared for x in adv[s]}
+                    if exits & (stops | {_LOOP_END}):
+                        raise EmissionError(f"branch {q!r} -> {e.dst!r} would fall into a shared suffix")
             break
         return code
 

@@ -9,16 +9,14 @@ out and no restriction on the atoms. Runs become words over that alphabet.
 A composite moves on a letter only when the letter's cell is enabled at the
 current state, and then along the one out-edge whose guard holds on the
 cell (or stays put when none does), so the composite is a deterministic
-automaton over cells whose every state accepts. "The patched model removes
-exactly the violating runs and nothing else" is then the equality of two
-such prefix-closed languages, which a breadth-first search over the pairs of
-states the two automata reach decides exactly, for runs of every length
-(Hopcroft and Karp, Cornell TR 71-114, 1971).
+automaton over cells whose every state accepts. Patch verification does not
+use this alphabet (``verify.py`` reads its run-set clause off the patched run
+graph); the tests decode runs with it, and their reference run-set comparison
+(``tests/oracles.py``) is built on it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
 
 from .cells import polarity_classes, satisfiable_cells, sign_mask
@@ -111,57 +109,3 @@ class CellRuns:
         if row is None:
             row = self.moves[q] = cell_moves(self.graph, q, self.space)
         return row
-
-    def accepts(self, word: tuple, avoid: frozenset | None = None) -> bool:
-        banned = avoid if avoid is not None else frozenset()
-        state = self.graph.initial
-        for key in word:
-            state = dict(self.at(state)).get(key)
-            if state is None or state in banned:
-                return False
-        return True
-
-
-def runs_equal_minus_violations(
-    original: CellRuns, patched: CellRuns, doomed: frozenset | None = None
-) -> tuple | None:
-    """Check runs(patched) == runs(original) minus violating runs, exactly.
-
-    A finite run counts as violating once it enters ``doomed`` (the bad
-    attractor: from there every maximal continuation reaches a bad state), so
-    the comparison matches removal of violating maximal runs. Both sides are
-    deterministic over cells and every state accepts, so the two run sets
-    are equal, for runs of every length, iff at each pair of states that one
-    word reaches on both sides, the two offer the same letters. A breadth-
-    first search over those pairs checks this, computing a state's moves
-    only when the search first reaches it. Returns None on success, else a
-    shortest differing word (on one side only).
-    """
-    banned = doomed if doomed is not None else original.graph.bad
-    start = (original.graph.initial, patched.graph.initial)
-    parent: dict[tuple[str, str], tuple[tuple[str, str], tuple] | None] = {start: None}
-
-    def word_to(pair: tuple[str, str]) -> tuple:
-        letters = []
-        while parent[pair] is not None:
-            pair, key = parent[pair]
-            letters.append(key)
-        return tuple(reversed(letters))
-
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        qa, qb = pair
-        steps_a = {key: dst for key, dst in original.at(qa) if dst not in banned}
-        steps_b = dict(patched.at(qb))
-        for key, dst in patched.at(qb):
-            if dst in patched.graph.bad:
-                return word_to(pair) + (key,)  # a violating run survived the patch
-        if steps_a.keys() != steps_b.keys():
-            return word_to(pair) + (min(steps_a.keys() ^ steps_b.keys()),)
-        for key, dst in steps_a.items():
-            nxt = (dst, steps_b[key])
-            if nxt not in parent:
-                parent[nxt] = (pair, key)
-                queue.append(nxt)
-    return None

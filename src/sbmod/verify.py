@@ -23,9 +23,12 @@ maximally permissive supervisor over the states the closed loop reaches
 Patch verification reads all three soundness clauses off two run graphs:
 the original, and the run graph of the original and the patch tracker, built
 by the same ``run_graph`` (its state -> tuple map says which original state
-each patched state shadows). The run-set clause compares the two exactly,
-for runs of every length, by a search over the pairs of states that one run
-reaches in both.
+each patched state shadows). On every letter the patched graph offers, its
+original part moves as the original does, so one run reaches patched state
+``p`` exactly when it reaches ``parts[p][0]`` in the original. The run-set
+clause is then one equivalence per patched state, for runs of every length:
+the letters ``p`` offers are the original's there minus those into the bad
+attractor.
 
 Every solver query ranges over the caller's variable set, the model's.
 """
@@ -34,11 +37,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-# runsets is deferred (see the package docstring)
-from . import runsets, solver
+from . import solver
 from .compose import enabled_guard, object_graph, run_graph
 from .dsl import ScenarioScript, emit_script
-from .formulas import FalseF, Formula, VarSet, _read_only, _set, conj, disj, evaluate, negate
+from .formulas import Assignment, FalseF, Formula, VarSet, _read_only, _set, conj, disj, evaluate, negate
 from .graphs import Edge, GraphError, Model, NamedObject, ObjectGraph, Trace, TraceStep, bfs_tree
 from .minimize import boolean_minimize
 
@@ -94,12 +96,14 @@ def _composite_with(m: Model, prop: ScenarioScript | ObjectGraph) -> ObjectGraph
     return run_graph([object_graph(o.item, m.vars) for o in m.objects] + [last], m.vars)[0]
 
 
-def _bad_path(g: ObjectGraph, vars: VarSet) -> Trace | None:
-    """The shortest run into a bad state of a run graph, concretized and re-validated."""
+def _bad_path(g: ObjectGraph, vars: VarSet, targets: frozenset[str] | None = None) -> Trace | None:
+    """The shortest run into a bad state of a run graph (or into ``targets``),
+    concretized and re-validated."""
+    goal = g.bad if targets is None else targets
     parent: dict[str, Edge] = {}
     tree = bfs_tree(g.initial, g.out_edges)
     target = g.initial
-    while target not in g.bad:
+    while target not in goal:
         e = next(tree, None)
         if e is None:
             return None
@@ -111,17 +115,20 @@ def _bad_path(g: ObjectGraph, vars: VarSet) -> Trace | None:
         path.insert(0, parent[q])
         q = parent[q].src
 
-    steps = []
-    for e in path:
-        query = conj([e.guard, enabled_guard(g, e.src)])
-        model = solver.check_sat(query, vars)
-        if model is None:
-            raise RuntimeError(f"enabled edge out of {e.src!r} lost satisfiability")
-        a = model.restricted_to(vars)
-        if not evaluate(query, a):  # independent validation of the solver's witness
-            raise RuntimeError(f"counterexample step at {e.src!r} fails its own guard")
-        steps.append(TraceStep(e.src, a))
-    return Trace(steps=tuple(steps), verdict="BadReached", end_state=target)
+    steps = tuple(TraceStep(e.src, _concrete(conj([e.guard, enabled_guard(g, e.src)]), vars,
+                                             f"enabled edge out of {e.src!r}")) for e in path)
+    return Trace(steps=steps, verdict="BadReached", end_state=target)
+
+
+def _concrete(query: Formula, vars: VarSet, what: str) -> Assignment:
+    """A model of ``query`` over ``vars``, re-validated by direct evaluation."""
+    model = solver.check_sat(query, vars)
+    if model is None:
+        raise RuntimeError(f"{what} lost satisfiability")
+    a = model.restricted_to(vars)
+    if not evaluate(query, a):  # independent validation of the solver's witness
+        raise RuntimeError(f"{what} fails its own formula")
+    return a
 
 
 def _deadlocks(g: ObjectGraph, vars: VarSet) -> frozenset[str]:
@@ -270,6 +277,28 @@ def repair(m: Model, prop: ScenarioScript | ObjectGraph, name: str = "Patch") ->
     return synthesize_patch(composite, attractor, m.vars, name), attractor, composite
 
 
+def _differing_run(original: ObjectGraph, patched: ObjectGraph, parts: dict[str, tuple[str, ...]],
+                   vars: VarSet) -> tuple[str, tuple[Assignment, ...]] | None:
+    """Clause (c): None when every patched state ``p`` offers exactly the
+    letters of ``parts[p][0]`` that stay out of the original's bad attractor.
+    Else ("lost_run" or "foreign_run", a shortest run on one side only): the
+    tree path to the first differing state in breadth-first order, which
+    passes only states that agree, then a letter where the two sides differ."""
+    doomed = _doomed(original)
+    for p in patched.reachable():
+        q = parts[p][0]
+        offered = enabled_guard(patched, p)
+        into_doomed = disj([e.guard for e in original.out_edges(q) if e.dst in doomed])
+        kept = conj([enabled_guard(original, q), negate(into_doomed)])
+        if solver.equivalent(offered, kept, vars):
+            continue
+        differ = disj([conj([offered, negate(kept)]), conj([kept, negate(offered)])])
+        last = _concrete(differ, vars, f"the difference at patched state {p!r}")
+        run = tuple(step.assignment for step in _bad_path(patched, vars, frozenset([p])).steps)
+        return ("lost_run" if evaluate(kept, last) else "foreign_run"), run + (last,)
+    return None
+
+
 class Report:
     """Evidence for the three repair-soundness clauses."""
 
@@ -315,13 +344,14 @@ def verify_patch(
     ``violation`` holds the shortest counterexample); (b) the patch
     introduces no deadlocks; (c) the runs of the patched model are exactly
     the runs of the original minus the violating ones (those entering the
-    bad attractor), compared for runs of every length over the exact
-    sign-cell alphabet of both composites. A shortest differing run is
-    reported as ``lost_run`` (a non-violating original run the patch
-    removes) or ``foreign_run`` (a patched run that is not a non-violating
-    original run). ``details`` also records the alphabet size (``cells``)
-    and the size of the patched composite (``patched_states``). Raises
-    RepairUnsoundError (with the report and a witness) if any clause fails.
+    bad attractor), for runs of every length: each patched state offers the
+    letters of the original state it shadows minus those into the attractor.
+    A shortest differing run, one assignment per step, is reported as
+    ``lost_run`` (a non-violating original run the patch removes) or
+    ``foreign_run`` (a patched run that is not a non-violating original
+    run). ``details`` also records the size of the patched composite
+    (``patched_states``). Raises RepairUnsoundError (with the report and a
+    witness) if any clause fails.
     """
     report = Report()
     vars = m.vars
@@ -339,15 +369,11 @@ def verify_patch(
     if new_deadlocks:
         report.details["new_deadlocks"] = new_deadlocks
 
-    doomed = _doomed(original)
-    space = runsets.CellSpace.for_graphs([original, patched], vars)
-    runs_orig = runsets.CellRuns(original, space)
-    witness = runsets.runs_equal_minus_violations(runs_orig, runsets.CellRuns(patched, space), doomed)
-    report.containment_ok = witness is None
-    if witness is not None:
-        kind = "lost_run" if runs_orig.accepts(witness, avoid=doomed) else "foreign_run"
-        report.details[kind] = witness
-    report.details["cells"] = len(space.witnesses)
+    difference = _differing_run(original, patched, parts, vars)
+    report.containment_ok = difference is None
+    if difference is not None:
+        kind, run = difference
+        report.details[kind] = run
     report.details["patched_states"] = len(patched.states)
 
     if not report.ok:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 from sbmod.formulas import (
@@ -696,13 +697,13 @@ def grid_satisfiable(f: Formula, variables, span: int = 25, step: int = 1) -> bo
 
 
 # ---------------------------------------------------------------------------
-# bounded cell runs
+# cell runs: the bounded and unbounded run-set references
 
 
 def bounded_runs(runs: CellRuns, depth: int, avoid: frozenset = frozenset()) -> set[tuple]:
     """All cell-words of length <= depth of a run table, materialized,
     optionally avoiding some states; the reference for the unbounded
-    run-set comparison in ``sbmod.runsets``."""
+    run-set comparison below."""
     out: set[tuple] = set()
 
     def walk(state: str, prefix: tuple) -> None:
@@ -718,6 +719,63 @@ def bounded_runs(runs: CellRuns, depth: int, avoid: frozenset = frozenset()) -> 
     if runs.graph.initial not in avoid:
         walk(runs.graph.initial, ())
     return out
+
+
+def accepts(runs: CellRuns, word: tuple, avoid: frozenset | None = None) -> bool:
+    """Whether the run table takes the cell-word, never entering ``avoid``."""
+    banned = avoid if avoid is not None else frozenset()
+    state = runs.graph.initial
+    for key in word:
+        state = dict(runs.at(state)).get(key)
+        if state is None or state in banned:
+            return False
+    return True
+
+
+def runs_equal_minus_violations(
+    original: CellRuns, patched: CellRuns, doomed: frozenset | None = None
+) -> tuple | None:
+    """Check runs(patched) == runs(original) minus violating runs, exactly;
+    the cell reference for ``verify_patch``'s run-set clause.
+
+    A finite run counts as violating once it enters ``doomed`` (the bad
+    attractor: from there every maximal continuation reaches a bad state), so
+    the comparison matches removal of violating maximal runs. Both sides are
+    deterministic over cells and every state accepts, so the two run sets
+    are equal, for runs of every length, iff at each pair of states that one
+    word reaches on both sides, the two offer the same letters. A breadth-
+    first search over those pairs checks this, computing a state's moves
+    only when the search first reaches it. Returns None on success, else a
+    shortest differing word (on one side only).
+    """
+    banned = doomed if doomed is not None else original.graph.bad
+    start = (original.graph.initial, patched.graph.initial)
+    parent: dict[tuple[str, str], tuple[tuple[str, str], tuple] | None] = {start: None}
+
+    def word_to(pair: tuple[str, str]) -> tuple:
+        letters = []
+        while parent[pair] is not None:
+            pair, key = parent[pair]
+            letters.append(key)
+        return tuple(reversed(letters))
+
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        qa, qb = pair
+        steps_a = {key: dst for key, dst in original.at(qa) if dst not in banned}
+        steps_b = dict(patched.at(qb))
+        for key, dst in patched.at(qb):
+            if dst in patched.graph.bad:
+                return word_to(pair) + (key,)  # a violating run survived the patch
+        if steps_a.keys() != steps_b.keys():
+            return word_to(pair) + (min(steps_a.keys() ^ steps_b.keys()),)
+        for key, dst in steps_a.items():
+            nxt = (dst, steps_b[key])
+            if nxt not in parent:
+                parent[nxt] = (pair, key)
+                queue.append(nxt)
+    return None
 
 
 # ---------------------------------------------------------------------------

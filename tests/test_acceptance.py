@@ -29,7 +29,7 @@ from sbmod.formulas import (
     var_atom,
 )
 from sbmod.graphs import ObjectGraph, materialized_edges
-from sbmod.runsets import CellRuns, CellSpace, runs_equal_minus_violations
+from sbmod.runsets import CellRuns, CellSpace
 from sbmod.solver import check_sat, equivalent
 from sbmod.verify import (
     Counterexample,
@@ -40,6 +40,7 @@ from sbmod.verify import (
 )
 
 from oracles import (
+    accepts,
     doomed_states,
     fourier_motzkin_satisfiable,
     isomorphic,
@@ -47,6 +48,7 @@ from oracles import (
     rand_atom_pool,
     rand_conjunction,
     rand_formula,
+    runs_equal_minus_violations,
 )
 
 VH = VarSet(("v", "h"))
@@ -195,9 +197,9 @@ def test_criterion_5_repair(drone_text, drone_base, drone_property):
     # spot probes: the violating prefix is gone, its gentle twin survives
     sharp_then_turn = (space.key_of(rand_grid(4, 0)), space.key_of(rand_grid(0, 18)))
     gentle_then_turn = (space.key_of(rand_grid(2, 0)), space.key_of(rand_grid(0, 18)))
-    assert original_runs.accepts(sharp_then_turn)
-    assert not patched_runs.accepts(sharp_then_turn)
-    assert patched_runs.accepts(gentle_then_turn)
+    assert accepts(original_runs, sharp_then_turn)
+    assert not accepts(patched_runs, sharp_then_turn)
+    assert accepts(patched_runs, gentle_then_turn)
     report(5, "patch cuts exactly the armed sharp-turn edge; run sets match exactly")
 
 

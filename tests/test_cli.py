@@ -151,6 +151,27 @@ def test_unemittable_patch_is_unrepairable(tmp_path, capsys):
     assert err.startswith("unrepairable: the patch cannot be written as a scenario script: ")
 
 
+# a random model, shrunk: a branch of its patch leaves for a state past an
+# inner shared suffix, and the structured text fell into that suffix instead,
+# so the emitted model reached a bad state
+TINY = """model {
+  vars v, h;
+  object O0 { sync(request = h < 2); sync(request = h >= 0); sync(waitfor = v >= 2, block = v >= 2); }
+  object O1 { sync(waitfor = v >= 2); if (h < 0) { sync(request = h >= 0 && v < 1); } loop { sync(request = h >= 0); } }
+  object P { sync(waitfor = h >= 0 && v >= 2); sync(waitfor = h < 2); sync(); mark bad; }
+}
+"""
+
+
+def test_patch_that_would_fall_into_a_shared_suffix_is_refused(tmp_path, capsys):
+    src, emitted = tmp_path / "tiny.sbm", tmp_path / "patched.sbm"
+    src.write_text(TINY)
+    assert main(["repair", str(src), "--property", "P", "--verify", "--emit-model", str(emitted)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("unrepairable: the patch cannot be written as a scenario script: ")
+    assert not emitted.exists()
+
+
 THREE_PASSES = "verification: safety after patch: pass; no new deadlocks: pass; run containment: pass\n"
 
 

@@ -327,6 +327,20 @@ def test_emit_refuses_a_cycle_away_from_the_initial_state():
         emit_script(g)
 
 
+def test_emit_refuses_a_branch_back_to_the_loop_start_before_a_shared_suffix():
+    # b returns to a, but its arm would end where the chain does and fall
+    # into d, the suffix that c and e share
+    g = ObjectGraph.make(
+        states="abcde", initial="a", waitfor={q: TRUE for q in "abcde"},
+        block={q: var_atom("v", "==", k) for q, k in zip("bcde", (10, 30, 20, 40))},
+        edges=[("a", var_atom("v", "<", 1), "b"), ("a", conj([var_atom("v", ">=", 1), var_atom("v", "<", 2)]), "c"),
+               ("a", var_atom("v", ">=", 2), "e"),
+               ("b", TRUE, "a"), ("c", TRUE, "d"), ("e", TRUE, "d"), ("d", TRUE, "a")],
+    )
+    with pytest.raises(EmissionError, match="branch 'a' -> 'b' would fall into a shared suffix"):
+        emit_script(g)
+
+
 def test_emit_a_cycle_longer_than_the_recursion_limit():
     n = 1500
     names = [f"s{i}" for i in range(n)]

@@ -12,9 +12,9 @@ import pytest
 from sbmod import cells, minimize, solver
 from sbmod.compose import JOIN, compose, compose_all, enabled_guard, object_graphs, run_graph
 from sbmod.dsl import parse_model
-from sbmod.formulas import FALSE, VarSet, conj, disj, var_atom
+from sbmod.formulas import FALSE, Assignment, VarSet, conj, disj, var_atom
 from sbmod.graphs import GraphError, Model, NamedObject, ObjectGraph, encode_discrete
-from sbmod.runsets import CellRuns, CellSpace, runs_equal_minus_violations
+from sbmod.runsets import CellRuns, CellSpace
 from sbmod.verify import (
     Patch,
     RepairUnsoundError,
@@ -27,6 +27,7 @@ from conftest import FIXTURES, WATER_TAP_EVENTS, two_hot_in_a_row, water_tap_obj
 from oracles import (
     TRAP_MODEL,
     WATER_TAP_TEXT,
+    accepts,
     bounded_runs,
     doomed_states,
     enabled_edges,
@@ -36,6 +37,7 @@ from oracles import (
     rand_formula,
     reference_run_graph,
     ring_n_text,
+    runs_equal_minus_violations,
     token_ring_text,
     with_property,
 )
@@ -273,8 +275,8 @@ def _difference_against_reference(m: Model, composite: ObjectGraph, patch: Patch
             assert (witness in kept) != (witness in patched)
     if witness is None:
         return "equal", None
-    kind = "lost_run" if original.accepts(witness, avoid=doomed) else "foreign_run"
-    assert original.accepts(witness, avoid=doomed) != CellRuns(lazy, space).accepts(witness)
+    kind = "lost_run" if accepts(original, witness, avoid=doomed) else "foreign_run"
+    assert accepts(original, witness, avoid=doomed) != accepts(CellRuns(lazy, space), witness)
     return kind, witness
 
 
@@ -300,6 +302,48 @@ def test_verify_patch_reports_the_shortest_lost_run(drone_base, drone_property):
     witness = report.details["lost_run"]
     kind, expected = _difference_against_reference(drone_base, composite, wider, MAX_DEPTH["drone"])
     assert kind == "lost_run" and len(witness) == len(expected) <= MAX_DEPTH["drone"]
+
+
+# ---------------------------------------------------------------------------
+# clause (c) read off the patched run graph, against the cell reference
+
+
+@pytest.mark.parametrize("name, seeds", [
+    ("drone", 6), ("tap", 6), ("dsl_tap", 6), ("ring", 6), ("wide", 6), ("token_ring", 6),
+    ("indep:4", 6), ("indep:6", 1),
+    ("ring_n", 0),  # no run leaves the initial state, so there is nothing to mutate
+])
+def test_clause_c_matches_the_cell_reference(name, seeds, workloads):
+    m, prop = _case(name, workloads)
+    patch, _, composite = repair(m, prop)
+    doomed = doomed_states(composite, m.vars)
+    identity = _reblocked(patch, dict.fromkeys(patch.tracker.states, FALSE))
+    candidates = [("repaired", patch), ("identity", identity)]
+    for seed in range(seeds):
+        candidates += _mutants(patch, composite, m.vars, random.Random(seed))[1:]
+    for mutation, candidate in candidates:
+        try:
+            report = verify_patch(m, candidate, prop, composite)
+        except RepairUnsoundError as err:
+            report = err.report
+        patched, _ = run_graph([composite, candidate.tracker], m.vars)
+        space = CellSpace.for_graphs([composite, patched], m.vars)
+        original, after = CellRuns(composite, space), CellRuns(patched, space)
+        expected = runs_equal_minus_violations(original, after, doomed)
+        assert report.containment_ok == (expected is None), mutation
+        kinds = [k for k in ("lost_run", "foreign_run") if k in report.details]
+        if expected is None:
+            assert kinds == [], mutation
+            continue
+        (kind,) = kinds
+        assert kind == ("lost_run" if accepts(original, expected, doomed) else "foreign_run"), mutation
+        # one model per step, each in the cell of a letter of a shortest differing word
+        witness = report.details[kind]
+        assert all(isinstance(a, Assignment) for a in witness)
+        word = tuple(space.key_of(a) for a in witness)
+        assert len(word) == len(expected), mutation
+        kept = accepts(original, word, doomed)
+        assert kept != accepts(after, word) and kept == (kind == "lost_run"), mutation
 
 
 # ---------------------------------------------------------------------------

@@ -165,26 +165,32 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
 def test_each_verb_executes_only_the_modules_it_runs(tmp_path, workloads):
     (tmp_path / "ring.sbm").write_text(workloads.ring_text(5))
     (tmp_path / "bad.sbm").write_text("vars x\nobject\n")
-    code = ("import json, sys, types; from sbmod.cli import main; status = main(sys.argv[1:]); "
-            f"print(json.dumps([status, {EXECUTED}, 'random' in sys.modules]))")
+    # the probe reads sys.modules before it imports json itself
+    code = ("import sys, types; from sbmod.cli import main; status = main(sys.argv[1:]); "
+            f"probe = [status, {EXECUTED}, 'random' in sys.modules, 'json' in sys.modules]; "
+            "import json; print(json.dumps(probe))")
 
-    def executed(*argv: str) -> tuple[int, set[str], bool]:
+    def executed(*argv: str) -> tuple[int, set[str], bool, bool]:
         # the verb prints first; the last line is the probe's
         last = fresh_python(code, *argv, cwd=tmp_path).splitlines()[-1]
-        status, modules, random_imported = json.loads(last)
-        return status, set(modules), random_imported
+        status, modules, random_imported, json_imported = json.loads(last)
+        return status, set(modules), random_imported, json_imported
 
     validate_set = {"cli", "dsl", "formulas", "graphs"}
-    assert executed("validate", "ring.sbm") == (0, validate_set, False)
+    assert executed("validate", "ring.sbm") == (0, validate_set, False, False)
     # reporting a usage error executes no more than the verb did
-    assert executed("validate", "missing.sbm") == (2, validate_set, False)
-    assert executed("validate", "bad.sbm") == (2, validate_set, False)
-    status, modules, random_imported = executed("check", "ring.sbm", "--property", "AllMarked")
+    assert executed("validate", "missing.sbm") == (2, validate_set, False, False)
+    assert executed("validate", "bad.sbm") == (2, validate_set, False, False)
+    status, modules, random_imported, _ = executed("check", "ring.sbm", "--property", "AllMarked")
     assert status == 1 and "verify" in modules
     assert not modules & {"engine", "runsets"} and not random_imported
-    status, modules, _ = executed("graph", "ring.sbm", "--object", "C0")
+    status, modules, _, _ = executed("graph", "ring.sbm", "--object", "C0")
     assert status == 0 and "compose" in modules
     assert not modules & {"verify", "runsets", "engine"}
+    # clause (c) reads the patched run graph, with no cell alphabet
+    status, modules, _, json_imported = executed("repair", "ring.sbm", "--property", "AllMarked", "--verify")
+    assert status == 0 and "verify" in modules
+    assert not modules & {"runsets", "engine"} and not json_imported
 
 
 def test_package_api_keeps_its_shape():

@@ -20,7 +20,7 @@ decision:
 - ``cli`` defers ``engine``, ``extract`` and ``verify``. It imports
   ``compose`` inside ``_pick_graph``, because ``sbmod.compose`` is the
   function ``compose.compose``, not the module.
-- ``dsl`` defers ``cells`` and ``minimize``, which only the emitter needs.
+- ``dsl`` defers ``minimize`` and ``solver``, which only the emitter needs.
 - ``runsets`` is executed by no verb: ``verify`` reads the run-set clause
   off the patched run graph. It stays registered because the tests decode
   runs with it and the benchmark's tracer reads it from ``sys.modules``.
@@ -47,14 +47,8 @@ _API = {
         "DiscreteObject", "Model", "NamedObject", "ObjectGraph", "Trace", "encode_discrete",
         "to_dot", "to_json_dict",
     ),
-    "dsl": (
-        "ParseError", "PredicateSet", "ScenarioScript", "collect_predicates", "emit_script",
-        "parse_model",
-    ),
-    "extract": (
-        "ExtractStats", "ScriptState", "extract_graph", "initial_state", "simplify_graph",
-        "step_script",
-    ),
+    "dsl": ("ParseError", "ScenarioScript", "emit_script", "parse_model"),
+    "extract": ("ExtractStats", "extract_graph", "initial_state", "simplify_graph", "step_script"),
     "compose": ("compose", "compose_all", "enabled_guard"),
     "verify": (
         "Counterexample", "Patch", "Report", "Safe", "check_safety", "compute_bad_attractor",

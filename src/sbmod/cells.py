@@ -26,7 +26,7 @@ query.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 from . import solver
@@ -43,15 +43,6 @@ MAX_CELLS = 1 << 12
 
 # cell tables keyed by (atom keys, variable names), kept by solver.remember
 _cache: dict[tuple, tuple[Cell, ...]] = {}
-
-
-def polarity_classes(atoms: Iterable[LinearAtom]) -> list[LinearAtom]:
-    """One representative per {atom, negated atom} pair, in canonical order."""
-    reps: dict[tuple, LinearAtom] = {}
-    for a in atoms:
-        rep = a.polarity_rep()
-        reps.setdefault(rep.key(), rep)
-    return [reps[k] for k in sorted(reps)]
 
 
 def _literal(a: LinearAtom, positive: bool) -> Formula:

@@ -134,13 +134,14 @@ def cmd_repair(args: argparse.Namespace) -> int:
         for q, f in cuts:
             print(f"cutting at {q}: blocking {to_infix(f)}")
     text = patch.to_script_text()
+    # a patch that fails verification raises here, before anything is written
+    report = verify.verify_patch(base, patch, prop, composite) if args.verify else None
     _write(args.out, text + "\n")
     if args.emit_model:
         with open(args.path, "r", encoding="utf-8") as handle:
             patched_text = insert_object(handle.read(), text)
         _write(args.emit_model, patched_text)
-    if args.verify:
-        report = verify.verify_patch(base, patch, prop, composite)
+    if report is not None:
         print(f"verification: {report.summary()}")
     return OK
 

@@ -36,8 +36,8 @@ import re
 from contextlib import contextmanager
 from fractions import Fraction
 
-# cells and minimize are deferred (see the package docstring)
-from . import cells, minimize, solver
+# minimize and solver are deferred (see the package docstring)
+from . import minimize, solver
 from .formulas import (
     FALSE,
     TRUE,
@@ -48,20 +48,19 @@ from .formulas import (
     LinearAtom,
     Or,
     VarSet,
-    _read_only,
-    _set,
     atoms_of,
     canonicalize,
     conj,
     disj,
     negate,
+    polarity_classes,
     to_infix,
 )
 from .graphs import Edge, GraphError, Model, NamedObject, ObjectGraph, _graph_vars, bfs_tree
 
 # Parser limits, each a ParseError when exceeded. Parentheses, ``!``, blocks
 # and else-if arms nest at most MAX_NESTING deep, so that every later
-# recursive pass (validation, extraction, minimization, emission) stays far
+# recursive pass (the compiling walk, minimization, emission) stays far
 # from the interpreter's recursion limit; an object holds at most
 # MAX_STATEMENTS statements after ``repeat`` unrolling, checked before a body
 # is copied.
@@ -123,11 +122,16 @@ Frames = tuple[tuple[list, int], ...]
 
 
 class ScenarioScript:
-    """A parsed scenario object, compiled once: one walk numbers its syncs and
+    """A parsed scenario object, compiled once. One walk numbers its syncs and
     records, per sync uid, its canonical wake condition (request or waitfor)
-    and the continuation frames that control resumes from once it wakes."""
+    and the continuation frames that control resumes from once it wakes; the
+    script's ``predicates``, one atom per {atom, negated atom} pair of its
+    sync formulas and if conditions, in canonical order; and its static
+    ``fault``, which the parser raises, or None. A loop that control can
+    pass through without a sync is a fault, and else a branch before the
+    first sync, where there is no assignment to evaluate it against."""
 
-    __slots__ = ("name", "body", "syncs", "wakes", "continuations")
+    __slots__ = ("name", "body", "syncs", "wakes", "continuations", "predicates", "fault")
 
     def __init__(self, name: str, body: list) -> None:
         self.name = name
@@ -135,69 +139,35 @@ class ScenarioScript:
         self.syncs: list[SyncStmt] = []
         self.wakes: list[Formula] = []
         self.continuations: list[Frames] = []
-        self._number(self.body, ())
+        self.fault: str | None = None
+        atoms: list[LinearAtom] = []
+        self._number(self.body, (), atoms)
+        self.predicates = tuple(polarity_classes(atoms))
 
-    def _number(self, stmts: list, frames: Frames) -> None:
+    def _number(self, stmts: list, frames: Frames, atoms: list[LinearAtom]) -> bool:
+        """Whether control can run through ``stmts`` without a sync."""
+        passable = True
         for i, st in enumerate(stmts):
             if isinstance(st, SyncStmt):
                 st.uid = len(self.syncs)
                 self.syncs.append(st)
                 self.wakes.append(st.wake())
                 self.continuations.append(frames + ((stmts, i + 1),))
+                for f in (st.request, st.waitfor, st.block):
+                    atoms += atoms_of(f)
+                passable = False
             elif isinstance(st, IfStmt):
-                self._number(st.then, frames + ((stmts, i + 1),))
-                self._number(st.orelse, frames + ((stmts, i + 1),))
+                if not self.syncs and self.fault is None:
+                    self.fault = f"object {self.name!r} branches before its first sync"
+                atoms += atoms_of(st.cond)
+                then = self._number(st.then, frames + ((stmts, i + 1),), atoms)
+                orelse = self._number(st.orelse, frames + ((stmts, i + 1),), atoms)
+                passable = passable and (then or orelse)
             elif isinstance(st, LoopStmt):
-                self._number(st.body, frames + ((stmts, i),))
-
-
-class PredicateSet:
-    """Canonical atoms of a script, with an atom and its negation collapsed."""
-
-    __slots__ = ("atoms",)
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, atoms: tuple[LinearAtom, ...]) -> None:
-        _set(self, "atoms", atoms)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is PredicateSet and other.atoms == self.atoms
-
-    def __hash__(self) -> int:
-        return hash(self.atoms)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-    def __iter__(self):
-        return iter(self.atoms)
-
-    def __contains__(self, a: LinearAtom) -> bool:
-        return a.polarity_rep().key() in {x.key() for x in self.atoms}
-
-
-def collect_predicates(script: ScenarioScript) -> PredicateSet:
-    """All predicates appearing in sync formulas or if conditions."""
-    found: list[LinearAtom] = []
-
-    def take(f: Formula) -> None:
-        found.extend(atoms_of(f))
-
-    def walk(stmts: list) -> None:
-        for st in stmts:
-            if isinstance(st, SyncStmt):
-                take(st.request)
-                take(st.waitfor)
-                take(st.block)
-            elif isinstance(st, IfStmt):
-                take(st.cond)
-                walk(st.then)
-                walk(st.orelse)
-            elif isinstance(st, LoopStmt):
-                walk(st.body)
-
-    walk(script.body)
-    return PredicateSet(tuple(cells.polarity_classes(found)))
+                if self._number(st.body, frames + ((stmts, i),), atoms):  # wins over a branch fault
+                    self.fault = f"object {self.name!r} has a loop with a sync-free iteration path"
+                passable = False  # loops never complete; control cannot pass them
+        return passable
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +327,8 @@ class _Parser:
         body = self.stmt_list()
         self.expect("}")
         script = ScenarioScript(name, body)
-        _validate_script(script, self)
+        if script.fault is not None:
+            raise self.fail(script.fault)
         return NamedObject(name, script)
 
     def stmt_list(self) -> list:
@@ -563,56 +534,6 @@ def _constant_holds(rel: str, const: Fraction) -> bool:
 def parse_model(text: str) -> Model:
     """Parse a ``.sbm`` model; raises ParseError with line/column on failure."""
     return _Parser(text).model()
-
-
-# ---------------------------------------------------------------------------
-# static checks
-
-
-def _validate_script(script: ScenarioScript, parser: _Parser) -> None:
-    tok = parser.peek()
-
-    def err(message: str) -> ParseError:
-        return ParseError(message, tok.line, tok.col)
-
-    def passable_without_sync(stmts: list) -> bool:
-        # can control flow fall through this list without hitting a sync?
-        for st in stmts:
-            if isinstance(st, SyncStmt):
-                return False
-            if isinstance(st, LoopStmt):
-                return False  # loops never complete; control cannot pass them
-            if isinstance(st, IfStmt):
-                if not (passable_without_sync(st.then) or passable_without_sync(st.orelse)):
-                    return False
-        return True
-
-    def check_loops(stmts: list) -> None:
-        for st in stmts:
-            if isinstance(st, LoopStmt):
-                if passable_without_sync(st.body):
-                    raise err(f"object {script.name!r} has a loop with a sync-free iteration path")
-                check_loops(st.body)
-            elif isinstance(st, IfStmt):
-                check_loops(st.then)
-                check_loops(st.orelse)
-
-    def check_prefix(stmts: list) -> bool:
-        # no conditional may execute before the first sync (there is no
-        # assignment to evaluate it against); returns True once a sync is hit
-        for st in stmts:
-            if isinstance(st, SyncStmt):
-                return True
-            if isinstance(st, IfStmt):
-                raise err(f"object {script.name!r} branches before its first sync")
-            if isinstance(st, LoopStmt):
-                if check_prefix(st.body):
-                    return True
-                raise err(f"object {script.name!r} has a sync-free loop before its first sync")
-        return False
-
-    check_loops(script.body)
-    check_prefix(script.body)
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,10 @@ import json
 import random
 
 from . import solver
-from .cells import MAX_CELLS, cell_bound, polarity_classes, satisfiable_cells
+from .cells import MAX_CELLS, cell_bound, satisfiable_cells
 from .dsl import ScenarioScript
-from .extract import ScriptState, initial_state, resume
+from .extract import END_LOCATION, initial_state, pending, resume
 from .formulas import (
-    FALSE,
     Assignment,
     Formula,
     VarSet,
@@ -44,6 +43,7 @@ from .formulas import (
     evaluate,
     fraction_text,
     negate,
+    polarity_classes,
 )
 from .graphs import FIRST_MODEL, POLICIES, RANDOM_CELL, Model, ObjectGraph
 
@@ -134,7 +134,7 @@ def select_event(
     return inside[rng.randrange(len(inside))]
 
 
-_ObjState = ScriptState | str
+_ObjState = int | str  # a script's sync uid or END_LOCATION, or a graph's state
 
 
 def _object_state(item: ScenarioScript | ObjectGraph) -> _ObjState:
@@ -146,23 +146,21 @@ def _object_state(item: ScenarioScript | ObjectGraph) -> _ObjState:
 def _declaration(item, state: _ObjState) -> tuple[Formula, Formula]:
     if isinstance(item, ObjectGraph):
         return item.request[state], item.block[state]
-    sync = state.sync()
-    if sync is None:
-        return FALSE, FALSE
+    sync, _ = pending(item, state)
     return sync.request, sync.block
 
 
 def _wake_condition(item, state: _ObjState) -> Formula:
     if isinstance(item, ObjectGraph):
         return item.wake(state)
-    return state.wake()
+    return pending(item, state)[1]
 
 
 def _advance(item, state: _ObjState, a: Assignment) -> _ObjState:
     """The state after an object woken by ``a`` moves."""
     if isinstance(item, ObjectGraph):
         return item.move(state, a)
-    return resume(state, a)
+    return resume(item, state, a)
 
 
 def run(m: Model, cfg: ExecutionConfig) -> EventLog:
@@ -182,7 +180,7 @@ def run(m: Model, cfg: ExecutionConfig) -> EventLog:
                 woke.append(named.name)
                 states[i] = _advance(named.item, state, a)
         log.entries.append(LogEntry(step, a, tuple(woke)))
-        if all(isinstance(o.item, ScenarioScript) and s.ended for o, s in zip(m.objects, states)):
+        if all(isinstance(o.item, ScenarioScript) and s == END_LOCATION for o, s in zip(m.objects, states)):
             log.stop_reason = "ended"
             return log
     return log

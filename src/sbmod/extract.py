@@ -6,11 +6,13 @@ satisfies its request-or-waitfor condition, then runs straight-line code
 (branching on the assignment) to the next sync point, reading the wake condition
 and resume frames that ``ScenarioScript`` compiled for each sync. ``resume`` is
 that run alone; ``step_script`` tests the wake condition first, and callers
-that test it themselves (extraction, the engine) call ``resume``. Program
-location fully determines the state, which is what makes extraction terminate.
+that test it themselves (extraction, the engine) call ``resume``. A script's
+state is its program location, the uid of the sync it waits at or
+END_LOCATION once it has finished; that the location fully determines the
+state is what makes extraction terminate.
 
 The extraction half explores, at every reachable state, each satisfiable
-complete sign assignment over the script's collected predicates, as listed
+complete sign assignment over the script's predicates, as listed
 with a solver witness each by ``cells.satisfiable_cells`` over the model's
 variable set. Each witness is triggered through the interpreter, recording
 a cell-guarded edge.
@@ -26,52 +28,31 @@ graph; composition and export materialize them as one complement-guard loop.
 from __future__ import annotations
 
 from .cells import MAX_CELLS, cell_bound, cell_formula, satisfiable_cells
-from .dsl import Frames, IfStmt, LoopStmt, PredicateSet, ScenarioScript, SyncStmt, collect_predicates
-from .formulas import (
-    FALSE,
-    Assignment,
-    Formula,
-    VarSet,
-    _read_only,
-    _set,
-    disj,
-    evaluate,
-)
+from .dsl import Frames, IfStmt, LoopStmt, ScenarioScript, SyncStmt
+from .formulas import FALSE, Assignment, Formula, LinearAtom, VarSet, disj, evaluate
 from .graphs import ObjectGraph
 from .minimize import boolean_minimize
 
-END_LOCATION = -1
+END_LOCATION = -1  # the state of a finished script; every other state is a sync uid
+
+_FINISHED = SyncStmt()  # a finished script declares nothing
 
 
 class ExtractionError(ValueError):
     pass
 
 
-class ScriptState:
-    """A script paused at a synchronization point (or finished): the sync uid
-    ``location``, or END_LOCATION."""
+def state_name(location: int) -> str:
+    return "end" if location == END_LOCATION else f"s{location}"
 
-    __slots__ = ("script", "location")
-    __setattr__ = __delattr__ = _read_only
 
-    def __init__(self, script: ScenarioScript, location: int) -> None:
-        _set(self, "script", script)
-        _set(self, "location", location)
-
-    @property
-    def ended(self) -> bool:
-        return self.location == END_LOCATION
-
-    @property
-    def name(self) -> str:
-        return "end" if self.ended else f"s{self.location}"
-
-    def sync(self) -> SyncStmt | None:
-        return None if self.ended else self.script.syncs[self.location]
-
-    def wake(self) -> Formula:
-        """The pending sync's wake condition; a finished script never wakes."""
-        return FALSE if self.ended else self.script.wakes[self.location]
+def pending(script: ScenarioScript, location: int) -> tuple[SyncStmt, Formula]:
+    """The sync that a script at ``location`` waits at, and its wake
+    condition; a finished script never wakes. END_LOCATION is -1, so it is
+    tested before the script's lists are indexed."""
+    if location == END_LOCATION:
+        return _FINISHED, FALSE
+    return script.syncs[location], script.wakes[location]
 
 
 def _walk_to_sync(frames: Frames, a: Assignment | None) -> int:
@@ -96,27 +77,27 @@ def _walk_to_sync(frames: Frames, a: Assignment | None) -> int:
     return END_LOCATION
 
 
-def initial_state(script: ScenarioScript) -> ScriptState:
-    loc = _walk_to_sync(((script.body, 0),), None)
-    return ScriptState(script=script, location=loc)
+def initial_state(script: ScenarioScript) -> int:
+    return _walk_to_sync(((script.body, 0),), None)
 
 
-def resume(s: ScriptState, a: Assignment) -> ScriptState:
-    """The state after ``s`` wakes on ``a``: run on to the next sync point.
+def resume(script: ScenarioScript, location: int, a: Assignment) -> int:
+    """The state after the script at ``location`` wakes on ``a``: run on to
+    the next sync point.
 
-    The caller has tested ``s``'s wake condition on ``a``.
+    The caller has tested the wake condition on ``a``.
     """
-    return ScriptState(script=s.script, location=_walk_to_sync(s.script.continuations[s.location], a))
+    return _walk_to_sync(script.continuations[location], a)
 
 
-def step_script(s: ScriptState, a: Assignment) -> ScriptState:
+def step_script(script: ScenarioScript, location: int, a: Assignment) -> int:
     """Advance one triggered assignment.
 
     If the assignment does not satisfy the pending sync's request-or-waitfor
     condition the object does not wake and the state is returned unchanged.
     A finished script absorbs everything.
     """
-    return resume(s, a) if evaluate(s.wake(), a) else s
+    return resume(script, location, a) if evaluate(pending(script, location)[1], a) else location
 
 
 class ExtractStats:
@@ -125,7 +106,7 @@ class ExtractStats:
     __slots__ = ("predicates", "cells_per_state", "satisfiable_cells_per_state")
 
     def __init__(self) -> None:
-        self.predicates: PredicateSet | None = None
+        self.predicates: tuple[LinearAtom, ...] | None = None
         self.cells_per_state: dict[str, int] = {}
         self.satisfiable_cells_per_state: dict[str, int] = {}
 
@@ -142,8 +123,7 @@ def extract_graph(
     the interpreter by its witness. Edges carry the cell conjunctions as
     guards (merge them afterwards with ``simplify_graph``).
     """
-    predicates = collect_predicates(script)
-    atoms = list(predicates.atoms)
+    atoms = script.predicates
     # extraction triggers every satisfiable sign cell at every state
     bound = cell_bound(atoms)
     if bound > MAX_CELLS:
@@ -151,13 +131,13 @@ def extract_graph(
             f"object {script.name!r} has up to {bound} sign cells over its {len(atoms)} "
             f"predicates, over the budget of {MAX_CELLS}; reduce distinct predicates in the script")
     if stats is not None:
-        stats.predicates = predicates
+        stats.predicates = atoms
 
     cells = [(cell_formula(atoms, mask), model) for mask, model in satisfiable_cells(atoms, vars)]
 
     start = initial_state(script)
-    states: dict[int, ScriptState] = {start.location: start}
     order = [start]
+    seen = {start}
     edges: list[tuple[str, Formula, str]] = []
     labels_r: dict[str, Formula] = {}
     labels_b: dict[str, Formula] = {}
@@ -168,28 +148,28 @@ def extract_graph(
     while i < len(order):
         state = order[i]
         i += 1
-        sync = state.sync() or SyncStmt()  # a finished script declares nothing
-        labels_r[state.name] = sync.request
-        labels_b[state.name] = sync.block
-        labels_w[state.name] = sync.waitfor
+        name = state_name(state)
+        sync, wake = pending(script, state)
+        labels_r[name] = sync.request
+        labels_b[name] = sync.block
+        labels_w[name] = sync.waitfor
         if sync.bad:
-            bad.add(state.name)
-        wake = state.wake()
+            bad.add(name)
         for guard, model in cells:
             if not evaluate(wake, model):
                 continue  # no wake: implicit self-loop, not recorded
-            nxt = resume(state, model)
-            edges.append((state.name, guard, nxt.name))
-            if nxt.location not in states:
-                states[nxt.location] = nxt
+            nxt = resume(script, state, model)
+            edges.append((name, guard, state_name(nxt)))
+            if nxt not in seen:
+                seen.add(nxt)
                 order.append(nxt)
         if stats is not None:
-            stats.cells_per_state[state.name] = 1 << len(atoms)
-            stats.satisfiable_cells_per_state[state.name] = len(cells)
+            stats.cells_per_state[name] = 1 << len(atoms)
+            stats.satisfiable_cells_per_state[name] = len(cells)
 
     return ObjectGraph.make(
-        states=[s.name for s in order],
-        initial=start.name,
+        states=[state_name(s) for s in order],
+        initial=state_name(start),
         request=labels_r,
         block=labels_b,
         waitfor=labels_w,

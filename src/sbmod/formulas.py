@@ -418,6 +418,15 @@ def atoms_of(f: Formula) -> list[LinearAtom]:
     return [found[k] for k in sorted(found)]
 
 
+def polarity_classes(atoms: Iterable[LinearAtom]) -> list[LinearAtom]:
+    """One representative per {atom, negated atom} pair, in canonical order."""
+    reps: dict[tuple, LinearAtom] = {}
+    for a in atoms:
+        rep = a.polarity_rep()
+        reps.setdefault(rep.key(), rep)
+    return [reps[k] for k in sorted(reps)]
+
+
 def variables_of(f: Formula) -> set[str]:
     return {v for a in atoms_of(f) for v in a.variables()}
 

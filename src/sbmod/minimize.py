@@ -39,6 +39,7 @@ from .formulas import (
     canonicalize,
     conj,
     formula_key,
+    polarity_classes,
 )
 
 # results keyed by (formula key, variable names), kept by solver.remember
@@ -147,7 +148,7 @@ def _on_set(f: Formula, atoms: list[LinearAtom], masks: list[int]) -> set[int]:
 
 
 def _minimize(f: Formula, vars: VarSet) -> Formula:
-    atoms = cells.polarity_classes(atoms_of(f))
+    atoms = polarity_classes(atoms_of(f))
     if not atoms or cells.cell_bound(atoms) > cells.MAX_CELLS:
         return f
     masks = [mask for mask, _ in cells.satisfiable_cells(atoms, vars)]

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .cells import polarity_classes, satisfiable_cells, sign_mask
+from .cells import satisfiable_cells, sign_mask
 from .compose import enabled_guard
-from .formulas import Assignment, LinearAtom, VarSet, _read_only, _set, atoms_of, evaluate
+from .formulas import Assignment, LinearAtom, VarSet, _read_only, _set, atoms_of, evaluate, polarity_classes
 from .graphs import ObjectGraph
 
 Move = tuple[tuple, str]  # (cell letter, successor state)

@@ -35,10 +35,11 @@ from sbmod.formulas import (
     disj,
     evaluate,
     negate,
+    polarity_classes,
 )
-from sbmod.cells import MAX_CELLS, cell_bound, polarity_classes, satisfiable_cells
+from sbmod.cells import MAX_CELLS, cell_bound, satisfiable_cells
 from sbmod.compose import compose_all, enabled_guard
-from sbmod.dsl import IfStmt, LoopStmt, ScenarioScript, SyncStmt
+from sbmod.dsl import IfStmt, LoopStmt, ParseError, ScenarioScript, SyncStmt
 from sbmod.graphs import DiscreteObject, Edge, Model, NamedObject, ObjectGraph, bfs_tree
 from sbmod.runsets import CellRuns
 from sbmod.verify import property_graph
@@ -83,6 +84,24 @@ def rand_assignment(rng: random.Random, variables=VARS, span: int = 25) -> Assig
 
 def rand_conjunction(rng: random.Random, max_atoms: int = 8, variables=VARS) -> list[LinearAtom]:
     return [rand_atom(rng, variables).atom for _ in range(rng.randint(1, max_atoms))]
+
+
+def rand_statements(rng: random.Random, pool: list[Atom], depth: int = 3) -> list:
+    """A statement list of up to 3 syncs, ifs and loops per level, faulty ones
+    included: an if may come before the first sync, and a loop body may be
+    empty or let control through without a sync."""
+    stmts: list = []
+    for _ in range(rng.randint(0, 3)):
+        roll = rng.random() if depth > 0 else 0.0
+        if roll < 0.5:
+            parts = [rand_formula(rng, 1, pool) if rng.random() < 0.5 else FALSE for _ in range(3)]
+            stmts.append(SyncStmt(*parts, bad=rng.random() < 0.2))
+        elif roll < 0.75:
+            stmts.append(IfStmt(rand_formula(rng, 1, pool), rand_statements(rng, pool, depth - 1),
+                                rand_statements(rng, pool, depth - 1)))
+        else:
+            stmts.append(LoopStmt(rand_statements(rng, pool, depth - 1)))
+    return stmts
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +336,81 @@ def ref_step_script(script: ScenarioScript, location: int, a: Assignment) -> int
     if not evaluate(disj([sync.request, sync.waitfor]), a):
         return location
     return _ref_walk_to_sync(_ref_continuations(script)[sync.uid], a)
+
+
+# ---------------------------------------------------------------------------
+# reference static checks and predicate collector: three recursive passes over
+# a script for its faults and one more for its predicates. The ``fault`` and
+# ``predicates`` that sbmod.dsl.ScenarioScript records in its numbering walk
+# must agree, and the parser must raise that fault as this ParseError.
+
+
+def ref_validate_script(script: ScenarioScript, line: int, col: int) -> None:
+    """Raise the ParseError for the script's first fault, at ``line``, ``col``."""
+
+    def err(message: str) -> ParseError:
+        return ParseError(message, line, col)
+
+    def passable_without_sync(stmts: list) -> bool:
+        # can control flow fall through this list without hitting a sync?
+        for st in stmts:
+            if isinstance(st, SyncStmt):
+                return False
+            if isinstance(st, LoopStmt):
+                return False  # loops never complete; control cannot pass them
+            if isinstance(st, IfStmt):
+                if not (passable_without_sync(st.then) or passable_without_sync(st.orelse)):
+                    return False
+        return True
+
+    def check_loops(stmts: list) -> None:
+        for st in stmts:
+            if isinstance(st, LoopStmt):
+                if passable_without_sync(st.body):
+                    raise err(f"object {script.name!r} has a loop with a sync-free iteration path")
+                check_loops(st.body)
+            elif isinstance(st, IfStmt):
+                check_loops(st.then)
+                check_loops(st.orelse)
+
+    def check_prefix(stmts: list) -> bool:
+        # no conditional may execute before the first sync (there is no
+        # assignment to evaluate it against); returns True once a sync is hit
+        for st in stmts:
+            if isinstance(st, SyncStmt):
+                return True
+            if isinstance(st, IfStmt):
+                raise err(f"object {script.name!r} branches before its first sync")
+            if isinstance(st, LoopStmt):
+                if check_prefix(st.body):
+                    return True
+                raise err(f"object {script.name!r} has a sync-free loop before its first sync")
+        return False
+
+    check_loops(script.body)
+    check_prefix(script.body)
+
+
+def ref_predicates(script: ScenarioScript) -> tuple[LinearAtom, ...]:
+    """All predicates appearing in sync formulas or if conditions, one per
+    {atom, negated atom} pair."""
+    found: list[LinearAtom] = []
+
+    def walk(stmts: list) -> None:
+        for st in stmts:
+            if isinstance(st, SyncStmt):
+                found.extend(atoms_of(st.request))
+                found.extend(atoms_of(st.waitfor))
+                found.extend(atoms_of(st.block))
+            elif isinstance(st, IfStmt):
+                found.extend(atoms_of(st.cond))
+                walk(st.then)
+                walk(st.orelse)
+            elif isinstance(st, LoopStmt):
+                walk(st.body)
+
+    walk(script.body)
+    return tuple(polarity_classes(found))
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ from __future__ import annotations
 import random
 
 from sbmod.compose import compose, compose_all
-from sbmod.dsl import collect_predicates, insert_object, parse_model
+from sbmod.dsl import insert_object, parse_model
 from sbmod.engine import ExecutionConfig, run
 from sbmod.extract import (
     ExtractStats,
     extract_graph,
     initial_state,
     simplify_graph,
+    state_name,
     step_script,
 )
 from sbmod.formulas import (
@@ -63,7 +64,7 @@ def report(criterion: int, text: str) -> None:
 
 def test_criterion_1_predicate_collection(drone_model):
     nav = drone_model.get("Navigate")
-    preds = collect_predicates(nav)
+    preds = nav.predicates
     assert len(preds) == 5
     expected = [
         var_atom("v", ">=", 2).atom,
@@ -73,7 +74,7 @@ def test_criterion_1_predicate_collection(drone_model):
         var_atom("h", "<", 0).atom,
     ]
     for a in expected:
-        assert a in preds
+        assert a.polarity_rep() in preds
     stats = ExtractStats()
     extract_graph(nav, VH, stats=stats)
     assert set(stats.cells_per_state.values()) == {32}
@@ -228,10 +229,10 @@ def test_criterion_7_bisimulation_suite(drone_model):
             s, q = initial_state(script), graph.initial
             for _ in range(6):
                 a = rand_assignment(rng, VH.names)
-                s = step_script(s, a)
+                s = step_script(script, s, a)
                 moved = [e.dst for e in graph.out_edges(q) if evaluate(e.guard, a)]
                 q = moved[0] if moved else q
-                if s.name != q:
+                if state_name(s) != q:
                     mismatches += 1
         for _ in range(500):  # graph path -> concretized interpreter trace
             s, q = initial_state(script), graph.initial
@@ -239,8 +240,8 @@ def test_criterion_7_bisimulation_suite(drone_model):
                 options = materialized_edges(graph, q, VH)
                 e = options[rng.randrange(len(options))]
                 model = check_sat(e.guard, VH)
-                s = step_script(s, model.restricted_to(VH))
-                if s.name != e.dst:
+                s = step_script(script, s, model.restricted_to(VH))
+                if state_name(s) != e.dst:
                     mismatches += 1
                 q = e.dst
     assert mismatches == 0

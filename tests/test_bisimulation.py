@@ -12,7 +12,7 @@ import random
 import pytest
 
 from sbmod.dsl import parse_model
-from sbmod.extract import initial_state, simplify_graph, extract_graph, step_script
+from sbmod.extract import initial_state, simplify_graph, extract_graph, state_name, step_script
 from sbmod.formulas import evaluate
 from sbmod.graphs import materialized_edges
 from sbmod.solver import check_sat
@@ -60,12 +60,12 @@ def forward_check(vars, script, graph, rng, traces, depth):
     for _ in range(traces):
         s = initial_state(script)
         q = graph.initial
-        assert s.name == q
+        assert state_name(s) == q
         for _ in range(depth):
             a = rand_assignment(rng, vars.names)
-            s = step_script(s, a)
+            s = step_script(script, s, a)
             q = graph_step(graph, q, a)
-            assert s.name == q
+            assert state_name(s) == q
 
 
 def backward_check(vars, script, graph, rng, paths, depth):
@@ -77,8 +77,8 @@ def backward_check(vars, script, graph, rng, paths, depth):
             e = options[rng.randrange(len(options))]
             model = check_sat(e.guard, vars)
             assert model is not None and evaluate(e.guard, model)
-            s = step_script(s, model.restricted_to(vars))
-            assert s.name == e.dst
+            s = step_script(script, s, model.restricted_to(vars))
+            assert state_name(s) == e.dst
             q = e.dst
 
 

@@ -9,11 +9,23 @@ from fractions import Fraction
 from pathlib import Path
 
 from sbmod import cells as cells_module, solver
-from sbmod.cells import cell_bound, cell_formula, polarity_classes, satisfiable_cells, sign_mask
+from sbmod.cells import cell_bound, cell_formula, satisfiable_cells, sign_mask
 from sbmod.dsl import parse_model
 from sbmod.engine import RANDOM_CELL, select_event
 from sbmod.extract import ExtractStats, extract_graph
-from sbmod.formulas import FALSE, TRUE, Assignment, VarSet, atom, atoms_of, conj, disj, evaluate, var_atom
+from sbmod.formulas import (
+    FALSE,
+    TRUE,
+    Assignment,
+    VarSet,
+    atom,
+    atoms_of,
+    conj,
+    disj,
+    evaluate,
+    polarity_classes,
+    var_atom,
+)
 from sbmod.graphs import ObjectGraph
 from sbmod.runsets import CellRuns, CellSpace
 from sbmod.solver import check_sat
@@ -34,7 +46,7 @@ def _brute_force(atoms, vars):
 def test_cells_match_brute_force_on_drone_predicates(drone_model):
     stats = ExtractStats()
     extract_graph(drone_model.get("Navigate"), drone_model.vars, stats=stats)
-    atoms = list(stats.predicates.atoms)
+    atoms = list(stats.predicates)
     cells = satisfiable_cells(atoms, drone_model.vars)
     masks = [mask for mask, _ in cells]
     assert masks == sorted(_brute_force(atoms, drone_model.vars))
@@ -114,7 +126,7 @@ def test_single_variable_cells_take_one_query_each(monkeypatch, workloads):
     stats = ExtractStats()
     model = parse_model(workloads.wide_text(7))
     extract_graph(model.get("Wide"), model.vars, stats=stats)
-    atoms = list(stats.predicates.atoms)
+    atoms = list(stats.predicates)
     calls = _counting_check_sat(monkeypatch)
     cells = satisfiable_cells(atoms, model.vars)
     assert len(calls) == len(cells) < 1 << len(atoms)

@@ -430,6 +430,8 @@ def test_unsound_repair_is_an_internal_error(monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr("sbmod.verify.verify_patch", unsound)
     argv = ["repair", str(FIXTURE), "--property", "NoConsecutiveSharpTurns", "--verify",
-            "--out", str(tmp_path / "patch.sbm")]
+            "--out", str(tmp_path / "patch.sbm"), "--emit-model", str(tmp_path / "patched.sbm")]
     assert main(argv) == 3
     assert "internal error: repair is unsound" in capsys.readouterr().err
+    # a patch that failed verification is not written
+    assert not (tmp_path / "patch.sbm").exists() and not (tmp_path / "patched.sbm").exists()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from sbmod.dsl import (
@@ -7,18 +9,19 @@ from sbmod.dsl import (
     MAX_STATEMENTS,
     EmissionError,
     ParseError,
-    collect_predicates,
+    ScenarioScript,
     emit_script,
+    format_object,
     insert_object,
     parse_model,
     render_model_text,
 )
 from sbmod.extract import extract_graph, simplify_graph
-from sbmod.formulas import FALSE, TRUE, VarSet, conj, var_atom
+from sbmod.formulas import FALSE, TRUE, VarSet, atom, conj, var_atom
 from sbmod.graphs import ObjectGraph
 
 from conftest import nested_bodies
-from oracles import isomorphic
+from oracles import isomorphic, rand_statements, ref_predicates, ref_validate_script
 
 VH = VarSet(("v", "h"))
 
@@ -119,6 +122,36 @@ def test_branch_before_first_sync_rejected():
     assert "before its first sync" in str(err.value)
 
 
+def test_one_walk_matches_the_reference_checks_and_predicates():
+    rng = random.Random(23)
+    pool = [var_atom("x", ">=", 1), var_atom("x", "<", 1), var_atom("y", "==", 0),
+            var_atom("y", "!=", 0), atom({"x": 1, "y": 2}, "<=", 3)]
+    outcomes = {"ok": 0, "loop": 0, "branch": 0}
+    for _ in range(2000):
+        body = rand_statements(rng, pool)
+        script = ScenarioScript("T", body)
+        text = render_model_text(["x", "y"], [format_object("T", body)])
+        closing = text.rindex("}")  # the parser stands on the model's brace
+        line, col = text.count("\n", 0, closing) + 1, closing - text.rfind("\n", 0, closing)
+        try:
+            ref_validate_script(script, line, col)
+            expected = None
+        except ParseError as err:
+            expected = (str(err), err.line, err.col)
+        try:
+            parsed = parse_model(text).get("T")
+        except ParseError as err:
+            assert (str(err), err.line, err.col) == expected, text
+            assert script.fault is not None and str(err).endswith(script.fault)
+            outcomes["loop" if "loop" in script.fault else "branch"] += 1
+        else:
+            assert expected is None and script.fault is None, text
+            assert parsed.predicates == ref_predicates(parsed), text
+            outcomes["ok"] += 1
+        assert script.predicates == ref_predicates(script), text
+    assert min(outcomes.values()) >= 200, outcomes
+
+
 def test_mark_bad_requires_preceding_sync():
     with pytest.raises(ParseError):
         parse_single("mark bad;")
@@ -201,31 +234,31 @@ def test_empty_repeat_body_is_not_unrolled(monkeypatch):
 
 def test_collect_predicates_navigate(drone_model):
     nav = drone_model.get("Navigate")
-    preds = collect_predicates(nav)
+    preds = nav.predicates
     assert len(preds) == 5
     for a in (
         var_atom("v", ">=", 2), var_atom("h", "==", 0), var_atom("h", ">=", 10),
         var_atom("v", "==", 0), var_atom("h", "<", 0),
     ):
-        assert a.atom in preds
+        assert a.atom.polarity_rep() in preds
 
 
 def test_collect_predicates_trivial_sync():
     script, _ = parse_single("sync(request = true);")
-    assert len(collect_predicates(script)) == 0
+    assert len(script.predicates) == 0
 
 
 def test_collect_predicates_collapses_negations():
     script, _ = parse_single(
         "sync(request = h >= 10); if (h < 10) { sync(request = h >= 10); }"
     )
-    assert len(collect_predicates(script)) == 1
+    assert len(script.predicates) == 1
 
 
 def test_collect_predicates_invariant_under_canonicalization():
     a, _ = parse_single("sync(request = 2*v >= 4 && !(h < 0));")
     b, _ = parse_single("sync(request = v >= 2 && h >= 0);")
-    assert collect_predicates(a) == collect_predicates(b)
+    assert a.predicates == b.predicates
 
 
 # --------------------------------------------------------------------------

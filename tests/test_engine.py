@@ -158,7 +158,7 @@ def test_composite_paths_replay_in_engine(drone_base):
     # assignments the engine could have produced; replaying them against the
     # scripts follows the same composite states (engine side of the
     # interpreter/graph correspondence)
-    from sbmod.extract import initial_state, step_script
+    from sbmod.extract import initial_state, state_name, step_script
     from sbmod.compose import JOIN
 
     comp = compose_all(drone_base)
@@ -174,9 +174,9 @@ def test_composite_paths_replay_in_engine(drone_base):
                 break
             edge = options[rng.randrange(len(options))]
             a = check_sat(conj([edge.guard, enabled_guard(comp, state)]), VH).restricted_to(VH)
-            object_states = [step_script(s, a) for s in object_states]
+            object_states = [step_script(t, s, a) for t, s in zip(scripts, object_states)]
             state = edge.dst
-            assert state == JOIN.join(s.name for s in object_states)
+            assert state == JOIN.join(state_name(s) for s in object_states)
 
 
 def test_engine_refuses_overlapping_guards_like_run_sets():

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import pytest
 
-from sbmod.dsl import collect_predicates, parse_model
+from sbmod.dsl import parse_model
 from sbmod.extract import (
     ExtractStats,
     ExtractionError,
     extract_graph,
+    END_LOCATION,
     initial_state,
     simplify_graph,
+    state_name,
     step_script,
 )
 from sbmod.formulas import TRUE, Assignment, VarSet, conj, disj, var_atom
@@ -28,34 +30,49 @@ def nav_script(drone_model):
 
 
 def test_step_wakes_into_second_sync(drone_model):
-    s0 = initial_state(nav_script(drone_model))
-    s1 = step_script(s0, Assignment.make({"v": 3, "h": 0}))
-    assert s1.name == "s1"
+    nav = nav_script(drone_model)
+    s0 = initial_state(nav)
+    s1 = step_script(nav, s0, Assignment.make({"v": 3, "h": 0}))
+    assert state_name(s1) == "s1"
 
 
 def test_step_without_wake_stays(drone_model):
-    s0 = initial_state(nav_script(drone_model))
-    assert step_script(s0, Assignment.make({"v": 0, "h": 0})) == s0
+    nav = nav_script(drone_model)
+    s0 = initial_state(nav)
+    assert step_script(nav, s0, Assignment.make({"v": 0, "h": 0})) == s0
 
 
 def test_step_skips_untaken_branch(drone_model):
-    s0 = initial_state(nav_script(drone_model))
-    s1 = step_script(s0, Assignment.make({"v": 3, "h": 0}))
+    nav = nav_script(drone_model)
+    s0 = initial_state(nav)
+    s1 = step_script(nav, s0, Assignment.make({"v": 3, "h": 0}))
     # h >= 10 wakes the object and skips the if-branch straight to the
     # request-true state
-    s3 = step_script(s1, Assignment.make({"v": 0, "h": 12}))
-    assert s3.name == "s3"
+    s3 = step_script(nav, s1, Assignment.make({"v": 0, "h": 12}))
+    assert state_name(s3) == "s3"
     # while h < 10 enters the branch
-    s2 = step_script(s1, Assignment.make({"v": 0, "h": 3}))
-    assert s2.name == "s2"
+    s2 = step_script(nav, s1, Assignment.make({"v": 0, "h": 3}))
+    assert state_name(s2) == "s2"
 
 
 def test_end_absorbs(drone_model):
     m = parse_model("model { vars v, h; object T { sync(request = true); } }")
     t = m.get("T")
-    end = step_script(initial_state(t), Assignment.make({"v": 0, "h": 0}))
-    assert end.ended
-    assert step_script(end, Assignment.make({"v": 9, "h": 9})) == end
+    end = step_script(t, initial_state(t), Assignment.make({"v": 0, "h": 0}))
+    assert end == END_LOCATION
+    assert step_script(t, end, Assignment.make({"v": 9, "h": 9})) == end
+
+
+def test_finished_script_stays_finished():
+    # the last sync is a loop's: reading the state -1 as an index would wake
+    # a finished script into that loop
+    m = parse_model("model { vars v; object T { sync(request = true); "
+                    "if (v >= 1) { loop { sync(request = true); } } } }")
+    t = m.get("T")
+    end = step_script(t, initial_state(t), Assignment.make({"v": 0}))
+    assert end == END_LOCATION
+    for v in (0, 1, 2, -1):
+        assert step_script(t, end, Assignment.make({"v": v})) == END_LOCATION
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +139,7 @@ def test_extraction_past_the_cell_budget_is_refused():
     names = [f"v{i}" for i in range(13)]
     request = " || ".join(f"{v} >= 1" for v in names)
     m = parse_model(f"model {{ vars {', '.join(names)}; object T {{ sync(request = {request}); }} }}")
-    assert cell_bound(list(collect_predicates(m.get("T")).atoms)) == 8192
+    assert cell_bound(list(m.get("T").predicates)) == 8192
     with pytest.raises(ExtractionError, match="up to 8192 sign cells"):
         extract_graph(m.get("T"), m.vars)
 
@@ -131,7 +148,7 @@ def test_cell_partition_properties(drone_model):
     # satisfiable sign cells are pairwise disjoint and cover everything
     stats = ExtractStats()
     extract_graph(nav_script(drone_model), VH, stats=stats)
-    atoms = list(stats.predicates.atoms)
+    atoms = list(stats.predicates)
     cells = [cell_formula(atoms, mask) for mask in range(1 << len(atoms))]
     sat_cells = [c for c in cells if check_sat(c, VH) is not None]
     for i, a in enumerate(sat_cells):

@@ -50,12 +50,12 @@ def test_compiled_steps_match_the_reference_walk():
         for word in ("loop", "repeat", "else"):
             seen[word] += word in text
         state, ref = initial_state(script), ref_initial_location(script)
-        assert state.location == ref
+        assert state == ref
         visited, looped = {ref}, False
         for step in range(40):
             a = Assignment.make({"v": rng.randint(-1, 3), "h": rng.randint(-1, 3)})
-            state, nxt = step_script(state, a), ref_step_script(script, ref, a)
-            assert state.location == nxt, f"step {step + 1} on {a}:\n{text}"
+            state, nxt = step_script(script, state, a), ref_step_script(script, ref, a)
+            assert state == nxt, f"step {step + 1} on {a}:\n{text}"
             looped |= nxt != ref and nxt in visited
             visited.add(nxt)
             ref = nxt

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 from sbmod import cells, minimize, solver
-from sbmod.formulas import FALSE, VarSet, atoms_of, canonicalize, conj, disj, evaluate, var_atom
+from sbmod.formulas import FALSE, VarSet, atoms_of, canonicalize, conj, disj, evaluate, polarity_classes, var_atom
 from sbmod.minimize import _prime_implicants, _select_cover, boolean_minimize
 
 from oracles import VARS, rand_atom_pool, rand_formula, ref_prime_implicants
@@ -108,7 +108,7 @@ def test_on_set_matches_evaluation_on_witnesses():
     partial = 0
     for _ in range(400):
         f = canonicalize(rand_formula(rng, rng.randint(1, 4), rand_atom_pool(rng, lo=2, hi=6)))
-        atoms = cells.polarity_classes(atoms_of(f))
+        atoms = polarity_classes(atoms_of(f))
         if not atoms:
             continue
         sat = cells.satisfiable_cells(atoms, xyzw)

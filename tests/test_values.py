@@ -14,9 +14,7 @@ from pathlib import Path
 import pytest
 
 import sbmod
-from sbmod.dsl import PredicateSet
 from sbmod.engine import ExecutionConfig, LogEntry
-from sbmod.extract import ScriptState
 from sbmod.formulas import (
     FALSE,
     RELATIONS,
@@ -122,8 +120,8 @@ def read_only_instances():
         (a, "values"), (Edge("a", x, "a"), "dst"), (DiscreteObject.make(["a"], "a"), "initial"),
         (NamedObject("A", g), "item"), (trace.steps[0], "state"), (trace, "verdict"),
         (ExecutionConfig(max_steps=1), "max_steps"), (LogEntry(1, a, ()), "woke"),
-        (Safe(g), "composite"), (Counterexample(trace, g), "trace"), (ScriptState(None, -1), "location"),
-        (CellSpace(("x",), (), (a,), {0: (0,)}), "witnesses"), (PredicateSet(()), "atoms"),
+        (Safe(g), "composite"), (Counterexample(trace, g), "trace"),
+        (CellSpace(("x",), (), (a,), {0: (0,)}), "witnesses"),
     ]
 
 

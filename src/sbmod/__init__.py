@@ -17,9 +17,10 @@ Inside the package, ``from . import x`` binds the lazy module and defers
 except where a verb may not need the module; this list is the whole of that
 decision:
 
-- ``cli`` defers ``engine``, ``extract`` and ``verify``. It imports
-  ``compose`` inside ``_pick_graph``, because ``sbmod.compose`` is the
-  function ``compose.compose``, not the module.
+- ``cli`` defers ``engine`` and ``verify``. It imports ``compose`` inside
+  ``_pick_graph``, because ``sbmod.compose`` is the function
+  ``compose.compose``, not the module. The script walk lives in ``dsl``, so
+  ``run`` executes neither ``extract`` nor ``minimize``.
 - ``dsl`` defers ``minimize`` and ``solver``, which only the emitter needs.
 - ``runsets`` is executed by no verb: ``verify`` reads the run-set clause
   off the patched run graph. It stays registered because the tests decode
@@ -47,8 +48,8 @@ _API = {
         "DiscreteObject", "Model", "NamedObject", "ObjectGraph", "Trace", "encode_discrete",
         "to_dot", "to_json_dict",
     ),
-    "dsl": ("ParseError", "ScenarioScript", "emit_script", "parse_model"),
-    "extract": ("ExtractStats", "extract_graph", "initial_state", "simplify_graph", "step_script"),
+    "dsl": ("ParseError", "ScenarioScript", "emit_script", "initial_state", "parse_model", "step_script"),
+    "extract": ("ExtractStats", "extract_graph", "simplify_graph"),
     "compose": ("compose", "compose_all", "enabled_guard"),
     "verify": (
         "Counterexample", "Patch", "Report", "Safe", "check_safety", "compute_bad_attractor",

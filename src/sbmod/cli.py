@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-# engine, extract and verify are deferred (see the package docstring)
-from . import engine, extract, verify
-from .dsl import EmissionError, ParseError, insert_object, is_identifier, parse_model
+# engine and verify are deferred (see the package docstring)
+from . import engine, verify
+from .dsl import EmissionError, ExtractionError, ParseError, insert_object, is_identifier, parse_model
 from .formulas import fraction_text, to_infix
 from .graphs import (
     FIRST_MODEL,
@@ -194,12 +194,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, UnknownObjectError, UsageError) as err:
+    except (ParseError, ExtractionError, OSError, UnknownObjectError, UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
     # reading these names executes their modules, so they come after the
-    # errors that every verb can raise
-    except (extract.ExtractionError, verify.InvalidPropertyError, engine.ConfigError) as err:
+    # errors of the modules that every verb executes
+    except (verify.InvalidPropertyError, engine.ConfigError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
     except verify.UnrepairableError as err:

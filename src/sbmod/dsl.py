@@ -24,6 +24,10 @@ variables and are evaluated against the last triggered assignment (so program
 location fully determines state), no conditional may run before the first
 sync, and every cycle in control flow contains a sync.
 
+The script walk (``initial_state``, ``resume``, ``step_script``) runs a
+parsed script one triggered assignment at a time over what its compiling walk
+recorded; extraction and the engine both drive it.
+
 ``emit_script`` is the inverse direction: it renders a deterministic
 ObjectGraph back to this language, with a bit-exact two-space-indent printer
 so emitted patch objects are diff-stable.
@@ -42,6 +46,7 @@ from .formulas import (
     FALSE,
     TRUE,
     And,
+    Assignment,
     Atom,
     FalseF,
     Formula,
@@ -52,6 +57,7 @@ from .formulas import (
     canonicalize,
     conj,
     disj,
+    evaluate,
     negate,
     polarity_classes,
     to_infix,
@@ -77,6 +83,10 @@ class ParseError(ValueError):
 
 class EmissionError(ValueError):
     """The graph cannot be rendered as a structured script."""
+
+
+class ExtractionError(ValueError):
+    """A script cannot be run or extracted."""
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +178,73 @@ class ScenarioScript:
                     self.fault = f"object {self.name!r} has a loop with a sync-free iteration path"
                 passable = False  # loops never complete; control cannot pass them
         return passable
+
+
+# ---------------------------------------------------------------------------
+# the script walk: a script waits at a sync, wakes only when the triggered
+# assignment satisfies its wake condition, then runs straight-line code
+# (branching on the assignment) to the next sync, reading the wake conditions
+# and continuation frames that ScenarioScript compiled. A script's state is
+# its program location, the uid of the sync it waits at or END_LOCATION once
+# it has finished; that the location fully determines the state is what makes
+# extraction terminate.
+
+END_LOCATION = -1  # the state of a finished script; every other state is a sync uid
+
+_FINISHED = SyncStmt()  # a finished script declares nothing
+
+
+def pending(script: ScenarioScript, location: int) -> tuple[SyncStmt, Formula]:
+    """The sync that a script at ``location`` waits at, and its wake
+    condition; a finished script never wakes. END_LOCATION is -1, so it is
+    tested before the script's lists are indexed."""
+    if location == END_LOCATION:
+        return _FINISHED, FALSE
+    return script.syncs[location], script.wakes[location]
+
+
+def _walk_to_sync(frames: Frames, a: Assignment | None) -> int:
+    """Run straight-line control flow until the next sync; returns its uid."""
+    stack = list(frames)
+    while stack:
+        stmts, i = stack.pop()
+        while i < len(stmts):
+            st = stmts[i]
+            if isinstance(st, SyncStmt):
+                return st.uid
+            if isinstance(st, IfStmt):
+                if a is None:
+                    raise ExtractionError("conditional reached with no triggered assignment")
+                stack.append((stmts, i + 1))
+                stmts, i = (st.then if evaluate(st.cond, a) else st.orelse), 0
+            elif isinstance(st, LoopStmt):
+                stack.append((stmts, i))  # loops repeat forever
+                stmts, i = st.body, 0
+            else:
+                raise TypeError(f"not a statement: {st!r}")
+    return END_LOCATION
+
+
+def initial_state(script: ScenarioScript) -> int:
+    return _walk_to_sync(((script.body, 0),), None)
+
+
+def resume(script: ScenarioScript, location: int, a: Assignment) -> int:
+    """The state after the script at ``location`` wakes on ``a``: run on to
+    the next sync point. ``step_script`` tests the wake condition first;
+    callers that test it themselves (extraction, the engine) call ``resume``.
+    """
+    return _walk_to_sync(script.continuations[location], a)
+
+
+def step_script(script: ScenarioScript, location: int, a: Assignment) -> int:
+    """Advance one triggered assignment.
+
+    If the assignment does not satisfy the pending sync's request-or-waitfor
+    condition the object does not wake and the state is returned unchanged.
+    A finished script absorbs everything.
+    """
+    return resume(script, location, a) if evaluate(pending(script, location)[1], a) else location
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Each step gathers the request and block declarations of every object at its
 current synchronization point, asks the solver for an assignment satisfying
 ``(or of requests) and not (or of blocks)``, broadcasts it, and advances the
 objects it wakes. No composite graph is built; this is the run-time twin of
-the graph-based analyses, and the two agree path-for-path. What a selection
-needs besides the random draw is worked out once per declaration tuple and
-remembered, since runs revisit the same synchronization points.
+the graph-based analyses, and the two agree path-for-path. A run revisits
+few state tuples, so it works out what a selection needs besides the random
+draw once per state tuple, on the tuple's first visit, and each move once per
+(state tuple, drawn witness); the seeded draw itself runs on every step.
 
 Two selection policies:
 
@@ -29,8 +30,7 @@ import random
 
 from . import solver
 from .cells import MAX_CELLS, cell_bound, satisfiable_cells
-from .dsl import ScenarioScript
-from .extract import END_LOCATION, initial_state, pending, resume
+from .dsl import END_LOCATION, ScenarioScript, initial_state, pending, resume
 from .formulas import (
     Assignment,
     Formula,
@@ -94,14 +94,16 @@ class EventLog:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-# per (declarations, variable names, policy): the solver's model, restricted to
-# the variables, and the witnesses of the cells inside the selection formula
-# (None when the policy does not draw one); kept by solver.remember
-_selections: dict[tuple, tuple[Assignment | None, list[Assignment] | None]] = {}
+# the solver's model, restricted to the model's variables, and the witnesses
+# of the cells inside the selection formula (None when the policy does not
+# draw one)
+_Selection = tuple[Assignment | None, list[Assignment] | None]
+
+# per (declarations, variable names, policy); kept by solver.remember
+_selections: dict[tuple, _Selection] = {}
 
 
-def _selection(declarations: list[tuple[Formula, Formula]], vars: VarSet,
-               policy: str) -> tuple[Assignment | None, list[Assignment] | None]:
+def _selection(declarations: list[tuple[Formula, Formula]], vars: VarSet, policy: str) -> _Selection:
     requests = disj([r for r, _ in declarations])
     blocks = disj([b for _, b in declarations])
     base = conj([requests, negate(blocks)])
@@ -117,6 +119,23 @@ def _selection(declarations: list[tuple[Formula, Formula]], vars: VarSet,
     return model, [w.restricted_to(vars) for _, w in satisfiable_cells(atoms, vars) if evaluate(base, w)]
 
 
+def _selected(declarations: list[tuple[Formula, Formula]], vars: VarSet, policy: str) -> _Selection:
+    key = (tuple(declarations), vars.names, policy)
+    return solver.remember(_selections, key, lambda: _selection(declarations, vars, policy))
+
+
+def _draw(selection: _Selection, rng: random.Random | None) -> int:
+    """The draw rule: the index of a witness drawn uniformly from the
+    selection's cells, or -1 for the solver's model."""
+    inside = selection[1]
+    return -1 if inside is None or rng is None else rng.randrange(len(inside))
+
+
+def _event(selection: _Selection, i: int) -> Assignment | None:
+    first, inside = selection
+    return first if i < 0 else inside[i]
+
+
 def select_event(
     declarations: list[tuple[Formula, Formula]],
     vars: VarSet,
@@ -127,14 +146,13 @@ def select_event(
 
     Returns None on deadlock (no such assignment exists).
     """
-    key = (tuple(declarations), vars.names, policy)
-    first, inside = solver.remember(_selections, key, lambda: _selection(declarations, vars, policy))
-    if inside is None or rng is None:
-        return first
-    return inside[rng.randrange(len(inside))]
+    selection = _selected(declarations, vars, policy)
+    return _event(selection, _draw(selection, rng))
 
 
 _ObjState = int | str  # a script's sync uid or END_LOCATION, or a graph's state
+# the next state tuple, the names of the objects woken, whether every script has ended
+_Move = tuple[tuple[_ObjState, ...], tuple[str, ...], bool]
 
 
 def _object_state(item: ScenarioScript | ObjectGraph) -> _ObjState:
@@ -163,24 +181,46 @@ def _advance(item, state: _ObjState, a: Assignment) -> _ObjState:
     return resume(item, state, a)
 
 
+def _move(m: Model, states: tuple[_ObjState, ...], a: Assignment) -> _Move:
+    """Where ``a`` takes the objects at ``states``."""
+    nxt = list(states)
+    woke = []
+    for i, (named, state) in enumerate(zip(m.objects, states)):
+        if evaluate(_wake_condition(named.item, state), a):
+            woke.append(named.name)
+            nxt[i] = _advance(named.item, state, a)
+    ended = all(isinstance(o.item, ScenarioScript) and s == END_LOCATION for o, s in zip(m.objects, nxt))
+    return tuple(nxt), tuple(woke), ended
+
+
 def run(m: Model, cfg: ExecutionConfig) -> EventLog:
     """Execute a model: reproducible given (model, config)."""
     rng = random.Random(cfg.seed)
-    states: list[_ObjState] = [_object_state(o.item) for o in m.objects]
+    states = tuple(_object_state(o.item) for o in m.objects)
+    selections: dict[tuple[_ObjState, ...], _Selection] = {}
+    moves: dict[tuple[tuple[_ObjState, ...], int], _Move] = {}  # per (state tuple, drawn index)
     log = EventLog()
     for step in range(1, cfg.max_steps + 1):
-        declarations = [_declaration(o.item, s) for o, s in zip(m.objects, states)]
-        a = select_event(declarations, m.vars, cfg.policy, rng)
+        selection = selections.get(states)
+        if selection is None:
+            # a first visit selects through select_event, then finds the
+            # index of its draw in the selection that call remembered
+            declarations = [_declaration(o.item, s) for o, s in zip(m.objects, states)]
+            a = select_event(declarations, m.vars, cfg.policy, rng)
+            selection = selections[states] = _selected(declarations, m.vars, cfg.policy)
+            i = -1 if selection[1] is None else selection[1].index(a)
+        else:
+            i = _draw(selection, rng)
+            a = _event(selection, i)
         if a is None:
             log.stop_reason = "deadlock"
             return log
-        woke = []
-        for i, (named, state) in enumerate(zip(m.objects, states)):
-            if evaluate(_wake_condition(named.item, state), a):
-                woke.append(named.name)
-                states[i] = _advance(named.item, state, a)
-        log.entries.append(LogEntry(step, a, tuple(woke)))
-        if all(isinstance(o.item, ScenarioScript) and s == END_LOCATION for o, s in zip(m.objects, states)):
+        move = moves.get((states, i))
+        if move is None:
+            move = moves[states, i] = _move(m, states, a)
+        states, woke, ended = move
+        log.entries.append(LogEntry(step, a, woke))
+        if ended:
             log.stop_reason = "ended"
             return log
     return log

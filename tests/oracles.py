@@ -40,6 +40,7 @@ from sbmod.formulas import (
 from sbmod.cells import MAX_CELLS, cell_bound, satisfiable_cells
 from sbmod.compose import compose_all, enabled_guard
 from sbmod.dsl import IfStmt, LoopStmt, ParseError, ScenarioScript, SyncStmt
+from sbmod.engine import EventLog, LogEntry
 from sbmod.graphs import DiscreteObject, Edge, Model, NamedObject, ObjectGraph, bfs_tree
 from sbmod.runsets import CellRuns
 from sbmod.verify import property_graph
@@ -207,7 +208,9 @@ def reference_run_graph(m: Model, prop: ScenarioScript | ObjectGraph) -> ObjectG
 # ---------------------------------------------------------------------------
 # reference event selection: the selection formula, its first model and its
 # in-selection cell witnesses rebuilt on every step. sbmod.engine.select_event
-# remembers them per declaration tuple and must pick the same events.
+# remembers them per declaration tuple and must pick the same events, and
+# sbmod.engine.run, which works each state tuple's selection and moves out
+# once per run, must log the same run as ref_run below.
 
 
 def ref_select_event(declarations, vars: VarSet, policy: str = "first-model", rng=None):
@@ -281,7 +284,7 @@ def doomed_states(g: ObjectGraph, vars: VarSet) -> frozenset[str]:
 # reference script interpreter: the per-call walk that rebuilds a script's
 # continuation table and its sync's wake formula on every step. The records
 # that sbmod.dsl.ScenarioScript compiles once, read by
-# sbmod.extract.step_script, must give the same locations.
+# sbmod.dsl.step_script, must give the same locations.
 
 REF_END = -1
 
@@ -336,6 +339,46 @@ def ref_step_script(script: ScenarioScript, location: int, a: Assignment) -> int
     if not evaluate(disj([sync.request, sync.waitfor]), a):
         return location
     return _ref_walk_to_sync(_ref_continuations(script)[sync.uid], a)
+
+
+def ref_run(m: Model, max_steps: int, seed: int = 0, policy: str = "first-model") -> EventLog:
+    """The per-step run: every step gathers the declarations, selects with
+    ``ref_select_event`` and moves each object through the reference
+    interpreter (a script) or ``ObjectGraph.move`` (a graph)."""
+    rng = random.Random(seed)
+    items = [o.item for o in m.objects]
+    states = [ref_initial_location(t) if isinstance(t, ScenarioScript) else t.initial for t in items]
+    log = EventLog()
+    for step in range(1, max_steps + 1):
+        declarations = []
+        for t, q in zip(items, states):
+            if isinstance(t, ObjectGraph):
+                declarations.append((t.request[q], t.block[q]))
+            elif q == REF_END:
+                declarations.append((FALSE, FALSE))
+            else:
+                declarations.append((t.syncs[q].request, t.syncs[q].block))
+        a = ref_select_event(declarations, m.vars, policy, rng)
+        if a is None:
+            log.stop_reason = "deadlock"
+            return log
+        woke = []
+        for i, (o, q) in enumerate(zip(m.objects, states)):
+            t = o.item
+            if isinstance(t, ObjectGraph):
+                wakes = evaluate(t.wake(q), a)
+                nxt = t.move(q, a) if wakes else q
+            else:
+                nxt = ref_step_script(t, q, a)
+                wakes = q != REF_END and evaluate(disj([t.syncs[q].request, t.syncs[q].waitfor]), a)
+            if wakes:
+                woke.append(o.name)
+            states[i] = nxt
+        log.entries.append(LogEntry(step, a, tuple(woke)))
+        if all(isinstance(t, ScenarioScript) and q == REF_END for t, q in zip(items, states)):
+            log.stop_reason = "ended"
+            return log
+    return log
 
 
 # ---------------------------------------------------------------------------

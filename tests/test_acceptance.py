@@ -11,15 +11,13 @@ from __future__ import annotations
 import random
 
 from sbmod.compose import compose, compose_all
-from sbmod.dsl import insert_object, parse_model
+from sbmod.dsl import initial_state, insert_object, parse_model, step_script
 from sbmod.engine import ExecutionConfig, run
 from sbmod.extract import (
     ExtractStats,
     extract_graph,
-    initial_state,
     simplify_graph,
     state_name,
-    step_script,
 )
 from sbmod.formulas import (
     TRUE,

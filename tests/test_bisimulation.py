@@ -12,7 +12,8 @@ import random
 import pytest
 
 from sbmod.dsl import parse_model
-from sbmod.extract import initial_state, simplify_graph, extract_graph, state_name, step_script
+from sbmod.dsl import initial_state, step_script
+from sbmod.extract import simplify_graph, extract_graph, state_name
 from sbmod.formulas import evaluate
 from sbmod.graphs import materialized_edges
 from sbmod.solver import check_sat

@@ -107,18 +107,50 @@ def test_random_cell_policy_varies_runs(water_tap_unstable_model):
     assert len(fixed) == 1
 
 
-@pytest.mark.parametrize("policy", [FIRST_MODEL, RANDOM_CELL])
-def test_memoized_selection_matches_per_step_rebuild(policy, workloads, drone_model, monkeypatch):
-    # ring revisits the same declaration tuples: most steps are cache hits
-    import sbmod.engine as engine
-    from oracles import ref_select_event
+# every run ends, after two or three steps
+ENDING_TEXT = """
+model { vars x;
+  object A { sync(request = x == 0 || x == 7); if (x >= 5) { sync(request = x < 3); sync(request = x >= 1); } else { sync(request = x == 2); } }
+  object B { sync(waitfor = x <= 7); sync(waitfor = x <= 4); }
+}
+"""
 
-    models = [parse_model(workloads.ring_text(5)), drone_model]
-    cfg = ExecutionConfig(max_steps=300, seed=7, policy=policy)
-    memoized = [run(m, cfg).to_jsonl() for m in models]
-    assert [run(m, cfg).to_jsonl() for m in models] == memoized  # warm cache
-    monkeypatch.setattr(engine, "select_event", ref_select_event)
-    assert [run(m, cfg).to_jsonl() for m in models] == memoized
+
+def _branching_graphs() -> Model:
+    """A graph beside a script, where witnesses drawn at one state tuple
+    move the graph to different states."""
+    x = VarSet(("x",))
+    g = ObjectGraph.make(
+        states=["a", "b", "c"], initial="a",
+        request={"a": disj([var_atom("x", "==", 1), var_atom("x", "==", 4)]),
+                 "b": disj([var_atom("x", "==", 0), var_atom("x", "==", 2)]),
+                 "c": conj([var_atom("x", ">=", 4), var_atom("x", "<=", 8)])},
+        block={"c": var_atom("x", "==", 5)},
+        edges=[("a", var_atom("x", "<", 3), "b"), ("a", var_atom("x", ">=", 3), "c"),
+               ("b", var_atom("x", "==", 0), "a"), ("b", var_atom("x", "==", 2), "c"),
+               ("c", var_atom("x", ">=", 6), "a")],
+    )
+    script = parse_model("model { vars x; object S { loop { sync(waitfor = x >= 2); "
+                         "if (x >= 6) { sync(block = x == 1, waitfor = x <= 2); } } } }").get("S")
+    return Model(x, (NamedObject("G", g), NamedObject("S", script)))
+
+
+@pytest.mark.parametrize("policy", [FIRST_MODEL, RANDOM_CELL])
+def test_memoized_selection_matches_per_step_rebuild(policy, workloads, drone_model, water_tap_model):
+    # run works each state tuple's selection and each (tuple, drawn witness)
+    # move out once; ref_run selects and moves afresh on every step
+    from oracles import WATER_TAP_TEXT, ref_run
+
+    models = [parse_model(workloads.ring_text(5)), drone_model, water_tap_model,
+              parse_model(WATER_TAP_TEXT), _branching_graphs(), parse_model(ENDING_TEXT)]
+    stops = set()
+    for m in models:
+        for seed in range(3):
+            log = run(m, ExecutionConfig(max_steps=200, seed=seed, policy=policy))
+            ref = ref_run(m, 200, seed, policy)
+            assert (log.to_jsonl(), log.stop_reason) == (ref.to_jsonl(), ref.stop_reason)
+            stops.add(log.stop_reason)
+    assert stops == {"max-steps", "deadlock", "ended"}
 
 
 def test_random_cell_budget_counts_cells_not_atoms():
@@ -158,7 +190,8 @@ def test_composite_paths_replay_in_engine(drone_base):
     # assignments the engine could have produced; replaying them against the
     # scripts follows the same composite states (engine side of the
     # interpreter/graph correspondence)
-    from sbmod.extract import initial_state, state_name, step_script
+    from sbmod.dsl import initial_state, step_script
+    from sbmod.extract import state_name
     from sbmod.compose import JOIN
 
     comp = compose_all(drone_base)

@@ -2,16 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from sbmod.dsl import parse_model
+from sbmod.dsl import END_LOCATION, IfStmt, ScenarioScript, SyncStmt, initial_state, parse_model, step_script
 from sbmod.extract import (
     ExtractStats,
     ExtractionError,
     extract_graph,
-    END_LOCATION,
-    initial_state,
     simplify_graph,
     state_name,
-    step_script,
 )
 from sbmod.formulas import TRUE, Assignment, VarSet, conj, disj, var_atom
 from sbmod.graphs import ObjectGraph
@@ -142,6 +139,14 @@ def test_extraction_past_the_cell_budget_is_refused():
     assert cell_bound(list(m.get("T").predicates)) == 8192
     with pytest.raises(ExtractionError, match="up to 8192 sign cells"):
         extract_graph(m.get("T"), m.vars)
+
+
+def test_a_branch_before_the_first_sync_is_an_extraction_error():
+    # the parser refuses such a script; one built by hand fails in the walk
+    script = ScenarioScript("T", [IfStmt(TRUE, [SyncStmt()], [])])
+    assert script.fault == "object 'T' branches before its first sync"
+    with pytest.raises(ExtractionError, match="conditional reached with no triggered assignment"):
+        initial_state(script)
 
 
 def test_cell_partition_properties(drone_model):

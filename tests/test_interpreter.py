@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from sbmod.dsl import format_statements, parse_model, render_model_text
-from sbmod.extract import initial_state, step_script
+from sbmod.dsl import initial_state, step_script
 from sbmod.formulas import Assignment
 
 from oracles import REF_END, ref_initial_location, ref_step_script

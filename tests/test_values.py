@@ -189,6 +189,10 @@ def test_each_verb_executes_only_the_modules_it_runs(tmp_path, workloads):
     status, modules, _, json_imported = executed("repair", "ring.sbm", "--property", "AllMarked", "--verify")
     assert status == 0 and "verify" in modules
     assert not modules & {"runsets", "engine"} and not json_imported
+    # the script walk lives in dsl, so a run executes no extraction or minimizer
+    status, modules, random_imported, _ = executed("run", "ring.sbm", "--policy", "random-cell")
+    assert (status, random_imported) == (0, True)
+    assert modules == {"cli", "dsl", "formulas", "graphs", "cells", "solver", "engine"}
 
 
 def test_package_api_keeps_its_shape():

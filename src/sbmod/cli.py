@@ -34,9 +34,13 @@ class UsageError(ValueError):
     """A command-line argument the model cannot take."""
 
 
-def _load_model(path: str) -> Model:
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_model(handle.read())
+        return handle.read()
+
+
+def _load_model(path: str) -> Model:
+    return parse_model(_read(path))
 
 
 def _write(path: str | None, text: str) -> None:
@@ -115,7 +119,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_repair(args: argparse.Namespace) -> int:
-    model = _load_model(args.path)
+    source = _read(args.path)  # the emitted model is built from the text that was parsed
+    model = parse_model(source)
     if not is_identifier(args.name) or args.name in model.names():
         raise UsageError(f"--name {args.name!r} cannot name a new object: give an identifier "
                          "that is neither a keyword nor the name of an object of the model")
@@ -138,9 +143,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
     report = verify.verify_patch(base, patch, prop, composite) if args.verify else None
     _write(args.out, text + "\n")
     if args.emit_model:
-        with open(args.path, "r", encoding="utf-8") as handle:
-            patched_text = insert_object(handle.read(), text)
-        _write(args.emit_model, patched_text)
+        _write(args.emit_model, insert_object(source, text))
     if report is not None:
         print(f"verification: {report.summary()}")
     return OK

@@ -8,7 +8,8 @@ each part, whose guard conjunction labels the composite edge. Moves are
 listed by a depth-first search over the parts that conjoins one part's
 guard at a time onto the canonical prefix and drops every prefix that is
 unsatisfiable. Only the part reachable from the initial tuple is built,
-which is what keeps desk-scale models small. A composite state is bad as
+which is what keeps desk-scale models small: ``graphs.explore`` grows it
+with the one visit that both products share. A composite state is bad as
 soon as any part is.
 
 There are two products. ``compose`` keeps every move whose guard is
@@ -29,7 +30,7 @@ from . import solver
 from .dsl import ScenarioScript
 from .extract import extract_graph, simplify_graph
 from .formulas import TRUE, Formula, VarSet, conj, disj, negate
-from .graphs import Edge, GraphError, Model, ObjectGraph
+from .graphs import Edge, GraphError, Model, ObjectGraph, explore
 from .minimize import boolean_minimize
 
 JOIN = "⊗"  # the tensor sign keeps component provenance readable
@@ -82,44 +83,15 @@ def _product(graphs: list[ObjectGraph], vars: VarSet,
     Out of each tuple it keeps the edges that ``keep`` makes of the tuple's
     moves and its request-and-not-blocked formula.
     """
-    start = tuple(g.initial for g in graphs)
-    init = JOIN.join(start)
-    parts: dict[str, tuple[str, ...]] = {init: start}
-    order = [init]
-    edges: list[tuple[str, Formula, str]] = []
-    request: dict[str, Formula] = {}
-    block: dict[str, Formula] = {}
-    waitfor: dict[str, Formula] = {}
-    bad: set[str] = set()
+    def visit(qs: tuple[str, ...]):
+        request = disj([g.request[q] for g, q in zip(graphs, qs)])
+        block = disj([g.block[q] for g, q in zip(graphs, qs)])
+        waitfor = disj([g.waitfor[q] for g, q in zip(graphs, qs)])
+        bad = any(q in g.bad for g, q in zip(graphs, qs))
+        moves = keep(_moves(graphs, qs, vars), conj([request, negate(block)]))
+        return request, block, waitfor, bad, moves
 
-    i = 0
-    while i < len(order):
-        name = order[i]
-        qs = parts[name]
-        i += 1
-        request[name] = disj([g.request[q] for g, q in zip(graphs, qs)])
-        block[name] = disj([g.block[q] for g, q in zip(graphs, qs)])
-        waitfor[name] = disj([g.waitfor[q] for g, q in zip(graphs, qs)])
-        if any(q in g.bad for g, q in zip(graphs, qs)):
-            bad.add(name)
-        enabled = conj([request[name], negate(block[name])])
-        for guard, targets in keep(_moves(graphs, qs, vars), enabled):
-            dst = JOIN.join(targets)
-            if dst not in parts:
-                parts[dst] = targets
-                order.append(dst)
-            edges.append((name, guard, dst))
-
-    graph = ObjectGraph.make(
-        states=order,
-        initial=init,
-        request=request,
-        block=block,
-        waitfor=waitfor,
-        edges=edges,
-        bad=bad,
-    )
-    return graph, parts
+    return explore(tuple(g.initial for g in graphs), JOIN.join, visit)
 
 
 def compose(g1: ObjectGraph, g2: ObjectGraph, vars: VarSet) -> ObjectGraph:

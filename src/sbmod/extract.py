@@ -5,10 +5,11 @@ END_LOCATION, see ``dsl.pending``), each satisfiable complete sign assignment
 over the script's predicates, as listed with a solver witness each by
 ``cells.satisfiable_cells`` over the model's variable set. Each witness is
 triggered through the script walk (``dsl.resume``), recording a cell-guarded
-edge. Enumerating complete sign assignments (rather than only positive
-predicate subsets) keeps cells pairwise disjoint, so every branch that is
-reachable under some cell gets explored and the extracted graph simulates the
-script exactly, in both directions.
+edge; ``graphs.explore`` grows the graph from the script's initial state
+with that visit. Enumerating complete sign assignments (rather than only
+positive predicate subsets) keeps cells pairwise disjoint, so every branch
+that is reachable under some cell gets explored and the extracted graph
+simulates the script exactly, in both directions.
 
 Self-loops where the object does not wake are left implicit in the extracted
 graph; composition and export materialize them as one complement-guard loop.
@@ -19,7 +20,7 @@ from __future__ import annotations
 from .cells import MAX_CELLS, cell_bound, cell_formula, satisfiable_cells
 from .dsl import END_LOCATION, ExtractionError, ScenarioScript, initial_state, pending, resume
 from .formulas import Formula, LinearAtom, VarSet, disj, evaluate
-from .graphs import ObjectGraph
+from .graphs import ObjectGraph, explore
 from .minimize import boolean_minimize
 
 
@@ -62,47 +63,17 @@ def extract_graph(
 
     cells = [(cell_formula(atoms, mask), model) for mask, model in satisfiable_cells(atoms, vars)]
 
-    start = initial_state(script)
-    order = [start]
-    seen = {start}
-    edges: list[tuple[str, Formula, str]] = []
-    labels_r: dict[str, Formula] = {}
-    labels_b: dict[str, Formula] = {}
-    labels_w: dict[str, Formula] = {}
-    bad: set[str] = set()
-
-    i = 0
-    while i < len(order):
-        state = order[i]
-        i += 1
-        name = state_name(state)
+    def visit(state: int):
         sync, wake = pending(script, state)
-        labels_r[name] = sync.request
-        labels_b[name] = sync.block
-        labels_w[name] = sync.waitfor
-        if sync.bad:
-            bad.add(name)
-        for guard, model in cells:
-            if not evaluate(wake, model):
-                continue  # no wake: implicit self-loop, not recorded
-            nxt = resume(script, state, model)
-            edges.append((name, guard, state_name(nxt)))
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
         if stats is not None:
+            name = state_name(state)
             stats.cells_per_state[name] = 1 << len(atoms)
             stats.satisfiable_cells_per_state[name] = len(cells)
+        # a cell that does not wake the script is its implicit self-loop, not recorded
+        moves = ((guard, resume(script, state, model)) for guard, model in cells if evaluate(wake, model))
+        return sync.request, sync.block, sync.waitfor, sync.bad, moves
 
-    return ObjectGraph.make(
-        states=[state_name(s) for s in order],
-        initial=state_name(start),
-        request=labels_r,
-        block=labels_b,
-        waitfor=labels_w,
-        edges=edges,
-        bad=bad,
-    )
+    return explore(initial_state(script), state_name, visit)[0]
 
 
 def simplify_graph(g: ObjectGraph, vars: VarSet) -> ObjectGraph:

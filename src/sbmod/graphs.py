@@ -189,6 +189,44 @@ class ObjectGraph:
         return [self.initial] + [e.dst for e in bfs_tree(self.initial, self.out_edges)]
 
 
+def explore(
+    initial: object,
+    name: Callable[[object], StateId],
+    visit: Callable[[object], tuple[Formula, Formula, Formula, bool, Iterable[tuple[Formula, object]]]],
+) -> tuple[ObjectGraph, dict[StateId, object]]:
+    """The graph reachable from ``initial``, and its name -> state map.
+
+    Each state is visited once, in breadth-first discovery order, and named
+    by ``name``; a move whose target's name is known adds no state, so the
+    map keeps the first state registered under a name. ``visit(state)``
+    gives the state's request, block and waitfor labels, whether it is bad,
+    and its moves as (guard, next state) pairs, which are consumed lazily
+    and in order.
+    """
+    start = name(initial)
+    found = {start: initial}
+    queue = deque(found.items())
+    request: dict[StateId, Formula] = {}
+    block: dict[StateId, Formula] = {}
+    waitfor: dict[StateId, Formula] = {}
+    bad: list[StateId] = []
+    edges: list[tuple[StateId, Formula, StateId]] = []
+    while queue:
+        src, state = queue.popleft()
+        request[src], block[src], waitfor[src], is_bad, moves = visit(state)
+        if is_bad:
+            bad.append(src)
+        for guard, nxt in moves:
+            dst = name(nxt)
+            if dst not in found:
+                found[dst] = nxt
+                queue.append((dst, nxt))
+            edges.append((src, guard, dst))
+    graph = ObjectGraph.make(states=found, initial=start, request=request, block=block,
+                             waitfor=waitfor, edges=edges, bad=bad)
+    return graph, found
+
+
 def bfs_tree(start: StateId, successors: Callable[[StateId], Iterable[Edge]]) -> Iterator[Edge]:
     """Breadth-first search: yields each edge that first reaches a state, in
     discovery order; together they form a shortest-path tree."""

@@ -132,15 +132,6 @@ class _Simplex:
         self.add_var(slack)
         self.rows[slack] = dict(combo)
 
-    def set_bound(self, var: str, lo: tuple | None, hi: tuple | None) -> bool:
-        if lo is not None and (var not in self.lower or self.lower[var] < lo):
-            self.lower[var] = lo
-        if hi is not None and (var not in self.upper or hi < self.upper[var]):
-            self.upper[var] = hi
-        if var in self.lower and var in self.upper and self.upper[var] < self.lower[var]:
-            return False
-        return True
-
     def _update(self, var: str, val: tuple) -> None:
         old = self.value[var]
         diff = (val[0] - old[0], val[1] - old[1])
@@ -274,21 +265,23 @@ def _simplex_feasible(constraints: list[tuple[LinearAtom, str]]) -> dict[str, tu
         for v in a.variables():
             simplex.add_var(v)
     slack_of: dict[tuple, str] = {}
+    bounds: dict[str, tuple] = {}
     for a, rel in constraints:
-        lo, hi = _tightened(None, None, a.const, rel)
         if len(a.coeffs) == 1:
             var = a.coeffs[0][0]  # leading coefficient is 1 by normalization
-            if not simplex.set_bound(var, lo, hi):
-                return None
         else:
-            key = a.coeffs
-            slack = slack_of.get(key)
-            if slack is None:
-                slack = f"$s{len(slack_of)}"
-                slack_of[key] = slack
-                simplex.add_row(slack, {v: c for v, c in a.coeffs})
-            if not simplex.set_bound(slack, lo, hi):
-                return None
+            var = slack_of.get(a.coeffs)
+            if var is None:
+                var = slack_of[a.coeffs] = f"$s{len(slack_of)}"
+                simplex.add_row(var, {v: c for v, c in a.coeffs})
+        lo, hi = bounds[var] = _tightened(*bounds.get(var, (None, None)), a.key()[2], rel)
+        if lo is not None and hi is not None and hi < lo:
+            return None
+    for var, (lo, hi) in bounds.items():
+        if lo is not None:
+            simplex.lower[var] = lo
+        if hi is not None:
+            simplex.upper[var] = hi
     if not simplex.solve():
         return None
     return {v: simplex.value[v] for v in simplex.order if not v.startswith("$s")}

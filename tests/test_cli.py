@@ -276,6 +276,24 @@ def test_cli_output_on_simplex_models(tmp_path, capsys):
     assert out.err == "20 steps, stopped by max-steps\n"
 
 
+def test_emit_model_is_built_from_the_parsed_text(tmp_path, capsys, monkeypatch):
+    import sbmod.cli
+
+    src, emitted = tmp_path / "simplex.sbm", tmp_path / "patched.sbm"
+    src.write_text(SIMPLEX_MODEL)
+
+    def parse_then_rewrite(text):
+        model = parse_model(text)
+        src.write_text("model { vars x; }\n")  # the file changes after it was parsed
+        return model
+
+    monkeypatch.setattr(sbmod.cli, "parse_model", parse_then_rewrite)
+    assert main(["repair", str(src), "--property", "NoBig", "--emit-model", str(emitted)]) == 0
+    capsys.readouterr()
+    patch = "\n".join("  " + line for line in SIMPLEX_PATCH.splitlines())
+    assert emitted.read_text() == SIMPLEX_MODEL.replace("\n}\n", f"\n\n{patch}\n}}\n")
+
+
 def test_emit_model_after_trailing_comment(tmp_path, capsys):
     src = tmp_path / "commented.sbm"
     src.write_text(

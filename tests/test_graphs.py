@@ -73,6 +73,51 @@ def test_stay_guard_is_computed_once(monkeypatch):
         g.extra = None
 
 
+def test_explore_visits_each_state_once_in_breadth_first_order():
+    # a state is (number, tag) and is named by its number alone
+    succ = {0: [1, 2], 1: [2, 3], 2: [0], 3: []}
+    log = []
+
+    def visit(state):
+        n, tag = state
+        log.append(("visit", state))
+
+        def moves():
+            for m in succ[n]:
+                log.append(("move", n, m))
+                # the move 1 -> 2 reaches a second state named "n2"
+                yield var_atom("x", "==", 10 * n + m), (m, "late" if n == 1 else tag)
+
+        return var_atom("x", ">=", n), var_atom("x", "<", -n), TRUE if n % 2 else FALSE, n == 3, moves()
+
+    g, found = graphs.explore((0, "first"), lambda state: f"n{state[0]}", visit)
+    # moves are consumed lazily and in order: each state's moves run before the next visit
+    assert log == [("visit", (0, "first")), ("move", 0, 1), ("move", 0, 2),
+                   ("visit", (1, "first")), ("move", 1, 2), ("move", 1, 3),
+                   ("visit", (2, "first")), ("move", 2, 0),
+                   ("visit", (3, "late"))]
+    assert list(found.items()) == [("n0", (0, "first")), ("n1", (1, "first")),
+                                   ("n2", (2, "first")), ("n3", (3, "late"))]
+    assert g == ObjectGraph.make(
+        states=["n0", "n1", "n2", "n3"], initial="n0",
+        request={f"n{n}": var_atom("x", ">=", n) for n in succ},
+        block={f"n{n}": var_atom("x", "<", -n) for n in succ},
+        waitfor={"n1": TRUE, "n3": TRUE},
+        edges=[(f"n{n}", var_atom("x", "==", 10 * n + m), f"n{m}") for n in succ for m in succ[n]],
+        bad=["n3"],
+    )
+
+
+def test_explore_move_into_a_known_state_adds_no_state():
+    def visit(n):
+        return TRUE, FALSE, FALSE, False, [(TRUE, n), (FALSE, 0)]
+
+    g, found = graphs.explore(0, str, visit)
+    assert found == {"0": 0}
+    assert g.states == {"0"} and g.bad == frozenset()
+    assert [(e.src, e.dst) for e in g.edges] == [("0", "0"), ("0", "0")]
+
+
 def test_encode_discrete_single_object():
     hot = encode_discrete(WATER_TAP_EVENTS, water_adder("AddHot"))
     # four states; the second requests exactly x == 1

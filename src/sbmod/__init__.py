@@ -17,11 +17,16 @@ Inside the package, ``from . import x`` binds the lazy module and defers
 except where a verb may not need the module; this list is the whole of that
 decision:
 
-- ``cli`` defers ``engine`` and ``verify``. It imports ``compose`` inside
-  ``_pick_graph``, because ``sbmod.compose`` is the function
-  ``compose.compose``, not the module. The script walk lives in ``dsl``, so
-  ``run`` executes neither ``extract`` nor ``minimize``.
-- ``dsl`` defers ``minimize`` and ``solver``, which only the emitter needs.
+- ``cli`` defers ``engine``, ``extract`` and ``verify``. It imports
+  ``compose`` inside ``_pick_graph``'s composite branch, because
+  ``sbmod.compose`` is the function ``compose.compose``, not the module. The
+  script walk lives in ``dsl``, so ``run`` executes neither ``extract`` nor
+  ``minimize``.
+- ``dsl`` defers ``minimize``, which only the emitter needs, and ``solver``,
+  which only the emitter and the symbolic walk (``symbolic_paths``) need.
+- ``extract`` defers ``minimize``, which only simplified graphs need, so
+  ``graph --object`` without ``--simplify`` executes neither ``compose`` nor
+  ``minimize``.
 - ``runsets`` is executed by no verb: ``verify`` reads the run-set clause
   off the patched run graph. It stays registered because the tests decode
   runs with it and the benchmark's tracer reads it from ``sys.modules``.

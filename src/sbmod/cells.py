@@ -1,13 +1,14 @@
-"""Satisfiable sign cells over an ordered list of atoms, each with a witness.
+"""Satisfiable sign cells over an ordered list of atoms, with or without witnesses.
 
 A sign cell over atoms a0..a(n-1) (one per {atom, negated atom} pair) is a
 complete truth-value choice per atom, written as a mask whose bit i is the
 sign of ai. Every formula over those atoms is constant on each cell, so the
-satisfiable cells, one solver witness each, stand for all assignments. This
-is the one enumerator behind extraction (one trigger per cell), guard
-minimization (the ON and OFF cells of a guard), the engine's
-``random-cell`` policy (a seeded pick among cells) and run sets (cells are
-the alphabet of runs).
+satisfiable cells stand for all assignments. ``satisfiable_masks`` is the
+one enumerator. Guard minimization reads its masks alone (the ON and OFF
+cells of a guard); ``satisfiable_cells`` adds one solver witness per mask
+for the callers that evaluate on a cell: the raw per-cell extraction (one
+trigger per cell), the engine's ``random-cell`` policy (a seeded pick among
+cells) and run sets (cells are the alphabet of runs).
 
 When every atom has one variable, the cells are read off the number line
 without a query: a variable's t distinct constants cut its line into 2t + 1
@@ -18,10 +19,9 @@ independent the cells are all the combinations of one vector per variable.
 Otherwise enumeration is a depth-first search over partial sign vectors. A
 prefix the solver finds unsatisfiable is pruned with all its completions,
 and a prefix the parent's witness already satisfies needs no query, so the
-work follows the number of satisfiable cells rather than 2^n. Either way,
-each cell's witness is the solver's model of the full cell conjunction, one
-query per cell. ``cell_bound`` bounds that number from above without a
-query.
+work follows the number of satisfiable cells rather than 2^n. A cell's
+witness is the solver's model of the full cell conjunction, one query per
+cell. ``cell_bound`` bounds the number of cells from above without a query.
 """
 
 from __future__ import annotations
@@ -34,15 +34,18 @@ from .formulas import And, Assignment, Atom, Formula, LinearAtom, VarSet, conj
 
 Cell = tuple[int, Assignment]  # (sign mask, witness)
 
-# each satisfiable cell costs a solver query for its witness (and prefix
-# queries when an atom has two variables), so callers enumerate cells only
-# while ``cell_bound`` is at most the 2^12 cells of 12 independent
-# atoms: past it, the minimizer leaves a guard as written and the engine's
-# ``random-cell`` policy falls back to the solver's model
+# a cell's witness costs a solver query (and prefix queries when an atom
+# has two variables), so callers enumerate cells only while ``cell_bound``
+# is at most the 2^12 cells of 12 independent atoms: past it, the minimizer
+# leaves a guard as written, the raw per-cell extraction refuses the object
+# and the engine's ``random-cell`` policy falls back to the solver's model.
+# The symbolic extraction allows as many feasible paths out of a state.
 MAX_CELLS = 1 << 12
 
-# cell tables keyed by (atom keys, variable names), kept by solver.remember
+# cell tables and mask tables, each keyed by (atom keys, variable names),
+# kept by solver.remember
 _cache: dict[tuple, tuple[Cell, ...]] = {}
+_masks: dict[tuple, tuple[int, ...]] = {}
 
 
 def _literal(a: LinearAtom, positive: bool) -> Formula:
@@ -79,16 +82,23 @@ def cell_bound(atoms: Sequence[LinearAtom]) -> int:
     return bound
 
 
+def satisfiable_masks(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[int, ...]:
+    """The masks of all satisfiable cells over ``atoms``, ascending."""
+    key = (tuple(a.key() for a in atoms), vars.names)
+    return solver.remember(_masks, key, lambda: _enumerate(atoms, vars))
+
+
 def satisfiable_cells(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[Cell, ...]:
     """All satisfiable cells over ``atoms`` as (mask, witness), by ascending mask."""
     key = (tuple(a.key() for a in atoms), vars.names)
-    return solver.remember(_cache, key, lambda: _enumerate(atoms, vars))
+    return solver.remember(_cache, key, lambda: tuple(
+        (mask, _witness(atoms, mask, vars)) for mask in satisfiable_masks(atoms, vars)))
 
 
-def _enumerate(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[Cell, ...]:
+def _enumerate(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[int, ...]:
     if all(len(a.coeffs) == 1 for a in atoms):
-        return tuple((mask, _witness(atoms, mask, vars)) for mask in _line_masks(atoms))
-    found: list[Cell] = []
+        return tuple(_line_masks(atoms))
+    found: list[int] = []
     # prefix witnesses must cover every atom's variables, not just ``vars``
     everything = VarSet(tuple(set(vars.names).union(*(a.variables() for a in atoms))))
 
@@ -96,7 +106,7 @@ def _enumerate(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[Cell, ...]:
     def descend(i: int, mask: int, literals: list[Formula], witness: Assignment) -> None:
         # the prefix over atoms[:i] is satisfiable, and ``witness`` satisfies it
         if i == len(atoms):
-            found.append((mask, _witness(atoms, mask, vars)))
+            found.append(mask)
             return
         for positive in (False, True):
             prefix = literals + [_literal(atoms[i], positive)]
@@ -108,7 +118,7 @@ def _enumerate(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[Cell, ...]:
             descend(i + 1, mask | (positive << i), prefix, inside)
 
     descend(0, 0, [], Assignment({v: Fraction(0) for v in everything.names}))
-    return tuple(sorted(found, key=lambda cell: cell[0]))
+    return tuple(sorted(found))
 
 
 def _witness(atoms: Sequence[LinearAtom], mask: int, vars: VarSet) -> Assignment:

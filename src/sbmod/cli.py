@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-# engine and verify are deferred (see the package docstring)
-from . import engine, verify
+# engine, extract and verify are deferred (see the package docstring)
+from . import engine, extract, verify
 from .dsl import EmissionError, ExtractionError, ParseError, insert_object, is_identifier, parse_model
 from .formulas import fraction_text, to_infix
 from .graphs import (
@@ -67,13 +67,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _pick_graph(model: Model, args: argparse.Namespace) -> tuple[str, ObjectGraph]:
-    from .compose import compose_all, object_graph  # sbmod.compose is the function
-
     if args.composite:
+        from .compose import compose_all  # sbmod.compose is the function
+
         if not model.objects:
             raise UsageError("model has no objects to compose")
         return "composite", compose_all(model, simplify=args.simplify)
-    return args.object, object_graph(model.get(args.object), model.vars, args.simplify)
+    return args.object, extract.object_graph(model.get(args.object), model.vars, args.simplify)
 
 
 def cmd_graph(args: argparse.Namespace) -> int:

@@ -27,8 +27,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 
 from . import solver
-from .dsl import ScenarioScript
-from .extract import extract_graph, simplify_graph
+from .extract import object_graphs, simplify_graph
 from .formulas import TRUE, Formula, VarSet, conj, disj, negate
 from .graphs import Edge, GraphError, Model, ObjectGraph, explore
 from .minimize import boolean_minimize
@@ -120,22 +119,6 @@ def run_graph(graphs: list[ObjectGraph],
                 yield guard, targets
 
     return _product(graphs, vars, merged_enabled)
-
-
-def object_graph(item: ScenarioScript | ObjectGraph, vars: VarSet, simplify: bool = True) -> ObjectGraph:
-    """An object's graph: a script is extracted (and simplified), a graph is
-    taken as it is."""
-    if isinstance(item, ObjectGraph):
-        return item
-    if isinstance(item, ScenarioScript):
-        g = extract_graph(item, vars)
-        return simplify_graph(g, vars) if simplify else g
-    raise GraphError(f"{item!r} is neither a script nor a graph")
-
-
-def object_graphs(m: Model, simplify: bool = True) -> list[tuple[str, ObjectGraph]]:
-    """Each model object's name and graph (``object_graph``)."""
-    return [(o.name, object_graph(o.item, m.vars, simplify)) for o in m.objects]
 
 
 def compose_all(m: Model, simplify: bool = True) -> ObjectGraph:

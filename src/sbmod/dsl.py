@@ -26,7 +26,9 @@ sync, and every cycle in control flow contains a sync.
 
 The script walk (``initial_state``, ``resume``, ``step_script``) runs a
 parsed script one triggered assignment at a time over what its compiling walk
-recorded; extraction and the engine both drive it.
+recorded; extraction and the engine both drive it. ``symbolic_paths`` walks
+the same frames symbolically, one path condition per feasible branch, which
+is how the simplified graphs are extracted.
 
 ``emit_script`` is the inverse direction: it renders a deterministic
 ObjectGraph back to this language, with a bit-exact two-space-indent printer
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import copy
 import re
+from collections.abc import Iterator
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -203,26 +206,62 @@ def pending(script: ScenarioScript, location: int) -> tuple[SyncStmt, Formula]:
     return script.syncs[location], script.wakes[location]
 
 
-def _walk_to_sync(frames: Frames, a: Assignment | None) -> int:
-    """Run straight-line control flow until the next sync; returns its uid."""
-    stack = list(frames)
+def _next_branch(stack: list) -> SyncStmt | IfStmt | None:
+    """Run the continuation frames on ``stack`` (innermost last) through
+    straight-line control flow to the next sync or ``if``, and return it;
+    None once the script ends. The frame to resume from after it is left on
+    ``stack``."""
     while stack:
         stmts, i = stack.pop()
         while i < len(stmts):
             st = stmts[i]
-            if isinstance(st, SyncStmt):
-                return st.uid
-            if isinstance(st, IfStmt):
-                if a is None:
-                    raise ExtractionError("conditional reached with no triggered assignment")
-                stack.append((stmts, i + 1))
-                stmts, i = (st.then if evaluate(st.cond, a) else st.orelse), 0
-            elif isinstance(st, LoopStmt):
+            if isinstance(st, LoopStmt):
                 stack.append((stmts, i))  # loops repeat forever
                 stmts, i = st.body, 0
+            elif isinstance(st, (SyncStmt, IfStmt)):
+                stack.append((stmts, i + 1))
+                return st
             else:
                 raise TypeError(f"not a statement: {st!r}")
-    return END_LOCATION
+    return None
+
+
+def _walk_to_sync(frames: Frames, a: Assignment | None) -> int:
+    """Run straight-line control flow until the next sync; returns its uid."""
+    stack = list(frames)
+    while isinstance(st := _next_branch(stack), IfStmt):
+        if a is None:
+            raise ExtractionError("conditional reached with no triggered assignment")
+        stack.append((st.then if evaluate(st.cond, a) else st.orelse, 0))
+    return END_LOCATION if st is None else st.uid
+
+
+def symbolic_paths(script: ScenarioScript, location: int, vars: VarSet) -> Iterator[tuple[Formula, int]]:
+    """Each feasible path from a script waiting at ``location`` to its next
+    state, as (path condition, next state), run symbolically over ``vars``.
+
+    The walk reads the continuation frames that ``_walk_to_sync`` reads. The
+    path condition starts as the wake condition; an ``if`` splits it on
+    ``cond`` and ``negate(cond)``, and a branch is followed only when
+    ``solver.satisfiable`` accepts its path condition. So the conditions are
+    pairwise disjoint and their disjunction is the wake condition. Paths are
+    yielded lazily, depth first, then-branch first. A finished script, or
+    one whose wake condition is unsatisfiable, has no paths.
+    """
+    wake = pending(script, location)[1]
+    if location == END_LOCATION or not solver.satisfiable(wake, vars):
+        return
+    work: list[tuple[list, Formula]] = [(list(script.continuations[location]), wake)]
+    while work:
+        stack, path = work.pop()
+        st = _next_branch(stack)
+        if not isinstance(st, IfStmt):
+            yield path, END_LOCATION if st is None else st.uid
+            continue
+        for cond, body in ((negate(st.cond), st.orelse), (st.cond, st.then)):
+            branch = conj([path, cond])
+            if solver.satisfiable(branch, vars):
+                work.append((stack + [(body, 0)], branch))
 
 
 def initial_state(script: ScenarioScript) -> int:

@@ -1,15 +1,26 @@
 """Transition-graph extraction: from scenario scripts to ObjectGraphs.
 
-Extraction explores, at every reachable state of a script (its sync uid or
-END_LOCATION, see ``dsl.pending``), each satisfiable complete sign assignment
-over the script's predicates, as listed with a solver witness each by
-``cells.satisfiable_cells`` over the model's variable set. Each witness is
-triggered through the script walk (``dsl.resume``), recording a cell-guarded
-edge; ``graphs.explore`` grows the graph from the script's initial state
-with that visit. Enumerating complete sign assignments (rather than only
+An object's graph is extracted in one of two ways, both grown from the
+script's initial state (its sync uid or END_LOCATION, see ``dsl.pending``)
+by ``graphs.explore``.
+
+The simplified graph, which checking, repair and verification read
+(``object_graph(..., simplify=True)``), is built from the symbolic script
+walk (``dsl.symbolic_paths``): out of each state, the conditions of the
+feasible paths into one next state merge into one disjunction, which
+``simplify_graph`` then minimizes. A state yields at most ``cells.MAX_CELLS``
+feasible paths.
+
+The raw graph (``extract_graph``, printed by ``graph`` without
+``--simplify``) explores at every state each satisfiable complete sign
+assignment over the script's predicates, as listed with a solver witness
+each by ``cells.satisfiable_cells`` over the model's variable set. Each
+witness is triggered through the script walk (``dsl.resume``), recording a
+cell-guarded edge. Enumerating complete sign assignments (rather than only
 positive predicate subsets) keeps cells pairwise disjoint, so every branch
 that is reachable under some cell gets explored and the extracted graph
-simulates the script exactly, in both directions.
+simulates the script exactly, in both directions. It is also the reference
+that the symbolic walk is tested against.
 
 Self-loops where the object does not wake are left implicit in the extracted
 graph; composition and export materialize them as one complement-guard loop.
@@ -17,11 +28,20 @@ graph; composition and export materialize them as one complement-guard loop.
 
 from __future__ import annotations
 
+# minimize is deferred (see the package docstring)
+from . import minimize
 from .cells import MAX_CELLS, cell_bound, cell_formula, satisfiable_cells
-from .dsl import END_LOCATION, ExtractionError, ScenarioScript, initial_state, pending, resume
+from .dsl import (
+    END_LOCATION,
+    ExtractionError,
+    ScenarioScript,
+    initial_state,
+    pending,
+    resume,
+    symbolic_paths,
+)
 from .formulas import Formula, LinearAtom, VarSet, disj, evaluate
-from .graphs import ObjectGraph, explore
-from .minimize import boolean_minimize
+from .graphs import GraphError, Model, ObjectGraph, explore
 
 
 def state_name(location: int) -> str:
@@ -76,6 +96,24 @@ def extract_graph(
     return explore(initial_state(script), state_name, visit)[0]
 
 
+def _path_graph(script: ScenarioScript, vars: VarSet) -> ObjectGraph:
+    """The script's graph with one edge per (state, next state), guarded by
+    the disjunction of the conditions of the feasible paths between them."""
+    def visit(state: int):
+        sync, _ = pending(script, state)
+        paths: dict[int, list[Formula]] = {}
+        for count, (condition, nxt) in enumerate(symbolic_paths(script, state, vars), start=1):
+            if count > MAX_CELLS:
+                raise ExtractionError(
+                    f"object {script.name!r} has more than {MAX_CELLS} feasible paths out of "
+                    f"{state_name(state)}, over the path budget; reduce the branches between its syncs")
+            paths.setdefault(nxt, []).append(condition)
+        moves = ((disj(conditions), nxt) for nxt, conditions in paths.items())
+        return sync.request, sync.block, sync.waitfor, sync.bad, moves
+
+    return explore(initial_state(script), state_name, visit)[0]
+
+
 def simplify_graph(g: ObjectGraph, vars: VarSet) -> ObjectGraph:
     """Merge parallel edges into one disjunction and shrink its formula.
 
@@ -88,7 +126,7 @@ def simplify_graph(g: ObjectGraph, vars: VarSet) -> ObjectGraph:
     edges = []
     for (src, dst), guards in sorted(groups.items()):
         merged = disj(guards)
-        edges.append((src, boolean_minimize(merged, vars), dst))
+        edges.append((src, minimize.boolean_minimize(merged, vars), dst))
     return ObjectGraph.make(
         states=g.states,
         initial=g.initial,
@@ -98,3 +136,18 @@ def simplify_graph(g: ObjectGraph, vars: VarSet) -> ObjectGraph:
         edges=edges,
         bad=g.bad,
     )
+
+
+def object_graph(item: ScenarioScript | ObjectGraph, vars: VarSet, simplify: bool = True) -> ObjectGraph:
+    """An object's graph: a script is extracted, simplified from its symbolic
+    walk or raw with one edge per cell; a graph is taken as it is."""
+    if isinstance(item, ObjectGraph):
+        return item
+    if isinstance(item, ScenarioScript):
+        return simplify_graph(_path_graph(item, vars), vars) if simplify else extract_graph(item, vars)
+    raise GraphError(f"{item!r} is neither a script nor a graph")
+
+
+def object_graphs(m: Model, simplify: bool = True) -> list[tuple[str, ObjectGraph]]:
+    """Each model object's name and graph (``object_graph``)."""
+    return [(o.name, object_graph(o.item, m.vars, simplify)) for o in m.objects]

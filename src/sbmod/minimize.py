@@ -2,11 +2,12 @@
 
 A formula over atoms a1..an is constant on each sign cell (a complete
 true/false choice per atom), so it is a Boolean function of the atom signs.
-``cells.satisfiable_cells`` lists the satisfiable cells: the ON set is the
-cells on which the formula holds, the OFF set the other satisfiable cells.
-An atom's truth on a cell is its bit in the cell's mask, so the ON set comes
-from one walk of the formula over per-atom bitsets across the cells, with no
-arithmetic on the cells' witnesses.
+``cells.satisfiable_masks`` lists the satisfiable cells by their masks,
+with no witness: the ON set is the cells on which the formula holds, the OFF
+set the other satisfiable cells. An atom's truth on a cell is its bit in the
+cell's mask, so the ON set comes from one walk of the formula over per-atom
+bitsets across the cells. Over one-variable atoms the masks are read off the
+number line, so the cells cost no query at all.
 Cells it does not list are arithmetically unsatisfiable (e.g. h >= 10 and
 h < 0 together), can never occur, and act as don't-cares, but they are never
 built: the prime implicants through each ON cell are read off the OFF cells
@@ -23,7 +24,7 @@ remembered per process.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from . import cells, solver
 from .formulas import (
@@ -115,7 +116,7 @@ def boolean_minimize(f: Formula, vars: VarSet) -> Formula:
     return solver.remember(_cache, (formula_key(f), vars.names), lambda: _minimize(f, vars))
 
 
-def _on_set(f: Formula, atoms: list[LinearAtom], masks: list[int]) -> set[int]:
+def _on_set(f: Formula, atoms: list[LinearAtom], masks: Sequence[int]) -> set[int]:
     """The masks, among the cell masks ``masks`` over ``atoms``, of the cells
     on which the canonical ``f`` holds. One walk of ``f`` over per-atom cell
     bitsets: bit j of atom i's column is set when ``masks[j]`` has bit i set,
@@ -151,7 +152,7 @@ def _minimize(f: Formula, vars: VarSet) -> Formula:
     atoms = polarity_classes(atoms_of(f))
     if not atoms or cells.cell_bound(atoms) > cells.MAX_CELLS:
         return f
-    masks = [mask for mask, _ in cells.satisfiable_cells(atoms, vars)]
+    masks = cells.satisfiable_masks(atoms, vars)
     on = _on_set(f, atoms, masks)
     if not on:
         return FALSE

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from sbmod import cells as cells_module, solver
-from sbmod.cells import cell_bound, cell_formula, satisfiable_cells, sign_mask
+from sbmod.cells import cell_bound, cell_formula, satisfiable_cells, satisfiable_masks, sign_mask
 from sbmod.dsl import parse_model
 from sbmod.engine import RANDOM_CELL, select_event
 from sbmod.extract import ExtractStats, extract_graph
@@ -56,8 +56,9 @@ def test_cells_match_brute_force_on_drone_predicates(drone_model):
 
 
 def _counting_check_sat(monkeypatch) -> list:
-    """Empty the cell cache and count the ``check_sat`` calls cells make."""
+    """Empty the cell and mask caches and count the ``check_sat`` calls cells make."""
     monkeypatch.setattr(cells_module, "_cache", {})
+    monkeypatch.setattr(cells_module, "_masks", {})
     calls = []
     real = solver.check_sat
     monkeypatch.setattr(solver, "check_sat", lambda f, vars: calls.append(f) or real(f, vars))
@@ -130,6 +131,26 @@ def test_single_variable_cells_take_one_query_each(monkeypatch, workloads):
     calls = _counting_check_sat(monkeypatch)
     cells = satisfiable_cells(atoms, model.vars)
     assert len(calls) == len(cells) < 1 << len(atoms)
+
+
+def test_masks_are_the_cells_without_their_witnesses(monkeypatch, workloads):
+    model = parse_model(workloads.wide_text(7))
+    cases = [
+        # one-variable atoms: the masks are read off the number line
+        (list(model.get("Wide").predicates), model.vars, 0),
+        # a two-variable atom: the depth-first search asks prefix queries
+        ([var_atom("x", ">=", 1).atom, atom({"x": 1, "y": 1}, "<", 1).atom, var_atom("y", "<", 0).atom], XY, 1),
+    ]
+    for atoms, vars, queried in cases:
+        calls = _counting_check_sat(monkeypatch)
+        masks = satisfiable_masks(atoms, vars)
+        assert (len(calls) > 0) == queried
+        asked = len(calls)
+        cells = satisfiable_cells(atoms, vars)
+        # the same enumeration, plus one witness query per mask
+        assert len(calls) == asked + len(cells)
+        monkeypatch.undo()
+        assert tuple(mask for mask, _ in cells) == masks == tuple(sorted(_brute_force(atoms, vars)))
 
 
 def test_cell_cache_stops_inserting_at_the_limit(monkeypatch):

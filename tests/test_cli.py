@@ -422,6 +422,42 @@ def test_object_past_the_cell_budget_is_a_usage_error(capsys, tmp_path):
                      f"{' || '.join(f'{v} >= 1' for v in names)}); }} }}")
     assert main(["graph", str(model), "--object", "T"]) == 2
     assert "over the budget of 4096" in capsys.readouterr().err
+    # the simplified graph is walked symbolically: one path out of s0, and the stay loops
+    assert main(["graph", str(model), "--object", "T", "--simplify", "--format", "json"]) == 0
+    edges = json.loads(capsys.readouterr().out)["edges"]
+    assert [(e["from"], e["to"]) for e in edges] == [("end", "end"), ("s0", "end"), ("s0", "s0")]
+
+
+def test_object_past_the_path_budget_is_a_usage_error(capsys, tmp_path):
+    # 13 independent branches between two syncs: 2^13 feasible paths
+    names = [f"v{i}" for i in range(13)]
+    branches = " ".join(f"if ({v} >= 1) {{ }}" for v in names)
+    model = tmp_path / "paths.sbm"
+    model.write_text(f"model {{ vars {', '.join(names)}; object T {{ sync(request = true); {branches} "
+                     "sync(request = true); } object P { sync(waitfor = true); sync(); mark bad; } }")
+    message = "error: object 'T' has more than 4096 feasible paths out of s0, over the path budget"
+    assert main(["graph", str(model), "--object", "T", "--simplify"]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert main(["check", str(model), "--property", "P"]) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_eighty_predicate_object_repairs_and_verifies(capsys, tmp_path, workloads):
+    # up to 6,561 sign cells, past the cell budget, but five paths
+    model = tmp_path / "wide80.sbm"
+    model.write_text(workloads.wide_text(80))
+    assert main(["repair", str(model), "--property", "Far", "--verify"]) == 0
+    assert "run containment: pass" in capsys.readouterr().out
+
+
+def test_the_model_emitted_for_indep_6_checks_safe(capsys, tmp_path):
+    # the patch object's 13 predicates have up to 7,168 sign cells
+    model, patched = tmp_path / "indep6.sbm", tmp_path / "patched.sbm"
+    model.write_text(indep_text(6))
+    assert main(["repair", str(model), "--property", "P", "--emit-model", str(patched)]) == 0
+    capsys.readouterr()
+    assert main(["check", str(patched), "--property", "P"]) == 0
+    assert capsys.readouterr().out == "Safe\n"
 
 
 def test_bad_run_setting(capsys):

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from sbmod.compose import JOIN, compose, compose_all, enabled_guard, object_graphs
+from sbmod.compose import JOIN, compose, compose_all, enabled_guard
+from sbmod.extract import object_graphs
 from sbmod.formulas import FALSE, TRUE, VarSet, conj, disj, evaluate, negate, var_atom
 from sbmod.graphs import GraphError, Model, ObjectGraph, encode_discrete
 from sbmod.solver import check_sat, equivalent

@@ -10,8 +10,9 @@ import random
 import pytest
 
 from sbmod import cells, minimize, solver
-from sbmod.compose import JOIN, compose, compose_all, enabled_guard, object_graphs, run_graph
+from sbmod.compose import JOIN, compose, compose_all, enabled_guard, run_graph
 from sbmod.dsl import parse_model
+from sbmod.extract import object_graphs
 from sbmod.formulas import FALSE, Assignment, VarSet, conj, disj, var_atom
 from sbmod.graphs import GraphError, Model, NamedObject, ObjectGraph, encode_discrete
 from sbmod.runsets import CellRuns, CellSpace
@@ -369,7 +370,8 @@ def test_warm_repair_and_verify_build_no_model(name, workloads, monkeypatch):
     # the yes/no questions of the product, the deadlock checks and the patch
     # go through ``satisfiable``; with the caches warm, a safe patched run
     # graph leaves no question that needs a model
-    for module, cache in [(solver, "_cache"), (solver, "_decided"), (cells, "_cache"), (minimize, "_cache")]:
+    for module, cache in [(solver, "_cache"), (solver, "_decided"), (cells, "_cache"), (cells, "_masks"),
+                          (minimize, "_cache")]:
         monkeypatch.setattr(module, cache, {})
     m, prop = _case(name, workloads)
 

@@ -1,12 +1,26 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from sbmod.dsl import END_LOCATION, IfStmt, ScenarioScript, SyncStmt, initial_state, parse_model, step_script
+import test_emit_random
+import test_random_pipeline
+from sbmod.dsl import (
+    END_LOCATION,
+    IfStmt,
+    ScenarioScript,
+    SyncStmt,
+    initial_state,
+    parse_model,
+    step_script,
+    symbolic_paths,
+)
 from sbmod.extract import (
     ExtractStats,
     ExtractionError,
     extract_graph,
+    object_graph,
     simplify_graph,
     state_name,
 )
@@ -14,6 +28,8 @@ from sbmod.formulas import TRUE, Assignment, VarSet, conj, disj, var_atom
 from sbmod.graphs import ObjectGraph
 from sbmod.cells import cell_bound, cell_formula
 from sbmod.solver import check_sat, equivalent
+
+from oracles import indep_text, ring_n_text, token_ring_text
 
 VH = VarSet(("v", "h"))
 
@@ -204,3 +220,80 @@ def test_simplify_navigate_merges_cell_guards(drone_model):
     sg = simplify_graph(raw, VH)
     for e in sg.edges:
         assert equivalent(e.guard, disj(groups[(e.src, e.dst)]), VH)
+
+
+# ---------------------------------------------------------------------------
+# the symbolic walk, against the per-cell view
+
+
+def test_symbolic_walk_follows_only_feasible_branches():
+    m = parse_model(
+        """
+        model { vars x;
+          object T {
+            sync(request = x >= 5);
+            if (x >= 2) { sync(request = true); } else { sync(request = false); }
+            if (x < 7) { sync(request = x >= 1 && x < 0); }
+          }
+        }
+        """
+    )
+    t, x = m.get("T"), VarSet(("x",))
+    # x >= 5 rules out the else-branch
+    ((path, nxt),) = symbolic_paths(t, 0, x)
+    assert nxt == 1 and equivalent(path, var_atom("x", ">=", 5), x)
+    # both arms of x < 7, then-branch first; the else-arm runs off the end
+    (low, s3), (high, end) = symbolic_paths(t, 1, x)
+    assert (s3, end) == (3, END_LOCATION)
+    assert equivalent(low, var_atom("x", "<", 7), x) and equivalent(high, var_atom("x", ">=", 7), x)
+    # an unsatisfiable wake and a finished script have no paths
+    assert list(symbolic_paths(t, 3, x)) == [] == list(symbolic_paths(t, END_LOCATION, x))
+
+
+def _assert_walk_matches_cells(script, vars):
+    """The simplified graph, built from the symbolic walk, against the raw
+    per-cell graph: the same states, initial state, labels and bad set, and
+    one edge per (src, dst) whose guard is equivalent to the disjunction of
+    that pair's cell guards."""
+    walked = object_graph(script, vars)
+    raw = extract_graph(script, vars)
+    assert (walked.states, walked.initial, walked.bad) == (raw.states, raw.initial, raw.bad)
+    assert (walked.request, walked.block, walked.waitfor) == (raw.request, raw.block, raw.waitfor)
+    groups: dict[tuple[str, str], list] = {}
+    for e in raw.edges:
+        groups.setdefault((e.src, e.dst), []).append(e.guard)
+    assert sorted((e.src, e.dst) for e in walked.edges) == sorted(groups)
+    for e in walked.edges:
+        assert equivalent(e.guard, disj(groups[(e.src, e.dst)]), vars), (script.name, e)
+
+
+USUAL = {
+    "ring": lambda w: w.ring_text(5),
+    "wide": lambda w: w.wide_text(7),
+    "ring8": lambda w: w.ring_text(8),
+    "token8": lambda w: token_ring_text(8),
+    "wide20": lambda w: w.wide_text(20),
+    "wide40": lambda w: w.wide_text(40),
+    "indep6": lambda w: indep_text(6),
+    "ringn12": lambda w: ring_n_text(12),
+}
+
+
+@pytest.mark.parametrize("name", [*USUAL, "drone"])
+def test_symbolic_walk_matches_cells_on_the_usual_models(name, workloads, drone_model):
+    m = drone_model if name == "drone" else parse_model(USUAL[name](workloads))
+    for o in m.objects:
+        _assert_walk_matches_cells(o.item, m.vars)
+
+
+def test_symbolic_walk_matches_cells_on_random_models(monkeypatch):
+    monkeypatch.setattr(test_emit_random, "rand_formula", test_random_pipeline._mixed_formula)
+    rng = random.Random(2026)
+    objects = branching = 0
+    for _ in range(600):
+        m = parse_model(test_random_pipeline.rand_model_text(rng))
+        for o in m.objects:
+            _assert_walk_matches_cells(o.item, m.vars)
+            objects += 1
+            branching += any(isinstance(st, IfStmt) for st in o.item.body)
+    assert objects >= 1800 and branching >= 300

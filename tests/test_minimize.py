@@ -3,7 +3,18 @@ from __future__ import annotations
 import random
 
 from sbmod import cells, minimize, solver
-from sbmod.formulas import FALSE, VarSet, atoms_of, canonicalize, conj, disj, evaluate, polarity_classes, var_atom
+from sbmod.formulas import (
+    FALSE,
+    VarSet,
+    atom,
+    atoms_of,
+    canonicalize,
+    conj,
+    disj,
+    evaluate,
+    polarity_classes,
+    var_atom,
+)
 from sbmod.minimize import _prime_implicants, _select_cover, boolean_minimize
 
 from oracles import VARS, rand_atom_pool, rand_formula, ref_prime_implicants
@@ -56,9 +67,12 @@ def _count_queries(monkeypatch) -> dict[str, int]:
 def test_repeat_call_makes_no_solver_query(monkeypatch):
     monkeypatch.setattr(minimize, "_cache", {})
     monkeypatch.setattr(cells, "_cache", {})
+    monkeypatch.setattr(cells, "_masks", {})
     monkeypatch.setattr(solver, "_decided", {})
     calls = _count_queries(monkeypatch)
-    f = disj([var_atom("x", ">=", 3), var_atom("x", ">=", 5), var_atom("y", "<", 1)])
+    # the two-variable atom makes the cell enumeration ask prefix queries
+    f = disj([var_atom("x", ">=", 3), var_atom("x", ">=", 5), var_atom("y", "<", 1),
+              atom({"x": 1, "y": 1}, "<=", 2)])
     first = boolean_minimize(f, XY)
     assert calls["check_sat"] > 0
     assert calls["satisfiable"] == 2  # the certificate's two entailments

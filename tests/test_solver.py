@@ -507,8 +507,8 @@ def test_remember_keeps_a_cached_none():
 
 
 def test_every_per_process_cache_is_bounded(monkeypatch):
-    caches = [(solver, "_cache"), (solver, "_decided"), (cells, "_cache"), (minimize, "_cache"),
-              (engine, "_selections")]
+    caches = [(solver, "_cache"), (solver, "_decided"), (cells, "_cache"), (cells, "_masks"),
+              (minimize, "_cache"), (engine, "_selections")]
     for module, name in caches:
         monkeypatch.setattr(module, name, {})
     monkeypatch.setattr(solver, "_CACHE_LIMIT", 1)

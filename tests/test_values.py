@@ -182,9 +182,10 @@ def test_each_verb_executes_only_the_modules_it_runs(tmp_path, workloads):
     status, modules, random_imported, _ = executed("check", "ring.sbm", "--property", "AllMarked")
     assert status == 1 and "verify" in modules
     assert not modules & {"engine", "runsets"} and not random_imported
+    # the raw per-cell view is extraction alone: no product and no minimizer
     status, modules, _, _ = executed("graph", "ring.sbm", "--object", "C0")
-    assert status == 0 and "compose" in modules
-    assert not modules & {"verify", "runsets", "engine"}
+    assert status == 0 and "extract" in modules
+    assert not modules & {"compose", "minimize", "verify", "runsets", "engine"}
     # clause (c) reads the patched run graph, with no cell alphabet
     status, modules, _, json_imported = executed("repair", "ring.sbm", "--property", "AllMarked", "--verify")
     assert status == 0 and "verify" in modules

@@ -4,11 +4,12 @@ A sign cell over atoms a0..a(n-1) (one per {atom, negated atom} pair) is a
 complete truth-value choice per atom, written as a mask whose bit i is the
 sign of ai. Every formula over those atoms is constant on each cell, so the
 satisfiable cells stand for all assignments. ``satisfiable_masks`` is the
-one enumerator. Guard minimization reads its masks alone (the ON and OFF
-cells of a guard); ``satisfiable_cells`` adds one solver witness per mask
-for the callers that evaluate on a cell: the raw per-cell extraction (one
-trigger per cell), the engine's ``random-cell`` policy (a seeded pick among
-cells) and run sets (cells are the alphabet of runs).
+one enumerator. Guard minimization and the raw per-cell extraction read its
+masks alone, with ``holding_masks`` giving the cells on which a formula
+holds (a guard's ON cells; the cells that take an edge); ``satisfiable_cells``
+adds one solver witness per mask for the callers that evaluate on a cell:
+the engine's ``random-cell`` policy (a seeded pick among cells) and run sets
+(cells are the alphabet of runs).
 
 When every atom has one variable, the cells are read off the number line
 without a query: a variable's t distinct constants cut its line into 2t + 1
@@ -30,16 +31,17 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from . import solver
-from .formulas import And, Assignment, Atom, Formula, LinearAtom, VarSet, conj
+from .formulas import And, Assignment, Atom, FalseF, Formula, LinearAtom, Or, TrueF, VarSet, conj
 
 Cell = tuple[int, Assignment]  # (sign mask, witness)
 
-# a cell's witness costs a solver query (and prefix queries when an atom
-# has two variables), so callers enumerate cells only while ``cell_bound``
-# is at most the 2^12 cells of 12 independent atoms: past it, the minimizer
-# leaves a guard as written, the raw per-cell extraction refuses the object
-# and the engine's ``random-cell`` policy falls back to the solver's model.
-# The symbolic extraction allows as many feasible paths out of a state.
+# enumeration costs prefix queries when an atom has two variables, and a
+# cell's witness one more query, so callers enumerate cells only while
+# ``cell_bound`` is at most the 2^12 cells of 12 independent atoms: past it,
+# the minimizer leaves a guard as written, the raw per-cell extraction
+# refuses the object and the engine's ``random-cell`` policy falls back to
+# the solver's model. Witnesses serve only that policy and run sets. The
+# symbolic extraction allows as many feasible paths out of a state.
 MAX_CELLS = 1 << 12
 
 # cell tables and mask tables, each keyed by (atom keys, variable names),
@@ -93,6 +95,43 @@ def satisfiable_cells(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[Cell, 
     key = (tuple(a.key() for a in atoms), vars.names)
     return solver.remember(_cache, key, lambda: tuple(
         (mask, _witness(atoms, mask, vars)) for mask in satisfiable_masks(atoms, vars)))
+
+
+def holding_masks(f: Formula, atoms: Sequence[LinearAtom], masks: Sequence[int]) -> list[int]:
+    """The masks, among the cell masks ``masks`` over ``atoms``, of the cells
+    on which the canonical ``f`` holds, in the order of ``masks``; every atom
+    of ``f`` is one of ``atoms`` or its negation. One walk of ``f`` over
+    per-atom cell bitsets: bit j of atom i's column is set when ``masks[j]``
+    has bit i set, a negated atom's column is the complement, ``And`` is
+    ``&``, ``Or`` is ``|``, ``TRUE`` is every cell and ``FALSE`` none."""
+    every = (1 << len(masks)) - 1
+    column: dict[tuple, int] = {}
+    for i, a in enumerate(atoms):
+        bits = sum(1 << j for j, mask in enumerate(masks) if mask >> i & 1)
+        column[a.key()] = bits
+        column[a.negated().key()] = every ^ bits
+
+    def walk(g: Formula) -> int:
+        if isinstance(g, Atom):
+            return column[g.atom.key()]
+        if isinstance(g, And):
+            bits = every
+            for c in g.children:
+                bits &= walk(c)
+            return bits
+        if isinstance(g, Or):
+            bits = 0
+            for c in g.children:
+                bits |= walk(c)
+            return bits
+        if isinstance(g, TrueF):
+            return every
+        if isinstance(g, FalseF):
+            return 0
+        raise TypeError(f"unexpected node in canonical formula: {g!r}")
+
+    on = walk(f)
+    return [mask for j, mask in enumerate(masks) if on >> j & 1]
 
 
 def _enumerate(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[int, ...]:

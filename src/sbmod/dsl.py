@@ -26,9 +26,9 @@ sync, and every cycle in control flow contains a sync.
 
 The script walk (``initial_state``, ``resume``, ``step_script``) runs a
 parsed script one triggered assignment at a time over what its compiling walk
-recorded; extraction and the engine both drive it. ``symbolic_paths`` walks
-the same frames symbolically, one path condition per feasible branch, which
-is how the simplified graphs are extracted.
+recorded; the engine drives it. ``symbolic_paths`` walks the same frames
+symbolically, one path condition per feasible branch, which is how every
+graph is extracted.
 
 ``emit_script`` is the inverse direction: it renders a deterministic
 ObjectGraph back to this language, with a bit-exact two-space-indent printer
@@ -271,7 +271,7 @@ def initial_state(script: ScenarioScript) -> int:
 def resume(script: ScenarioScript, location: int, a: Assignment) -> int:
     """The state after the script at ``location`` wakes on ``a``: run on to
     the next sync point. ``step_script`` tests the wake condition first;
-    callers that test it themselves (extraction, the engine) call ``resume``.
+    the engine tests it itself and calls ``resume``.
     """
     return _walk_to_sync(script.continuations[location], a)
 

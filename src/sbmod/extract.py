@@ -1,26 +1,24 @@
 """Transition-graph extraction: from scenario scripts to ObjectGraphs.
 
-An object's graph is extracted in one of two ways, both grown from the
-script's initial state (its sync uid or END_LOCATION, see ``dsl.pending``)
-by ``graphs.explore``.
+An object's graph is grown from the script's initial state (its sync uid or
+END_LOCATION, see ``dsl.pending``) by ``graphs.explore`` along the symbolic
+script walk (``dsl.symbolic_paths``): out of each state, the conditions of
+the feasible paths into one next state merge into one disjunction. A state
+yields at most ``cells.MAX_CELLS`` feasible paths.
 
 The simplified graph, which checking, repair and verification read
-(``object_graph(..., simplify=True)``), is built from the symbolic script
-walk (``dsl.symbolic_paths``): out of each state, the conditions of the
-feasible paths into one next state merge into one disjunction, which
-``simplify_graph`` then minimizes. A state yields at most ``cells.MAX_CELLS``
-feasible paths.
+(``object_graph(..., simplify=True)``), minimizes each merged guard with
+``simplify_graph``.
 
 The raw graph (``extract_graph``, printed by ``graph`` without
-``--simplify``) explores at every state each satisfiable complete sign
-assignment over the script's predicates, as listed with a solver witness
-each by ``cells.satisfiable_cells`` over the model's variable set. Each
-witness is triggered through the script walk (``dsl.resume``), recording a
-cell-guarded edge. Enumerating complete sign assignments (rather than only
-positive predicate subsets) keeps cells pairwise disjoint, so every branch
-that is reachable under some cell gets explored and the extracted graph
-simulates the script exactly, in both directions. It is also the reference
-that the symbolic walk is tested against.
+``--simplify``) presents the same graph per sign cell: each edge is split
+into one edge per satisfiable complete sign assignment over the script's
+predicates (``cells.satisfiable_masks`` over the model's variable set) on
+which its guard holds (``cells.holding_masks``). This is exact with no
+witness and no concrete trigger, because path conditions are pairwise
+disjoint, cover the wake condition and are constant on every cell; so the
+raw edges out of a state are the waking cells, each into the state it leads
+to.
 
 Self-loops where the object does not wake are left implicit in the extracted
 graph; composition and export materialize them as one complement-guard loop.
@@ -30,17 +28,9 @@ from __future__ import annotations
 
 # minimize is deferred (see the package docstring)
 from . import minimize
-from .cells import MAX_CELLS, cell_bound, cell_formula, satisfiable_cells
-from .dsl import (
-    END_LOCATION,
-    ExtractionError,
-    ScenarioScript,
-    initial_state,
-    pending,
-    resume,
-    symbolic_paths,
-)
-from .formulas import Formula, LinearAtom, VarSet, disj, evaluate
+from .cells import MAX_CELLS, cell_bound, cell_formula, holding_masks, satisfiable_masks
+from .dsl import END_LOCATION, ExtractionError, ScenarioScript, initial_state, pending, symbolic_paths
+from .formulas import Formula, LinearAtom, VarSet, disj
 from .graphs import GraphError, Model, ObjectGraph, explore
 
 
@@ -64,36 +54,31 @@ def extract_graph(
     vars: VarSet,
     stats: ExtractStats | None = None,
 ) -> ObjectGraph:
-    """Breadth-first extraction of a script's underlying transition graph.
+    """The script's graph with one edge per satisfiable sign cell over its
+    predicates (over ``vars``) that wakes it, into the state it leads to.
 
-    At each discovered state, every satisfiable sign cell over the script's
-    predicate set P (cells over the model's ``vars``) is triggered through
-    the interpreter by its witness. Edges carry the cell conjunctions as
+    Each edge of the symbolic graph (``_path_graph``) is split over the
+    cells on which its guard holds. Edges carry the cell conjunctions as
     guards (merge them afterwards with ``simplify_graph``).
     """
     atoms = script.predicates
-    # extraction triggers every satisfiable sign cell at every state
+    # the raw view lists every satisfiable sign cell at every state
     bound = cell_bound(atoms)
     if bound > MAX_CELLS:
         raise ExtractionError(
             f"object {script.name!r} has up to {bound} sign cells over its {len(atoms)} "
             f"predicates, over the budget of {MAX_CELLS}; reduce distinct predicates in the script")
+    masks = satisfiable_masks(atoms, vars)
+    g = _path_graph(script, vars)
     if stats is not None:
         stats.predicates = atoms
-
-    cells = [(cell_formula(atoms, mask), model) for mask, model in satisfiable_cells(atoms, vars)]
-
-    def visit(state: int):
-        sync, wake = pending(script, state)
-        if stats is not None:
-            name = state_name(state)
+        for name in sorted(g.states):
             stats.cells_per_state[name] = 1 << len(atoms)
-            stats.satisfiable_cells_per_state[name] = len(cells)
-        # a cell that does not wake the script is its implicit self-loop, not recorded
-        moves = ((guard, resume(script, state, model)) for guard, model in cells if evaluate(wake, model))
-        return sync.request, sync.block, sync.waitfor, sync.bad, moves
-
-    return explore(initial_state(script), state_name, visit)[0]
+            stats.satisfiable_cells_per_state[name] = len(masks)
+    edges = [(e.src, cell_formula(atoms, mask), e.dst)
+             for e in g.edges for mask in holding_masks(e.guard, atoms, masks)]
+    return ObjectGraph.make(states=g.states, initial=g.initial, request=g.request, block=g.block,
+                            waitfor=g.waitfor, edges=edges, bad=g.bad)
 
 
 def _path_graph(script: ScenarioScript, vars: VarSet) -> ObjectGraph:

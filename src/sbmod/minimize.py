@@ -6,8 +6,8 @@ true/false choice per atom), so it is a Boolean function of the atom signs.
 with no witness: the ON set is the cells on which the formula holds, the OFF
 set the other satisfiable cells. An atom's truth on a cell is its bit in the
 cell's mask, so the ON set comes from one walk of the formula over per-atom
-bitsets across the cells. Over one-variable atoms the masks are read off the
-number line, so the cells cost no query at all.
+bitsets across the cells (``cells.holding_masks``). Over one-variable atoms
+the masks are read off the number line, so the cells cost no query at all.
 Cells it does not list are arithmetically unsatisfiable (e.g. h >= 10 and
 h < 0 together), can never occur, and act as don't-cares, but they are never
 built: the prime implicants through each ON cell are read off the OFF cells
@@ -24,7 +24,7 @@ remembered per process.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from . import cells, solver
 from .formulas import (
@@ -116,44 +116,12 @@ def boolean_minimize(f: Formula, vars: VarSet) -> Formula:
     return solver.remember(_cache, (formula_key(f), vars.names), lambda: _minimize(f, vars))
 
 
-def _on_set(f: Formula, atoms: list[LinearAtom], masks: Sequence[int]) -> set[int]:
-    """The masks, among the cell masks ``masks`` over ``atoms``, of the cells
-    on which the canonical ``f`` holds. One walk of ``f`` over per-atom cell
-    bitsets: bit j of atom i's column is set when ``masks[j]`` has bit i set,
-    a negated atom's column is the complement, ``And`` is ``&`` and ``Or`` is
-    ``|``."""
-    every = (1 << len(masks)) - 1
-    column: dict[tuple, int] = {}
-    for i, a in enumerate(atoms):
-        bits = sum(1 << j for j, mask in enumerate(masks) if mask >> i & 1)
-        column[a.key()] = bits
-        column[a.negated().key()] = every ^ bits
-
-    def walk(g: Formula) -> int:
-        if isinstance(g, Atom):
-            return column[g.atom.key()]
-        if isinstance(g, And):
-            bits = every
-            for c in g.children:
-                bits &= walk(c)
-            return bits
-        if isinstance(g, Or):
-            bits = 0
-            for c in g.children:
-                bits |= walk(c)
-            return bits
-        raise TypeError(f"unexpected node in canonical formula: {g!r}")
-
-    on = walk(f)
-    return {mask for j, mask in enumerate(masks) if on >> j & 1}
-
-
 def _minimize(f: Formula, vars: VarSet) -> Formula:
     atoms = polarity_classes(atoms_of(f))
     if not atoms or cells.cell_bound(atoms) > cells.MAX_CELLS:
         return f
     masks = cells.satisfiable_masks(atoms, vars)
-    on = _on_set(f, atoms, masks)
+    on = set(cells.holding_masks(f, atoms, masks))
     if not on:
         return FALSE
     primes = _prime_implicants(on, set(masks) - on)

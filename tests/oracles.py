@@ -37,11 +37,22 @@ from sbmod.formulas import (
     negate,
     polarity_classes,
 )
-from sbmod.cells import MAX_CELLS, cell_bound, satisfiable_cells
+from sbmod.cells import MAX_CELLS, cell_bound, cell_formula, satisfiable_cells
 from sbmod.compose import compose_all, enabled_guard
-from sbmod.dsl import IfStmt, LoopStmt, ParseError, ScenarioScript, SyncStmt
+from sbmod.dsl import (
+    ExtractionError,
+    IfStmt,
+    LoopStmt,
+    ParseError,
+    ScenarioScript,
+    SyncStmt,
+    initial_state,
+    pending,
+    resume,
+)
 from sbmod.engine import EventLog, LogEntry
-from sbmod.graphs import DiscreteObject, Edge, Model, NamedObject, ObjectGraph, bfs_tree
+from sbmod.extract import ExtractStats, state_name
+from sbmod.graphs import DiscreteObject, Edge, Model, NamedObject, ObjectGraph, bfs_tree, explore
 from sbmod.runsets import CellRuns
 from sbmod.verify import property_graph
 from sbmod import solver
@@ -339,6 +350,50 @@ def ref_step_script(script: ScenarioScript, location: int, a: Assignment) -> int
     if not evaluate(disj([sync.request, sync.waitfor]), a):
         return location
     return _ref_walk_to_sync(_ref_continuations(script)[sync.uid], a)
+
+
+# The per-cell extractor: at every state, each satisfiable sign cell over
+# the script's predicates is triggered by its solver witness through the
+# concrete script walk. sbmod.extract.extract_graph splits the symbolic
+# graph's edges over the cells instead and must give the same graph and
+# the same ExtractStats.
+
+
+def ref_extract_graph(
+    script: ScenarioScript,
+    vars: VarSet,
+    stats: ExtractStats | None = None,
+) -> ObjectGraph:
+    """Breadth-first extraction of a script's underlying transition graph.
+
+    At each discovered state, every satisfiable sign cell over the script's
+    predicate set P (cells over the model's ``vars``) is triggered through
+    the interpreter by its witness. Edges carry the cell conjunctions as
+    guards (merge them afterwards with ``simplify_graph``).
+    """
+    atoms = script.predicates
+    # extraction triggers every satisfiable sign cell at every state
+    bound = cell_bound(atoms)
+    if bound > MAX_CELLS:
+        raise ExtractionError(
+            f"object {script.name!r} has up to {bound} sign cells over its {len(atoms)} "
+            f"predicates, over the budget of {MAX_CELLS}; reduce distinct predicates in the script")
+    if stats is not None:
+        stats.predicates = atoms
+
+    cells = [(cell_formula(atoms, mask), model) for mask, model in satisfiable_cells(atoms, vars)]
+
+    def visit(state: int):
+        sync, wake = pending(script, state)
+        if stats is not None:
+            name = state_name(state)
+            stats.cells_per_state[name] = 1 << len(atoms)
+            stats.satisfiable_cells_per_state[name] = len(cells)
+        # a cell that does not wake the script is its implicit self-loop, not recorded
+        moves = ((guard, resume(script, state, model)) for guard, model in cells if evaluate(wake, model))
+        return sync.request, sync.block, sync.waitfor, sync.bad, moves
+
+    return explore(initial_state(script), state_name, visit)[0]
 
 
 def ref_run(m: Model, max_steps: int, seed: int = 0, policy: str = "first-model") -> EventLog:

@@ -26,10 +26,11 @@ from sbmod.extract import (
 )
 from sbmod.formulas import TRUE, Assignment, VarSet, conj, disj, var_atom
 from sbmod.graphs import ObjectGraph
+from sbmod import cells
 from sbmod.cells import cell_bound, cell_formula
 from sbmod.solver import check_sat, equivalent
 
-from oracles import indep_text, ring_n_text, token_ring_text
+from oracles import indep_text, ref_extract_graph, ring_n_text, token_ring_text
 
 VH = VarSet(("v", "h"))
 
@@ -222,6 +223,20 @@ def test_simplify_navigate_merges_cell_guards(drone_model):
         assert equivalent(e.guard, disj(groups[(e.src, e.dst)]), VH)
 
 
+def test_raw_view_asks_no_witness(drone_model, workloads, monkeypatch):
+    # the raw view splits the symbolic graph over cell masks: no cell is
+    # triggered, so no witness is asked for
+    wide = parse_model(workloads.wide_text(7))
+    cases = [(nav_script(drone_model), VH), (wide.get("Wide"), wide.vars)]
+    expected = [ref_extract_graph(script, vars) for script, vars in cases]
+
+    def no_witness(*args):
+        raise AssertionError("the raw view asked for a cell witness")
+
+    monkeypatch.setattr(cells, "_witness", no_witness)
+    assert [extract_graph(script, vars) for script, vars in cases] == expected
+
+
 # ---------------------------------------------------------------------------
 # the symbolic walk, against the per-cell view
 
@@ -250,13 +265,22 @@ def test_symbolic_walk_follows_only_feasible_branches():
     assert list(symbolic_paths(t, 3, x)) == [] == list(symbolic_paths(t, END_LOCATION, x))
 
 
+def _stats_dicts(stats: ExtractStats) -> tuple:
+    return stats.predicates, stats.cells_per_state, stats.satisfiable_cells_per_state
+
+
 def _assert_walk_matches_cells(script, vars):
-    """The simplified graph, built from the symbolic walk, against the raw
-    per-cell graph: the same states, initial state, labels and bad set, and
-    one edge per (src, dst) whose guard is equivalent to the disjunction of
-    that pair's cell guards."""
+    """Both views built from the symbolic walk against the reference per-cell
+    graph, whose cells are triggered by their witnesses through the concrete
+    walk. The raw view and its stats equal the reference's. The simplified
+    graph has the same states, initial state, labels and bad set, and one
+    edge per (src, dst) whose guard is equivalent to the disjunction of that
+    pair's cell guards."""
+    ref_stats, stats = ExtractStats(), ExtractStats()
+    raw = ref_extract_graph(script, vars, stats=ref_stats)
+    assert extract_graph(script, vars, stats=stats) == raw, script.name
+    assert _stats_dicts(stats) == _stats_dicts(ref_stats), script.name
     walked = object_graph(script, vars)
-    raw = extract_graph(script, vars)
     assert (walked.states, walked.initial, walked.bad) == (raw.states, raw.initial, raw.bad)
     assert (walked.request, walked.block, walked.waitfor) == (raw.request, raw.block, raw.waitfor)
     groups: dict[tuple[str, str], list] = {}

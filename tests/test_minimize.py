@@ -5,6 +5,7 @@ import random
 from sbmod import cells, minimize, solver
 from sbmod.formulas import (
     FALSE,
+    TRUE,
     VarSet,
     atom,
     atoms_of,
@@ -116,17 +117,35 @@ def test_unsatisfiable_guard_minimizes_to_false():
 
 
 def test_on_set_matches_evaluation_on_witnesses():
-    # the bitset walk against evaluating the guard on each cell's witness
-    rng = random.Random(1414)
+    # the bitset walk (cells.holding_masks) against evaluating the formula on
+    # each cell's witness: over the formula's own atoms, as the minimizer
+    # calls it, and, as the raw per-cell extraction calls it, over lists
+    # that strictly contain them (all of a script's predicates) and on the
+    # constant guards TRUE and FALSE
+    rng, more = random.Random(1414), random.Random(1415)
     xyzw = VarSet(VARS)
-    partial = 0
+    partial = wider = 0
+
+    def on_set(f, atoms) -> tuple[list[int], int]:
+        sat = cells.satisfiable_cells(atoms, xyzw)
+        on = cells.holding_masks(f, atoms, [mask for mask, _ in sat])
+        assert on == [mask for mask, witness in sat if evaluate(f, witness)], (f, atoms)
+        return on, len(sat)
+
     for _ in range(400):
         f = canonicalize(rand_formula(rng, rng.randint(1, 4), rand_atom_pool(rng, lo=2, hi=6)))
         atoms = polarity_classes(atoms_of(f))
         if not atoms:
             continue
-        sat = cells.satisfiable_cells(atoms, xyzw)
-        on = minimize._on_set(f, atoms, [mask for mask, _ in sat])
-        assert on == {mask for mask, witness in sat if evaluate(f, witness)}, f
-        partial += 0 < len(on) < len(sat)
-    assert partial >= 200
+        on, count = on_set(f, atoms)
+        partial += 0 < len(on) < count
+        extra = [a for g in rand_atom_pool(more, lo=1, hi=1) for a in atoms_of(canonicalize(g))]
+        superset = polarity_classes([*atoms, *extra])
+        if len(superset) == len(atoms):
+            continue
+        wider += 1
+        on_set(f, superset)
+        for constant, holds in ((TRUE, True), (FALSE, False)):
+            on, count = on_set(constant, superset)
+            assert len(on) == (count if holds else 0)
+    assert partial >= 200 and wider >= 300

@@ -22,13 +22,16 @@ prefix the solver finds unsatisfiable is pruned with all its completions,
 and a prefix the parent's witness already satisfies needs no query, so the
 work follows the number of satisfiable cells rather than 2^n. A cell's
 witness is the solver's model of the full cell conjunction, one query per
-cell. ``cell_bound`` bounds the number of cells from above without a query.
+cell. Both enumerators answer None, before any query, when the cells may
+number more than ``MAX_CELLS``: the count is the product of each variable's
+line-piece vectors (exact), doubled per atom over several variables.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from math import prod
 
 from . import solver
 from .formulas import And, Assignment, Atom, FalseF, Formula, LinearAtom, Or, TrueF, VarSet, conj
@@ -36,12 +39,12 @@ from .formulas import And, Assignment, Atom, FalseF, Formula, LinearAtom, Or, Tr
 Cell = tuple[int, Assignment]  # (sign mask, witness)
 
 # enumeration costs prefix queries when an atom has two variables, and a
-# cell's witness one more query, so callers enumerate cells only while
-# ``cell_bound`` is at most the 2^12 cells of 12 independent atoms: past it,
-# the minimizer leaves a guard as written, the raw per-cell extraction
-# refuses the object and the engine's ``random-cell`` policy falls back to
-# the solver's model. Witnesses serve only that policy and run sets. The
-# symbolic extraction allows as many feasible paths out of a state.
+# cell's witness one more query, so cells are listed only up to the 2^12
+# cells of 12 independent atoms: past it, the minimizer leaves a guard as
+# written, the raw per-cell extraction refuses the object and the engine's
+# ``random-cell`` policy falls back to the solver's model. Witnesses serve
+# only that policy and run sets. The symbolic extraction allows as many
+# feasible paths out of a state.
 MAX_CELLS = 1 << 12
 
 # cell tables and mask tables, each keyed by (atom keys, variable names),
@@ -64,37 +67,22 @@ def sign_mask(atoms: Sequence[LinearAtom], a: Assignment) -> int:
     return sum(1 << i for i, atom in enumerate(atoms) if atom.holds(a.values))
 
 
-def cell_bound(atoms: Sequence[LinearAtom]) -> int:
-    """An upper bound on the satisfiable cells over ``atoms``, without a query.
-
-    The n single-variable atoms on a variable cut its line at their t
-    distinct constants into 2t + 1 pieces, each inside one of their cells,
-    so they have at most min(2^n, 2t + 1) cells; every other atom at most
-    doubles the count.
-    """
-    constants: dict[str, list[Fraction]] = {}
-    bound = 1
-    for a in atoms:
-        if len(a.coeffs) == 1:
-            constants.setdefault(a.coeffs[0][0], []).append(a.const)
-        else:
-            bound *= 2
-    for consts in constants.values():
-        bound *= min(1 << len(consts), 2 * len(set(consts)) + 1)
-    return bound
-
-
-def satisfiable_masks(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[int, ...]:
-    """The masks of all satisfiable cells over ``atoms``, ascending."""
+def satisfiable_masks(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[int, ...] | None:
+    """The masks of all satisfiable cells over ``atoms``, ascending, or None
+    when they may number more than ``MAX_CELLS``."""
     key = (tuple(a.key() for a in atoms), vars.names)
     return solver.remember(_masks, key, lambda: _enumerate(atoms, vars))
 
 
-def satisfiable_cells(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[Cell, ...]:
-    """All satisfiable cells over ``atoms`` as (mask, witness), by ascending mask."""
+def satisfiable_cells(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[Cell, ...] | None:
+    """All satisfiable cells over ``atoms`` as (mask, witness), by ascending
+    mask, or None when they may number more than ``MAX_CELLS``."""
+    def compute() -> tuple[Cell, ...] | None:
+        masks = satisfiable_masks(atoms, vars)
+        return None if masks is None else tuple((mask, _witness(atoms, mask, vars)) for mask in masks)
+
     key = (tuple(a.key() for a in atoms), vars.names)
-    return solver.remember(_cache, key, lambda: tuple(
-        (mask, _witness(atoms, mask, vars)) for mask in satisfiable_masks(atoms, vars)))
+    return solver.remember(_cache, key, compute)
 
 
 def holding_masks(f: Formula, atoms: Sequence[LinearAtom], masks: Sequence[int]) -> list[int]:
@@ -134,9 +122,16 @@ def holding_masks(f: Formula, atoms: Sequence[LinearAtom], masks: Sequence[int])
     return [mask for j, mask in enumerate(masks) if on >> j & 1]
 
 
-def _enumerate(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[int, ...]:
-    if all(len(a.coeffs) == 1 for a in atoms):
-        return tuple(_line_masks(atoms))
+def _enumerate(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[int, ...] | None:
+    pieces = _line_pieces(atoms)
+    several = sum(len(a.coeffs) > 1 for a in atoms)
+    if prod(map(len, pieces)) << several > MAX_CELLS:
+        return None
+    if not several:
+        masks = {0}
+        for vectors in pieces:
+            masks = {m | v for m in masks for v in vectors}
+        return tuple(sorted(masks))
     found: list[int] = []
     # prefix witnesses must cover every atom's variables, not just ``vars``
     everything = VarSet(tuple(set(vars.names).union(*(a.variables() for a in atoms))))
@@ -167,21 +162,22 @@ def _witness(atoms: Sequence[LinearAtom], mask: int, vars: VarSet) -> Assignment
     return solver.check_sat(And(literals), vars)
 
 
-def _line_masks(atoms: Sequence[LinearAtom]) -> list[int]:
-    """The satisfiable masks over single-variable atoms, in ascending order.
+def _line_pieces(atoms: Sequence[LinearAtom]) -> list[set[int]]:
+    """The sign vectors, as masks, of the one-variable atoms on each variable.
 
-    A variable's masks are those of its atoms at one point of each of the
+    A variable's vectors are those of its atoms at one point of each of the
     2t + 1 pieces that its t distinct constants cut the line into; the
-    variables are independent, so the cells are every OR of one mask each.
+    variables are independent, so the satisfiable cells over the one-variable
+    atoms are every OR of one vector each.
     """
     by_var: dict[str, list[int]] = {}
     for i, a in enumerate(atoms):
-        by_var.setdefault(a.coeffs[0][0], []).append(i)
-    masks = {0}
+        if len(a.coeffs) == 1:
+            by_var.setdefault(a.coeffs[0][0], []).append(i)
+    pieces = []
     for var, indices in by_var.items():
         consts = sorted({atoms[i].const for i in indices})
         points = [consts[0] - 1, *consts, consts[-1] + 1]
         points += [(lo + hi) / 2 for lo, hi in zip(consts, consts[1:])]
-        pieces = {sum(1 << i for i in indices if atoms[i].holds({var: p})) for p in points}
-        masks = {m | p for m in masks for p in pieces}
-    return sorted(masks)
+        pieces.append({sum(1 << i for i in indices if atoms[i].holds({var: p})) for p in points})
+    return pieces

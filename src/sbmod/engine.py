@@ -19,8 +19,8 @@ Two selection policies:
   seeded generator; its witness is the event. The selection formula is
   constant on each cell, so this is exact. Runs vary across seeds but stay
   reproducible, and coverage spreads across qualitatively different
-  behaviors instead of hugging one boundary. When the atoms may have more
-  than ``cells.MAX_CELLS`` cells, the policy falls back to the solver's model.
+  behaviors instead of hugging one boundary. Past the cell budget, where
+  ``cells`` lists none, the policy falls back to the solver's model.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import json
 import random
 
 from . import solver
-from .cells import MAX_CELLS, cell_bound, satisfiable_cells
+from .cells import satisfiable_cells
 from .dsl import END_LOCATION, ScenarioScript, initial_state, pending, resume
 from .formulas import (
     Assignment,
@@ -114,9 +114,10 @@ def _selection(declarations: list[tuple[Formula, Formula]], vars: VarSet, policy
     if policy == FIRST_MODEL:
         return model, None
     atoms = polarity_classes(atoms_of(base))
-    if not atoms or cell_bound(atoms) > MAX_CELLS:
+    cells = satisfiable_cells(atoms, vars) if atoms else None
+    if cells is None:
         return model, None
-    return model, [w.restricted_to(vars) for _, w in satisfiable_cells(atoms, vars) if evaluate(base, w)]
+    return model, [w.restricted_to(vars) for _, w in cells if evaluate(base, w)]
 
 
 def _selected(declarations: list[tuple[Formula, Formula]], vars: VarSet, policy: str) -> _Selection:

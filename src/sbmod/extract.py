@@ -18,7 +18,7 @@ which its guard holds (``cells.holding_masks``). This is exact with no
 witness and no concrete trigger, because path conditions are pairwise
 disjoint, cover the wake condition and are constant on every cell; so the
 raw edges out of a state are the waking cells, each into the state it leads
-to.
+to. An object past the cell budget, where ``cells`` lists none, is refused.
 
 Self-loops where the object does not wake are left implicit in the extracted
 graph; composition and export materialize them as one complement-guard loop.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 # minimize is deferred (see the package docstring)
 from . import minimize
-from .cells import MAX_CELLS, cell_bound, cell_formula, holding_masks, satisfiable_masks
+from .cells import MAX_CELLS, cell_formula, holding_masks, satisfiable_masks
 from .dsl import END_LOCATION, ExtractionError, ScenarioScript, initial_state, pending, symbolic_paths
 from .formulas import Formula, LinearAtom, VarSet, disj
 from .graphs import GraphError, Model, ObjectGraph, explore
@@ -63,12 +63,11 @@ def extract_graph(
     """
     atoms = script.predicates
     # the raw view lists every satisfiable sign cell at every state
-    bound = cell_bound(atoms)
-    if bound > MAX_CELLS:
-        raise ExtractionError(
-            f"object {script.name!r} has up to {bound} sign cells over its {len(atoms)} "
-            f"predicates, over the budget of {MAX_CELLS}; reduce distinct predicates in the script")
     masks = satisfiable_masks(atoms, vars)
+    if masks is None:
+        raise ExtractionError(
+            f"object {script.name!r} has too many sign cells over its {len(atoms)} "
+            f"predicates, over the budget of {MAX_CELLS}; reduce distinct predicates in the script")
     g = _path_graph(script, vars)
     if stats is not None:
         stats.predicates = atoms

@@ -17,9 +17,8 @@ cover of the ON cells by those primes gives a small disjunction of literal
 conjunctions; the result is only used when the solver certifies equivalence
 with the input (``solver.equivalent``, a decision-only search that builds no
 model), so this is purely a readability transform and never changes
-semantics. Guards whose atoms may have more than ``cells.MAX_CELLS``
-satisfiable cells (``cells.cell_bound``) are left as written. Results are
-remembered per process.
+semantics. Guards past the cell budget, where ``cells`` lists none, are
+left as written. Results are remembered per process.
 """
 
 from __future__ import annotations
@@ -118,9 +117,9 @@ def boolean_minimize(f: Formula, vars: VarSet) -> Formula:
 
 def _minimize(f: Formula, vars: VarSet) -> Formula:
     atoms = polarity_classes(atoms_of(f))
-    if not atoms or cells.cell_bound(atoms) > cells.MAX_CELLS:
+    masks = cells.satisfiable_masks(atoms, vars) if atoms else None
+    if masks is None:
         return f
-    masks = cells.satisfiable_masks(atoms, vars)
     on = set(cells.holding_masks(f, atoms, masks))
     if not on:
         return FALSE

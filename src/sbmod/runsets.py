@@ -4,7 +4,7 @@ Every formula of a set of graphs is built from finitely many atoms, so it is
 constant on each satisfiable sign cell over their union (``cells.py``). The
 cells, one solver witness each, are therefore an exact finite alphabet: an
 assignment is the same letter as its cell's witness, with no region left
-out and no restriction on the atoms. Runs become words over that alphabet.
+out, within the cell budget. Runs become words over that alphabet.
 
 A composite moves on a letter only when the letter's cell is enabled at the
 current state, and then along the one out-edge whose guard holds on the

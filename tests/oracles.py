@@ -37,7 +37,7 @@ from sbmod.formulas import (
     negate,
     polarity_classes,
 )
-from sbmod.cells import MAX_CELLS, cell_bound, cell_formula, satisfiable_cells
+from sbmod.cells import MAX_CELLS, cell_formula, satisfiable_cells
 from sbmod.compose import compose_all, enabled_guard
 from sbmod.dsl import (
     ExtractionError,
@@ -232,9 +232,10 @@ def ref_select_event(declarations, vars: VarSet, policy: str = "first-model", rn
     if policy == "first-model" or rng is None:
         return first.restricted_to(vars)
     atoms = polarity_classes(atoms_of(base))
-    if not atoms or cell_bound(atoms) > MAX_CELLS:
+    cells = satisfiable_cells(atoms, vars) if atoms else None
+    if cells is None:
         return first.restricted_to(vars)
-    inside = [w for _, w in satisfiable_cells(atoms, vars) if evaluate(base, w)]
+    inside = [w for _, w in cells if evaluate(base, w)]
     return inside[rng.randrange(len(inside))].restricted_to(vars)
 
 
@@ -373,15 +374,15 @@ def ref_extract_graph(
     """
     atoms = script.predicates
     # extraction triggers every satisfiable sign cell at every state
-    bound = cell_bound(atoms)
-    if bound > MAX_CELLS:
+    listed = satisfiable_cells(atoms, vars)
+    if listed is None:
         raise ExtractionError(
-            f"object {script.name!r} has up to {bound} sign cells over its {len(atoms)} "
+            f"object {script.name!r} has too many sign cells over its {len(atoms)} "
             f"predicates, over the budget of {MAX_CELLS}; reduce distinct predicates in the script")
     if stats is not None:
         stats.predicates = atoms
 
-    cells = [(cell_formula(atoms, mask), model) for mask, model in satisfiable_cells(atoms, vars)]
+    cells = [(cell_formula(atoms, mask), model) for mask, model in listed]
 
     def visit(state: int):
         sync, wake = pending(script, state)

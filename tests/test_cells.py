@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from sbmod import cells as cells_module, solver
-from sbmod.cells import cell_bound, cell_formula, satisfiable_cells, satisfiable_masks, sign_mask
+from sbmod.cells import cell_formula, satisfiable_cells, satisfiable_masks, sign_mask
 from sbmod.dsl import parse_model
 from sbmod.engine import RANDOM_CELL, select_event
 from sbmod.extract import ExtractStats, extract_graph
@@ -165,14 +165,36 @@ def test_cell_cache_stops_inserting_at_the_limit(monkeypatch):
     assert len(cells_module._cache) == 2
 
 
-def test_cell_bound_is_an_upper_bound():
+def _masks_within(monkeypatch, atoms, vars, budget: int):
+    """``satisfiable_masks`` under a cell budget of ``budget``, with empty
+    caches, and the ``check_sat`` calls it made."""
+    monkeypatch.undo()
+    calls = _counting_check_sat(monkeypatch)
+    monkeypatch.setattr(cells_module, "MAX_CELLS", budget)
+    return satisfiable_masks(atoms, vars), calls
+
+
+def test_cell_budget_counts_one_variable_atoms_exactly(monkeypatch):
+    # the count is exact when every atom has one variable and bounds the
+    # cells from above otherwise; a refusal asks no query
     rng = random.Random(11)
     names = ("w", "x", "y", "z")
+    single = 0
     for _ in range(60):
         atoms = polarity_classes(a.atom for a in rand_atom_pool(rng, variables=names, hi=6))
-        assert len(satisfiable_cells(atoms, VarSet(names))) <= cell_bound(atoms)
+        vars = VarSet(names)
+        masks, _ = _masks_within(monkeypatch, atoms, vars, 1 << 30)
+        assert masks == tuple(sorted(_brute_force(atoms, vars)))
+        assert _masks_within(monkeypatch, atoms, vars, len(masks) - 1) == (None, [])
+        if all(len(a.coeffs) == 1 for a in atoms):
+            single += 1
+            assert _masks_within(monkeypatch, atoms, vars, len(masks))[0] == masks
+    assert 0 < single < 60
+    # eight thresholds cut the line into 17 pieces, which have 9 sign vectors
     thresholds = [var_atom("x", ">=", k).atom for k in range(8)]
-    assert cell_bound(thresholds) == 17
+    assert len(_masks_within(monkeypatch, thresholds, X, 9)[0]) == 9
+    assert _masks_within(monkeypatch, thresholds, X, 8)[0] is None
+    monkeypatch.undo()
     assert len(satisfiable_cells(thresholds, X)) == 9
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -191,7 +192,9 @@ def test_repair_verify_on_rings_with_stutter(tmp_path, capsys, family, n, prop):
 
 
 def test_check_indep_model_trace(tmp_path, capsys):
-    # every guard is a disjunction, so the step's model comes from the
+    # the merged guard into the bad tuple minimizes to v0 >= 5 (its atoms
+    # have 4·3^5 = 972 sign cells), but the enabled formula conjoins every
+    # object's disjunctive request, so the step's model comes from the
     # Boolean search, not from the one theory call for a conjunction
     src = tmp_path / "indep6.sbm"
     src.write_text(indep_text(6))
@@ -199,7 +202,7 @@ def test_check_indep_model_trace(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == (
         "Violation: bad state s0⊗s0⊗s0⊗s0⊗s0⊗s0⊗s1 reachable in 1 steps\n"
-        "  step 1 at s0⊗s0⊗s0⊗s0⊗s0⊗s0⊗s0: {v0=5, v1=1/2, v2=1/2, v3=1/2, v4=1/2, v5=1/2}\n"
+        "  step 1 at s0⊗s0⊗s0⊗s0⊗s0⊗s0⊗s0: {v0=5, v1=0, v2=0, v3=0, v4=0, v5=0}\n"
     )
     assert captured.err == ""
 
@@ -443,21 +446,30 @@ def test_object_past_the_path_budget_is_a_usage_error(capsys, tmp_path):
 
 
 def test_eighty_predicate_object_repairs_and_verifies(capsys, tmp_path, workloads):
-    # up to 6,561 sign cells, past the cell budget, but five paths
+    # 80 thresholds, 40 on each of x and y: 41^2 = 1,681 sign cells, inside
+    # the cell budget, so every merged guard minimizes
     model = tmp_path / "wide80.sbm"
     model.write_text(workloads.wide_text(80))
     assert main(["repair", str(model), "--property", "Far", "--verify"]) == 0
-    assert "run containment: pass" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "run containment: pass" in out
+    cuts = [line.split(": ", 1)[1] for line in out.splitlines() if line.startswith("cutting at ")]
+    assert cuts == ["blocking x >= 10"] * 5
+    patch = out[out.index("object Patch {"):out.index("verification:")]
+    assert len(re.findall(r"<=|>=|==|!=|<|>", patch)) == 18
 
 
 def test_the_model_emitted_for_indep_6_checks_safe(capsys, tmp_path):
-    # the patch object's 13 predicates have up to 7,168 sign cells
+    # the cut's merged guard minimizes to the one atom that reaches P
     model, patched = tmp_path / "indep6.sbm", tmp_path / "patched.sbm"
     model.write_text(indep_text(6))
     assert main(["repair", str(model), "--property", "P", "--emit-model", str(patched)]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out.endswith(
+        "object Patch {\n  loop {\n    sync(block = v0 >= 5);\n  }\n}\n")
     assert main(["check", str(patched), "--property", "P"]) == 0
     assert capsys.readouterr().out == "Safe\n"
+    assert main(["graph", str(patched), "--object", "Patch"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_bad_run_setting(capsys):

@@ -161,6 +161,13 @@ def test_random_cell_budget_counts_cells_not_atoms():
     picks = {select_event([(request, FALSE)], X, RANDOM_CELL, random.Random(s))["x"] for s in range(8)}
     assert len(picks) > 1
     assert all(p >= 1 for p in picks)
+    # 40 thresholds on each of x and y: 41^2 = 1,681 cells, though their
+    # line pieces number 81^2 = 6,561
+    XY = VarSet(("x", "y"))
+    request = disj([var_atom(v, ">=", i) for v in ("x", "y") for i in range(1, 41)])
+    picks = {tuple(select_event([(request, FALSE)], XY, RANDOM_CELL, random.Random(s)).values.values())
+             for s in range(8)}
+    assert len(picks) > 1
 
 
 def test_object_order_is_observationally_irrelevant(drone_base):

@@ -27,7 +27,7 @@ from sbmod.extract import (
 from sbmod.formulas import TRUE, Assignment, VarSet, conj, disj, var_atom
 from sbmod.graphs import ObjectGraph
 from sbmod import cells
-from sbmod.cells import cell_bound, cell_formula
+from sbmod.cells import cell_formula, satisfiable_masks
 from sbmod.solver import check_sat, equivalent
 
 from oracles import indep_text, ref_extract_graph, ring_n_text, token_ring_text
@@ -149,13 +149,29 @@ def test_seventeen_thresholds_on_one_variable_extract():
 
 
 def test_extraction_past_the_cell_budget_is_refused():
-    # 13 independent variables, one threshold each: up to 2^13 sign cells
+    # 13 independent variables, one threshold each: exactly 2^13 sign cells
     names = [f"v{i}" for i in range(13)]
     request = " || ".join(f"{v} >= 1" for v in names)
     m = parse_model(f"model {{ vars {', '.join(names)}; object T {{ sync(request = {request}); }} }}")
-    assert cell_bound(list(m.get("T").predicates)) == 8192
-    with pytest.raises(ExtractionError, match="up to 8192 sign cells"):
+    assert satisfiable_masks(list(m.get("T").predicates)[:12], m.vars) == tuple(range(1 << 12))
+    assert satisfiable_masks(list(m.get("T").predicates), m.vars) is None
+    with pytest.raises(ExtractionError, match="object 'T' has too many sign cells over its 13 predicates, "
+                                              "over the budget of 4096"):
         extract_graph(m.get("T"), m.vars)
+    # the 13 predicates of the patch that repair once wrote for indep-6 are
+    # inside it: v0 has three thresholds and four sign vectors, v1..v5 two
+    # and three each, so 4·3^5 = 972 cells, though their line pieces number
+    # 7·5^5
+    names = [f"v{i}" for i in range(6)]
+    block = " && ".join(["v0 >= 5", "(v0 <= 0 || v0 >= 1)"] + [f"{v} > 0 && {v} < 1" for v in names[1:]])
+    m = parse_model(f"model {{ vars {', '.join(names)}; "
+                    f"object T {{ loop {{ sync(waitfor = v0 >= 5, block = {block}); }} }} }}")
+    stats = ExtractStats()
+    g = extract_graph(m.get("T"), m.vars, stats=stats)
+    assert len(stats.predicates) == 13
+    assert stats.satisfiable_cells_per_state == {"s0": 972}
+    # the cells with v0 >= 5 wake it: one sign vector of v0's four
+    assert len(g.edges) == 3 ** 5
 
 
 def test_a_branch_before_the_first_sync_is_an_extraction_error():

@@ -106,8 +106,8 @@ def test_guard_over_many_independent_atoms_is_left_as_written(monkeypatch):
     # 14 variables, one threshold each: 2^14 cells, past the cell budget
     names = tuple(f"v{i}" for i in range(14))
     f = canonicalize(disj([var_atom(v, ">=", 1) for v in names]))
-    assert cells.cell_bound(atoms_of(f)) == 1 << 14
     calls = _count_queries(monkeypatch)
+    assert cells.satisfiable_masks(atoms_of(f), VarSet(names)) is None
     assert boolean_minimize(f, VarSet(names)) == f
     assert calls == {"check_sat": 0, "satisfiable": 0}
 

@@ -1,15 +1,15 @@
-"""Satisfiable sign cells over an ordered list of atoms, with or without witnesses.
+"""Satisfiable sign cells over an ordered list of atoms, as masks.
 
 A sign cell over atoms a0..a(n-1) (one per {atom, negated atom} pair) is a
 complete truth-value choice per atom, written as a mask whose bit i is the
 sign of ai. Every formula over those atoms is constant on each cell, so the
 satisfiable cells stand for all assignments. ``satisfiable_masks`` is the
-one enumerator. Guard minimization and the raw per-cell extraction read its
-masks alone, with ``holding_masks`` giving the cells on which a formula
-holds (a guard's ON cells; the cells that take an edge); ``satisfiable_cells``
-adds one solver witness per mask for the callers that evaluate on a cell:
-the engine's ``random-cell`` policy (a seeded pick among cells) and run sets
-(cells are the alphabet of runs).
+one enumerator, and ``holding_masks`` gives the cells on which a formula
+holds (a guard's ON cells; the cells that take an edge; the cells inside
+the engine's selection formula). Guard minimization, the raw per-cell
+extraction and the engine's ``random-cell`` draw read masks alone;
+``witness`` asks the solver for a point of one cell, for the cell the
+engine drew and for run sets (cells are the alphabet of runs).
 
 When every atom has one variable, the cells are read off the number line
 without a query: a variable's t distinct constants cut its line into 2t + 1
@@ -22,9 +22,10 @@ prefix the solver finds unsatisfiable is pruned with all its completions,
 and a prefix the parent's witness already satisfies needs no query, so the
 work follows the number of satisfiable cells rather than 2^n. A cell's
 witness is the solver's model of the full cell conjunction, one query per
-cell. Both enumerators answer None, before any query, when the cells may
-number more than ``MAX_CELLS``: the count is the product of each variable's
-line-piece vectors (exact), doubled per atom over several variables.
+cell, which the solver's cache remembers. The enumerator answers None,
+before any query, when the cells may number more than ``MAX_CELLS``: the
+count is the product of each variable's line-piece vectors (exact),
+doubled per atom over several variables.
 """
 
 from __future__ import annotations
@@ -36,20 +37,15 @@ from math import prod
 from . import solver
 from .formulas import And, Assignment, Atom, FalseF, Formula, LinearAtom, Or, TrueF, VarSet, conj
 
-Cell = tuple[int, Assignment]  # (sign mask, witness)
-
-# enumeration costs prefix queries when an atom has two variables, and a
-# cell's witness one more query, so cells are listed only up to the 2^12
-# cells of 12 independent atoms: past it, the minimizer leaves a guard as
-# written, the raw per-cell extraction refuses the object and the engine's
-# ``random-cell`` policy falls back to the solver's model. Witnesses serve
-# only that policy and run sets. The symbolic extraction allows as many
-# feasible paths out of a state.
+# enumeration costs prefix queries when an atom has two variables, so cells
+# are listed only up to the 2^12 cells of 12 independent atoms: past it, the
+# minimizer leaves a guard as written, the raw per-cell extraction and run
+# sets refuse, and the engine's ``random-cell`` policy falls back to the
+# solver's model. Witnesses serve only the cell the engine drew and run
+# sets. The symbolic extraction allows as many feasible paths out of a state.
 MAX_CELLS = 1 << 12
 
-# cell tables and mask tables, each keyed by (atom keys, variable names),
-# kept by solver.remember
-_cache: dict[tuple, tuple[Cell, ...]] = {}
+# mask tables, keyed by (atom keys, variable names), kept by solver.remember
 _masks: dict[tuple, tuple[int, ...]] = {}
 
 
@@ -72,17 +68,6 @@ def satisfiable_masks(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[int, .
     when they may number more than ``MAX_CELLS``."""
     key = (tuple(a.key() for a in atoms), vars.names)
     return solver.remember(_masks, key, lambda: _enumerate(atoms, vars))
-
-
-def satisfiable_cells(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[Cell, ...] | None:
-    """All satisfiable cells over ``atoms`` as (mask, witness), by ascending
-    mask, or None when they may number more than ``MAX_CELLS``."""
-    def compute() -> tuple[Cell, ...] | None:
-        masks = satisfiable_masks(atoms, vars)
-        return None if masks is None else tuple((mask, _witness(atoms, mask, vars)) for mask in masks)
-
-    key = (tuple(a.key() for a in atoms), vars.names)
-    return solver.remember(_cache, key, compute)
 
 
 def holding_masks(f: Formula, atoms: Sequence[LinearAtom], masks: Sequence[int]) -> list[int]:
@@ -155,9 +140,10 @@ def _enumerate(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[int, ...] | N
     return tuple(sorted(found))
 
 
-def _witness(atoms: Sequence[LinearAtom], mask: int, vars: VarSet) -> Assignment:
-    """The solver's model of the cell, queried as the plain conjunction of its
-    literals in atom order (``check_sat(cell_formula(atoms, mask), vars)``)."""
+def witness(atoms: Sequence[LinearAtom], mask: int, vars: VarSet) -> Assignment:
+    """The solver's model of the satisfiable cell ``mask``, queried as the
+    plain conjunction of its literals in atom order
+    (``check_sat(cell_formula(atoms, mask), vars)``)."""
     literals = tuple(_literal(a, bool((mask >> i) & 1)) for i, a in enumerate(atoms))
     return solver.check_sat(And(literals), vars)
 

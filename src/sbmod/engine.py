@@ -5,20 +5,21 @@ current synchronization point, asks the solver for an assignment satisfying
 ``(or of requests) and not (or of blocks)``, broadcasts it, and advances the
 objects it wakes. No composite graph is built; this is the run-time twin of
 the graph-based analyses, and the two agree path-for-path. A run revisits
-few state tuples, so it works out what a selection needs besides the random
-draw once per state tuple, on the tuple's first visit, and each move once per
-(state tuple, drawn witness); the seeded draw itself runs on every step.
+few state tuples, so it works out a state tuple's selection once, on the
+tuple's first visit, and the event and move of each (state tuple, drawn
+cell) once; the seeded draw itself runs on every step.
 
 Two selection policies:
 
 * ``first-model``: the solver's deterministic model every time. Stable, but
   replays a single run.
 * ``random-cell``: list the satisfiable sign cells over the atoms of the
-  current declarations (``cells.satisfiable_cells``), keep those whose
-  witness is requested and not blocked, and pick one uniformly with the
-  seeded generator; its witness is the event. The selection formula is
-  constant on each cell, so this is exact. Runs vary across seeds but stay
-  reproducible, and coverage spreads across qualitatively different
+  current declarations by their masks (``cells.satisfiable_masks``), keep
+  those on which the selection formula holds (``cells.holding_masks``),
+  and draw one uniformly with the seeded generator; the solver's witness
+  of the drawn cell, and of no other, is the event. The selection formula
+  is constant on each cell, so this is exact. Runs vary across seeds but
+  stay reproducible, and coverage spreads across qualitatively different
   behaviors instead of hugging one boundary. Past the cell budget, where
   ``cells`` lists none, the policy falls back to the solver's model.
 """
@@ -29,11 +30,12 @@ import json
 import random
 
 from . import solver
-from .cells import satisfiable_cells
+from .cells import holding_masks, satisfiable_masks, witness
 from .dsl import END_LOCATION, ScenarioScript, initial_state, pending, resume
 from .formulas import (
     Assignment,
     Formula,
+    LinearAtom,
     VarSet,
     _read_only,
     _set,
@@ -94,13 +96,10 @@ class EventLog:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-# the solver's model, restricted to the model's variables, and the witnesses
-# of the cells inside the selection formula (None when the policy does not
-# draw one)
-_Selection = tuple[Assignment | None, list[Assignment] | None]
-
-# per (declarations, variable names, policy); kept by solver.remember
-_selections: dict[tuple, _Selection] = {}
+# the solver's model, restricted to the model's variables (None on deadlock),
+# and the atoms of the selection formula with the masks of the cells inside
+# it (None when the policy draws no cell)
+_Selection = tuple[Assignment | None, tuple[list[LinearAtom], list[int]] | None]
 
 
 def _selection(declarations: list[tuple[Formula, Formula]], vars: VarSet, policy: str) -> _Selection:
@@ -114,27 +113,26 @@ def _selection(declarations: list[tuple[Formula, Formula]], vars: VarSet, policy
     if policy == FIRST_MODEL:
         return model, None
     atoms = polarity_classes(atoms_of(base))
-    cells = satisfiable_cells(atoms, vars) if atoms else None
-    if cells is None:
+    masks = satisfiable_masks(atoms, vars) if atoms else None
+    if masks is None:
         return model, None
-    return model, [w.restricted_to(vars) for _, w in cells if evaluate(base, w)]
-
-
-def _selected(declarations: list[tuple[Formula, Formula]], vars: VarSet, policy: str) -> _Selection:
-    key = (tuple(declarations), vars.names, policy)
-    return solver.remember(_selections, key, lambda: _selection(declarations, vars, policy))
+    return model, (atoms, holding_masks(base, atoms, masks))
 
 
 def _draw(selection: _Selection, rng: random.Random | None) -> int:
-    """The draw rule: the index of a witness drawn uniformly from the
+    """The draw rule: the index of a cell drawn uniformly from the
     selection's cells, or -1 for the solver's model."""
     inside = selection[1]
-    return -1 if inside is None or rng is None else rng.randrange(len(inside))
+    return -1 if inside is None or rng is None else rng.randrange(len(inside[1]))
 
 
-def _event(selection: _Selection, i: int) -> Assignment | None:
+def _event(selection: _Selection, i: int, vars: VarSet) -> Assignment | None:
+    """The solver's model for ``i < 0``, else the witness of the drawn cell."""
     first, inside = selection
-    return first if i < 0 else inside[i]
+    if i < 0:
+        return first
+    atoms, masks = inside
+    return witness(atoms, masks[i], vars).restricted_to(vars)
 
 
 def select_event(
@@ -147,8 +145,8 @@ def select_event(
 
     Returns None on deadlock (no such assignment exists).
     """
-    selection = _selected(declarations, vars, policy)
-    return _event(selection, _draw(selection, rng))
+    selection = _selection(declarations, vars, policy)
+    return _event(selection, _draw(selection, rng), vars)
 
 
 _ObjState = int | str  # a script's sync uid or END_LOCATION, or a graph's state
@@ -199,27 +197,23 @@ def run(m: Model, cfg: ExecutionConfig) -> EventLog:
     rng = random.Random(cfg.seed)
     states = tuple(_object_state(o.item) for o in m.objects)
     selections: dict[tuple[_ObjState, ...], _Selection] = {}
-    moves: dict[tuple[tuple[_ObjState, ...], int], _Move] = {}  # per (state tuple, drawn index)
+    # the event and its move, per (state tuple, drawn index)
+    steps: dict[tuple[tuple[_ObjState, ...], int], tuple[Assignment, _Move]] = {}
     log = EventLog()
     for step in range(1, cfg.max_steps + 1):
         selection = selections.get(states)
         if selection is None:
-            # a first visit selects through select_event, then finds the
-            # index of its draw in the selection that call remembered
             declarations = [_declaration(o.item, s) for o, s in zip(m.objects, states)]
-            a = select_event(declarations, m.vars, cfg.policy, rng)
-            selection = selections[states] = _selected(declarations, m.vars, cfg.policy)
-            i = -1 if selection[1] is None else selection[1].index(a)
-        else:
-            i = _draw(selection, rng)
-            a = _event(selection, i)
-        if a is None:
-            log.stop_reason = "deadlock"
-            return log
-        move = moves.get((states, i))
-        if move is None:
-            move = moves[states, i] = _move(m, states, a)
-        states, woke, ended = move
+            selection = selections[states] = _selection(declarations, m.vars, cfg.policy)
+        i = _draw(selection, rng)
+        memo = steps.get((states, i))
+        if memo is None:
+            a = _event(selection, i, m.vars)
+            if a is None:
+                log.stop_reason = "deadlock"
+                return log
+            memo = steps[states, i] = a, _move(m, states, a)
+        a, (states, woke, ended) = memo
         log.entries.append(LogEntry(step, a, woke))
         if ended:
             log.stop_reason = "ended"

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .cells import satisfiable_cells, sign_mask
+from .cells import MAX_CELLS, satisfiable_masks, sign_mask, witness
 from .compose import enabled_guard
 from .formulas import Assignment, LinearAtom, VarSet, _read_only, _set, atoms_of, evaluate, polarity_classes
-from .graphs import ObjectGraph
+from .graphs import GraphError, ObjectGraph
 
 Move = tuple[tuple, str]  # (cell letter, successor state)
 
@@ -40,7 +40,8 @@ class CellSpace:
 
     A cell's letter (its key) is the tuple of its witness's values over
     ``vars``; ``witnesses`` lists one assignment per cell, and ``keys``
-    their letters by sign mask, in the same order.
+    their letters by sign mask, in the same order. ``for_graphs`` raises
+    GraphError past the cell budget, where ``cells`` lists none.
     """
 
     __slots__ = ("vars", "atoms", "witnesses", "keys")
@@ -61,10 +62,14 @@ class CellSpace:
     @staticmethod
     def for_graphs(graphs: list[ObjectGraph], vars: VarSet) -> "CellSpace":
         atoms = polarity_classes(a for g in graphs for a in _graph_atoms(g))
-        cells = satisfiable_cells(atoms, vars)
+        masks = satisfiable_masks(atoms, vars)
+        if masks is None:
+            raise GraphError(f"the graphs' {len(atoms)} atoms may have more sign cells "
+                             f"than MAX_CELLS ({MAX_CELLS})")
+        witnesses = tuple(witness(atoms, mask, vars) for mask in masks)
         names = tuple(sorted(set(vars.names).union(*(a.variables() for a in atoms))))
-        keys = {mask: tuple(w.values[v] for v in names) for mask, w in cells}
-        return CellSpace(names, tuple(atoms), tuple(w for _, w in cells), keys)
+        keys = {mask: tuple(w.values[v] for v in names) for mask, w in zip(masks, witnesses)}
+        return CellSpace(names, tuple(atoms), witnesses, keys)
 
     def key_of(self, a: Assignment) -> tuple:
         """The letter of the cell containing ``a``."""

@@ -37,7 +37,7 @@ from sbmod.formulas import (
     negate,
     polarity_classes,
 )
-from sbmod.cells import MAX_CELLS, cell_formula, satisfiable_cells
+from sbmod.cells import MAX_CELLS, cell_formula, satisfiable_masks
 from sbmod.compose import compose_all, enabled_guard
 from sbmod.dsl import (
     ExtractionError,
@@ -217,11 +217,27 @@ def reference_run_graph(m: Model, prop: ScenarioScript | ObjectGraph) -> ObjectG
 
 
 # ---------------------------------------------------------------------------
+# every satisfiable cell with its witness, for the references below that
+# evaluate on cells: the engine and run sets ask only for the witnesses they
+# use, through sbmod.cells.witness
+
+
+def witnessed_cells(atoms, vars: VarSet) -> list[tuple[int, Assignment]] | None:
+    """(mask, the solver's model of the cell) for every satisfiable cell over
+    ``atoms``, by ascending mask, or None past the cell budget."""
+    masks = satisfiable_masks(atoms, vars)
+    if masks is None:
+        return None
+    return [(mask, solver.check_sat(cell_formula(atoms, mask), vars)) for mask in masks]
+
+
+# ---------------------------------------------------------------------------
 # reference event selection: the selection formula, its first model and its
 # in-selection cell witnesses rebuilt on every step. sbmod.engine.select_event
-# remembers them per declaration tuple and must pick the same events, and
-# sbmod.engine.run, which works each state tuple's selection and moves out
-# once per run, must log the same run as ref_run below.
+# draws a cell by its mask and witnesses only that one, and must pick the same
+# events, and sbmod.engine.run, which works each state tuple's selection and
+# each drawn cell's event and move out once per run, must log the same run as
+# ref_run below.
 
 
 def ref_select_event(declarations, vars: VarSet, policy: str = "first-model", rng=None):
@@ -232,7 +248,7 @@ def ref_select_event(declarations, vars: VarSet, policy: str = "first-model", rn
     if policy == "first-model" or rng is None:
         return first.restricted_to(vars)
     atoms = polarity_classes(atoms_of(base))
-    cells = satisfiable_cells(atoms, vars) if atoms else None
+    cells = witnessed_cells(atoms, vars) if atoms else None
     if cells is None:
         return first.restricted_to(vars)
     inside = [w for _, w in cells if evaluate(base, w)]
@@ -374,7 +390,7 @@ def ref_extract_graph(
     """
     atoms = script.predicates
     # extraction triggers every satisfiable sign cell at every state
-    listed = satisfiable_cells(atoms, vars)
+    listed = witnessed_cells(atoms, vars)
     if listed is None:
         raise ExtractionError(
             f"object {script.name!r} has too many sign cells over its {len(atoms)} "

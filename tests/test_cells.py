@@ -8,8 +8,10 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from sbmod import cells as cells_module, solver
-from sbmod.cells import cell_formula, satisfiable_cells, satisfiable_masks, sign_mask
+from sbmod.cells import cell_formula, satisfiable_masks, sign_mask, witness
 from sbmod.dsl import parse_model
 from sbmod.engine import RANDOM_CELL, select_event
 from sbmod.extract import ExtractStats, extract_graph
@@ -26,7 +28,7 @@ from sbmod.formulas import (
     polarity_classes,
     var_atom,
 )
-from sbmod.graphs import ObjectGraph
+from sbmod.graphs import GraphError, ObjectGraph
 from sbmod.runsets import CellRuns, CellSpace
 from sbmod.solver import check_sat
 
@@ -47,17 +49,16 @@ def test_cells_match_brute_force_on_drone_predicates(drone_model):
     stats = ExtractStats()
     extract_graph(drone_model.get("Navigate"), drone_model.vars, stats=stats)
     atoms = list(stats.predicates)
-    cells = satisfiable_cells(atoms, drone_model.vars)
-    masks = [mask for mask, _ in cells]
-    assert masks == sorted(_brute_force(atoms, drone_model.vars))
-    for mask, witness in cells:
-        assert witness == check_sat(cell_formula(atoms, mask), drone_model.vars)
-        assert sign_mask(atoms, witness) == mask
+    masks = satisfiable_masks(atoms, drone_model.vars)
+    assert list(masks) == sorted(_brute_force(atoms, drone_model.vars))
+    for mask in masks:
+        w = witness(atoms, mask, drone_model.vars)
+        assert w == check_sat(cell_formula(atoms, mask), drone_model.vars)
+        assert sign_mask(atoms, w) == mask
 
 
 def _counting_check_sat(monkeypatch) -> list:
-    """Empty the cell and mask caches and count the ``check_sat`` calls cells make."""
-    monkeypatch.setattr(cells_module, "_cache", {})
+    """Empty the mask cache and count the ``check_sat`` calls cells make."""
     monkeypatch.setattr(cells_module, "_masks", {})
     calls = []
     real = solver.check_sat
@@ -76,15 +77,16 @@ def test_cells_match_brute_force_on_mixed_atoms(monkeypatch):
     ])
     atoms = polarity_classes(atoms_of(f))
     calls = _counting_check_sat(monkeypatch)
-    cells = satisfiable_cells(atoms, XY)
+    masks = satisfiable_masks(atoms, XY)
+    witnesses = [witness(atoms, mask, XY) for mask in masks]
     # the two-variable atom keeps the depth-first search and its prefix queries
-    assert len(calls) > len(cells)
+    assert len(calls) > len(masks)
     monkeypatch.undo()
-    assert {mask for mask, _ in cells} == _brute_force(atoms, XY)
-    assert len(cells) < 1 << len(atoms)
+    assert set(masks) == _brute_force(atoms, XY)
+    assert len(masks) < 1 << len(atoms)
     # cells partition the space: every witness lies in its own cell only
-    for mask, witness in cells:
-        assert evaluate(cell_formula(atoms, mask), witness)
+    for mask, w in zip(masks, witnesses):
+        assert evaluate(cell_formula(atoms, mask), w)
 
 
 def _line_constant(rng: random.Random, pool: list[Fraction]) -> Fraction:
@@ -113,12 +115,13 @@ def test_line_cells_match_brute_force_on_single_variable_atoms():
         atoms = [var_atom(rng.choice(names), rng.choice(relations), _line_constant(rng, pool)).atom
                  for _ in range(rng.randint(1, 6))]
         vars = VarSet(names)
-        cells = satisfiable_cells(atoms, vars)
+        masks = satisfiable_masks(atoms, vars)
         expected = sorted(_brute_force(atoms, vars))
-        assert [mask for mask, _ in cells] == expected, atoms
-        for mask, witness in cells:
-            assert witness == check_sat(cell_formula(atoms, mask), vars)
-            assert sign_mask(atoms, witness) == mask
+        assert list(masks) == expected, atoms
+        for mask in masks:
+            w = witness(atoms, mask, vars)
+            assert w == check_sat(cell_formula(atoms, mask), vars)
+            assert sign_mask(atoms, w) == mask
         pruned += len(expected) < 1 << len(atoms)
     assert pruned >= 40
 
@@ -129,8 +132,10 @@ def test_single_variable_cells_take_one_query_each(monkeypatch, workloads):
     extract_graph(model.get("Wide"), model.vars, stats=stats)
     atoms = list(stats.predicates)
     calls = _counting_check_sat(monkeypatch)
-    cells = satisfiable_cells(atoms, model.vars)
-    assert len(calls) == len(cells) < 1 << len(atoms)
+    masks = satisfiable_masks(atoms, model.vars)
+    for mask in masks:
+        witness(atoms, mask, model.vars)
+    assert len(calls) == len(masks) < 1 << len(atoms)
 
 
 def test_masks_are_the_cells_without_their_witnesses(monkeypatch, workloads):
@@ -146,23 +151,24 @@ def test_masks_are_the_cells_without_their_witnesses(monkeypatch, workloads):
         masks = satisfiable_masks(atoms, vars)
         assert (len(calls) > 0) == queried
         asked = len(calls)
-        cells = satisfiable_cells(atoms, vars)
-        # the same enumeration, plus one witness query per mask
-        assert len(calls) == asked + len(cells)
+        witnesses = [witness(atoms, mask, vars) for mask in masks]
+        # a remembered enumeration, plus one witness query per mask
+        assert satisfiable_masks(atoms, vars) is masks
+        assert len(calls) == asked + len(masks)
         monkeypatch.undo()
-        assert tuple(mask for mask, _ in cells) == masks == tuple(sorted(_brute_force(atoms, vars)))
+        assert [sign_mask(atoms, w) for w in witnesses] == list(masks)
+        assert masks == tuple(sorted(_brute_force(atoms, vars)))
 
 
 def test_cell_cache_stops_inserting_at_the_limit(monkeypatch):
-    monkeypatch.setattr(cells_module, "_cache", {})
+    monkeypatch.setattr(cells_module, "_masks", {})
     monkeypatch.setattr(solver, "_CACHE_LIMIT", 2)
     tables = [[var_atom("x", ">=", k).atom, var_atom("y", "<", k).atom, atom({"x": 1, "y": -1}, "<=", k).atom]
               for k in range(-3, 3)]
     for _ in range(2):  # the second pass reads the two cached tables back
         for atoms in tables:
-            cells = satisfiable_cells(atoms, XY)
-            assert [mask for mask, _ in cells] == sorted(_brute_force(atoms, XY))
-    assert len(cells_module._cache) == 2
+            assert list(satisfiable_masks(atoms, XY)) == sorted(_brute_force(atoms, XY))
+    assert len(cells_module._masks) == 2
 
 
 def _masks_within(monkeypatch, atoms, vars, budget: int):
@@ -195,7 +201,7 @@ def test_cell_budget_counts_one_variable_atoms_exactly(monkeypatch):
     assert len(_masks_within(monkeypatch, thresholds, X, 9)[0]) == 9
     assert _masks_within(monkeypatch, thresholds, X, 8)[0] is None
     monkeypatch.undo()
-    assert len(satisfiable_cells(thresholds, X)) == 9
+    assert len(satisfiable_masks(thresholds, X)) == 9
 
 
 def test_polarity_classes_collapse_negations():
@@ -207,8 +213,8 @@ def test_polarity_classes_collapse_negations():
 
 
 def test_no_atoms_is_one_cell():
-    ((mask, witness),) = satisfiable_cells([], X)
-    assert mask == 0 and witness["x"] == 0
+    assert satisfiable_masks([], X) == (0,)
+    assert witness([], 0, X)["x"] == 0
 
 
 def test_cellspace_has_witness_between_fractional_thresholds():
@@ -231,6 +237,14 @@ def test_cellspace_has_witness_past_a_large_threshold():
     space = CellSpace.for_graphs([g], X)
     assert any(w["x"] >= 40 for w in space.witnesses)
     assert "b" in {dst for _, dst in CellRuns.build(g, space).moves["a"]}
+
+
+def test_cellspace_past_the_cell_budget_is_refused():
+    # 13 variables, one threshold each: 2^13 cells, past the cell budget
+    names = tuple(f"v{i}" for i in range(13))
+    g = ObjectGraph.make(states=["a"], initial="a", request={"a": disj([var_atom(v, ">=", 1) for v in names])})
+    with pytest.raises(GraphError, match="MAX_CELLS"):
+        CellSpace.for_graphs([g], VarSet(names))
 
 
 def test_random_cell_picks_every_cell_inside_the_selection():

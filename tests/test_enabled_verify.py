@@ -370,8 +370,7 @@ def test_warm_repair_and_verify_build_no_model(name, workloads, monkeypatch):
     # the yes/no questions of the product, the deadlock checks and the patch
     # go through ``satisfiable``; with the caches warm, a safe patched run
     # graph leaves no question that needs a model
-    for module, cache in [(solver, "_cache"), (solver, "_decided"), (cells, "_cache"), (cells, "_masks"),
-                          (minimize, "_cache")]:
+    for module, cache in [(solver, "_cache"), (solver, "_decided"), (cells, "_masks"), (minimize, "_cache")]:
         monkeypatch.setattr(module, cache, {})
     m, prop = _case(name, workloads)
 

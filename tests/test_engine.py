@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sbmod import solver
 from sbmod.compose import compose_all, enabled_guard
 from sbmod.dsl import parse_model
 from sbmod.engine import (
@@ -107,6 +108,15 @@ def test_random_cell_policy_varies_runs(water_tap_unstable_model):
     assert len(fixed) == 1
 
 
+# two-variable atoms, whose cells the depth-first enumeration lists
+TWO_VARIABLE_TEXT = """
+model { vars x, y;
+  object A { loop { sync(request = x + y >= 2 || x - y < 0 && y <= 3);
+                    if (x + y >= 4) { sync(request = x >= 1 && y != 2 || x < -1); } } }
+  object B { loop { sync(waitfor = x + y >= 2, block = x == 5); sync(waitfor = true, block = x - y >= 3); } }
+}
+"""
+
 # every run ends, after two or three steps
 ENDING_TEXT = """
 model { vars x;
@@ -142,7 +152,8 @@ def test_memoized_selection_matches_per_step_rebuild(policy, workloads, drone_mo
     from oracles import WATER_TAP_TEXT, ref_run
 
     models = [parse_model(workloads.ring_text(5)), drone_model, water_tap_model,
-              parse_model(WATER_TAP_TEXT), _branching_graphs(), parse_model(ENDING_TEXT)]
+              parse_model(WATER_TAP_TEXT), _branching_graphs(), parse_model(ENDING_TEXT),
+              parse_model(workloads.wide_text(20)), parse_model(TWO_VARIABLE_TEXT)]
     stops = set()
     for m in models:
         for seed in range(3):
@@ -153,7 +164,7 @@ def test_memoized_selection_matches_per_step_rebuild(policy, workloads, drone_mo
     assert stops == {"max-steps", "deadlock", "ended"}
 
 
-def test_random_cell_budget_counts_cells_not_atoms():
+def test_random_cell_budget_counts_cells_not_atoms(monkeypatch):
     # 13 thresholds on one variable cut its line into 27 cells, well inside
     # the cell budget, so the picks spread instead of replaying one model
     X = VarSet(("x",))
@@ -165,9 +176,16 @@ def test_random_cell_budget_counts_cells_not_atoms():
     # line pieces number 81^2 = 6,561
     XY = VarSet(("x", "y"))
     request = disj([var_atom(v, ">=", i) for v in ("x", "y") for i in range(1, 41)])
+    calls = []
+    real = solver.check_sat
+    monkeypatch.setattr(solver, "check_sat", lambda f, vars: calls.append(f) or real(f, vars))
     picks = {tuple(select_event([(request, FALSE)], XY, RANDOM_CELL, random.Random(s)).values.values())
              for s in range(8)}
+    monkeypatch.undo()
     assert len(picks) > 1
+    # each draw asks for the selection's model and the drawn cell's witness,
+    # not for a witness of every one of the 1,681 cells
+    assert len(calls) <= 2 * 8
 
 
 def test_object_order_is_observationally_irrelevant(drone_base):

@@ -249,7 +249,7 @@ def test_raw_view_asks_no_witness(drone_model, workloads, monkeypatch):
     def no_witness(*args):
         raise AssertionError("the raw view asked for a cell witness")
 
-    monkeypatch.setattr(cells, "_witness", no_witness)
+    monkeypatch.setattr(cells, "witness", no_witness)
     assert [extract_graph(script, vars) for script, vars in cases] == expected
 
 

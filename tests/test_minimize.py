@@ -18,7 +18,7 @@ from sbmod.formulas import (
 )
 from sbmod.minimize import _prime_implicants, _select_cover, boolean_minimize
 
-from oracles import VARS, rand_atom_pool, rand_formula, ref_prime_implicants
+from oracles import VARS, rand_atom_pool, rand_formula, ref_prime_implicants, witnessed_cells
 
 XY = VarSet(("x", "y"))
 
@@ -67,7 +67,6 @@ def _count_queries(monkeypatch) -> dict[str, int]:
 
 def test_repeat_call_makes_no_solver_query(monkeypatch):
     monkeypatch.setattr(minimize, "_cache", {})
-    monkeypatch.setattr(cells, "_cache", {})
     monkeypatch.setattr(cells, "_masks", {})
     monkeypatch.setattr(solver, "_decided", {})
     calls = _count_queries(monkeypatch)
@@ -127,7 +126,7 @@ def test_on_set_matches_evaluation_on_witnesses():
     partial = wider = 0
 
     def on_set(f, atoms) -> tuple[list[int], int]:
-        sat = cells.satisfiable_cells(atoms, xyzw)
+        sat = witnessed_cells(atoms, xyzw)
         on = cells.holding_masks(f, atoms, [mask for mask, _ in sat])
         assert on == [mask for mask, witness in sat if evaluate(f, witness)], (f, atoms)
         return on, len(sat)

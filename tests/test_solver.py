@@ -507,8 +507,7 @@ def test_remember_keeps_a_cached_none():
 
 
 def test_every_per_process_cache_is_bounded(monkeypatch):
-    caches = [(solver, "_cache"), (solver, "_decided"), (cells, "_cache"), (cells, "_masks"),
-              (minimize, "_cache"), (engine, "_selections")]
+    caches = [(solver, "_cache"), (solver, "_decided"), (cells, "_masks"), (minimize, "_cache")]
     for module, name in caches:
         monkeypatch.setattr(module, name, {})
     monkeypatch.setattr(solver, "_CACHE_LIMIT", 1)
@@ -516,7 +515,7 @@ def test_every_per_process_cache_is_bounded(monkeypatch):
     f = disj([conj([var_atom("q", ">=", 1), var_atom("q", "<", 3)]), var_atom("q", ">", 2)])
     assert check_sat(f, q) is not None
     assert entails(var_atom("q", ">", 5), f, q)
-    assert len(cells.satisfiable_cells([var_atom("q", "<", 1).atom, var_atom("q", ">", 4).atom], q)) == 3
+    assert len(cells.satisfiable_masks([var_atom("q", "<", 1).atom, var_atom("q", ">", 4).atom], q)) == 3
     assert minimize.boolean_minimize(f, q) == var_atom("q", ">=", 1)
     rng = random.Random(0)
     assert engine.select_event([(f, var_atom("q", "==", 2))], q, engine.RANDOM_CELL, rng) is not None

@@ -22,8 +22,9 @@ decision:
   ``sbmod.compose`` is the function ``compose.compose``, not the module. The
   script walk lives in ``dsl``, so ``run`` executes neither ``extract`` nor
   ``minimize``.
-- ``dsl`` defers ``minimize``, which only the emitter needs, and ``solver``,
-  which only the emitter and the symbolic walk (``symbolic_paths``) need.
+- ``dsl`` defers ``emit``, the graph -> script structurer, which only
+  ``emit_script`` needs and so only ``repair`` executes, and ``solver``,
+  which only the symbolic walk (``symbolic_paths``) needs.
 - ``extract`` defers ``minimize``, which only simplified graphs need, so
   ``graph --object`` without ``--simplify`` executes neither ``compose`` nor
   ``minimize``.
@@ -78,7 +79,7 @@ def _register_lazily(name: str) -> ModuleType:
 
 # cli is left out: ``python -m sbmod.cli`` warns when its module is already in
 # sys.modules
-for _name in ("cells", "compose", "dsl", "engine", "extract", "formulas", "graphs",
+for _name in ("cells", "compose", "dsl", "emit", "engine", "extract", "formulas", "graphs",
               "minimize", "runsets", "solver", "verify"):
     _module = _register_lazily(_name)
     if _name not in _HOME:  # sbmod.compose stays the function

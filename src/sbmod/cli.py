@@ -11,7 +11,9 @@ models, bad run settings), 3 for internal errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from functools import partial
 
 # engine, extract and verify are deferred (see the package docstring)
 from . import engine, extract, verify
@@ -149,9 +151,30 @@ def cmd_repair(args: argparse.Namespace) -> int:
     return OK
 
 
+def terminal_columns() -> int:
+    """``shutil.get_terminal_size().columns``, without importing ``shutil``
+    (and with it ``fnmatch``, ``zlib``, ``bz2`` and ``lzma``): ``COLUMNS``
+    when it is a positive integer, else the width of the terminal on
+    ``sys.__stdout__``, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns > 0:
+        return columns
+    try:
+        return os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+    except (AttributeError, ValueError, OSError):  # no stdout, or not a terminal
+        return 80
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sbmod", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # argparse's HelpFormatter reads the width that it is not given from
+    # shutil, once per formatter, and a parser builds one per argument
+    formatter = partial(argparse.HelpFormatter, width=terminal_columns() - 2)
+    parser = argparse.ArgumentParser(prog="sbmod", description=__doc__, formatter_class=formatter)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=partial(argparse.ArgumentParser, formatter_class=formatter))
 
     p = sub.add_parser("validate", help="parse a model and run static checks")
     p.add_argument("path")

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sbmod
 from sbmod.cli import main
 from sbmod.dsl import MAX_NESTING, parse_model
 from sbmod.verify import Safe, check_safety
@@ -501,3 +505,42 @@ def test_unsound_repair_is_an_internal_error(monkeypatch, capsys, tmp_path):
     assert "internal error: repair is unsound" in capsys.readouterr().err
     # a patch that failed verification is not written
     assert not (tmp_path / "patch.sbm").exists() and not (tmp_path / "patched.sbm").exists()
+
+
+# Run in a child whose stdout is a pipe, so that no terminal decides the
+# width: for each COLUMNS value, the width helper against shutil's, and the
+# help and usage of every parser against those of argparse's own formatter.
+HELP_PROBE = r"""
+import argparse, json, os, shutil, sys
+from sbmod.cli import build_parser, terminal_columns
+
+results = []
+for columns in json.loads(sys.argv[1]):
+    os.environ.pop("COLUMNS", None)
+    if columns is not None:
+        os.environ["COLUMNS"] = columns
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    texts = {}
+    for name, p in [("sbmod", parser), *sub.choices.items()]:
+        ours = (p.format_help(), p.format_usage())
+        p.formatter_class = argparse.HelpFormatter
+        texts[name] = [ours, [p.format_help(), p.format_usage()]]
+    results.append([columns, terminal_columns(), shutil.get_terminal_size().columns, texts])
+print(json.dumps(results))
+"""
+
+
+def test_help_is_argparse_own_at_every_width():
+    cases = ["40", "80", "200", "0", "abc", None]
+    env = dict(os.environ, PYTHONPATH=str(Path(sbmod.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", HELP_PROBE, json.dumps(cases)], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    results = json.loads(out)
+    assert [r[0] for r in results] == cases
+    for columns, ours, shutils, texts in results:
+        assert ours == shutils == (int(columns) if columns in ("40", "80", "200") else 80)
+        assert set(texts) == {"sbmod", "validate", "run", "graph", "check", "repair"}
+        for name, (got, want) in texts.items():
+            assert got == want, (columns, name)
+            assert got[1].startswith("usage: sbmod")

@@ -160,18 +160,27 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     assert fresh_python(code).strip() == "[]"
 
 
+# the standard modules no verb needs: shutil (with fnmatch, zlib, bz2 and
+# lzma) is what argparse reads the terminal width from when its formatter is
+# given none, and copy is what the parser unrolls ``repeat`` with
+UNNEEDED = ("bz2", "copy", "lzma", "shutil", "zlib")
+
+
 def test_each_verb_executes_only_the_modules_it_runs(tmp_path, workloads):
     (tmp_path / "ring.sbm").write_text(workloads.ring_text(5))
     (tmp_path / "bad.sbm").write_text("vars x\nobject\n")
+    (tmp_path / "repeat.sbm").write_text("model { vars x; object A { repeat 2 { sync(request = x > 0); } } }")
     # the probe reads sys.modules before it imports json itself
     code = ("import sys, types; from sbmod.cli import main; status = main(sys.argv[1:]); "
-            f"probe = [status, {EXECUTED}, 'random' in sys.modules, 'json' in sys.modules]; "
+            f"probe = [status, {EXECUTED}, 'random' in sys.modules, 'json' in sys.modules, "
+            f"sorted(m for m in {UNNEEDED!r} if m in sys.modules)]; "
             "import json; print(json.dumps(probe))")
 
     def executed(*argv: str) -> tuple[int, set[str], bool, bool]:
         # the verb prints first; the last line is the probe's
         last = fresh_python(code, *argv, cwd=tmp_path).splitlines()[-1]
-        status, modules, random_imported, json_imported = json.loads(last)
+        status, modules, random_imported, json_imported, loaded = json.loads(last)
+        assert loaded == [], f"{argv[0]} loaded {loaded}"
         return status, set(modules), random_imported, json_imported
 
     validate_set = {"cli", "dsl", "formulas", "graphs"}
@@ -179,16 +188,21 @@ def test_each_verb_executes_only_the_modules_it_runs(tmp_path, workloads):
     # reporting a usage error executes no more than the verb did
     assert executed("validate", "missing.sbm") == (2, validate_set, False, False)
     assert executed("validate", "bad.sbm") == (2, validate_set, False, False)
+    # only a model that uses repeat imports copy, to unroll it
+    last = fresh_python(code, "validate", "repeat.sbm", cwd=tmp_path).splitlines()
+    assert last[0] == "ok: 1 objects over vars x"
+    assert json.loads(last[-1])[4] == ["copy"]
     status, modules, random_imported, _ = executed("check", "ring.sbm", "--property", "AllMarked")
     assert status == 1 and "verify" in modules
-    assert not modules & {"engine", "runsets"} and not random_imported
+    assert not modules & {"emit", "engine", "runsets"} and not random_imported
     # the raw per-cell view is extraction alone: no product and no minimizer
     status, modules, _, _ = executed("graph", "ring.sbm", "--object", "C0")
     assert status == 0 and "extract" in modules
-    assert not modules & {"compose", "minimize", "verify", "runsets", "engine"}
-    # clause (c) reads the patched run graph, with no cell alphabet
+    assert not modules & {"compose", "emit", "minimize", "verify", "runsets", "engine"}
+    # clause (c) reads the patched run graph, with no cell alphabet; only
+    # repair writes a new object, so only repair executes the structurer
     status, modules, _, json_imported = executed("repair", "ring.sbm", "--property", "AllMarked", "--verify")
-    assert status == 0 and "verify" in modules
+    assert status == 0 and {"verify", "emit"} <= modules
     assert not modules & {"runsets", "engine"} and not json_imported
     # the script walk lives in dsl, so a run executes no extraction or minimizer
     status, modules, random_imported, _ = executed("run", "ring.sbm", "--policy", "random-cell")
@@ -211,5 +225,5 @@ def test_package_api_keeps_its_shape():
     executed, registered = json.loads(fresh_python(code))
     assert executed == []
     assert registered == [f"sbmod.{m}" for m in (
-        "cells", "compose", "dsl", "engine", "extract", "formulas", "graphs", "minimize",
+        "cells", "compose", "dsl", "emit", "engine", "extract", "formulas", "graphs", "minimize",
         "runsets", "solver", "verify")]

@@ -17,21 +17,26 @@ Inside the package, ``from . import x`` binds the lazy module and defers
 except where a verb may not need the module; this list is the whole of that
 decision:
 
-- ``cli`` defers ``engine``, ``extract`` and ``verify``. It imports
-  ``compose`` inside ``_pick_graph``'s composite branch, because
+- ``cli`` defers ``engine``, ``extract``, ``graphs`` and ``verify``. It
+  imports ``compose`` inside ``_pick_graph``'s composite branch, because
   ``sbmod.compose`` is the function ``compose.compose``, not the module. The
   script walk lives in ``dsl``, so ``run`` executes neither ``extract`` nor
-  ``minimize``.
+  ``minimize``; the model types and the run policy names live there too, so
+  ``validate`` and ``run`` execute no ``graphs``.
 - ``dsl`` defers ``emit``, the graph -> script structurer, which only
   ``emit_script`` needs and so only ``repair`` executes, and ``solver``,
-  which only the symbolic walk (``symbolic_paths``) needs.
+  which only the symbolic walk (``symbolic_paths``) needs. It names
+  ``graphs`` in an annotation only.
 - ``extract`` defers ``minimize``, which only simplified graphs need, so
   ``graph --object`` without ``--simplify`` executes neither ``compose`` nor
   ``minimize``.
+- ``solver`` defers ``simplex``, the general simplex, which only a
+  conjunction with an atom over two or more variables needs: a model whose
+  atoms each have one variable never executes it.
 - ``runsets`` is executed by no verb: ``verify`` reads the run-set clause
   off the patched run graph. It stays registered because the tests decode
   runs with it and the benchmark's tracer reads it from ``sys.modules``.
-- The run policy names live in ``graphs``, so that building the CLI's parser
+- The run policy names live in ``dsl``, so that building the CLI's parser
   does not execute ``engine``.
 
 ``tests/test_values.py`` checks the modules each verb executes.
@@ -50,11 +55,11 @@ _API = {
         "disj", "evaluate", "negate", "to_infix", "to_sexpr", "var_atom",
     ),
     "solver": ("check_sat", "entails", "equivalent", "satisfiable"),
-    "graphs": (
-        "DiscreteObject", "Model", "NamedObject", "ObjectGraph", "Trace", "encode_discrete",
-        "to_dot", "to_json_dict",
+    "graphs": ("DiscreteObject", "ObjectGraph", "Trace", "encode_discrete", "to_dot", "to_json_dict"),
+    "dsl": (
+        "Model", "NamedObject", "ParseError", "ScenarioScript", "emit_script", "initial_state",
+        "parse_model", "step_script",
     ),
-    "dsl": ("ParseError", "ScenarioScript", "emit_script", "initial_state", "parse_model", "step_script"),
     "extract": ("ExtractStats", "extract_graph", "simplify_graph"),
     "compose": ("compose", "compose_all", "enabled_guard"),
     "verify": (
@@ -80,7 +85,7 @@ def _register_lazily(name: str) -> ModuleType:
 # cli is left out: ``python -m sbmod.cli`` warns when its module is already in
 # sys.modules
 for _name in ("cells", "compose", "dsl", "emit", "engine", "extract", "formulas", "graphs",
-              "minimize", "runsets", "solver", "verify"):
+              "minimize", "runsets", "simplex", "solver", "verify"):
     _module = _register_lazily(_name)
     if _name not in _HOME:  # sbmod.compose stays the function
         globals()[_name] = _module

@@ -15,19 +15,21 @@ import os
 import sys
 from functools import partial
 
-# engine, extract and verify are deferred (see the package docstring)
-from . import engine, extract, verify
-from .dsl import EmissionError, ExtractionError, ParseError, insert_object, is_identifier, parse_model
-from .formulas import fraction_text, to_infix
-from .graphs import (
+# engine, extract, graphs and verify are deferred (see the package docstring)
+from . import engine, extract, graphs, verify
+from .dsl import (
     FIRST_MODEL,
     POLICIES,
+    EmissionError,
+    ExtractionError,
     Model,
-    ObjectGraph,
+    ParseError,
     UnknownObjectError,
-    to_dot,
-    to_json_dict,
+    insert_object,
+    is_identifier,
+    parse_model,
 )
+from .formulas import fraction_text, to_infix
 
 OK, VIOLATION, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -68,7 +70,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return OK
 
 
-def _pick_graph(model: Model, args: argparse.Namespace) -> tuple[str, ObjectGraph]:
+def _pick_graph(model: Model, args: argparse.Namespace) -> tuple[str, graphs.ObjectGraph]:
     if args.composite:
         from .compose import compose_all  # sbmod.compose is the function
 
@@ -84,9 +86,9 @@ def cmd_graph(args: argparse.Namespace) -> int:
     if args.format == "json":
         import json  # only the JSON writers pay for it
 
-        _write(args.out, json.dumps(to_json_dict(g), indent=2, sort_keys=True) + "\n")
+        _write(args.out, json.dumps(graphs.to_json_dict(g), indent=2, sort_keys=True) + "\n")
     else:
-        _write(args.out, to_dot(g, name))
+        _write(args.out, graphs.to_dot(g, name))
     return OK
 
 

@@ -27,9 +27,10 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 
 from . import solver
+from .dsl import GraphError, Model
 from .extract import object_graphs, simplify_graph
 from .formulas import TRUE, Formula, VarSet, conj, disj, negate
-from .graphs import Edge, GraphError, Model, ObjectGraph, explore
+from .graphs import Edge, ObjectGraph, explore
 from .minimize import boolean_minimize
 
 JOIN = "⊗"  # the tensor sign keeps component provenance readable
@@ -75,19 +76,19 @@ def _moves(graphs: list[ObjectGraph], qs: tuple[str, ...], vars: VarSet) -> Iter
 
 
 def _product(graphs: list[ObjectGraph], vars: VarSet,
-             keep: Callable[[Iterator[_Move], Formula], Iterable[_Move]]
+             keep: Callable[[Iterator[_Move], Formula, Formula], Iterable[_Move]]
              ) -> tuple[ObjectGraph, dict[str, tuple[str, ...]]]:
     """The product reachable from the initial tuple, and its state -> tuple map.
 
     Out of each tuple it keeps the edges that ``keep`` makes of the tuple's
-    moves and its request-and-not-blocked formula.
+    moves and its request and block labels.
     """
     def visit(qs: tuple[str, ...]):
         request = disj([g.request[q] for g, q in zip(graphs, qs)])
         block = disj([g.block[q] for g, q in zip(graphs, qs)])
         waitfor = disj([g.waitfor[q] for g, q in zip(graphs, qs)])
         bad = any(q in g.bad for g, q in zip(graphs, qs))
-        moves = keep(_moves(graphs, qs, vars), conj([request, negate(block)]))
+        moves = keep(_moves(graphs, qs, vars), request, block)
         return request, block, waitfor, bad, moves
 
     return explore(tuple(g.initial for g in graphs), JOIN.join, visit)
@@ -95,7 +96,7 @@ def _product(graphs: list[ObjectGraph], vars: VarSet,
 
 def compose(g1: ObjectGraph, g2: ObjectGraph, vars: VarSet) -> ObjectGraph:
     """Reachable product of two object graphs over the caller's variable set."""
-    return _product([g1, g2], vars, lambda moves, _: moves)[0]
+    return _product([g1, g2], vars, lambda moves, *_: moves)[0]
 
 
 def run_graph(graphs: list[ObjectGraph],
@@ -108,10 +109,11 @@ def run_graph(graphs: list[ObjectGraph],
     guard meets the source's request-and-not-blocked formula. Merging before
     the cut keeps a merged guard whole, as in the simplified full composite.
     """
-    def merged_enabled(moves: Iterator[_Move], enabled: Formula) -> Iterator[_Move]:
+    def merged_enabled(moves: Iterator[_Move], request: Formula, block: Formula) -> Iterator[_Move]:
         groups: dict[str, tuple[tuple[str, ...], list[Formula]]] = {}
         for guard, targets in moves:
             groups.setdefault(JOIN.join(targets), (targets, []))[1].append(guard)
+        enabled = conj([request, negate(block)])
         for dst in sorted(groups):
             targets, guards = groups[dst]
             guard = boolean_minimize(disj(guards), vars)

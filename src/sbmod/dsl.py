@@ -35,6 +35,11 @@ ObjectGraph back to this language, with a bit-exact two-space-indent printer
 so emitted patch objects are diff-stable. The printer, ``insert_object`` and
 ``EmissionError`` live here; the structurer that turns the graph into
 statements is ``emit.structure_graph``, which only ``repair`` executes.
+
+A parsed model is a ``Model``: named scenario objects (scripts, or graphs
+that callers build) over one variable set. It and the run policy names live
+here, with the parser that builds them, so that ``validate`` and ``run``
+execute no graph code.
 """
 
 from __future__ import annotations
@@ -44,8 +49,9 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from fractions import Fraction
 
-# emit and solver are deferred (see the package docstring)
-from . import emit, solver
+# emit and solver are deferred (see the package docstring); graphs is named
+# in annotations only
+from . import emit, graphs, solver
 from .formulas import (
     FALSE,
     TRUE,
@@ -57,6 +63,8 @@ from .formulas import (
     LinearAtom,
     Or,
     VarSet,
+    _read_only,
+    _set,
     atoms_of,
     canonicalize,
     conj,
@@ -66,7 +74,6 @@ from .formulas import (
     polarity_classes,
     to_infix,
 )
-from .graphs import GraphError, Model, NamedObject, ObjectGraph
 
 # Parser limits, each a ParseError when exceeded. Parentheses, ``!``, blocks
 # and else-if arms nest at most MAX_NESTING deep, so that every later
@@ -91,6 +98,18 @@ class EmissionError(ValueError):
 
 class ExtractionError(ValueError):
     """A script cannot be run or extracted."""
+
+
+class GraphError(ValueError):
+    """Malformed graph or model construction (unknown states, missing labels,
+    duplicate object names)."""
+
+
+class UnknownObjectError(KeyError):
+    """The model has no object of that name."""
+
+    def __str__(self) -> str:  # a KeyError's str would be the quoted name alone
+        return f"model has no object named {self.args[0]!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +201,54 @@ class ScenarioScript:
                     self.fault = f"object {self.name!r} has a loop with a sync-free iteration path"
                 passable = False  # loops never complete; control cannot pass them
         return passable
+
+
+# ---------------------------------------------------------------------------
+# models
+
+
+class NamedObject:
+    __slots__ = ("name", "item")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, name: str, item: object) -> None:  # a ScenarioScript or ObjectGraph
+        _set(self, "name", name)
+        _set(self, "item", item)
+
+
+class Model:
+    """A collection of named scenario objects over one variable set."""
+
+    __slots__ = ("vars", "objects")
+
+    def __init__(self, vars: VarSet, objects: tuple[NamedObject, ...]) -> None:
+        names = [o.name for o in objects]
+        if len(set(names)) != len(names):
+            raise GraphError(f"duplicate object names in model: {names}")
+        self.vars = vars
+        self.objects = objects
+
+    def names(self) -> list[str]:
+        return [o.name for o in self.objects]
+
+    def get(self, name: str):
+        for o in self.objects:
+            if o.name == name:
+                return o.item
+        raise UnknownObjectError(name)
+
+    def without(self, name: str) -> "Model":
+        kept = tuple(o for o in self.objects if o.name != name)
+        if len(kept) == len(self.objects):
+            raise UnknownObjectError(name)
+        return Model(self.vars, kept)
+
+
+# How the engine selects each step's event (see engine.py). They sit with the
+# model so that ``run --policy`` can offer them without loading the engine.
+FIRST_MODEL = "first-model"
+RANDOM_CELL = "random-cell"
+POLICIES = (FIRST_MODEL, RANDOM_CELL)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +791,7 @@ def insert_object(model_text: str, object_text: str) -> str:
 # emission: the printer above, over what emit.structure_graph returns
 
 
-def emit_script(g: ObjectGraph, name: str = "Patch") -> str:
+def emit_script(g: graphs.ObjectGraph, name: str = "Patch") -> str:
     """Render a deterministic ObjectGraph as scenario-script text.
 
     Requires out-edge guards at each state to be pairwise unsatisfiable

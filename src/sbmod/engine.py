@@ -31,7 +31,17 @@ import random
 
 from . import solver
 from .cells import holding_masks, satisfiable_masks, witness
-from .dsl import END_LOCATION, ScenarioScript, initial_state, pending, resume
+from .dsl import (
+    END_LOCATION,
+    FIRST_MODEL,
+    POLICIES,
+    RANDOM_CELL,
+    Model,
+    ScenarioScript,
+    initial_state,
+    pending,
+    resume,
+)
 from .formulas import (
     Assignment,
     Formula,
@@ -47,7 +57,6 @@ from .formulas import (
     negate,
     polarity_classes,
 )
-from .graphs import FIRST_MODEL, POLICIES, RANDOM_CELL, Model, ObjectGraph
 
 
 class ConfigError(ValueError):
@@ -154,30 +163,32 @@ _ObjState = int | str  # a script's sync uid or END_LOCATION, or a graph's state
 _Move = tuple[tuple[_ObjState, ...], tuple[str, ...], bool]
 
 
-def _object_state(item: ScenarioScript | ObjectGraph) -> _ObjState:
+# An ``item`` below is a model object: a ScenarioScript, or else an
+# ObjectGraph, which is told apart without executing ``graphs``.
+def _object_state(item) -> _ObjState:
     if isinstance(item, ScenarioScript):
         return initial_state(item)
     return item.initial
 
 
 def _declaration(item, state: _ObjState) -> tuple[Formula, Formula]:
-    if isinstance(item, ObjectGraph):
-        return item.request[state], item.block[state]
-    sync, _ = pending(item, state)
-    return sync.request, sync.block
+    if isinstance(item, ScenarioScript):
+        sync, _ = pending(item, state)
+        return sync.request, sync.block
+    return item.request[state], item.block[state]
 
 
 def _wake_condition(item, state: _ObjState) -> Formula:
-    if isinstance(item, ObjectGraph):
-        return item.wake(state)
-    return pending(item, state)[1]
+    if isinstance(item, ScenarioScript):
+        return pending(item, state)[1]
+    return item.wake(state)
 
 
 def _advance(item, state: _ObjState, a: Assignment) -> _ObjState:
     """The state after an object woken by ``a`` moves."""
-    if isinstance(item, ObjectGraph):
-        return item.move(state, a)
-    return resume(item, state, a)
+    if isinstance(item, ScenarioScript):
+        return resume(item, state, a)
+    return item.move(state, a)
 
 
 def _move(m: Model, states: tuple[_ObjState, ...], a: Assignment) -> _Move:

@@ -29,9 +29,18 @@ from __future__ import annotations
 # minimize is deferred (see the package docstring)
 from . import minimize
 from .cells import MAX_CELLS, cell_formula, holding_masks, satisfiable_masks
-from .dsl import END_LOCATION, ExtractionError, ScenarioScript, initial_state, pending, symbolic_paths
+from .dsl import (
+    END_LOCATION,
+    ExtractionError,
+    GraphError,
+    Model,
+    ScenarioScript,
+    initial_state,
+    pending,
+    symbolic_paths,
+)
 from .formulas import Formula, LinearAtom, VarSet, disj
-from .graphs import GraphError, Model, ObjectGraph, explore
+from .graphs import ObjectGraph, explore
 
 
 def state_name(location: int) -> str:

@@ -1,4 +1,4 @@
-"""Guard-labeled transition graphs for scenario objects, and whole models.
+"""Guard-labeled transition graphs for scenario objects.
 
 An ObjectGraph is the explicit form of a scenario object: states carry
 request/block/waitfor formulas, edges carry guard formulas, and a subset of
@@ -12,8 +12,8 @@ Solver queries range over the caller's variable set, the model's. Only a
 graph written out on its own (``to_json_dict``, ``to_dot``) uses the
 variables its labels and guards mention.
 
-A Model bundles named scenario objects (scripts or graphs) over one variable
-set. Discrete-event objects are supported through ``encode_discrete``, which
+A model's objects may be graphs as well as scripts (``dsl.Model``).
+Discrete-event objects are supported through ``encode_discrete``, which
 embeds them into the real-valued setting with one fresh variable: event i
 becomes the atom ``x == i``.
 """
@@ -24,6 +24,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from . import solver
+from .dsl import GraphError
 from .formulas import (
     FALSE,
     Assignment,
@@ -43,17 +44,6 @@ from .formulas import (
 )
 
 StateId = str
-
-
-class GraphError(ValueError):
-    """Malformed graph construction (unknown states, missing labels)."""
-
-
-class UnknownObjectError(KeyError):
-    """The model has no object of that name."""
-
-    def __str__(self) -> str:  # a KeyError's str would be the quoted name alone
-        return f"model has no object named {self.args[0]!r}"
 
 
 class EncodingError(ValueError):
@@ -319,51 +309,7 @@ def encode_discrete(events: list[str], obj: DiscreteObject, var: str = "x") -> O
 
 
 # ---------------------------------------------------------------------------
-# models and traces
-
-
-class NamedObject:
-    __slots__ = ("name", "item")
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, name: str, item: object) -> None:  # a ScenarioScript or ObjectGraph
-        _set(self, "name", name)
-        _set(self, "item", item)
-
-
-class Model:
-    """A collection of named scenario objects over one variable set."""
-
-    __slots__ = ("vars", "objects")
-
-    def __init__(self, vars: VarSet, objects: tuple[NamedObject, ...]) -> None:
-        names = [o.name for o in objects]
-        if len(set(names)) != len(names):
-            raise GraphError(f"duplicate object names in model: {names}")
-        self.vars = vars
-        self.objects = objects
-
-    def names(self) -> list[str]:
-        return [o.name for o in self.objects]
-
-    def get(self, name: str):
-        for o in self.objects:
-            if o.name == name:
-                return o.item
-        raise UnknownObjectError(name)
-
-    def without(self, name: str) -> "Model":
-        kept = tuple(o for o in self.objects if o.name != name)
-        if len(kept) == len(self.objects):
-            raise UnknownObjectError(name)
-        return Model(self.vars, kept)
-
-
-# How the engine selects each step's event (see engine.py). They sit with the
-# model so that ``run --policy`` can offer them without loading the engine.
-FIRST_MODEL = "first-model"
-RANDOM_CELL = "random-cell"
-POLICIES = (FIRST_MODEL, RANDOM_CELL)
+# traces
 
 
 class TraceStep:

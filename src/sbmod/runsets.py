@@ -21,8 +21,9 @@ from collections.abc import Iterator
 
 from .cells import MAX_CELLS, satisfiable_masks, sign_mask, witness
 from .compose import enabled_guard
+from .dsl import GraphError
 from .formulas import Assignment, LinearAtom, VarSet, _read_only, _set, atoms_of, evaluate, polarity_classes
-from .graphs import GraphError, ObjectGraph
+from .graphs import ObjectGraph
 
 Move = tuple[tuple, str]  # (cell letter, successor state)
 

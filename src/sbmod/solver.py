@@ -6,8 +6,9 @@ bool.
 
 Architecture: a small DPLL search over the Boolean structure (branching on
 atoms and deciding the connectives above them) hands conjunctions of theory
-literals to a general-simplex feasibility check (when no atom has two
-variables, to the bound clamping that the simplex reduces to). Strict
+literals to a general-simplex feasibility check, which lives in ``simplex``
+and is executed only when some atom has two variables; otherwise to the
+bound clamping that the simplex reduces to, kept here. Strict
 inequalities are handled symbolically with delta-rationals (standard +
 infinitesimal * delta), written as (standard, infinitesimal) pairs whose
 tuple order is the delta order, in the simplex, the bound clamping and
@@ -65,7 +66,8 @@ literal without building an atom.
 
 Everything here is self-contained and exact; no floats, no external solver.
 Set the environment variable ``SBM_SOLVER_DEBUG=1`` to dump each query in
-SMT-LIB2 QF_LRA syntax on stderr for cross-checking against external tools.
+SMT-LIB2 QF_LRA syntax on stderr for cross-checking against external tools;
+it is read once, when this module executes.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ from collections.abc import Callable
 from fractions import Fraction
 from numbers import Rational
 
+# simplex is deferred (see the package docstring)
+from . import simplex
 from .formulas import (
     And,
     Assignment,
@@ -97,115 +101,14 @@ from .formulas import (
 
 
 # ---------------------------------------------------------------------------
-# theory layer: conjunction feasibility via bounds + general simplex
+# theory layer: conjunction feasibility via bounds, or the general simplex
+# of ``simplex``
 #
 # A delta-rational, standard + infinitesimal * delta for a symbolic delta > 0,
 # is the pair (standard, infinitesimal). Tuple order is the delta order: it is
 # lexicographic, which is the order of the sums for every delta small enough.
 
 ZERO = (0, 0)
-
-
-def _shifted(d: tuple, diff: tuple, k: Rational) -> tuple:
-    """The delta-rational ``d + k * diff``."""
-    return d[0] + k * diff[0], d[1] + k * diff[1]
-
-
-class _Simplex:
-    """General simplex over delta-rationals (Bland's rule, no objective)."""
-
-    def __init__(self) -> None:
-        self.order: list[str] = []  # fixed variable order; index is Bland priority
-        self.value: dict[str, tuple] = {}
-        self.lower: dict[str, tuple] = {}
-        self.upper: dict[str, tuple] = {}
-        self.rows: dict[str, dict[str, Fraction]] = {}  # basic -> {nonbasic: coeff}
-
-    def add_var(self, name: str) -> None:
-        if name not in self.value:
-            self.order.append(name)
-            self.value[name] = ZERO
-
-    def add_row(self, slack: str, combo: dict[str, Fraction]) -> None:
-        # slack = sum(combo); incoming vars are nonbasic with value 0, so slack
-        # starts at 0 as well.
-        self.add_var(slack)
-        self.rows[slack] = dict(combo)
-
-    def _update(self, var: str, val: tuple) -> None:
-        old = self.value[var]
-        diff = (val[0] - old[0], val[1] - old[1])
-        for b, row in self.rows.items():
-            coeff = row.get(var)
-            if coeff:
-                self.value[b] = _shifted(self.value[b], diff, coeff)
-        self.value[var] = val
-
-    def _pivot(self, xi: str, xj: str) -> None:
-        row = self.rows.pop(xi)
-        aij = row[xj]
-        new_row = {v: -c / aij for v, c in row.items() if v != xj}
-        new_row[xi] = Fraction(1) / aij
-        for b, other in list(self.rows.items()):
-            c = other.pop(xj, None)
-            if c:
-                for v, k in new_row.items():
-                    other[v] = other.get(v, Fraction(0)) + c * k
-                    if other[v] == 0:
-                        del other[v]
-        self.rows[xj] = new_row
-
-    def _pivot_and_update(self, xi: str, xj: str, target: tuple) -> None:
-        aij = self.rows[xi][xj]
-        old = self.value[xi]
-        theta = ((target[0] - old[0]) / aij, (target[1] - old[1]) / aij)
-        self.value[xi] = target
-        self.value[xj] = _shifted(self.value[xj], theta, 1)
-        for b, row in self.rows.items():
-            if b != xi:
-                coeff = row.get(xj)
-                if coeff:
-                    self.value[b] = _shifted(self.value[b], theta, coeff)
-        self._pivot(xi, xj)
-
-    def solve(self) -> bool:
-        # Move nonbasic vars inside their bounds first (basic ones follow).
-        for v in self.order:
-            if v in self.rows:
-                continue
-            lo, hi = self.lower.get(v), self.upper.get(v)
-            if lo is not None and self.value[v] < lo:
-                self._update(v, lo)
-            elif hi is not None and hi < self.value[v]:
-                self._update(v, hi)
-        idx = {v: i for i, v in enumerate(self.order)}
-        while True:
-            broken = None
-            for v in sorted(self.rows, key=idx.__getitem__):
-                lo, hi = self.lower.get(v), self.upper.get(v)
-                if lo is not None and self.value[v] < lo:
-                    broken, target, increase = v, lo, True
-                    break
-                if hi is not None and hi < self.value[v]:
-                    broken, target, increase = v, hi, False
-                    break
-            if broken is None:
-                return True
-            row = self.rows[broken]
-            candidate = None
-            for u in sorted(row, key=idx.__getitem__):
-                coeff = row[u]
-                room_up = self.upper.get(u) is None or self.value[u] < self.upper[u]
-                room_down = self.lower.get(u) is None or self.lower[u] < self.value[u]
-                if increase and ((coeff > 0 and room_up) or (coeff < 0 and room_down)):
-                    candidate = u
-                    break
-                if not increase and ((coeff < 0 and room_up) or (coeff > 0 and room_down)):
-                    candidate = u
-                    break
-            if candidate is None:
-                return False
-            self._pivot_and_update(broken, candidate, target)
 
 
 # infinitesimal part of the lower and of the upper bound that each relation sets
@@ -232,9 +135,9 @@ def _tightened(lo: tuple | None, hi: tuple | None, const: Rational, rel: str) ->
 
 
 def _clamped(constraints: list[tuple[LinearAtom, str]]) -> dict[str, tuple] | None:
-    """``_feasible`` when no atom has two variables. The simplex then has no
-    rows, and ``solve`` only clamps each variable from 0 into its bounds: the
-    same values, the bounds of ``_tightened`` themselves."""
+    """``_feasible`` when no atom has two variables. The simplex would then
+    have no rows, and its ``solve`` only clamps each variable from 0 into its
+    bounds: the same values, the bounds of ``_tightened`` themselves."""
     bounds: dict[str, tuple] = {}
     for a, rel in constraints:
         var = a.coeffs[0][0]  # leading coefficient is 1 by normalization
@@ -256,35 +159,7 @@ def _feasible(constraints: list[tuple[LinearAtom, str]]) -> dict[str, tuple] | N
     """Feasibility of atoms under effective relations (no ``!=`` here)."""
     if all(len(a.coeffs) == 1 for a, _ in constraints):
         return _clamped(constraints)
-    return _simplex_feasible(constraints)
-
-
-def _simplex_feasible(constraints: list[tuple[LinearAtom, str]]) -> dict[str, tuple] | None:
-    simplex = _Simplex()
-    for a, _ in constraints:
-        for v in a.variables():
-            simplex.add_var(v)
-    slack_of: dict[tuple, str] = {}
-    bounds: dict[str, tuple] = {}
-    for a, rel in constraints:
-        if len(a.coeffs) == 1:
-            var = a.coeffs[0][0]  # leading coefficient is 1 by normalization
-        else:
-            var = slack_of.get(a.coeffs)
-            if var is None:
-                var = slack_of[a.coeffs] = f"$s{len(slack_of)}"
-                simplex.add_row(var, {v: c for v, c in a.coeffs})
-        lo, hi = bounds[var] = _tightened(*bounds.get(var, (None, None)), a.key()[2], rel)
-        if lo is not None and hi is not None and hi < lo:
-            return None
-    for var, (lo, hi) in bounds.items():
-        if lo is not None:
-            simplex.lower[var] = lo
-        if hi is not None:
-            simplex.upper[var] = hi
-    if not simplex.solve():
-        return None
-    return {v: simplex.value[v] for v in simplex.order if not v.startswith("$s")}
+    return simplex.feasible(constraints)
 
 
 def _theory_model(literals: list[tuple[LinearAtom, bool]]) -> dict[str, tuple] | None:
@@ -355,6 +230,9 @@ _cache: dict[tuple, Assignment | None] = {}
 _CACHE_LIMIT = 200_000
 _MISS = object()
 
+# whether each query is dumped on stderr (module docstring)
+_DEBUG = os.environ.get("SBM_SOLVER_DEBUG") == "1"
+
 
 def remember(cache: dict, key: object, compute: Callable[[], object]):
     """``cache[key]``, else ``compute()``, kept while ``cache`` holds fewer
@@ -374,7 +252,8 @@ def check_sat(f: Formula, vars: VarSet) -> Assignment | None:
     The model covers every variable in ``vars`` (and any extra variables the
     formula mentions); unconstrained variables are assigned 0. Deterministic.
     """
-    _debug_dump(f, vars)
+    if _DEBUG:
+        print(to_smtlib2(f, vars), file=sys.stderr)
     g = canonicalize(f)
     return remember(_cache, (formula_key(g), vars.names), lambda: _solve(g, vars))
 
@@ -396,11 +275,6 @@ def _solve(g: Formula, vars: VarSet) -> Assignment | None:
     if not evaluate(g, model):
         raise RuntimeError("solver produced a non-model")
     return model
-
-
-def _debug_dump(f: Formula, vars: VarSet) -> None:
-    if os.environ.get("SBM_SOLVER_DEBUG") == "1":
-        print(to_smtlib2(f, vars), file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +450,8 @@ def satisfiable(f: Formula, vars: VarSet) -> bool:
     but with no model, so no ``evaluate`` gate:
     ``test_decision_matches_check_sat`` checks the answers. Dumps the query
     as ``check_sat`` does."""
-    _debug_dump(f, vars)
+    if _DEBUG:
+        print(to_smtlib2(f, vars), file=sys.stderr)
     g = canonicalize(f)
     return remember(_decided, formula_key(g), lambda: _search(g, [], propagate=True) is not None)
 

@@ -39,10 +39,10 @@ from collections.abc import Iterable
 
 from . import solver
 from .compose import enabled_guard, run_graph
-from .dsl import ScenarioScript, emit_script
+from .dsl import GraphError, Model, NamedObject, ScenarioScript, emit_script
 from .extract import object_graph
 from .formulas import Assignment, FalseF, Formula, VarSet, _read_only, _set, conj, disj, evaluate, negate
-from .graphs import Edge, GraphError, Model, NamedObject, ObjectGraph, Trace, TraceStep, bfs_tree
+from .graphs import Edge, ObjectGraph, Trace, TraceStep, bfs_tree
 from .minimize import boolean_minimize
 
 

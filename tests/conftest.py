@@ -13,9 +13,9 @@ try:
 except ImportError:  # running from a checkout without the editable install
     sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from sbmod.dsl import parse_model
+from sbmod.dsl import Model, NamedObject, parse_model
 from sbmod.formulas import VarSet
-from sbmod.graphs import DiscreteObject, Model, NamedObject, encode_discrete
+from sbmod.graphs import DiscreteObject, encode_discrete
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"

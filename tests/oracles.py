@@ -43,6 +43,8 @@ from sbmod.dsl import (
     ExtractionError,
     IfStmt,
     LoopStmt,
+    Model,
+    NamedObject,
     ParseError,
     ScenarioScript,
     SyncStmt,
@@ -52,7 +54,7 @@ from sbmod.dsl import (
 )
 from sbmod.engine import EventLog, LogEntry
 from sbmod.extract import ExtractStats, state_name
-from sbmod.graphs import DiscreteObject, Edge, Model, NamedObject, ObjectGraph, bfs_tree, explore
+from sbmod.graphs import DiscreteObject, Edge, ObjectGraph, bfs_tree, explore
 from sbmod.runsets import CellRuns
 from sbmod.verify import property_graph
 from sbmod import solver

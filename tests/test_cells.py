@@ -12,7 +12,7 @@ import pytest
 
 from sbmod import cells as cells_module, solver
 from sbmod.cells import cell_formula, satisfiable_masks, sign_mask, witness
-from sbmod.dsl import parse_model
+from sbmod.dsl import GraphError, parse_model
 from sbmod.engine import RANDOM_CELL, select_event
 from sbmod.extract import ExtractStats, extract_graph
 from sbmod.formulas import (
@@ -28,7 +28,7 @@ from sbmod.formulas import (
     polarity_classes,
     var_atom,
 )
-from sbmod.graphs import GraphError, ObjectGraph
+from sbmod.graphs import ObjectGraph
 from sbmod.runsets import CellRuns, CellSpace
 from sbmod.solver import check_sat
 

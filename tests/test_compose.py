@@ -5,9 +5,10 @@ import random
 import pytest
 
 from sbmod.compose import JOIN, compose, compose_all, enabled_guard
+from sbmod.dsl import GraphError, Model
 from sbmod.extract import object_graphs
 from sbmod.formulas import FALSE, TRUE, VarSet, conj, disj, evaluate, negate, var_atom
-from sbmod.graphs import GraphError, Model, ObjectGraph, encode_discrete
+from sbmod.graphs import ObjectGraph, encode_discrete
 from sbmod.solver import check_sat, equivalent
 
 from conftest import WATER_TAP_EVENTS, water_adder, water_stability

@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 
 from sbmod.compose import compose
-from sbmod.dsl import ParseError, parse_model
+from sbmod.dsl import Model, NamedObject, ParseError, parse_model
 from sbmod.engine import ExecutionConfig, run
 from sbmod.extract import extract_graph, simplify_graph
 from sbmod.formulas import Assignment, VarSet, atom, conj, var_atom
-from sbmod.graphs import Model, NamedObject, ObjectGraph
+from sbmod.graphs import ObjectGraph
 from sbmod.runsets import CellRuns, CellSpace
 from sbmod.solver import check_sat
 from sbmod.verify import repair

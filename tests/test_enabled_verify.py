@@ -11,10 +11,10 @@ import pytest
 
 from sbmod import cells, minimize, solver
 from sbmod.compose import JOIN, compose, compose_all, enabled_guard, run_graph
-from sbmod.dsl import parse_model
+from sbmod.dsl import GraphError, Model, NamedObject, parse_model
 from sbmod.extract import object_graphs
 from sbmod.formulas import FALSE, Assignment, VarSet, conj, disj, var_atom
-from sbmod.graphs import GraphError, Model, NamedObject, ObjectGraph, encode_discrete
+from sbmod.graphs import ObjectGraph, encode_discrete
 from sbmod.runsets import CellRuns, CellSpace
 from sbmod.verify import (
     Patch,

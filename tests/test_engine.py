@@ -6,7 +6,7 @@ import pytest
 
 from sbmod import solver
 from sbmod.compose import compose_all, enabled_guard
-from sbmod.dsl import parse_model
+from sbmod.dsl import GraphError, Model, NamedObject, parse_model
 from sbmod.engine import (
     FIRST_MODEL,
     RANDOM_CELL,
@@ -16,7 +16,7 @@ from sbmod.engine import (
     select_event,
 )
 from sbmod.formulas import FALSE, TRUE, VarSet, conj, disj, evaluate, var_atom
-from sbmod.graphs import GraphError, Model, NamedObject, ObjectGraph
+from sbmod.graphs import ObjectGraph
 from sbmod.runsets import CellRuns, CellSpace
 from sbmod.solver import check_sat
 

@@ -6,17 +6,9 @@ import pytest
 
 from sbmod import graphs
 from sbmod.compose import compose_all
+from sbmod.dsl import GraphError, Model, NamedObject
 from sbmod.formulas import FALSE, TRUE, VarSet, disj, var_atom
-from sbmod.graphs import (
-    DiscreteObject,
-    GraphError,
-    Model,
-    NamedObject,
-    ObjectGraph,
-    encode_discrete,
-    to_dot,
-    to_json_dict,
-)
+from sbmod.graphs import DiscreteObject, ObjectGraph, encode_discrete, to_dot, to_json_dict
 from sbmod.graphs import EncodingError
 from sbmod.runsets import CellRuns, CellSpace
 

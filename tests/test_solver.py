@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from sbmod import cells, engine, minimize, solver
+from sbmod import cells, engine, minimize, simplex, solver
 from sbmod.formulas import (
     RELATIONS,
     Assignment,
@@ -232,7 +232,7 @@ def test_split_search_prunes_infeasible_prefixes(monkeypatch):
 
 
 def test_debug_dump_writes_each_query_to_stderr(monkeypatch, capsys):
-    monkeypatch.setenv("SBM_SOLVER_DEBUG", "1")
+    monkeypatch.setattr(solver, "_DEBUG", True)  # what SBM_SOLVER_DEBUG=1 sets
     check_sat(conj([var_atom("v", ">=", 2), var_atom("h", "<", 1)]), VH)
     err = capsys.readouterr().err
     assert err.startswith("(set-logic QF_LRA)\n")
@@ -247,7 +247,7 @@ def test_debug_dump_writes_each_query_to_stderr(monkeypatch, capsys):
 
 
 def test_satisfiable_dumps_what_check_sat_dumps(monkeypatch, capsys):
-    monkeypatch.setenv("SBM_SOLVER_DEBUG", "1")
+    monkeypatch.setattr(solver, "_DEBUG", True)  # what SBM_SOLVER_DEBUG=1 sets
     xy = VarSet(("x", "y"))
     two = atom({"x": 1, "y": -1}, "<", Fraction(1, 2))
     for f in [
@@ -282,10 +282,10 @@ def test_bound_clamping_matches_simplex(monkeypatch):
     for _ in range(1500):
         literals = _single_variable_literals(rng)
         with monkeypatch.context() as patched:
-            patched.setattr(solver, "_simplex_feasible", no_simplex)
+            patched.setattr(simplex, "feasible", no_simplex)
             clamped = solver._theory_model(literals)
         with monkeypatch.context() as patched:
-            patched.setattr(solver, "_feasible", solver._simplex_feasible)
+            patched.setattr(solver, "_feasible", simplex.feasible)
             expected = solver._theory_model(literals)
         if expected is None:
             assert clamped is None, literals

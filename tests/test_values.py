@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import sbmod
+from sbmod.dsl import NamedObject
 from sbmod.engine import ExecutionConfig, LogEntry
 from sbmod.formulas import (
     FALSE,
@@ -30,7 +31,7 @@ from sbmod.formulas import (
     canonicalize,
     var_atom,
 )
-from sbmod.graphs import DiscreteObject, Edge, NamedObject, ObjectGraph, Trace, TraceStep
+from sbmod.graphs import DiscreteObject, Edge, ObjectGraph, Trace, TraceStep
 from sbmod.runsets import CellSpace
 from sbmod.verify import Counterexample, Safe
 
@@ -169,6 +170,8 @@ UNNEEDED = ("bz2", "copy", "lzma", "shutil", "zlib")
 def test_each_verb_executes_only_the_modules_it_runs(tmp_path, workloads):
     (tmp_path / "ring.sbm").write_text(workloads.ring_text(5))
     (tmp_path / "bad.sbm").write_text("vars x\nobject\n")
+    (tmp_path / "sum.sbm").write_text("model { vars x, y; object A { loop { sync(request = x + y >= 3); } }\n"
+                                      "  object P { sync(waitfor = x > 1); sync(); mark bad; } }")
     (tmp_path / "repeat.sbm").write_text("model { vars x; object A { repeat 2 { sync(request = x > 0); } } }")
     # the probe reads sys.modules before it imports json itself
     code = ("import sys, types; from sbmod.cli import main; status = main(sys.argv[1:]); "
@@ -183,7 +186,8 @@ def test_each_verb_executes_only_the_modules_it_runs(tmp_path, workloads):
         assert loaded == [], f"{argv[0]} loaded {loaded}"
         return status, set(modules), random_imported, json_imported
 
-    validate_set = {"cli", "dsl", "formulas", "graphs"}
+    # the model types live in dsl, so validate executes no graph code
+    validate_set = {"cli", "dsl", "formulas"}
     assert executed("validate", "ring.sbm") == (0, validate_set, False, False)
     # reporting a usage error executes no more than the verb did
     assert executed("validate", "missing.sbm") == (2, validate_set, False, False)
@@ -192,22 +196,29 @@ def test_each_verb_executes_only_the_modules_it_runs(tmp_path, workloads):
     last = fresh_python(code, "validate", "repeat.sbm", cwd=tmp_path).splitlines()
     assert last[0] == "ok: 1 objects over vars x"
     assert json.loads(last[-1])[4] == ["copy"]
+    # ring's atoms each have one variable, so no verb on it executes simplex
     status, modules, random_imported, _ = executed("check", "ring.sbm", "--property", "AllMarked")
     assert status == 1 and "verify" in modules
-    assert not modules & {"emit", "engine", "runsets"} and not random_imported
+    assert not modules & {"emit", "engine", "runsets", "simplex"} and not random_imported
     # the raw per-cell view is extraction alone: no product and no minimizer
     status, modules, _, _ = executed("graph", "ring.sbm", "--object", "C0")
     assert status == 0 and "extract" in modules
-    assert not modules & {"compose", "emit", "minimize", "verify", "runsets", "engine"}
+    assert not modules & {"compose", "emit", "minimize", "verify", "runsets", "engine", "simplex"}
+    status, modules, _, _ = executed("graph", "ring.sbm", "--composite", "--simplify")
+    assert status == 0 and "simplex" not in modules
     # clause (c) reads the patched run graph, with no cell alphabet; only
     # repair writes a new object, so only repair executes the structurer
     status, modules, _, json_imported = executed("repair", "ring.sbm", "--property", "AllMarked", "--verify")
     assert status == 0 and {"verify", "emit"} <= modules
-    assert not modules & {"runsets", "engine"} and not json_imported
-    # the script walk lives in dsl, so a run executes no extraction or minimizer
+    assert not modules & {"runsets", "engine", "simplex"} and not json_imported
+    # the script walk lives in dsl, so a run executes no extraction, minimizer
+    # or graph code
     status, modules, random_imported, _ = executed("run", "ring.sbm", "--policy", "random-cell")
     assert (status, random_imported) == (0, True)
-    assert modules == {"cli", "dsl", "formulas", "graphs", "cells", "solver", "engine"}
+    assert modules == {"cli", "dsl", "formulas", "cells", "solver", "engine"}
+    # an atom over two variables is what executes the simplex
+    status, modules, _, _ = executed("check", "sum.sbm", "--property", "P")
+    assert status == 1 and "simplex" in modules
 
 
 def test_package_api_keeps_its_shape():
@@ -226,4 +237,4 @@ def test_package_api_keeps_its_shape():
     assert executed == []
     assert registered == [f"sbmod.{m}" for m in (
         "cells", "compose", "dsl", "emit", "engine", "extract", "formulas", "graphs", "minimize",
-        "runsets", "solver", "verify")]
+        "runsets", "simplex", "solver", "verify")]

@@ -5,8 +5,9 @@ import sys
 import pytest
 
 from sbmod.compose import JOIN, compose, compose_all, enabled_guard
+from sbmod.dsl import GraphError, Model
 from sbmod.formulas import TRUE, FalseF, VarSet, conj, evaluate, var_atom
-from sbmod.graphs import GraphError, Model, ObjectGraph, encode_discrete
+from sbmod.graphs import ObjectGraph, encode_discrete
 from sbmod.runsets import CellRuns, CellSpace
 from sbmod.solver import check_sat
 from sbmod.verify import (

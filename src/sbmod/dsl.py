@@ -55,18 +55,15 @@ from . import emit, graphs, solver
 from .formulas import (
     FALSE,
     TRUE,
-    And,
     Assignment,
     Atom,
     FalseF,
     Formula,
     LinearAtom,
-    Or,
     VarSet,
     _read_only,
     _set,
     atoms_of,
-    canonicalize,
     conj,
     disj,
     evaluate,
@@ -609,14 +606,14 @@ class _Parser:
         while self.peek().text == "||":
             self.next()
             parts.append(self.and_expr())
-        return parts[0] if len(parts) == 1 else canonicalize(Or(tuple(parts)))
+        return parts[0] if len(parts) == 1 else disj(parts)
 
     def and_expr(self) -> Formula:
         parts = [self.unary()]
         while self.peek().text == "&&":
             self.next()
             parts.append(self.unary())
-        return parts[0] if len(parts) == 1 else canonicalize(And(tuple(parts)))
+        return parts[0] if len(parts) == 1 else conj(parts)
 
     def unary(self) -> Formula:
         tok = self.peek()

@@ -9,13 +9,15 @@ structured control flow: a state with one successor continues straight on,
 a branching state becomes an ``if`` chain whose arms may rejoin in a shared
 suffix, a self-looping state becomes a terminal ``loop``, and every cycle is
 one outer ``loop`` back to the initial state. Anything else raises
-``EmissionError``.
+``EmissionError``. An ``if`` whose two arms print the same text is then
+replaced by that text, innermost first (``_collapse``), so a patch is not
+written out once per arm.
 """
 
 from __future__ import annotations
 
 from . import solver
-from .dsl import EmissionError, IfStmt, LoopStmt, SyncStmt
+from .dsl import EmissionError, IfStmt, LoopStmt, SyncStmt, format_statements
 from .formulas import Formula, conj, disj, negate
 from .graphs import Edge, ObjectGraph, _graph_vars, bfs_tree
 from .minimize import boolean_minimize
@@ -162,13 +164,32 @@ def structure_graph(g: ObjectGraph) -> list:
         code.extend(region(order[-1], stops))
         return code
 
-    body = region(g.initial, frozenset())
+    body = _collapse(region(g.initial, frozenset()))
     if wrap_loop:
         body = [LoopStmt(body)]
     missing = set(reachable) - emitted
     if missing:
         raise EmissionError(f"states {sorted(missing)} were not structured")
     return body
+
+
+def _collapse(stmts: list) -> list:
+    """``stmts`` with each ``if (c) { A } else { A }`` replaced by ``A``,
+    innermost first. A condition only reads the current assignment and both
+    arms go on into the same statements, so the arms' shared text runs either
+    way; arms are compared by their printed text."""
+    out: list = []
+    for st in stmts:
+        if isinstance(st, IfStmt):
+            then, orelse = _collapse(st.then), _collapse(st.orelse)
+            if format_statements(then) == format_statements(orelse):
+                out.extend(then)
+                continue
+            st = IfStmt(st.cond, then, orelse)
+        elif isinstance(st, LoopStmt):
+            st = LoopStmt(_collapse(st.body))
+        out.append(st)
+    return out
 
 
 def _check_acyclic(initial: str, adv: dict[str, list[Edge]]) -> None:

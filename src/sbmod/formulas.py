@@ -16,15 +16,19 @@ its negation are computed once: the negation is built on the first
 integral coefficient or constant is stored as its ``int``: an int orders,
 compares and hashes like the equal ``Fraction``, so every sort and cache
 lookup is unchanged, but runs in C instead of through ``Fraction``'s
-Python-level methods. Formula canonicalization pushes negation
-into atoms, flattens, deduplicates and sorts connectives, and is idempotent.
+Python-level methods.
+
+Canonicalization is one walk, which serves ``canonicalize``, ``negate``,
+``conj`` and ``disj``: on the way down it pushes negation into the atoms, and
+on the way up it flattens, deduplicates and sorts each connective once, so
+each canonical node is built once. It is idempotent.
 
 Canonical nodes carry their ``formula_key``, stored once when they are built
 in a field that equality, hashing and printing ignore: every ``Atom``,
-``TRUE`` and ``FALSE``, and each ``And``/``Or`` that ``canonicalize`` returns.
-So ``canonicalize`` is O(1) on canonical input (it returns the node itself),
+``TRUE`` and ``FALSE``, and each ``And``/``Or`` that the walk builds. So
+``canonicalize`` is O(1) on canonical input (it returns the node itself),
 ``formula_key`` is a field read, and ``conj``/``disj`` over canonical parts
-only flatten, deduplicate and sort the top level.
+only join the top level.
 """
 
 from __future__ import annotations
@@ -272,16 +276,16 @@ def var_atom(name: str, rel: str, const: Rational) -> Atom:
 
 
 def conj(parts: Iterable[Formula]) -> Formula:
-    return canonicalize(And(tuple(parts)))
+    return _joined(True, [canonicalize(p) for p in parts])
 
 
 def disj(parts: Iterable[Formula]) -> Formula:
-    return canonicalize(Or(tuple(parts)))
+    return _joined(False, [canonicalize(p) for p in parts])
 
 
 def negate(f: Formula) -> Formula:
     """The canonical form of not ``f``."""
-    return _normalize(_nnf(f, True))
+    return _canonical(f, True)
 
 
 class Assignment:
@@ -337,7 +341,8 @@ def formula_key(f: Formula) -> tuple:
     return f._key
 
 
-def _nnf(f: Formula, negated: bool) -> Formula:
+def _canonical(f: Formula, negated: bool) -> Formula:
+    """The canonical form of ``f``, or of not ``f`` when ``negated``."""
     # canonical subformulas that no negation reaches are kept as they are
     if isinstance(f, Atom):
         return Atom(f.atom.negated()) if negated else f
@@ -348,39 +353,28 @@ def _nnf(f: Formula, negated: bool) -> Formula:
     if isinstance(f, (And, Or)):
         if f._key is not None and not negated:
             return f
-        kids = tuple(_nnf(c, negated) for c in f.children)
-        if isinstance(f, And):
-            return Or(kids) if negated else And(kids)
-        return And(kids) if negated else Or(kids)
+        return _joined(isinstance(f, And) != negated, [_canonical(c, negated) for c in f.children])
     raise TypeError(f"not a formula: {f!r}")
 
 
 _node_key = attrgetter("_key")
 
 
-def _normalize(f: Formula) -> Formula:
-    if f._key is not None:
-        return f
-    kids = [_normalize(c) for c in f.children]  # type: ignore[union-attr]
+def _joined(is_and: bool, kids: list[Formula]) -> Formula:
+    """The canonical ``And`` (``Or`` unless ``is_and``) of canonical ``kids``:
+    nested nodes of the same connective flattened, the unit dropped, the
+    absorbing constant returned at once, repeats dropped and the rest sorted."""
+    node_type, unit, zero = (And, TrueF, FalseF) if is_and else (Or, FalseF, TrueF)
     flat: list[Formula] = []
-    if isinstance(f, And):
-        for k in kids:
-            if isinstance(k, FalseF):
-                return FALSE
-            if isinstance(k, TrueF):
-                continue
-            flat.extend(k.children if isinstance(k, And) else (k,))
-        unit: Formula = TRUE
-    else:
-        for k in kids:
-            if isinstance(k, TrueF):
-                return TRUE
-            if isinstance(k, FalseF):
-                continue
-            flat.extend(k.children if isinstance(k, Or) else (k,))
-        unit = FALSE
+    for k in kids:
+        if isinstance(k, zero):
+            return FALSE if is_and else TRUE
+        if isinstance(k, node_type):
+            flat.extend(k.children)
+        elif not isinstance(k, unit):
+            flat.append(k)
     if not flat:
-        return unit
+        return TRUE if is_and else FALSE
     # sort by key and drop repeats; equal keys mean equal canonical nodes
     flat.sort(key=_node_key)
     ordered = [flat[0]]
@@ -389,8 +383,8 @@ def _normalize(f: Formula) -> Formula:
             ordered.append(k)
     if len(ordered) == 1:
         return ordered[0]
-    node = And(tuple(ordered)) if isinstance(f, And) else Or(tuple(ordered))
-    _set(node, "_key", (3 if isinstance(f, And) else 4, tuple(k._key for k in ordered)))
+    node = node_type(tuple(ordered))
+    _set(node, "_key", (3 if is_and else 4, tuple(k._key for k in ordered)))
     return node
 
 
@@ -400,7 +394,7 @@ def canonicalize(f: Formula) -> Formula:
     a canonical ``f`` is returned as it is."""
     if getattr(f, "_key", None) is not None:
         return f
-    return _normalize(_nnf(f, False))
+    return _canonical(f, False)
 
 
 def atoms_of(f: Formula) -> list[LinearAtom]:

@@ -38,6 +38,7 @@ from .formulas import (
     atoms_of,
     canonicalize,
     conj,
+    disj,
     formula_key,
     polarity_classes,
 )
@@ -125,7 +126,7 @@ def _minimize(f: Formula, vars: VarSet) -> Formula:
         return FALSE
     primes = _prime_implicants(on, set(masks) - on)
     cover = _select_cover(on, primes)
-    result = canonicalize(Or(tuple(_implicant_formula(p, atoms) for p in cover)))
+    result = disj(_implicant_formula(p, atoms) for p in cover)
     if _smaller(result, f) and solver.equivalent(result, f, vars):
         return result
     return f

@@ -178,11 +178,13 @@ def test_canonicalize_agrees_with_reference_tree_walk():
         assert canonicalize(g) is g
         for node in _nodes(g):
             assert canonicalize(node) is node
-        parts = [canonicalize(rand_formula(rng, rng.randint(0, 3), pool))
-                 for _ in range(rng.randint(0, 4))]
-        parts += rng.sample([TRUE, FALSE, g], rng.randint(0, 2))
-        _assert_matches_reference(conj(parts), And(tuple(parts)))
-        _assert_matches_reference(disj(parts), Or(tuple(parts)))
+        # conj and disj take raw parts as well as canonical ones
+        raw = [rand_formula(rng, rng.randint(0, 3), pool) for _ in range(rng.randint(0, 4))]
+        raw += rng.sample([TRUE, FALSE, f], rng.randint(0, 2))
+        parts = [canonicalize(p) for p in raw]
+        for given in (parts, raw):
+            _assert_matches_reference(conj(given), And(tuple(given)))
+            _assert_matches_reference(disj(given), Or(tuple(given)))
         _assert_matches_reference(negate(g), ref_negate(g))
 
 

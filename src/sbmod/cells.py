@@ -83,28 +83,29 @@ def holding_masks(f: Formula, atoms: Sequence[LinearAtom], masks: Sequence[int])
         bits = sum(1 << j for j, mask in enumerate(masks) if mask >> i & 1)
         column[a.key()] = bits
         column[a.negated().key()] = every ^ bits
-
-    def walk(g: Formula) -> int:
-        if isinstance(g, Atom):
-            return column[g.atom.key()]
-        if isinstance(g, And):
-            bits = every
-            for c in g.children:
-                bits &= walk(c)
-            return bits
-        if isinstance(g, Or):
-            bits = 0
-            for c in g.children:
-                bits |= walk(c)
-            return bits
-        if isinstance(g, TrueF):
-            return every
-        if isinstance(g, FalseF):
-            return 0
-        raise TypeError(f"unexpected node in canonical formula: {g!r}")
-
-    on = walk(f)
+    on = _cell_bits(f, column, every)
     return [mask for j, mask in enumerate(masks) if on >> j & 1]
+
+
+def _cell_bits(g: Formula, column: dict[tuple, int], every: int) -> int:
+    """The bitset of the cells on which ``g`` holds (``holding_masks``)."""
+    if isinstance(g, Atom):
+        return column[g.atom.key()]
+    if isinstance(g, And):
+        bits = every
+        for c in g.children:
+            bits &= _cell_bits(c, column, every)
+        return bits
+    if isinstance(g, Or):
+        bits = 0
+        for c in g.children:
+            bits |= _cell_bits(c, column, every)
+        return bits
+    if isinstance(g, TrueF):
+        return every
+    if isinstance(g, FalseF):
+        return 0
+    raise TypeError(f"unexpected node in canonical formula: {g!r}")
 
 
 def _enumerate(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[int, ...] | None:
@@ -120,24 +121,27 @@ def _enumerate(atoms: Sequence[LinearAtom], vars: VarSet) -> tuple[int, ...] | N
     found: list[int] = []
     # prefix witnesses must cover every atom's variables, not just ``vars``
     everything = VarSet(tuple(set(vars.names).union(*(a.variables() for a in atoms))))
-
-    # queries pass the plain conjunction: check_sat canonicalizes it anyway
-    def descend(i: int, mask: int, literals: list[Formula], witness: Assignment) -> None:
-        # the prefix over atoms[:i] is satisfiable, and ``witness`` satisfies it
-        if i == len(atoms):
-            found.append(mask)
-            return
-        for positive in (False, True):
-            prefix = literals + [_literal(atoms[i], positive)]
-            inside = witness
-            if atoms[i].holds(witness.values) != positive:
-                inside = solver.check_sat(And(tuple(prefix)), everything)
-                if inside is None:
-                    continue
-            descend(i + 1, mask | (positive << i), prefix, inside)
-
-    descend(0, 0, [], Assignment({v: Fraction(0) for v in everything.names}))
+    _descend(atoms, everything, found, 0, 0, [], Assignment({v: Fraction(0) for v in everything.names}))
     return tuple(sorted(found))
+
+
+def _descend(atoms: Sequence[LinearAtom], everything: VarSet, found: list[int],
+             i: int, mask: int, literals: list[Formula], witness: Assignment) -> None:
+    """Append to ``found`` the satisfiable cells that extend the prefix
+    ``mask`` over ``atoms[:i]``, which is satisfiable, and which ``witness``
+    satisfies. Queries pass the plain conjunction: check_sat canonicalizes
+    it anyway."""
+    if i == len(atoms):
+        found.append(mask)
+        return
+    for positive in (False, True):
+        prefix = literals + [_literal(atoms[i], positive)]
+        inside = witness
+        if atoms[i].holds(witness.values) != positive:
+            inside = solver.check_sat(And(tuple(prefix)), everything)
+            if inside is None:
+                continue
+        _descend(atoms, everything, found, i + 1, mask | (positive << i), prefix, inside)
 
 
 def witness(atoms: Sequence[LinearAtom], mask: int, vars: VarSet) -> Assignment:

@@ -11,6 +11,8 @@ models, bad run settings), 3 for internal errors.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 from functools import partial
@@ -218,6 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one verb on ``argv``, by default the program's arguments, and
+    return its exit code. Called as the program (no ``argv``), it also has
+    the heap frozen at exit, once: the interpreter's teardown collections
+    then walk none of the objects the verb built. Callers that pass
+    ``argv`` keep running afterwards, and their heap is left as it is."""
+    if argv is None:
+        atexit.unregister(gc.freeze)
+        atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -58,21 +58,29 @@ def _moves(graphs: list[ObjectGraph], qs: tuple[str, ...], vars: VarSet) -> Iter
     in ``itertools.product`` order, without the move in which every part stays
     (that is the composite's own stay loop)."""
     options = [_outgoing_with_stay(g, q) for g, q in zip(graphs, qs)]
-    last = len(options) - 1
+    return _extend(options, vars, 0, TRUE, [], False)
 
-    def extend(i: int, prefix: Formula, targets: tuple[str, ...], moved: bool) -> Iterator[_Move]:
-        for e, stay in options[i]:
-            if i == last and stay and not moved:
-                continue
-            guard = conj([prefix, e.guard])
-            if not solver.satisfiable(guard, vars):
-                continue  # unsatisfiable, and so is every move extending it
-            if i == last:
-                yield guard, targets + (e.dst,)
-            else:
-                yield from extend(i + 1, guard, targets + (e.dst,), moved or not stay)
 
-    return extend(0, TRUE, (), False)
+def _extend(options: list[list[tuple[Edge, bool]]], vars: VarSet, i: int, prefix: Formula,
+            path: list[str], moved: bool) -> Iterator[_Move]:
+    """The moves of ``_moves`` that extend the satisfiable ``prefix``, the
+    guard conjunction of the parts before ``i``, whose targets are ``path``;
+    ``moved`` tells whether one of those parts left its state. ``path`` is
+    one list, extended and restored along the search, so only a whole move
+    builds its target tuple."""
+    last = i == len(options) - 1
+    for e, stay in options[i]:
+        if last and stay and not moved:
+            continue
+        guard = conj([prefix, e.guard])
+        if not solver.satisfiable(guard, vars):
+            continue  # unsatisfiable, and so is every move extending it
+        if last:
+            yield guard, (*path, e.dst)
+        else:
+            path.append(e.dst)
+            yield from _extend(options, vars, i + 1, guard, path, moved or not stay)
+            path.pop()
 
 
 def _product(graphs: list[ObjectGraph], vars: VarSet,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from . import solver
 from .dsl import EmissionError, IfStmt, LoopStmt, SyncStmt, format_statements
-from .formulas import Formula, conj, disj, negate
+from .formulas import Formula, VarSet, conj, disj, negate
 from .graphs import Edge, ObjectGraph, _graph_vars, bfs_tree
 from .minimize import boolean_minimize
 
@@ -63,29 +63,55 @@ def structure_graph(g: ObjectGraph) -> list:
         adv[q] = kept
     _check_acyclic(g.initial, adv)
 
-    emitted: set[str] = set()
+    walk = _Structurer(g, vars, reachable, adv, terminal)
+    body = _collapse(walk.region(g.initial, frozenset()))
+    if wrap_loop:
+        body = [LoopStmt(body)]
+    missing = set(reachable) - walk.emitted
+    if missing:
+        raise EmissionError(f"states {sorted(missing)} were not structured")
+    return body
 
-    def reach_from(q: str, stops: frozenset[str]) -> set[str]:
+
+class _Structurer:
+    """The structuring walk over one graph's forward edges ``adv`` (edges
+    back to the initial state lead to ``_LOOP_END``): ``region`` writes the
+    code from a state up to a set of stops, and ``emitted`` collects the
+    states it has written. The walk's methods recurse into each other through
+    the instance, which refers to none of them, so a walk leaves no
+    reference cycle behind."""
+
+    __slots__ = ("g", "vars", "reachable", "adv", "terminal", "emitted")
+
+    def __init__(self, g: ObjectGraph, vars: VarSet, reachable: list[str],
+                 adv: dict[str, list[Edge]], terminal: set[str]) -> None:
+        self.g = g
+        self.vars = vars
+        self.reachable = reachable
+        self.adv = adv
+        self.terminal = terminal
+        self.emitted: set[str] = set()
+
+    def reach_from(self, q: str, stops: frozenset[str]) -> set[str]:
         if q == _LOOP_END or q in stops:
             return set()
+        adv = self.adv
 
         def onward(cur: str) -> list[Edge]:
             return [e for e in adv[cur] if e.dst != _LOOP_END and e.dst not in stops]
 
         return {q} | {e.dst for e in bfs_tree(q, onward)}
 
-    def sync_for(q: str) -> SyncStmt:
-        return SyncStmt(request=g.request[q], waitfor=g.waitfor[q], block=g.block[q], bad=q in g.bad)
-
-    def region(q: str, stops: frozenset[str]) -> list:
+    def region(self, q: str, stops: frozenset[str]) -> list:
         # a run of single-edge states is one loop; only branches recurse
+        g, adv, emitted = self.g, self.adv, self.emitted
         code: list = []
         while q != _LOOP_END and q not in stops:
             if q in emitted:
                 raise EmissionError(f"state {q!r} is reached from structurally incompatible contexts")
             emitted.add(q)
-            sync = sync_for(q)
-            if q in terminal or not adv[q]:
+            sync = SyncStmt(request=g.request[q], waitfor=g.waitfor[q], block=g.block[q], bad=q in g.bad)
+            if q in self.terminal or not adv[q]:
                 code.append(LoopStmt([sync]))
                 break
             code.append(sync)
@@ -93,15 +119,15 @@ def structure_graph(g: ObjectGraph) -> list:
             if len(edges) == 1:
                 q = edges[0].dst
                 continue
-            arm_reach = {e: reach_from(e.dst, stops) for e in edges}
+            arm_reach = {e: self.reach_from(e.dst, stops) for e in edges}
             shared: set[str] = set()
             for i, a in enumerate(edges):
                 for b in edges[i + 1:]:
                     shared |= arm_reach[a] & arm_reach[b]
             local_stops = stops | frozenset(shared)
-            code.extend(_if_chain([(e.guard, region(e.dst, local_stops)) for e in edges]))
+            code.extend(_if_chain([(e.guard, self.region(e.dst, local_stops)) for e in edges]))
             if shared:
-                code.extend(_suffix(shared, stops))
+                code.extend(self.suffix(shared, stops))
                 # an arm that leaves for an outer stop or the loop start emits
                 # nothing for it and would fall through into the suffix's
                 # unconditional last chunk
@@ -112,24 +138,8 @@ def structure_graph(g: ObjectGraph) -> list:
             break
         return code
 
-    def _if_chain(arms: list[tuple[Formula, list]]) -> list:
-        nonempty = [(guard, body) for guard, body in arms if body]
-        if not nonempty:
-            return []
-        all_full = len(nonempty) == len(arms)
-        chain: list = []
-        tail = chain
-        for i, (guard, body) in enumerate(nonempty):
-            last = i == len(nonempty) - 1
-            if last and all_full and i > 0:
-                tail.extend(body)
-            else:
-                node = IfStmt(guard, body, [])
-                tail.append(node)
-                tail = node.orelse
-        return chain
-
-    def _suffix(shared: set[str], stops: frozenset[str]) -> list:
+    def suffix(self, shared: set[str], stops: frozenset[str]) -> list:
+        adv, vars, reachable = self.adv, self.vars, self.reachable
         order = _topo_order(shared, adv)
         entry: dict[str, Formula] = {}
         for s in order:
@@ -158,19 +168,29 @@ def structure_graph(g: ObjectGraph) -> list:
         code: list = []
         for s in order[:-1]:
             siblings = frozenset(x for x in order if x != s)
-            body = region(s, stops | siblings)
+            body = self.region(s, stops | siblings)
             if body:
                 code.append(IfStmt(entry[s], body, []))
-        code.extend(region(order[-1], stops))
+        code.extend(self.region(order[-1], stops))
         return code
 
-    body = _collapse(region(g.initial, frozenset()))
-    if wrap_loop:
-        body = [LoopStmt(body)]
-    missing = set(reachable) - emitted
-    if missing:
-        raise EmissionError(f"states {sorted(missing)} were not structured")
-    return body
+
+def _if_chain(arms: list[tuple[Formula, list]]) -> list:
+    nonempty = [(guard, body) for guard, body in arms if body]
+    if not nonempty:
+        return []
+    all_full = len(nonempty) == len(arms)
+    chain: list = []
+    tail = chain
+    for i, (guard, body) in enumerate(nonempty):
+        last = i == len(nonempty) - 1
+        if last and all_full and i > 0:
+            tail.extend(body)
+        else:
+            node = IfStmt(guard, body, [])
+            tail.append(node)
+            tail = node.orelse
+    return chain
 
 
 def _collapse(stmts: list) -> list:

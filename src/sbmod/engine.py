@@ -7,7 +7,10 @@ objects it wakes. No composite graph is built; this is the run-time twin of
 the graph-based analyses, and the two agree path-for-path. A run revisits
 few state tuples, so it works out a state tuple's selection once, on the
 tuple's first visit, and the event and move of each (state tuple, drawn
-cell) once; the seeded draw itself runs on every step.
+cell) once; the seeded draw itself runs on every step. A memoized event is
+the same object on every step that replays it, so the JSONL log writes the
+text of each distinct (event, woken objects) pair once and splices in the
+step number (``EventLog.to_jsonl``).
 
 Two selection policies:
 
@@ -95,13 +98,20 @@ class EventLog:
         self.stop_reason = "max-steps"  # "max-steps" | "deadlock" | "ended"
 
     def to_jsonl(self) -> str:
+        """One line per entry: ``json.dumps`` of its step, assignment (values
+        as ``fraction_text``) and woke objects, keys sorted. A run replays
+        memoized events, so the text around the step number is written once
+        per distinct (assignment object, woke) pair and the step spliced in."""
+        texts: dict[tuple[int, tuple[str, ...]], tuple[str, str]] = {}
         lines = []
         for e in self.entries:
-            lines.append(json.dumps({
-                "step": e.step,
-                "assignment": {v: fraction_text(e.assignment.values[v]) for v in sorted(e.assignment.values)},
-                "woke": list(e.woke),
-            }, sort_keys=True))
+            key = id(e.assignment), e.woke
+            text = texts.get(key)
+            if text is None:
+                assignment = json.dumps({v: fraction_text(x) for v, x in e.assignment.values.items()}, sort_keys=True)
+                text = texts[key] = ('{"assignment": ' + assignment + ', "step": ',
+                                     ', "woke": ' + json.dumps(list(e.woke)) + "}")
+            lines.append(f"{text[0]}{e.step}{text[1]}")
         return "\n".join(lines) + ("\n" if lines else "")
 
 

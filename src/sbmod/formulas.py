@@ -400,15 +400,13 @@ def canonicalize(f: Formula) -> Formula:
 def atoms_of(f: Formula) -> list[LinearAtom]:
     """Distinct atoms of a formula, in canonical order."""
     found: dict[tuple, LinearAtom] = {}
-
-    def walk(g: Formula) -> None:
+    stack = [f]  # depth-first, left to right: the first of equal atoms is kept
+    while stack:
+        g = stack.pop()
         if isinstance(g, Atom):
             found.setdefault(g.atom.key(), g.atom)
         elif isinstance(g, (And, Or)):
-            for c in g.children:
-                walk(c)
-
-    walk(f)
+            stack.extend(reversed(g.children))
     return [found[k] for k in sorted(found)]
 
 

@@ -46,7 +46,10 @@ them on backtrack (the occurrence lists of Moskewicz et al., Chaff, DAC
 2001). It branches as a search that rebuilds the residual formula at every
 decision would (the test suite keeps that search as the reference), so
 ``check_sat`` searches the same tree, reaches the same leaf and returns the
-same model.
+same model. The compile walks the query with an explicit stack and the
+search is a loop over a stack of decision frames, so no function of a query
+refers to itself: the table and trail of a query die by reference counting
+when it returns, and leave the cyclic collector nothing to free.
 
 ``satisfiable`` answers the yes/no questions (``entails``, ``equivalent``).
 It reads no model, only whether the query has one, so it searches with
@@ -324,7 +327,9 @@ def _search(
     under ``And``, false under ``Or``), and ``parents`` each entry's
     connectives. Entry 0 is an ``And`` over ``g``, so ``value[0]`` is the
     truth of ``g``. A decision assigns its atoms and walks up from them;
-    every change goes on an undo trail, which a failed branch rolls back. An
+    every change goes on an undo trail, which a failed branch rolls back.
+    Each decision pushes a frame, so a node's depth is the number of frames,
+    and a failed node rolls back to the last frame not yet tried false. An
     undecided connective always has an undecided child, and the branch atom
     is the first one that the walk down the first undecided children reaches.
 
@@ -347,8 +352,10 @@ def _search(
     atom_of: list[LinearAtom | None] = [None]
     index: dict[tuple, int] = {}
     by_var: dict[str, list[int]] = {}  # variable -> its single-variable atoms
-
-    def add(f: Formula, parent: int) -> None:
+    # entries are numbered in preorder, each connective before its children
+    stack: list[tuple[Formula, int]] = [(g, 0)]
+    while stack:
+        f, parent = stack.pop()
         if isinstance(f, Atom):
             i = index.get(f._key)
             if i is None:
@@ -369,12 +376,10 @@ def _search(
             parents.append([])
             children.append([])
             atom_of.append(None)
-            for c in f.children:
-                add(c, i)
+            stack.extend([(c, i) for c in reversed(f.children)])
         parents[i].append(parent)
         children[parent].append(i)
 
-    add(g, 0)
     undo: list[int] = []  # i: value[i] was set; ~i: pending[i] was lowered
 
     def assign(i: int, truth: bool) -> None:
@@ -393,52 +398,58 @@ def _search(
                 if p < 0:
                     break
 
-    def search(bounds: dict, hard: int, depth: int) -> dict[str, tuple] | None:
+    # a frame per decision on the trail: the branch entry, and the bounds,
+    # count of theory-checked literals and undo length before the decision
+    frames: list[tuple[int, dict, int, int]] = []
+    bounds: dict = {}
+    hard = 0
+    while True:
         done = value[0]
-        if done is not None:
-            if not done:
-                return None
-            return _theory_model(trail) if hard else {}
-        if hard and depth % 4 == 0 and _theory_model(trail) is None:
-            return None
-        i = 0
-        while atom_of[i] is None:
-            for c in children[i]:
-                if value[c] is None:
-                    i = c
-                    break
-            else:
-                raise RuntimeError("an undecided connective has no undecided child")
-        branch = atom_of[i]
-        mark = len(undo)
-        for truth in (True, False):
-            eff = branch if truth else branch.negated()
-            if propagate and len(eff.coeffs) == 1 and eff.rel != "!=":
-                tighter = _bounded(bounds, eff)
-                lo, hi = tighter[eff.coeffs[0][0]]
-                for j in by_var[eff.coeffs[0][0]]:
-                    if value[j] is None:
-                        decided = _bound_truth(atom_of[j], lo, hi)
-                        if decided is not None:
-                            assign(j, decided)
-                h = hard
-            else:
-                tighter, h = bounds, hard + 1
-                assign(i, truth)
-            trail.append((branch, truth))
-            solution = search(tighter, h, depth + 1)
-            if solution is not None:
-                return solution
-            trail.pop()
-            while len(undo) > mark:
-                j = undo.pop()
-                if j >= 0:
-                    value[j] = None
+        if done is None and not (hard and len(frames) % 4 == 0 and _theory_model(trail) is None):
+            i = 0
+            while atom_of[i] is None:
+                for c in children[i]:
+                    if value[c] is None:
+                        i = c
+                        break
                 else:
-                    pending[~j] += 1
-        return None
-
-    return search({}, 0, 0)
+                    raise RuntimeError("an undecided connective has no undecided child")
+            frames.append((i, bounds, hard, len(undo)))
+            truth = True
+        else:
+            if done:
+                solution = _theory_model(trail) if hard else {}
+                if solution is not None:
+                    return solution
+            # back to the last decision not yet tried false
+            while frames:
+                i, bounds, hard, mark = frames[-1]
+                truth = not trail.pop()[1]
+                while len(undo) > mark:
+                    j = undo.pop()
+                    if j >= 0:
+                        value[j] = None
+                    else:
+                        pending[~j] += 1
+                if not truth:
+                    break
+                frames.pop()
+            else:
+                return None
+        branch = atom_of[i]
+        eff = branch if truth else branch.negated()
+        if propagate and len(eff.coeffs) == 1 and eff.rel != "!=":
+            bounds = _bounded(bounds, eff)
+            lo, hi = bounds[eff.coeffs[0][0]]
+            for j in by_var[eff.coeffs[0][0]]:
+                if value[j] is None:
+                    decided = _bound_truth(atom_of[j], lo, hi)
+                    if decided is not None:
+                        assign(j, decided)
+        else:
+            hard += 1
+            assign(i, truth)
+        trail.append((branch, truth))
 
 
 # satisfiability by formula key: the answer does not depend on the variable set

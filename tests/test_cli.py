@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -544,3 +545,41 @@ def test_help_is_argparse_own_at_every_width():
         for name, (got, want) in texts.items():
             assert got == want, (columns, name)
             assert got[1].startswith("usage: sbmod")
+
+
+# A verb run as the program runs it: ``main()`` reads sys.argv. The hook is
+# registered before ``main`` registers its own, so it runs after it.
+EXIT_PROBE = r"""
+import atexit, gc, sys
+atexit.register(lambda: sys.stderr.write(f"frozen at exit: {gc.get_freeze_count()}\n"))
+from sbmod.cli import main
+sys.argv = ["sbmod", *sys.argv[1:]]
+sys.exit(main())
+"""
+
+
+def test_the_program_freezes_its_heap_at_exit(tmp_path, capsys, monkeypatch):
+    prop = "NoConsecutiveSharpTurns"
+    verbs = [
+        (["repair", str(FIXTURE), "--property", prop, "--verify",
+          "--out", "patch.sbm", "--emit-model", "patched.sbm"], ["patch.sbm", "patched.sbm"]),
+        (["check", str(FIXTURE), "--property", prop, "--trace", "cex.jsonl"], ["cex.jsonl"]),
+        (["run", str(FIXTURE), "--policy", "random-cell", "--steps", "50", "--log", "run.jsonl"], ["run.jsonl"]),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(sbmod.__file__).resolve().parent.parent))
+    for argv, written in verbs:
+        child, here = tmp_path / f"{argv[0]}-child", tmp_path / f"{argv[0]}-here"
+        child.mkdir()
+        here.mkdir()
+        done = subprocess.run([sys.executable, "-c", EXIT_PROBE, *argv], env=env, cwd=child,
+                              capture_output=True, text=True, timeout=60)
+        *err, frozen = done.stderr.splitlines(keepends=True)
+        assert re.fullmatch(r"frozen at exit: [1-9][0-9]*\n", frozen), done.stderr
+        # in-process, the same verb writes the same text and freezes nothing
+        monkeypatch.chdir(here)
+        code = main(argv)
+        assert gc.get_freeze_count() == 0
+        out = capsys.readouterr()
+        assert (done.returncode, done.stdout, "".join(err)) == (code, out.out, out.err)
+        for name in written:
+            assert (child / name).read_text() == (here / name).read_text() != ""

@@ -3,11 +3,14 @@ fixpoint, longer counterexamples, wider predicate sets, and simplex chains."""
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 
-from sbmod.compose import compose
-from sbmod.dsl import insert_object, parse_model
-from sbmod.extract import ExtractStats, extract_graph, simplify_graph
+from sbmod import cells, minimize, solver
+from sbmod.compose import compose, compose_all
+from sbmod.dsl import emit_script, insert_object, parse_model
+from sbmod.engine import ExecutionConfig, run
+from sbmod.extract import ExtractStats, extract_graph, object_graph, simplify_graph
 from sbmod.formulas import VarSet, atom, conj, evaluate, var_atom
 from sbmod.runsets import CellRuns, CellSpace
 from sbmod.solver import check_sat, equivalent
@@ -19,7 +22,7 @@ from sbmod.verify import (
     verify_patch,
 )
 
-from oracles import TRAP_MODEL, bounded_runs, doomed_states
+from oracles import TRAP_MODEL, bounded_runs, doomed_states, indep_text, token_ring_text
 
 X = VarSet(("x",))
 
@@ -135,3 +138,53 @@ def test_strict_squeeze_between_variables():
         atom({"x": 1, "z": -1}, ">=", 0),  # x >= z
     ])
     assert check_sat(f, VarSet(("x", "y", "z"))) is None
+
+
+# atoms over x + y and x - y: listing their sign cells searches prefixes
+TWO_VARIABLES = """model { vars x, y;
+  object Walker { loop { sync(request = x + y > 1 && x - y < 2 || 2*x - y >= 3); } }
+  object NoBig { sync(waitfor = x + y > 1 && x > y); sync(); mark bad; }
+}
+"""
+
+
+def test_pipeline_calls_leave_no_cyclic_garbage(monkeypatch, workloads):
+    """What a call builds dies by reference counting: with the collector
+    off, a full collection after each call finds nothing to free. The caches
+    start empty, so every search, enumeration and minimization runs."""
+    for module, cache in ((solver, "_cache"), (solver, "_decided"), (cells, "_masks"), (minimize, "_cache")):
+        monkeypatch.setattr(module, cache, {})
+    models = [
+        (workloads.ring_text(8), "AllMarked"),
+        (token_ring_text(8), "ReachLast"),
+        (indep_text(6), "P"),
+        (workloads.wide_text(20), "Far"),
+        (TWO_VARIABLES, "NoBig"),
+    ]
+    # parsing is outside the pipeline checked here: an atom and its
+    # negation refer to each other, and parsing drops a few such pairs
+    models = [(parse_model(text), prop) for text, prop in models]
+    leftovers = {}
+
+    def call(label, f, *args):
+        result = f(*args)
+        leftovers[label] = gc.collect()
+        return result
+
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for i, (m, prop) in enumerate(models):
+            base, p = m.without(prop), m.get(prop)
+            call(f"{i} check_safety", check_safety, base, p)
+            patch, _, composite = call(f"{i} repair", repair, base, p)
+            call(f"{i} verify_patch", verify_patch, base, patch, p, composite)
+            call(f"{i} emit_script", emit_script, patch.tracker, patch.name)
+            call(f"{i} object_graph", object_graph, m.objects[0].item, m.vars, True)
+            call(f"{i} compose_all", compose_all, m)
+            call(f"{i} run", run, m, ExecutionConfig(200, seed=1, policy="random-cell"))
+    finally:
+        if enabled:
+            gc.enable()
+    assert {label: n for label, n in leftovers.items() if n} == {}

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,10 +14,11 @@ from sbmod.engine import (
     RANDOM_CELL,
     EventLog,
     ExecutionConfig,
+    LogEntry,
     run,
     select_event,
 )
-from sbmod.formulas import FALSE, TRUE, VarSet, conj, disj, evaluate, var_atom
+from sbmod.formulas import FALSE, TRUE, Assignment, VarSet, conj, disj, evaluate, fraction_text, var_atom
 from sbmod.graphs import ObjectGraph
 from sbmod.runsets import CellRuns, CellSpace
 from sbmod.solver import check_sat
@@ -253,12 +256,47 @@ def test_engine_refuses_overlapping_guards_like_run_sets():
 
 def test_jsonl_format(water_tap_model):
     log = run(water_tap_model, ExecutionConfig(max_steps=2))
-    import json
-
     lines = [json.loads(line) for line in log.to_jsonl().splitlines()]
     assert lines[0]["step"] == 1
     assert lines[0]["assignment"] == {"x": "0"}
     assert "woke" in lines[0]
+
+
+def reference_jsonl(log: EventLog) -> str:
+    """The log written one ``json.dumps`` per entry."""
+    return "".join(json.dumps({
+        "step": e.step,
+        "assignment": {v: fraction_text(e.assignment.values[v]) for v in sorted(e.assignment.values)},
+        "woke": list(e.woke),
+    }, sort_keys=True) + "\n" for e in log.entries)
+
+
+@pytest.mark.parametrize("policy", [FIRST_MODEL, RANDOM_CELL])
+def test_jsonl_matches_one_dump_per_entry(policy, workloads, drone_text):
+    texts = [workloads.ring_text(5), workloads.wide_text(7), drone_text, workloads.wide_text(80)]
+    for text in texts:
+        for seed in (1, 2):
+            log = run(parse_model(text), ExecutionConfig(max_steps=500, seed=seed, policy=policy))
+            assert log.to_jsonl() == reference_jsonl(log)
+
+
+def test_jsonl_of_a_hand_built_log():
+    shared = Assignment({"y": Fraction(-3, 4), "x": Fraction(10**30)})
+    twin = Assignment({"x": Fraction(1, 3), "y": Fraction(0)})
+    log = EventLog()
+    assert log.to_jsonl() == ""
+    # one assignment object with two woke tuples, and two distinct but equal
+    # assignments, interleaved
+    for step, (a, woke) in enumerate([(shared, ("A",)), (shared, ()), (twin, ("A", "B")),
+                                      (Assignment(dict(twin.values)), ("A", "B")), (shared, ("A",)),
+                                      (twin, ())], start=1):
+        log.entries.append(LogEntry(step, a, woke))
+    text = log.to_jsonl()
+    assert text == reference_jsonl(log)
+    assert text.splitlines()[:2] == [
+        '{"assignment": {"x": "1000000000000000000000000000000", "y": "-3/4"}, "step": 1, "woke": ["A"]}',
+        '{"assignment": {"x": "1000000000000000000000000000000", "y": "-3/4"}, "step": 2, "woke": []}',
+    ]
 
 
 def test_config_validation():
